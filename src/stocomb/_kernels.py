@@ -2,11 +2,10 @@
 
 The dense simplex kernel below carries the sample-average pipeline (every
 cutting-plane iteration solves one small recourse LP per scenario and one
-master LP) and the correlation-gap LP, so it is compiled with
-``numba.njit`` when numba is importable.  Setting the
-environment variable ``STOCOMB_NUMBA=0`` before import forces the pure-numpy
-interpretation of the very same vectorized function, which is what
-``benchmarks/bench_kernels.py`` compares.
+master LP) and the restricted masters of the correlation-gap column
+generation, so it is compiled with ``numba.njit`` when numba is importable.
+Setting the environment variable ``STOCOMB_NUMBA=0`` before import forces
+the pure-numpy interpretation of the very same vectorized function.
 
 Kernel conventions
 ------------------

@@ -331,6 +331,18 @@ def cmd_check(args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum`` (exit 2 otherwise)."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once: parsing leaves it unchanged."""
@@ -371,14 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"evaluate the {name[4:]} policy")
         p.add_argument("--instance", required=True)
         p.add_argument("--mode", choices=("exact", "monte_carlo"), default="exact")
-        p.add_argument("--runs", type=int, default=10_000,
-                       help="replications in monte_carlo mode")
+        p.add_argument("--runs", type=_at_least(2), default=10_000,
+                       help="replications in monte_carlo mode (at least 2)")
         common(p, needs_seed=True)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("run-saa", help="sample-average pipeline on a stochastic LP")
     p.add_argument("--instance", required=True)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=_at_least(1), default=2000)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--trace", help="write the per-iteration CSV trace here")
     common(p, needs_seed=True)

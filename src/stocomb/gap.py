@@ -1,18 +1,19 @@
 """Worst-case versus independent expectations of a monotone set function.
 
-Fixing per-item marginals, the worst-case expectation is the optimum of a
-small LP over all distributions with those marginals (one variable per
-subset), and the correlation gap is its ratio to the expectation under the
-independent product measure.  The split operation, which clones items into
-equal-marginal copies, preserves the worst case and can only shrink the
-independent side, and cost-sharing schemes transfer to split instances by
-paying only the earliest copy.
+Fixing per-item marginals, the worst-case expectation is the optimum of an
+LP over all distributions with those marginals (one variable per subset),
+solved by column generation over the subset table; the correlation gap is
+its ratio to the expectation under the independent product measure.  The
+split operation, which clones items into equal-marginal copies, preserves
+the worst case and can only shrink the independent side, and cost-sharing
+schemes transfer to split instances by paying only the earliest copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -25,6 +26,8 @@ from .setfun import E_RATIO, table
 from .sharing import OrderedCostShareScheme, SchemeReport
 
 GAP_TOL = 1e-9
+PRICE_TOL = 1e-9      # relative reduced-cost tolerance of the pricing step
+PRICE_COLUMNS = 8     # most negative columns added per pricing round
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,12 @@ class GapInstance:
 
     def marginal_vector(self) -> np.ndarray:
         return np.array([self.marginals[i] for i in self.ground])
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """Mask-indexed table of ``f``, built once and shared by the
+        worst-case and independent expectations."""
+        return table(self.f, self.ground)
 
 
 @dataclass(frozen=True)
@@ -94,32 +103,48 @@ def _mask_subset(ground: tuple, mask: int) -> frozenset:
 def worst_case_expectation(inst: GapInstance):
     """Optimal value and attaining distribution of the fixed-marginal LP.
 
-    Maximizes the expectation of f over all subset distributions whose
-    item marginals match the instance; solved as a dense LP with one column
-    per subset.
+    Maximizes the expectation of f over all subset distributions whose item
+    marginals match the instance: one column per subset, one equality row
+    per item plus the total mass.  Solved by column generation (Gilmore &
+    Gomory 1961).  The restricted master starts from the comonotone chain,
+    the nested prefixes of the items sorted by decreasing marginal, which
+    always carries a feasible distribution.  Each round prices all 2^n
+    subsets at once against the master's duals y (items) and y0 (mass),
+    reduced cost -f(S) - (sum of y over S + y0), and adds the
+    ``PRICE_COLUMNS`` most negative ones.  The loop stops when no reduced
+    cost is below ``-PRICE_TOL * max(1, |value|)``: the duals are then
+    feasible for the full LP, so the master's value is its optimum.
     """
     n = len(inst.ground)
     if n > caps.cap("STOCOMB_CAP_GAP_CLIENTS"):
         raise CapExceeded("ground set too large for the worst-case LP")
-    size = 1 << n
-    values = table(inst.f, inst.ground)
+    values = inst._table
     p = inst.marginal_vector()
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    # The comonotone chain: nested prefixes by decreasing marginal.
+    cols = np.concatenate([[0], np.cumsum(1 << np.argsort(-p, kind="stable"))])
+    in_master = np.zeros(1 << n, dtype=bool)
     # Equality rows doubled into >= pairs: item marginals, then total mass.
-    rows = []
-    rhs = []
-    for i in range(n):
-        row = np.array([(mask >> i) & 1 for mask in range(size)], dtype=float)
-        rows.extend([row, -row])
-        rhs.extend([p[i], -p[i]])
-    ones = np.ones(size)
-    rows.extend([ones, -ones])
-    rhs.extend([1.0, -1.0])
-    res = solve_lp(LinearProgram(-values, np.array(rows), np.array(rhs)))
-    if res.status != OPTIMAL:
-        raise DegenerateInstance(f"worst-case LP ended {res.status}")
-    alpha = res.primal
-    dist = {_mask_subset(inst.ground, mask): float(alpha[mask])
-            for mask in range(size) if alpha[mask] > 1e-12}
+    rhs = np.append(p, 1.0)
+    rhs = np.concatenate([rhs, -rhs])
+    while True:
+        in_master[cols] = True
+        A = np.vstack([bits[cols].T, np.ones(cols.size)])
+        res = solve_lp(LinearProgram(-values[cols], np.vstack([A, -A]), rhs))
+        if res.status != OPTIMAL:
+            raise DegenerateInstance(f"worst-case LP ended {res.status}")
+        y = res.duals[:n + 1] - res.duals[n + 1:]
+        reduced = -values - (bits @ y[:n] + y[n])
+        # The master already prices its own columns; skipping them makes
+        # every round add new ones, so the loop ends within 2^n columns.
+        reduced[in_master] = np.inf
+        new = np.argsort(reduced, kind="stable")[:PRICE_COLUMNS]
+        new = new[reduced[new] < -PRICE_TOL * max(1.0, abs(res.value))]
+        if new.size == 0:
+            break
+        cols = np.concatenate([cols, new])
+    dist = {_mask_subset(inst.ground, int(mask)): float(a)
+            for mask, a in sorted(zip(cols, res.primal)) if a > 1e-12}
     return -res.value, dist
 
 
@@ -132,8 +157,7 @@ def independent_expectation(inst: GapInstance, mode: str = "exact",
         if n > caps.cap("STOCOMB_CAP_SUPPORT_CLIENTS"):
             raise CapExceeded("exact product expectation needs 2^|V| terms")
         weights = bernoulli_weights(p)
-        values = table(inst.f, inst.ground)
-        return Estimate(float(weights @ values), "exact")
+        return Estimate(float(weights @ inst._table), "exact")
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
@@ -232,7 +256,7 @@ def check_split_invariants(inst: GapInstance, split_map: SplitMap,
     n = len(new.ground)
     if n > caps.cap("STOCOMB_CAP_GAP_CLIENTS"):
         raise CapExceeded("split instance too large for the worst-case LP")
-    vals = table(new.f, new.ground)
+    vals = new._table
     monotone = True
     for mask in range(1 << n):
         for i in range(n):

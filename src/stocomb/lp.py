@@ -2,8 +2,10 @@
 
 Problems are stated as ``min c.y`` subject to ``A y >= b`` with ``y >= 0``
 and optional per-variable upper bounds.  Two-phase primal simplex with
-Bland's rule guarantees termination; performance at the sizes this library
-needs (at most a few thousand columns) comes from the jitted kernel in
+Bland's rule guarantees termination.  The LPs this library solves are
+small (cutting-plane and column-generation masters, recourse LPs and
+deterministic equivalents, within ``MAX_VARIABLES`` columns and
+``MAX_CONSTRAINTS`` rows); the tableau kernel lives in
 :mod:`stocomb._kernels`.
 """
 

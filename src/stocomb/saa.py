@@ -531,14 +531,21 @@ def encode_ufl(data: TwoStageUFL) -> StochasticLPInstance:
 
 
 def deterministic_equivalent(instance: StochasticLPInstance) -> LinearProgram:
-    """One LP over (x, all scenario variables) with the exact objective."""
+    """One LP over (z, all scenario variables) with the exact objective.
+
+    The first-stage columns are shifted to z = x - lower, so the box becomes
+    0 <= z <= upper - lower and needs no rows for any finite lower bound; the
+    objective omits the constant first_stage_cost . lower.  With a zero lower
+    bound z is x.
+    """
     m = instance.first_stage_cost.size
     sizes = [(b.recourse_cost.size, b.aux_cost.size) for b in instance.scenarios]
     nvar = m + sum(mr + ns for mr, ns in sizes)
     rows_n = sum(b.requirement.size for b in instance.scenarios)
     poly = instance.polytope
-    lower_idx = np.nonzero(poly.lower > 0)[0]
-    extra = (0 if poly.rows is None else poly.rows.shape[0]) + lower_idx.size
+    if not np.isfinite(poly.lower).all():
+        raise ValueError("the deterministic equivalent needs finite lower bounds")
+    extra = 0 if poly.rows is None else poly.rows.shape[0]
     A = np.zeros((rows_n + extra, nvar))
     b_vec = np.zeros(rows_n + extra)
     c = np.zeros(nvar)
@@ -556,17 +563,12 @@ def deterministic_equivalent(instance: StochasticLPInstance) -> LinearProgram:
         col += mr + ns
         row += k
     if poly.rows is not None:
-        nr = poly.rows.shape[0]
-        A[rows_n:rows_n + nr, :m] = poly.rows
-        b_vec[rows_n:rows_n + nr] = poly.row_rhs
-        row = rows_n + nr
-    else:
-        row = rows_n
-    for t, i in enumerate(lower_idx):
-        A[row + t, i] = 1.0
-        b_vec[row + t] = poly.lower[i]
+        A[rows_n:, :m] = poly.rows
+        b_vec[rows_n:] = poly.row_rhs
+    if poly.lower.any():
+        b_vec -= A[:, :m] @ poly.lower
     upper = np.full(nvar, np.inf)
-    upper[:m] = poly.upper
+    upper[:m] = poly.upper - poly.lower
     lp = LinearProgram(c, A, b_vec, upper_bounds=upper)
     return lp
 
@@ -585,4 +587,6 @@ def solve_deterministic_equivalent(instance: StochasticLPInstance):
     res = _solve_or_raise(deterministic_equivalent(instance),
                           "deterministic equivalent")
     m = instance.first_stage_cost.size
-    return res.value, res.primal[:m]
+    lower = instance.polytope.lower
+    return (res.value + float(instance.first_stage_cost @ lower),
+            lower + res.primal[:m])

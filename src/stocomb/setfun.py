@@ -17,7 +17,14 @@ MONO_TOL = 1e-9
 
 
 def table(f, ground: tuple) -> np.ndarray:
-    """Dense table of f over all subsets of ``ground``, indexed by mask."""
+    """Dense table of f over all subsets of ``ground``, indexed by mask.
+
+    A function built by :func:`from_table` over the same ground set hands
+    back its stored (read-only) array; any other function is called once
+    per subset.
+    """
+    if isinstance(f, TableFunction) and f.ground == tuple(ground):
+        return f.values
     n = len(ground)
     out = np.empty(1 << n)
     for mask in range(1 << n):
@@ -25,22 +32,32 @@ def table(f, ground: tuple) -> np.ndarray:
     return out
 
 
-def from_table(values, ground: tuple):
-    """Set function backed by a dense mask-indexed table."""
-    values = np.asarray(values, dtype=float)
+class TableFunction:
+    """Set function backed by a dense mask-indexed table over ``ground``."""
+
+    __slots__ = ("values", "ground", "_index")
+
+    def __init__(self, values: np.ndarray, ground: tuple):
+        self.values = values
+        self.ground = ground
+        self._index = {g: i for i, g in enumerate(ground)}
+
+    def __call__(self, subset: frozenset) -> float:
+        mask = 0
+        for item in subset:
+            mask |= 1 << self._index[item]
+        return float(self.values[mask])
+
+
+def from_table(values, ground: tuple) -> TableFunction:
+    """Set function backed by a dense mask-indexed table (copied, read-only)."""
+    values = np.array(values, dtype=float)
     if values.size != 1 << len(ground):
         raise SchemaError(
             f"table needs {1 << len(ground)} values for {len(ground)} elements, "
             f"got {values.size}")
-    index = {g: i for i, g in enumerate(ground)}
-
-    def f(subset: frozenset) -> float:
-        mask = 0
-        for item in subset:
-            mask |= 1 << index[item]
-        return float(values[mask])
-
-    return f
+    values.flags.writeable = False
+    return TableFunction(values, tuple(ground))
 
 
 def cardinality():

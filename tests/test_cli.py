@@ -96,6 +96,25 @@ def test_schema_error_exit_code(tmp_path):
     assert main(["solve-det", "--instance", str(notjson)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run-saa", "--instance", str(INSTANCES / "saa_ufl.json"),
+     "--samples", "0", "--seed", "1"],
+    ["run-boost", "--instance", str(INSTANCES / "edge1.json"), "--seed", "1",
+     "--mode", "monte_carlo", "--runs", "1"],
+    ["run-indboost", "--instance", str(INSTANCES / "edge1_independent.json"),
+     "--seed", "1", "--mode", "monte_carlo", "--runs", "1"],
+    ["run-saa", "--instance", str(INSTANCES / "saa_ufl.json"),
+     "--samples", "many", "--seed", "1"],
+], ids=["samples-0", "boost-runs-1", "indboost-runs-1", "samples-not-int"])
+def test_bad_counts_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "error: argument --" in capsys.readouterr().err
+
+
 def test_indboost_requires_independent_distribution():
     code = main(["run-indboost", "--instance", str(INSTANCES / "edge1.json"),
                  "--seed", "1"])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from stocomb import gap
 from stocomb.errors import CapExceeded, DegenerateInstance, UncertifiedScheme
 from stocomb.gap import (
     GapInstance,
@@ -20,8 +21,9 @@ from stocomb.gap import (
 )
 from stocomb.generate import random_gap_instance
 from stocomb.fixtures import gap2 as gap2_instance
+from stocomb.lp import OPTIMAL, LinearProgram, solve_lp
 from stocomb.rng import stream
-from stocomb.setfun import E_RATIO, cardinality, table, weighted_rank
+from stocomb.setfun import E_RATIO, cardinality, from_table, table, weighted_rank
 from stocomb.sharing import check_scheme, marginal_scheme
 
 
@@ -49,6 +51,66 @@ def lp_vertex_oracle(inst):
         if best is None or value > best:
             best = value
     return best
+
+
+def dense_worst_case(inst):
+    """The worst-case LP with all 2^n subset columns at once, each equality
+    row doubled into a >= pair: the dense solver column generation
+    replaced, kept as its differential oracle."""
+    n = len(inst.ground)
+    size = 1 << n
+    values = table(inst.f, inst.ground)
+    p = inst.marginal_vector()
+    rows = []
+    rhs = []
+    for i in range(n):
+        row = np.array([(mask >> i) & 1 for mask in range(size)], dtype=float)
+        rows.extend([row, -row])
+        rhs.extend([p[i], -p[i]])
+    ones = np.ones(size)
+    rows.extend([ones, -ones])
+    rhs.extend([1.0, -1.0])
+    res = solve_lp(LinearProgram(-values, np.array(rows), np.array(rhs)))
+    assert res.status == OPTIMAL
+    return -res.value
+
+
+def table_instance(n, seed, kind):
+    """Table-backed instance on n items: a random coverage table
+    (monotone submodular) or uniform random values (neither)."""
+    base = random_gap_instance(n, seed)
+    if kind == "coverage":
+        values = table(base.f, base.ground)
+    else:
+        values = stream(seed, "gap-table").uniform(0.0, 2.0, 1 << n)
+    return GapInstance(base.ground, from_table(values, base.ground),
+                       base.marginals)
+
+
+def assert_distribution(inst, worst, dist):
+    """dist meets the marginals, has total mass 1 and attains worst."""
+    assert all(p > 0 for p in dist.values())
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+    for g in inst.ground:
+        mass = sum(p for s, p in dist.items() if g in s)
+        assert mass == pytest.approx(inst.marginals[g], abs=1e-9)
+    assert sum(p * inst.f(s) for s, p in dist.items()) == \
+        pytest.approx(worst, abs=1e-9)
+
+
+def degenerate_instances():
+    """Equal marginals, 0/1 marginals, constant and modular costs."""
+    for n in (1, 4, 8, 12):
+        ground = tuple(f"i{k}" for k in range(n))
+        cov = random_gap_instance(n, 60 + n).f
+        weights = {g: 0.25 * (k + 1) for k, g in enumerate(ground)}
+        modular = lambda s, w=weights: float(sum(w[g] for g in s))
+        constant = lambda s: 1.5
+        equal = {g: 0.3 for g in ground}
+        zero_one = {g: (0.0, 1.0, 0.6)[k % 3] for k, g in enumerate(ground)}
+        for f in (cov, modular, constant):
+            for marginals in (equal, zero_one):
+                yield GapInstance(ground, f, marginals)
 
 
 class TestWorstCase:
@@ -80,6 +142,47 @@ class TestWorstCase:
             inst = random_gap_instance(3, seed)
             worst, _ = worst_case_expectation(inst)
             assert worst == pytest.approx(lp_vertex_oracle(inst), abs=1e-7)
+
+    @pytest.mark.parametrize("kind", ["coverage", "uniform"])
+    def test_column_generation_matches_dense_lp(self, kind):
+        for n in range(1, 13):
+            inst = table_instance(n, 300 + n, kind)
+            worst, dist = worst_case_expectation(inst)
+            assert worst == pytest.approx(dense_worst_case(inst), abs=1e-9)
+            assert_distribution(inst, worst, dist)
+
+    def test_master_stays_a_small_part_of_the_subset_table(self, monkeypatch):
+        # Wrong duals can still end at the optimum by adding every subset;
+        # pricing must reach it with a small fraction of the 4096 columns.
+        widths = []
+
+        def spy(lp):
+            widths.append(lp.objective.size)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(gap, "solve_lp", spy)
+        for kind in ("coverage", "uniform"):
+            worst_case_expectation(table_instance(12, 312, kind))
+        assert max(widths) <= 256
+
+    def test_degenerate_instances_match_dense_lp(self):
+        for inst in degenerate_instances():
+            worst, dist = worst_case_expectation(inst)
+            assert worst == pytest.approx(dense_worst_case(inst), abs=1e-9)
+            assert_distribution(inst, worst, dist)
+
+    def test_matches_highs(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        for n in (3, 7, 12):
+            inst = table_instance(n, 800 + n, "uniform")
+            bits = (np.arange(1 << n)[None, :] >> np.arange(n)[:, None]) & 1
+            res = optimize.linprog(
+                -table(inst.f, inst.ground),
+                A_eq=np.vstack([bits, np.ones(1 << n)]),
+                b_eq=np.append(inst.marginal_vector(), 1.0), method="highs")
+            assert res.status == 0
+            assert worst_case_expectation(inst)[0] == \
+                pytest.approx(-res.fun, abs=1e-9)
 
     def test_cap(self):
         inst = random_gap_instance(3, 0)
@@ -132,6 +235,17 @@ class TestCorrelationGap:
             report = correlation_gap(inst)
             assert report.kappa >= 1.0 - 1e-9
             assert report.worst_case >= report.independent - 1e-9
+
+    def test_set_function_table_built_once(self):
+        base = random_gap_instance(6, 5)
+        calls = []
+
+        def f(subset):
+            calls.append(subset)
+            return base.f(subset)
+
+        correlation_gap(GapInstance(base.ground, f, base.marginals))
+        assert len(calls) == 1 << 6
 
     def test_degenerate_instance(self):
         inst = GapInstance(("a",), lambda S: 0.0, {"a": 0.5})

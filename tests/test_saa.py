@@ -266,6 +266,23 @@ class TestMinimize:
         assert res.value == pytest.approx(-0.5, abs=1e-7)
         assert res.x == pytest.approx([1.0], abs=1e-7)
 
+    def test_deterministic_equivalent_honours_negative_lower_bounds(self):
+        # cost [1] on [-1, 1] with no scenarios: the optimum is -1 at x = -1.
+        inst = StochasticLPInstance([1.0], Polytope([-1.0], [1.0]), ())
+        opt, x = solve_deterministic_equivalent(inst)
+        assert (opt, list(x)) == (-1.0, [-1.0])
+        base = random_stochastic_lp(2, 3, 307, with_aux=True)
+        boxed = StochasticLPInstance(
+            base.first_stage_cost,
+            Polytope(np.array([-0.5, 0.3]), np.array([0.4, 1.2])),
+            base.scenarios)
+        for inst in (inst, boxed):
+            opt, x = solve_deterministic_equivalent(inst)
+            res = minimize(inst, tolerance=0.0)
+            assert inst.polytope.contains(x)
+            assert opt == pytest.approx(res.value, abs=1e-7)
+            assert opt == pytest.approx(h_exact(inst, x), abs=1e-7)
+
     def test_rows_are_rejected(self):
         poly = Polytope(np.zeros(1), np.ones(1), rows=[[1.0]], row_rhs=[0.2])
         inst = StochasticLPInstance([1.0], poly, ())

@@ -46,6 +46,22 @@ def test_table_round_trip():
         assert g(mask_set) == f(mask_set)
 
 
+def test_table_fast_path_equals_oracle_loop():
+    ground = tuple(f"g{i}" for i in range(7))
+    values = stream(3, "table").uniform(-1.0, 2.0, 1 << 7)
+    f = from_table(values, ground)
+    loop = table(lambda s: f(s), ground)  # a plain callable takes the loop
+    fast = table(f, ground)
+    assert fast is f.values
+    assert fast.tobytes() == loop.tobytes() == values.tobytes()
+    assert not fast.flags.writeable
+    # Another ground order is a different mask indexing: the loop runs.
+    reordered = ground[::-1]
+    assert table(f, reordered).tobytes() == \
+        table(lambda s: f(s), reordered).tobytes()
+    assert table(f, reordered).tobytes() != fast.tobytes()
+
+
 def test_from_table_size_check():
     with pytest.raises(SchemaError):
         from_table([0.0, 1.0, 1.0], ("a", "b"))
