@@ -1,11 +1,11 @@
-"""Hot numeric kernels with an optional numba fast path.
+"""Hot numeric kernels, written in vectorized numpy.
 
 The dense simplex kernel below carries the sample-average pipeline (every
 cutting-plane iteration solves one small recourse LP per scenario and one
 master LP) and the restricted masters of the correlation-gap column
-generation, so it is compiled with ``numba.njit`` when numba is importable.
-Setting the environment variable ``STOCOMB_NUMBA=0`` before import forces
-the pure-numpy interpretation of the very same vectorized function.
+generation.  ``bernoulli_weights`` is the library's one product-measure
+table: independent-Bernoulli supports, independent boosting draws and the
+independent expectation of the correlation gap all read it.
 
 Kernel conventions
 ------------------
@@ -21,14 +21,16 @@ Duals are reported per input row and are nonnegative at optimality.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _HUGE = np.int64(1) << 60
 
+# There is no compiled kernel; the constant stays for benchmark records
+# that report it.
+HAVE_JIT = False
 
-def _simplex_impl(A, b, c, tol, feas_tol, pivot_limit):
+
+def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit):
     m, n = A.shape
     ncols = n + 2 * m  # structural + surplus + artificial
     rhs_col = ncols
@@ -129,7 +131,7 @@ def _simplex_impl(A, b, c, tol, feas_tol, pivot_limit):
     return 0, x, duals, value, pivots
 
 
-def _bernoulli_weights_impl(p):
+def bernoulli_weights(p):
     """Probability of every subset (as a bit mask) under independent marginals."""
     n = p.shape[0]
     size = 1 << n
@@ -139,31 +141,3 @@ def _bernoulli_weights_impl(p):
         has = (idx >> i) & 1
         w *= np.where(has == 1, p[i], 1.0 - p[i])
     return w
-
-
-simplex_py = _simplex_impl
-bernoulli_weights_py = _bernoulli_weights_impl
-
-_want_jit = os.environ.get("STOCOMB_NUMBA", "1") != "0"
-simplex_jit = None
-bernoulli_weights_jit = None
-if _want_jit:
-    try:
-        from numba import njit
-
-        simplex_jit = njit(cache=True)(_simplex_impl)
-        bernoulli_weights_jit = njit(cache=True)(_bernoulli_weights_impl)
-    except ImportError:
-        pass
-
-HAVE_JIT = simplex_jit is not None
-
-simplex_kernel = simplex_jit if HAVE_JIT else simplex_py
-bernoulli_weights = bernoulli_weights_jit if HAVE_JIT else bernoulli_weights_py
-
-
-def warmup():
-    """Trigger JIT compilation so later timings measure steady state."""
-    A = np.array([[1.0]])
-    simplex_kernel(A, np.array([1.0]), np.array([1.0]), 1e-10, 1e-8, 100)
-    bernoulli_weights(np.array([0.5]))

@@ -11,6 +11,7 @@ denominator for the approximation-ratio checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import caps
+from ._kernels import bernoulli_weights
 from .errors import CapExceeded, Infeasible
 from .model import (
     IndependentBernoulli,
@@ -27,6 +29,7 @@ from .model import (
     Solution,
     enumerate_support,
     exact_opt,
+    members,
     sample,
 )
 from .solvers import ApproxAlgorithm
@@ -51,18 +54,6 @@ class PolicyEvaluation:
 class TwoStageOptimum:
     value: float
     first_stage: frozenset
-
-
-def _memoized_recourse(fn):
-    cache: dict = {}
-
-    def recourse(realized: frozenset) -> frozenset:
-        key = frozenset(realized)
-        if key not in cache:
-            cache[key] = fn(key)
-        return cache[key]
-
-    return recourse
 
 
 @dataclass(frozen=True)
@@ -100,10 +91,11 @@ class BoostPolicyBuilder:
     def policy(self, drawn: frozenset) -> TwoStagePolicy:
         first = self.alg.solve(self.problem, drawn).chosen
 
+        @functools.cache
         def build(realized: frozenset) -> frozenset:
             return self.alg.augment(self.problem, first, realized).chosen
 
-        return TwoStagePolicy(first, _memoized_recourse(build))
+        return TwoStagePolicy(first, build)
 
 
 @dataclass(frozen=True)
@@ -128,37 +120,26 @@ class IndBoostPolicyBuilder:
         boosted = self.boosted(sigma)
         if 2 ** len(boosted) > caps.cap("STOCOMB_CAP_DRAWS"):
             raise CapExceeded("boosted-draw space too large to enumerate")
-        out = []
-        for mask in range(1 << len(boosted)):
-            p = 1.0
-            members = []
-            for i, (j, pj) in enumerate(boosted):
-                if (mask >> i) & 1:
-                    p *= pj
-                    members.append(j)
-                else:
-                    p *= 1.0 - pj
-            if p > 0.0:
-                out.append((frozenset(members), p))
-        return out
+        clients = tuple(j for j, _ in boosted)
+        weights = bernoulli_weights(np.array([p for _, p in boosted]))
+        return [(frozenset(members(mask, clients)), float(w))
+                for mask, w in enumerate(weights) if w > 0.0]
 
     def policy(self, drawn: frozenset) -> TwoStagePolicy:
         first = self.alg.solve(self.problem, drawn).chosen
-        patch_cache: dict = {}
 
+        @functools.cache
         def patch(j) -> frozenset:
-            if j not in patch_cache:
-                patch_cache[j] = self.alg.augment(
-                    self.problem, first, drawn | {j}).chosen
-            return patch_cache[j]
+            return self.alg.augment(self.problem, first, drawn | {j}).chosen
 
+        @functools.cache
         def build(realized: frozenset) -> frozenset:
             out: frozenset = frozenset()
             for j in realized:
                 out |= patch(j)
             return out
 
-        return TwoStagePolicy(first, _memoized_recourse(build))
+        return TwoStagePolicy(first, build)
 
 
 def boost_and_sample(problem: ProblemInstance, alg: ApproxAlgorithm,
@@ -244,7 +225,7 @@ def exact_two_stage_opt(problem: ProblemInstance, dist: ScenarioDistribution,
         raise CapExceeded("two-stage search space exceeds the cap")
     best = None
     for mask in range(1 << n):
-        first = frozenset(problem.elements[i] for i in range(n) if (mask >> i) & 1)
+        first = frozenset(members(mask, problem.elements))
         value = problem.cost(first)
         feasible = True
         for realized, p in support:
@@ -257,7 +238,7 @@ def exact_two_stage_opt(problem: ProblemInstance, dist: ScenarioDistribution,
                 break
         if not feasible:
             continue
-        key = tuple(sorted(problem.element_index()[e] for e in first))
+        key = members(mask, range(n))  # the index tuple of ``first``
         if best is None or value < best[0] - 1e-12 or (
                 value < best[0] + 1e-12 and key < best[1]):
             best = (value, key, first)

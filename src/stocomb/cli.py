@@ -56,6 +56,7 @@ from .io import (
     load_stochastic_lp,
     read_json,
     write_json,
+    write_text,
 )
 from .model import (
     IndependentBernoulli,
@@ -82,10 +83,7 @@ def _emit(report: dict, args) -> None:
     if getattr(args, "format", "json") == "csv":
         text = _csv_view(report)
         if getattr(args, "output", None):
-            path = Path(args.output)
-            if path.exists() and not args.overwrite:
-                raise FileExistsError(f"{path} exists; pass --overwrite to replace it")
-            path.write_text(text, encoding="utf-8")
+            write_text(args.output, text, overwrite=args.overwrite)
         else:
             sys.stdout.write(text)
         return
@@ -266,10 +264,7 @@ def cmd_run_saa(args) -> int:
     if args.trace:
         lines = ["iteration,value,lower_bound"]
         lines += [f"{t},{v!r},{lb!r}" for t, v, lb in result.trace]
-        trace_path = Path(args.trace)
-        if trace_path.exists() and not args.overwrite:
-            raise FileExistsError(f"{trace_path} exists; pass --overwrite")
-        trace_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text(args.trace, "\n".join(lines) + "\n", overwrite=args.overwrite)
     _emit(report, args)
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -22,6 +22,7 @@ from . import caps
 from ._kernels import bernoulli_weights
 from .errors import CapExceeded, DegenerateInstance, UncertifiedScheme
 from .lp import OPTIMAL, LinearProgram, solve_lp
+from .model import members
 from .setfun import E_RATIO, table
 from .sharing import OrderedCostShareScheme, SchemeReport
 
@@ -96,10 +97,6 @@ class SplitMap:
         return frozenset(orig for orig, _k in subset)
 
 
-def _mask_subset(ground: tuple, mask: int) -> frozenset:
-    return frozenset(ground[i] for i in range(len(ground)) if (mask >> i) & 1)
-
-
 def worst_case_expectation(inst: GapInstance):
     """Optimal value and attaining distribution of the fixed-marginal LP.
 
@@ -143,7 +140,7 @@ def worst_case_expectation(inst: GapInstance):
         if new.size == 0:
             break
         cols = np.concatenate([cols, new])
-    dist = {_mask_subset(inst.ground, int(mask)): float(a)
+    dist = {frozenset(members(int(mask), inst.ground)): float(a)
             for mask, a in sorted(zip(cols, res.primal)) if a > 1e-12}
     return -res.value, dist
 
@@ -192,13 +189,10 @@ def split(inst: GapInstance, split_map: SplitMap) -> GapInstance:
     marginals = {(i, k): inst.marginals[i] / split_map.copies.get(i, 1)
                  for (i, k) in ground}
     base_f = inst.f
-    cache: dict = {}
 
+    @cache
     def f(subset: frozenset) -> float:
-        key = frozenset(subset)
-        if key not in cache:
-            cache[key] = base_f(SplitMap.project(key))
-        return cache[key]
+        return base_f(SplitMap.project(subset))
 
     return GapInstance(ground=ground, f=f, marginals=marginals)
 

@@ -15,6 +15,7 @@ reruns with the same seed are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -39,6 +40,24 @@ from .saa import Polytope, ScenarioBlock, StochasticLPInstance
 from .setfun import from_json as setfun_from_json
 
 PROBLEM_KINDS = ("steiner", "ufl", "set_cover", "vertex_cover")
+
+
+def _schema_checked(what: str):
+    """Loader decorator: data the model constructors reject (a ``ValueError``,
+    such as probabilities that do not sum to 1) or a payload of the wrong
+    shape is reported as a :class:`SchemaError`."""
+
+    def decorate(load):
+        @functools.wraps(load)
+        def checked(payload):
+            try:
+                return load(payload)
+            except (TypeError, KeyError, ValueError) as exc:
+                raise SchemaError(f"malformed {what}: {exc}") from exc
+
+        return checked
+
+    return decorate
 
 
 def _require(payload: dict, key: str, where: str):
@@ -74,18 +93,16 @@ def dump_distribution(dist: ScenarioDistribution) -> dict:
     raise SchemaError(f"cannot serialize distribution {dist!r}")
 
 
+@_schema_checked("instance")
 def load_instance(payload: dict):
     """Parse a client-element instance; returns (problem, distribution|None)."""
-    try:
-        clients = tuple(_require(payload, "clients", "instance"))
-        elements = _require(payload, "elements", "instance")
-        costs = {e["id"]: float(e["cost"]) for e in elements}
-        order = tuple(e["id"] for e in elements)
-        sigma = float(_require(payload, "sigma", "instance"))
-        problem = _require(payload, "problem", "instance")
-        kind = _require(problem, "kind", "problem")
-    except (TypeError, KeyError) as exc:
-        raise SchemaError(f"malformed instance: {exc}") from exc
+    clients = tuple(_require(payload, "clients", "instance"))
+    elements = _require(payload, "elements", "instance")
+    costs = {e["id"]: float(e["cost"]) for e in elements}
+    order = tuple(e["id"] for e in elements)
+    sigma = float(_require(payload, "sigma", "instance"))
+    problem = _require(payload, "problem", "instance")
+    kind = _require(problem, "kind", "problem")
 
     if kind == "steiner":
         edges = {e: tuple(uv) for e, uv in _require(problem, "edges", "problem").items()}
@@ -168,38 +185,36 @@ def dump_instance(problem: ProblemInstance,
     return out
 
 
+@_schema_checked("stochastic LP")
 def load_stochastic_lp(payload: dict) -> StochasticLPInstance:
-    try:
-        w = np.asarray(_require(payload, "first_stage_cost", "lp instance"),
-                       dtype=float)
-        poly_payload = _require(payload, "polytope", "lp instance")
-        poly = Polytope(
-            lower=np.asarray(poly_payload.get("lower", np.zeros(w.size)), dtype=float),
-            upper=np.asarray(poly_payload.get("upper", np.ones(w.size)), dtype=float),
-            rows=(np.asarray(poly_payload["rows"], dtype=float)
-                  if poly_payload.get("rows") else None),
-            row_rhs=(np.asarray(poly_payload["row_rhs"], dtype=float)
-                     if poly_payload.get("rows") else None),
-            radius=poly_payload.get("radius"),
-        )
-        blocks = []
-        for blk in _require(payload, "scenarios", "lp instance"):
-            k = len(blk["requirement"])
-            aux = np.asarray(blk.get("aux_cost", []), dtype=float)
-            if aux.size:
-                coupling = np.asarray(blk["coupling"], dtype=float).reshape(k, -1)
-            else:
-                coupling = np.zeros((k, 0))
-            blocks.append(ScenarioBlock(
-                probability=float(blk["probability"]),
-                recourse_cost=np.asarray(blk["recourse_cost"], dtype=float),
-                aux_cost=aux,
-                coupling=coupling,
-                technology=np.asarray(blk["technology"], dtype=float),
-                requirement=np.asarray(blk["requirement"], dtype=float),
-            ))
-    except (TypeError, KeyError, ValueError) as exc:
-        raise SchemaError(f"malformed stochastic LP: {exc}") from exc
+    w = np.asarray(_require(payload, "first_stage_cost", "lp instance"),
+                   dtype=float)
+    poly_payload = _require(payload, "polytope", "lp instance")
+    poly = Polytope(
+        lower=np.asarray(poly_payload.get("lower", np.zeros(w.size)), dtype=float),
+        upper=np.asarray(poly_payload.get("upper", np.ones(w.size)), dtype=float),
+        rows=(np.asarray(poly_payload["rows"], dtype=float)
+              if poly_payload.get("rows") else None),
+        row_rhs=(np.asarray(poly_payload["row_rhs"], dtype=float)
+                 if poly_payload.get("rows") else None),
+        radius=poly_payload.get("radius"),
+    )
+    blocks = []
+    for blk in _require(payload, "scenarios", "lp instance"):
+        k = len(blk["requirement"])
+        aux = np.asarray(blk.get("aux_cost", []), dtype=float)
+        if aux.size:
+            coupling = np.asarray(blk["coupling"], dtype=float).reshape(k, -1)
+        else:
+            coupling = np.zeros((k, 0))
+        blocks.append(ScenarioBlock(
+            probability=float(blk["probability"]),
+            recourse_cost=np.asarray(blk["recourse_cost"], dtype=float),
+            aux_cost=aux,
+            coupling=coupling,
+            technology=np.asarray(blk["technology"], dtype=float),
+            requirement=np.asarray(blk["requirement"], dtype=float),
+        ))
     return StochasticLPInstance(w, poly, tuple(blocks))
 
 
@@ -229,14 +244,12 @@ def dump_stochastic_lp(instance: StochasticLPInstance) -> dict:
     return out
 
 
+@_schema_checked("gap instance")
 def load_gap_instance(payload: dict) -> GapInstance:
-    try:
-        ground = tuple(_require(payload, "ground", "gap instance"))
-        marginals = {i: float(_require(payload, "marginals", "gap instance")[str(i)])
-                     for i in ground}
-        f = setfun_from_json(_require(payload, "set_function", "gap instance"), ground)
-    except (TypeError, KeyError) as exc:
-        raise SchemaError(f"malformed gap instance: {exc}") from exc
+    ground = tuple(_require(payload, "ground", "gap instance"))
+    marginals = {i: float(_require(payload, "marginals", "gap instance")[str(i)])
+                 for i in ground}
+    f = setfun_from_json(_require(payload, "set_function", "gap instance"), ground)
     return GapInstance(ground, f, marginals)
 
 
@@ -252,9 +265,16 @@ def read_json(path) -> dict:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def write_json(path, obj, overwrite: bool = False):
+def write_text(path, text: str, overwrite: bool = False):
+    """Write ``text`` to ``path``; refuse (``FileExistsError``) to replace an
+    existing file unless ``overwrite`` is set.  Every report, CSV view and
+    trace the CLI writes goes through here."""
     path = Path(path)
     if path.exists() and not overwrite:
         raise FileExistsError(f"{path} exists; pass --overwrite to replace it")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(obj), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+
+
+def write_json(path, obj, overwrite: bool = False):
+    write_text(path, canonical_json(obj), overwrite)

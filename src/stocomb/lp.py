@@ -5,8 +5,8 @@ and optional per-variable upper bounds.  Two-phase primal simplex with
 Bland's rule guarantees termination.  The LPs this library solves are
 small (cutting-plane and column-generation masters, recourse LPs and
 deterministic equivalents, within ``MAX_VARIABLES`` columns and
-``MAX_CONSTRAINTS`` rows); the tableau kernel lives in
-:mod:`stocomb._kernels`.
+``MAX_CONSTRAINTS`` rows); the tableau kernel is the vectorized numpy
+function in :mod:`stocomb._kernels`.
 """
 
 from __future__ import annotations

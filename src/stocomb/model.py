@@ -9,12 +9,14 @@ the reference answers that the approximation machinery is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from . import caps
+from ._kernels import bernoulli_weights
 from .errors import CapExceeded, Infeasible
 
 COST_TOL = 1e-9
@@ -58,7 +60,9 @@ class ProblemInstance:
             raise ValueError("inflation factor must be >= 1")
 
     def cost(self, subset) -> float:
-        return float(sum(self.first_stage_cost[e] for e in subset))
+        # fsum is exactly rounded, so the value does not depend on the
+        # (hash-seeded) iteration order of a frozenset.
+        return math.fsum(self.first_stage_cost[e] for e in subset)
 
     def element_index(self) -> dict:
         return {e: i for i, e in enumerate(self.elements)}
@@ -138,14 +142,9 @@ class IndependentBernoulli(ScenarioDistribution):
         n = len(clients)
         if n > caps.cap("STOCOMB_CAP_SUPPORT_CLIENTS"):
             raise CapExceeded(f"2^{n} subsets exceed the enumeration cap")
-        probs = [p for _, p in self.marginals]
-        out = []
-        for mask in range(1 << n):
-            p = 1.0
-            for i in range(n):
-                p *= probs[i] if (mask >> i) & 1 else 1.0 - probs[i]
-            out.append((frozenset(clients[i] for i in range(n) if (mask >> i) & 1), p))
-        return out
+        weights = bernoulli_weights(np.array([p for _, p in self.marginals]))
+        return [(frozenset(members(mask, clients)), float(w))
+                for mask, w in enumerate(weights)]
 
 
 @dataclass(frozen=True)
@@ -187,13 +186,17 @@ def enumerate_support(dist: ScenarioDistribution) -> list[tuple[frozenset, float
     return dist.support()
 
 
-def _iter_bits(mask: int, items: tuple):
+def members(mask: int, items: tuple) -> tuple:
+    """The items whose bits are set in ``mask`` (bit i = ``items[i]``), in
+    index order: the library's one map from subset masks to subsets."""
+    out = []
     i = 0
     while mask:
         if mask & 1:
-            yield items[i]
+            out.append(items[i])
         mask >>= 1
         i += 1
+    return tuple(out)
 
 
 def exact_opt(problem: ProblemInstance, clients: frozenset,
@@ -214,11 +217,12 @@ def exact_opt(problem: ProblemInstance, clients: frozenset,
     best_key = None
     best_set = None
     for mask in range(1 << len(free)):
-        chosen = frozenset(_iter_bits(mask, free))
+        picked = members(mask, free)
+        chosen = frozenset(picked)
         if not problem.feasibility(base | chosen, clients):
             continue
-        c = problem.cost(chosen)
-        key = tuple(sorted(index[e] for e in chosen))
+        c = problem.cost(picked)
+        key = tuple(index[e] for e in picked)  # members keep index order
         if (best_cost is None or c < best_cost - COST_TOL
                 or (c <= best_cost + COST_TOL and key < best_key)):
             best_cost, best_key, best_set = c, key, chosen
@@ -235,11 +239,6 @@ class CheckReport:
     failure: str | None = None
 
 
-def _subsets(items: tuple):
-    for mask in range(1 << len(items)):
-        yield frozenset(_iter_bits(mask, items))
-
-
 def check_subadditive(problem: ProblemInstance,
                       client_cap: int | None = None,
                       element_cap: int | None = None) -> CheckReport:
@@ -254,11 +253,11 @@ def check_subadditive(problem: ProblemInstance,
         element_cap = caps.cap("STOCOMB_CAP_SUBADD_ELEMENTS")
     if len(problem.clients) > client_cap or len(problem.elements) > element_cap:
         raise CapExceeded("instance too large for the subadditivity sweep")
-    opt = {}
-    for S in _subsets(problem.clients):
-        opt[S] = exact_opt(problem, S)
-    for S in _subsets(problem.clients):
-        for T in _subsets(problem.clients):
+    subsets = [frozenset(members(mask, problem.clients))
+               for mask in range(1 << len(problem.clients))]
+    opt = {S: exact_opt(problem, S) for S in subsets}
+    for S in subsets:
+        for T in subsets:
             union = S | T
             if not problem.feasibility(opt[S].chosen | opt[T].chosen, union):
                 return CheckReport(False,
@@ -279,8 +278,11 @@ def check_monotone_feasibility(problem: ProblemInstance,
         raise CapExceeded("instance too large for the monotonicity sweep")
     if not problem.feasibility(frozenset(), frozenset()):
         return CheckReport(False, "the empty set does not serve the empty client set")
-    for S in _subsets(problem.clients):
-        for F in _subsets(problem.elements):
+    element_sets = [frozenset(members(mask, problem.elements))
+                    for mask in range(1 << len(problem.elements))]
+    for mask in range(1 << len(problem.clients)):
+        S = frozenset(members(mask, problem.clients))
+        for F in element_sets:
             if not problem.feasibility(F, S):
                 continue
             for e in problem.elements:

@@ -30,10 +30,13 @@ class _UnionFind:
             v = p[v]
         return v
 
-    def union(self, a, b):
+    def union(self, a, b) -> bool:
+        """Merge the classes of a and b; False when they were already one."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
 
 def steiner_problem(vertices, edges: Mapping, costs: Mapping,

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .errors import NotMonotone, NotSubmodular, SchemaError
+from .model import members
 
 MONO_TOL = 1e-9
 
@@ -25,10 +26,9 @@ def table(f, ground: tuple) -> np.ndarray:
     """
     if isinstance(f, TableFunction) and f.ground == tuple(ground):
         return f.values
-    n = len(ground)
-    out = np.empty(1 << n)
-    for mask in range(1 << n):
-        out[mask] = f(frozenset(ground[i] for i in range(n) if (mask >> i) & 1))
+    out = np.empty(1 << len(ground))
+    for mask in range(out.size):
+        out[mask] = f(frozenset(members(mask, ground)))
     return out
 
 
@@ -84,18 +84,6 @@ def weighted_rank(weights: dict, cap: float):
         return float(min(sum(weights[i] for i in subset), cap))
 
     return f
-
-
-def memoized(f):
-    cache: dict = {}
-
-    def g(subset: frozenset) -> float:
-        key = frozenset(subset)
-        if key not in cache:
-            cache[key] = f(key)
-        return cache[key]
-
-    return g
 
 
 def check_monotone(f, ground: tuple, tol: float = MONO_TOL):

@@ -10,6 +10,7 @@ summability and budget-balance ratios and verifies cross-monotonicity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Callable
 
 from . import caps
 from .errors import CapExceeded
-from .model import ProblemInstance, exact_opt
+from .model import ProblemInstance, exact_opt, members
 from .rng import stream
 from .setfun import check_monotone, check_submodular
 from .solvers import ApproxAlgorithm
@@ -55,17 +56,12 @@ class FairnessReport:
     violation: str | None = None
 
 
-def _client_subsets(problem: ProblemInstance):
-    n = len(problem.clients)
-    for mask in range(1 << n):
-        yield frozenset(problem.clients[i] for i in range(n) if (mask >> i) & 1)
-
-
 def check_fairness(xi: CostShareFunction, problem: ProblemInstance,
                    tol: float = 1e-9) -> FairnessReport:
     """Verify sum of shares <= exact optimum cost for every client subset."""
     _guard_caps(problem)
-    for S in _client_subsets(problem):
+    for mask in range(1 << len(problem.clients)):
+        S = frozenset(members(mask, problem.clients))
         opt = exact_opt(problem, S)
         if total_share(xi, S) > opt.cost + tol:
             return FairnessReport(
@@ -76,7 +72,8 @@ def check_fairness(xi: CostShareFunction, problem: ProblemInstance,
 def check_support(xi: CostShareFunction, problem: ProblemInstance) -> bool:
     """Shares must vanish for clients outside the served set."""
     _guard_caps(problem)
-    for S in _client_subsets(problem):
+    for mask in range(1 << len(problem.clients)):
+        S = frozenset(members(mask, problem.clients))
         for j in problem.clients:
             if j not in S and xi(S, j) > 0.0:
                 return False
@@ -91,14 +88,16 @@ def _guard_caps(problem: ProblemInstance):
 
 def _strictness(xi, alg, problem, singletons_only):
     _guard_caps(problem)
-    solved = {S: alg.solve(problem, S) for S in _client_subsets(problem)}
+    subsets = [frozenset(members(mask, problem.clients))
+               for mask in range(1 << len(problem.clients))]
+    solved = {S: alg.solve(problem, S) for S in subsets}
+    if singletons_only:
+        additions = [frozenset({j}) for j in problem.clients]
+    else:
+        additions = subsets
     worst = 0.0
-    for S in _client_subsets(problem):
+    for S in subsets:
         base = solved[S].chosen
-        if singletons_only:
-            additions = [frozenset({j}) for j in problem.clients]
-        else:
-            additions = list(_client_subsets(problem))
         for T in additions:
             if not T:
                 continue
@@ -131,15 +130,16 @@ def measure_unistrictness(xi: CostShareFunction, alg: ApproxAlgorithm,
 
 def equal_split_shares(problem: ProblemInstance) -> CostShareFunction:
     """Exact optimum split evenly over the served clients."""
-    cache: dict = {}
+
+    @functools.cache
+    def opt_cost(subset: frozenset) -> float:
+        return exact_opt(problem, subset).cost
 
     def xi(subset: frozenset, j) -> float:
         subset = frozenset(subset)
         if j not in subset:
             return 0.0
-        if subset not in cache:
-            cache[subset] = exact_opt(problem, subset).cost
-        return cache[subset] / len(subset)
+        return opt_cost(subset) / len(subset)
 
     return xi
 
@@ -228,8 +228,7 @@ def check_scheme(scheme, f, ground: tuple, *,
     eta_hat = 0.0
     beta_hat = 0.0
     witness = None
-    subsets = [tuple(ground[i] for i in range(n) if (mask >> i) & 1)
-               for mask in range(1, 1 << n)]
+    subsets = [members(mask, ground) for mask in range(1, 1 << n)]
     order_cache = {sub: orders_of(sub) for sub in subsets}
 
     for sub in subsets:

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 from .errors import Disconnected, Infeasible
-from .model import ProblemInstance, Solution
+from .model import ProblemInstance, Solution, members
+from .problems import _UnionFind
+from .setfun import harmonic
 
 
 @dataclass(frozen=True)
@@ -33,11 +36,12 @@ def augment(alg: ApproxAlgorithm, problem: ProblemInstance,
     """Extend ``base`` to serve ``clients`` by re-solving with base free.
 
     The returned solution holds only the newly purchased elements, priced at
-    the problem's real first-stage costs.
+    the problem's real first-stage costs.  This is also the body of the
+    ``augment`` field of every algorithm :func:`algorithm_for` builds.
     """
-    modified = problem.with_free_elements(frozenset(base))
-    sol = alg.solve(modified, frozenset(clients))
-    extra = sol.chosen - frozenset(base)
+    base = frozenset(base)
+    sol = alg.solve(problem.with_free_elements(base), frozenset(clients))
+    extra = sol.chosen - base
     return Solution(extra, problem.cost(extra))
 
 
@@ -124,23 +128,10 @@ def steiner_solve(problem: ProblemInstance, clients: frozenset) -> Solution:
 
     # The union of paths may contain cycles: take its MST, then drop
     # non-terminal leaves.
-    sub_vertices = set()
-    for e in chosen:
-        sub_vertices.update(edges[e])
-    uf_parent = {v: v for v in sub_vertices}
-
-    def find(v):
-        while uf_parent[v] != v:
-            uf_parent[v] = uf_parent[uf_parent[v]]
-            v = uf_parent[v]
-        return v
-
+    uf = _UnionFind(v for e in chosen for v in edges[e])
     tree = set()
     for e in sorted(chosen, key=lambda e: (costs[e], problem.elements.index(e))):
-        u, v = edges[e]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            uf_parent[ru] = rv
+        if uf.union(*edges[e]):
             tree.add(e)
 
     term_set = set(terminals)
@@ -276,16 +267,9 @@ def algorithm_for(problem: ProblemInstance) -> ApproxAlgorithm:
         raise ValueError(f"no shipped solver for problem kind {problem.kind!r}")
     solve, alpha = _SOLVERS[problem.kind]
     if alpha is None:
-        alpha = sum(1.0 / k for k in range(1, len(problem.clients) + 1))
-
-    def augment_fn(prob, base, clients, _solve=solve):
-        modified = prob.with_free_elements(frozenset(base))
-        sol = _solve(modified, frozenset(clients))
-        extra = sol.chosen - frozenset(base)
-        return Solution(extra, prob.cost(extra))
-
-    return ApproxAlgorithm(name=problem.kind, alpha=alpha,
-                           solve=solve, augment=augment_fn)
+        alpha = harmonic(len(problem.clients))
+    alg = ApproxAlgorithm(name=problem.kind, alpha=alpha, solve=solve, augment=None)
+    return replace(alg, augment=partial(augment, alg))
 
 
 def empirical_alpha(problem: ProblemInstance, alg: ApproxAlgorithm | None = None) -> float:
@@ -295,9 +279,8 @@ def empirical_alpha(problem: ProblemInstance, alg: ApproxAlgorithm | None = None
     if alg is None:
         alg = algorithm_for(problem)
     worst = 1.0
-    n = len(problem.clients)
-    for mask in range(1 << n):
-        S = frozenset(problem.clients[i] for i in range(n) if (mask >> i) & 1)
+    for mask in range(1 << len(problem.clients)):
+        S = frozenset(members(mask, problem.clients))
         opt = exact_opt(problem, S)
         got = alg.solve(problem, S)
         if opt.cost <= 1e-12:

@@ -52,6 +52,61 @@ def brute_force_min_cost(elements, costs, feasible):
     return best
 
 
+# -- The per-module loops the library's shared subset helpers replaced --------
+# ``stocomb.model.members`` and ``stocomb._kernels.bernoulli_weights`` are the
+# only mask-to-subset and product-measure code in the library; these are the
+# loops they replaced, kept as oracles the helpers must match bit for bit.
+
+def iter_bits(mask: int, items: tuple):
+    i = 0
+    while mask:
+        if mask & 1:
+            yield items[i]
+        mask >>= 1
+        i += 1
+
+
+def mask_subset(ground: tuple, mask: int) -> frozenset:
+    return frozenset(ground[i] for i in range(len(ground)) if (mask >> i) & 1)
+
+
+def loop_table(f, ground: tuple) -> np.ndarray:
+    n = len(ground)
+    out = np.empty(1 << n)
+    for mask in range(1 << n):
+        out[mask] = f(frozenset(ground[i] for i in range(n) if (mask >> i) & 1))
+    return out
+
+
+def loop_product_support(clients: tuple, probs: list) -> list:
+    """Independent-Bernoulli support, one (subset, probability) per mask."""
+    n = len(clients)
+    out = []
+    for mask in range(1 << n):
+        p = 1.0
+        for i in range(n):
+            p *= probs[i] if (mask >> i) & 1 else 1.0 - probs[i]
+        out.append((frozenset(clients[i] for i in range(n) if (mask >> i) & 1), p))
+    return out
+
+
+def loop_boosted_draw_space(boosted: list) -> list:
+    """Independent-boosting draws with positive probability, in mask order."""
+    out = []
+    for mask in range(1 << len(boosted)):
+        p = 1.0
+        members = []
+        for i, (j, pj) in enumerate(boosted):
+            if (mask >> i) & 1:
+                p *= pj
+                members.append(j)
+            else:
+                p *= 1.0 - pj
+        if p > 0.0:
+            out.append((frozenset(members), p))
+    return out
+
+
 @pytest.fixture
 def tri3_problem():
     return tri3()

@@ -1,13 +1,16 @@
 """CLI harness: golden reports, reproducibility, generators, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from stocomb.cli import main
-from stocomb.generate import random_gap_instance, random_problem
-from stocomb.io import load_instance, read_json
+from stocomb.generate import random_gap_instance, random_marginals, random_problem
+from stocomb.io import canonical_json, dump_instance, load_instance, read_json
 from stocomb.model import check_monotone_feasibility
 from stocomb.setfun import check_monotone, check_submodular
 
@@ -113,6 +116,56 @@ def test_bad_counts_exit_2(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert not out.exists()
     assert "error: argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("clients,elements,seed", [(5, 7, 2), (4, 6, 1)])
+def test_reports_do_not_depend_on_hash_seed(clients, elements, seed, tmp_path):
+    """Cost sums over frozensets must not follow the hash-seeded set order."""
+    problem = random_problem("steiner", clients, elements, seed=seed, sigma=2.0)
+    inst = tmp_path / "inst.json"
+    inst.write_text(canonical_json(
+        dump_instance(problem, random_marginals(problem.clients, seed))))
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    reports = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-m", "stocomb", "run-indboost",
+             "--instance", str(inst), "--seed", "3"],
+            env=env, capture_output=True, check=True, timeout=120)
+        reports.append(run.stdout)
+    assert reports[0] == reports[1]
+
+
+def _edit_explicit_prob(d):
+    d["distribution"]["outcomes"][0]["prob"] = 0.4
+
+
+MALFORMED = {
+    "probabilities-sum-0.9": ("run-boost", "edge1.json", _edit_explicit_prob),
+    "marginal-1.5": ("run-indboost", "edge1_independent.json",
+                     lambda d: d["distribution"]["marginals"].update(j=1.5)),
+    "sigma-0.5": ("solve-det", "edge1.json", lambda d: d.update(sigma=0.5)),
+    "negative-cost": ("solve-det", "edge1.json",
+                      lambda d: d["elements"][0].update(cost=-1.0)),
+    "gap-marginal-1.5": ("gap", "gap2.json",
+                         lambda d: d["marginals"].update(a=1.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_exit_2(case, tmp_path, capsys):
+    command, source, edit = MALFORMED[case]
+    payload = json.loads((INSTANCES / source).read_text())
+    edit(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    argv = [command, "--instance", str(bad)]
+    if command.startswith("run-"):
+        argv += ["--seed", "1"]
+    assert main(argv) == 2
+    assert "schema error" in capsys.readouterr().err
 
 
 def test_indboost_requires_independent_distribution():

@@ -130,19 +130,3 @@ def test_two_variable_lps_match_oracle(seed):
     else:
         assert res.status == INFEASIBLE
 
-
-def test_numpy_fallback_matches_jit():
-    from stocomb._kernels import HAVE_JIT, simplex_jit, simplex_py
-
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        c, A, b = _random_lp(rng, 3, 3)
-        out_py = simplex_py(A, b, c, 1e-10, 1e-8, 10_000)
-        if not HAVE_JIT:
-            continue
-        out_jit = simplex_jit(A, b, c, 1e-10, 1e-8, 10_000)
-        assert out_py[0] == out_jit[0]
-        if out_py[0] == 0:
-            assert out_py[3] == pytest.approx(out_jit[3], abs=1e-9)
-            np.testing.assert_allclose(out_py[1], out_jit[1], atol=1e-9)
-            np.testing.assert_allclose(out_py[2], out_jit[2], atol=1e-9)
