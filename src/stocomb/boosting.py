@@ -56,6 +56,14 @@ class TwoStageOptimum:
     first_stage: frozenset
 
 
+def _rounds(sigma: float) -> int:
+    """floor(sigma) sampling rounds; more than ``caps.DRAWS`` are refused."""
+    if not sigma < caps.DRAWS + 1:
+        raise CapExceeded(f"sigma {sigma!r} asks for more than {caps.DRAWS} "
+                          "sampling rounds")
+    return int(math.floor(sigma))
+
+
 @dataclass(frozen=True)
 class BoostPolicyBuilder:
     """Union-of-samples policies: draw floor(sigma) scenarios, serve the union."""
@@ -64,7 +72,7 @@ class BoostPolicyBuilder:
     alg: ApproxAlgorithm
 
     def sample_draw(self, dist: ScenarioDistribution, sigma: float, rng) -> frozenset:
-        rounds = int(math.floor(sigma))
+        rounds = _rounds(sigma)
         drawn: frozenset = frozenset()
         for _ in range(rounds):
             drawn |= sample(dist, rng)
@@ -72,9 +80,13 @@ class BoostPolicyBuilder:
 
     def draw_space(self, dist: ScenarioDistribution, sigma: float):
         """Distribution of the union of floor(sigma) independent samples."""
-        rounds = int(math.floor(sigma))
+        rounds = _rounds(sigma)
         support = enumerate_support(dist)
-        if len(support) ** max(rounds, 1) > caps.cap("STOCOMB_CAP_DRAWS"):
+        # Any support of two or more outcomes passes the cap within
+        # DRAWS.bit_length() rounds, so the exponent is clipped there and
+        # the size is compared exactly without building a huge integer.
+        exponent = min(max(rounds, 1), caps.DRAWS.bit_length())
+        if len(support) ** exponent > caps.DRAWS:
             raise CapExceeded("sampling-draw space too large to enumerate")
         law: dict = {}
         for combo in itertools.product(support, repeat=rounds):
@@ -118,7 +130,7 @@ class IndBoostPolicyBuilder:
 
     def draw_space(self, dist, sigma: float):
         boosted = self.boosted(sigma)
-        if 2 ** len(boosted) > caps.cap("STOCOMB_CAP_DRAWS"):
+        if 2 ** len(boosted) > caps.DRAWS:
             raise CapExceeded("boosted-draw space too large to enumerate")
         clients = tuple(j for j, _ in boosted)
         weights = bernoulli_weights(np.array([p for _, p in boosted]))
@@ -221,7 +233,7 @@ def exact_two_stage_opt(problem: ProblemInstance, dist: ScenarioDistribution,
         sigma = problem.inflation
     support = enumerate_support(dist)
     n = len(problem.elements)
-    if (1 << n) * max(len(support), 1) > caps.cap("STOCOMB_CAP_TWO_STAGE"):
+    if (1 << n) * max(len(support), 1) > caps.TWO_STAGE:
         raise CapExceeded("two-stage search space exceeds the cap")
     best = None
     for mask in range(1 << n):

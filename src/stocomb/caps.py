@@ -1,30 +1,19 @@
-"""Enumeration caps, overridable through environment variables.
+"""Enumeration caps: the fixed size bounds of the exhaustive oracles.
 
-Every exhaustive oracle checks its input size against one of these caps and
-raises :class:`stocomb.errors.CapExceeded` above it.  The defaults keep each
-oracle in the seconds range on a laptop.
+Every exhaustive oracle checks its input size against one of these
+constants and raises :class:`stocomb.errors.CapExceeded` above it, before
+it enumerates anything.  The values keep each oracle in the seconds range
+on a laptop.
 """
 
-from __future__ import annotations
-
-import os
-
-_DEFAULTS = {
-    "STOCOMB_CAP_OPT_ELEMENTS": 24,       # 2^|X| subsets in the exact optimizer
-    "STOCOMB_CAP_SUPPORT_CLIENTS": 20,    # 2^|V| subsets when enumerating a product distribution
-    "STOCOMB_CAP_SUBADD_CLIENTS": 5,      # client cap for the subadditivity sweep
-    "STOCOMB_CAP_SUBADD_ELEMENTS": 12,    # element cap for the subadditivity sweep
-    "STOCOMB_CAP_DRAWS": 10 ** 6,         # sampling-draw enumeration in exact policy evaluation
-    "STOCOMB_CAP_TWO_STAGE": 10 ** 6,     # 2^|X| * support size in the two-stage optimum search
-    "STOCOMB_CAP_SCHEME_CLIENTS": 6,      # ground-set cap for the scheme checker
-    "STOCOMB_CAP_GAP_CLIENTS": 12,        # ground-set cap for the worst-case distribution LP
-    "STOCOMB_CAP_GRID_POINTS": 10 ** 6,   # extended-grid size cap
-}
-
-
-def cap(name: str) -> int:
-    """Look up a cap, honoring an environment override."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return _DEFAULTS[name]
-    return int(raw)
+OPT_ELEMENTS = 24        # 2^|X| subsets in the exact optimizer
+SUPPORT_CLIENTS = 20     # 2^|V| subsets when enumerating a product distribution
+SUBADD_CLIENTS = 5       # clients in the subadditivity, monotonicity and cost-share sweeps
+SUBADD_ELEMENTS = 12     # elements in those sweeps
+DRAWS = 10 ** 6          # sampling rounds, and draw-space size in exact policy evaluation
+TWO_STAGE = 10 ** 6      # 2^|X| * support size in the two-stage optimum search
+SCHEME_CLIENTS = 6       # ground-set size for the scheme checker
+MARGINAL_SCHEME = 10     # ground-set size for the marginal-scheme certification
+GAP_CLIENTS = 12         # ground-set size for the worst-case distribution LP
+GRID_DIM = 3             # dimension of the validation grids
+GRID_POINTS = 10 ** 6    # extended-grid size

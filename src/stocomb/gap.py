@@ -11,7 +11,6 @@ schemes transfer to split instances by paying only the earliest copy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Mapping
@@ -27,6 +26,7 @@ from .setfun import E_RATIO, table
 from .sharing import OrderedCostShareScheme, SchemeReport
 
 GAP_TOL = 1e-9
+SPLIT_TOL = 1e-7      # worst-case values a split must preserve
 PRICE_TOL = 1e-9      # relative reduced-cost tolerance of the pricing step
 PRICE_COLUMNS = 8     # most negative columns added per pricing round
 
@@ -64,13 +64,6 @@ class GapReport:
     kappa: float
     bound: float
     worst_distribution: dict
-
-
-@dataclass(frozen=True)
-class Estimate:
-    value: float
-    mode: str
-    ci_halfwidth: float | None = None
 
 
 @dataclass(frozen=True)
@@ -113,7 +106,7 @@ def worst_case_expectation(inst: GapInstance):
     feasible for the full LP, so the master's value is its optimum.
     """
     n = len(inst.ground)
-    if n > caps.cap("STOCOMB_CAP_GAP_CLIENTS"):
+    if n > caps.GAP_CLIENTS:
         raise CapExceeded("ground set too large for the worst-case LP")
     values = inst._table
     p = inst.marginal_vector()
@@ -145,33 +138,18 @@ def worst_case_expectation(inst: GapInstance):
     return -res.value, dist
 
 
-def independent_expectation(inst: GapInstance, mode: str = "exact",
-                            rng=None, runs: int = 100_000) -> Estimate:
-    """Expectation of f under the independent product measure."""
-    n = len(inst.ground)
-    p = inst.marginal_vector()
-    if mode == "exact":
-        if n > caps.cap("STOCOMB_CAP_SUPPORT_CLIENTS"):
-            raise CapExceeded("exact product expectation needs 2^|V| terms")
-        weights = bernoulli_weights(p)
-        return Estimate(float(weights @ inst._table), "exact")
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("monte_carlo mode needs a random generator")
-    draws = rng.random((runs, n)) < p
-    vals = np.empty(runs)
-    for t in range(runs):
-        vals[t] = inst.f(frozenset(inst.ground[i] for i in range(n) if draws[t, i]))
-    half = 2.5758293035489004 * float(vals.std(ddof=1)) / math.sqrt(runs)
-    return Estimate(float(vals.mean()), "monte_carlo", half)
+def independent_expectation(inst: GapInstance) -> float:
+    """Expectation of f under the independent product measure (exact)."""
+    if len(inst.ground) > caps.SUPPORT_CLIENTS:
+        raise CapExceeded("exact product expectation needs 2^|V| terms")
+    return float(bernoulli_weights(inst.marginal_vector()) @ inst._table)
 
 
 def correlation_gap(inst: GapInstance, eta: float = 1.0,
                     beta: float = 1.0) -> GapReport:
     """Worst-case over independent expectation, with the claimed bound."""
     worst, dist = worst_case_expectation(inst)
-    indep = independent_expectation(inst).value
+    indep = independent_expectation(inst)
     if indep <= 1e-12:
         raise DegenerateInstance("independent expectation is zero; ratio undefined")
     return GapReport(
@@ -243,12 +221,12 @@ class SplitReport:
                 and self.independent_shrinks)
 
 
-def check_split_invariants(inst: GapInstance, split_map: SplitMap,
-                           value_tol: float = 1e-7) -> SplitReport:
-    """Monotonicity transfer, worst-case preservation, independent shrinkage."""
+def check_split_invariants(inst: GapInstance, split_map: SplitMap) -> SplitReport:
+    """Monotonicity transfer, worst-case preservation (within ``SPLIT_TOL``),
+    independent shrinkage."""
     new = split(inst, split_map)
     n = len(new.ground)
-    if n > caps.cap("STOCOMB_CAP_GAP_CLIENTS"):
+    if n > caps.GAP_CLIENTS:
         raise CapExceeded("split instance too large for the worst-case LP")
     vals = new._table
     monotone = True
@@ -258,11 +236,11 @@ def check_split_invariants(inst: GapInstance, split_map: SplitMap,
                 monotone = False
     worst_old, _ = worst_case_expectation(inst)
     worst_new, _ = worst_case_expectation(new)
-    ind_old = independent_expectation(inst).value
-    ind_new = independent_expectation(new).value
+    ind_old = independent_expectation(inst)
+    ind_new = independent_expectation(new)
     return SplitReport(
         monotone=monotone,
-        worst_case_preserved=abs(worst_old - worst_new) <= value_tol,
+        worst_case_preserved=abs(worst_old - worst_new) <= SPLIT_TOL,
         independent_shrinks=ind_new <= ind_old + GAP_TOL,
         original_worst=worst_old,
         split_worst=worst_new,

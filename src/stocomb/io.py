@@ -4,7 +4,7 @@ Three file formats, documented field by field in the README:
 
 * client-element instances: clients, priced elements, inflation factor, a
   kind-specific problem payload, and an optional scenario distribution;
-* stochastic-LP instances: first-stage costs, box polytope, and dense
+* stochastic-LP instances: first-stage costs, a finite box, and dense
   scenario blocks (matrices as row-major nested lists);
 * gap instances: ground set, marginals, and a named or tabulated set
   function.
@@ -44,8 +44,9 @@ PROBLEM_KINDS = ("steiner", "ufl", "set_cover", "vertex_cover")
 
 def _schema_checked(what: str):
     """Loader decorator: data the model constructors reject (a ``ValueError``,
-    such as probabilities that do not sum to 1) or a payload of the wrong
-    shape is reported as a :class:`SchemaError`."""
+    such as probabilities that do not sum to 1 or a number that is not
+    finite) or a payload of the wrong shape is reported as a
+    :class:`SchemaError`."""
 
     def decorate(load):
         @functools.wraps(load)
@@ -190,13 +191,11 @@ def load_stochastic_lp(payload: dict) -> StochasticLPInstance:
     w = np.asarray(_require(payload, "first_stage_cost", "lp instance"),
                    dtype=float)
     poly_payload = _require(payload, "polytope", "lp instance")
+    if "rows" in poly_payload or "row_rhs" in poly_payload:
+        raise SchemaError("the polytope is a box: rows and row_rhs are not supported")
     poly = Polytope(
         lower=np.asarray(poly_payload.get("lower", np.zeros(w.size)), dtype=float),
         upper=np.asarray(poly_payload.get("upper", np.ones(w.size)), dtype=float),
-        rows=(np.asarray(poly_payload["rows"], dtype=float)
-              if poly_payload.get("rows") else None),
-        row_rhs=(np.asarray(poly_payload["row_rhs"], dtype=float)
-                 if poly_payload.get("rows") else None),
         radius=poly_payload.get("radius"),
     )
     blocks = []
@@ -229,9 +228,6 @@ def dump_stochastic_lp(instance: StochasticLPInstance) -> dict:
         },
         "scenarios": [],
     }
-    if poly.rows is not None:
-        out["polytope"]["rows"] = poly.rows.tolist()
-        out["polytope"]["row_rhs"] = poly.row_rhs.tolist()
     for blk in instance.scenarios:
         out["scenarios"].append({
             "probability": blk.probability,

@@ -54,10 +54,10 @@ class ProblemInstance:
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate element ids")
         for e in self.elements:
-            if self.first_stage_cost[e] < 0:
-                raise ValueError(f"negative cost for element {e!r}")
-        if self.inflation < 1.0:
-            raise ValueError("inflation factor must be >= 1")
+            if not 0.0 <= self.first_stage_cost[e] < math.inf:
+                raise ValueError(f"cost of element {e!r} must be finite and >= 0")
+        if not 1.0 <= self.inflation < math.inf:
+            raise ValueError("inflation factor must be finite and >= 1")
 
     def cost(self, subset) -> float:
         # fsum is exactly rounded, so the value does not depend on the
@@ -94,9 +94,9 @@ class Explicit(ScenarioDistribution):
         outs = tuple((frozenset(s), float(p)) for s, p in self.outcomes)
         object.__setattr__(self, "outcomes", outs)
         total = sum(p for _, p in outs)
-        if any(p < 0 for _, p in outs):
-            raise ValueError("negative scenario probability")
-        if abs(total - 1.0) > PROB_TOL:
+        if not all(p >= 0.0 for _, p in outs):
+            raise ValueError("scenario probabilities must be numbers >= 0")
+        if not abs(total - 1.0) <= PROB_TOL:
             raise ValueError(f"scenario probabilities sum to {total}, not 1")
 
     def sample(self, rng):
@@ -140,7 +140,7 @@ class IndependentBernoulli(ScenarioDistribution):
     def support(self):
         clients = self.clients()
         n = len(clients)
-        if n > caps.cap("STOCOMB_CAP_SUPPORT_CLIENTS"):
+        if n > caps.SUPPORT_CLIENTS:
             raise CapExceeded(f"2^{n} subsets exceed the enumeration cap")
         weights = bernoulli_weights(np.array([p for _, p in self.marginals]))
         return [(frozenset(members(mask, clients)), float(w))
@@ -181,7 +181,7 @@ def enumerate_support(dist: ScenarioDistribution) -> list[tuple[frozenset, float
     """All (subset, probability) pairs of the distribution.
 
     Raises :class:`CapExceeded` when a product distribution would need more
-    than ``2^STOCOMB_CAP_SUPPORT_CLIENTS`` terms.
+    than ``2^caps.SUPPORT_CLIENTS`` terms.
     """
     return dist.support()
 
@@ -210,7 +210,7 @@ def exact_opt(problem: ProblemInstance, clients: frozenset,
     clients = frozenset(clients)
     base = frozenset(base)
     free = tuple(e for e in problem.elements if e not in base)
-    if len(free) > caps.cap("STOCOMB_CAP_OPT_ELEMENTS"):
+    if len(free) > caps.OPT_ELEMENTS:
         raise CapExceeded(f"2^{len(free)} candidate sets exceed the search cap")
     index = problem.element_index()
     best_cost = None
@@ -239,20 +239,22 @@ class CheckReport:
     failure: str | None = None
 
 
-def check_subadditive(problem: ProblemInstance,
-                      client_cap: int | None = None,
-                      element_cap: int | None = None) -> CheckReport:
+def guard_sweep(problem: ProblemInstance, sweep: str):
+    """Raise :class:`CapExceeded` unless ``problem`` fits the exhaustive
+    sweeps over all client subsets (``caps.SUBADD_CLIENTS`` clients and
+    ``caps.SUBADD_ELEMENTS`` elements)."""
+    if (len(problem.clients) > caps.SUBADD_CLIENTS
+            or len(problem.elements) > caps.SUBADD_ELEMENTS):
+        raise CapExceeded(f"instance too large for the {sweep} sweep")
+
+
+def check_subadditive(problem: ProblemInstance) -> CheckReport:
     """Verify, for every pair of client sets, that optimal solutions combine.
 
     Checks both that the union of the two optima is feasible for the union
     of the client sets and that optimal costs are subadditive.
     """
-    if client_cap is None:
-        client_cap = caps.cap("STOCOMB_CAP_SUBADD_CLIENTS")
-    if element_cap is None:
-        element_cap = caps.cap("STOCOMB_CAP_SUBADD_ELEMENTS")
-    if len(problem.clients) > client_cap or len(problem.elements) > element_cap:
-        raise CapExceeded("instance too large for the subadditivity sweep")
+    guard_sweep(problem, "subadditivity")
     subsets = [frozenset(members(mask, problem.clients))
                for mask in range(1 << len(problem.clients))]
     opt = {S: exact_opt(problem, S) for S in subsets}
@@ -270,12 +272,9 @@ def check_subadditive(problem: ProblemInstance,
     return CheckReport(True)
 
 
-def check_monotone_feasibility(problem: ProblemInstance,
-                               client_cap: int = 5,
-                               element_cap: int = 12) -> CheckReport:
+def check_monotone_feasibility(problem: ProblemInstance) -> CheckReport:
     """Exhaustively verify monotonicity of the oracle and Sols({}) != {}."""
-    if len(problem.clients) > client_cap or len(problem.elements) > element_cap:
-        raise CapExceeded("instance too large for the monotonicity sweep")
+    guard_sweep(problem, "monotonicity")
     if not problem.feasibility(frozenset(), frozenset()):
         return CheckReport(False, "the empty set does not serve the empty client set")
     element_sets = [frozenset(members(mask, problem.elements))

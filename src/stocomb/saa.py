@@ -1,9 +1,10 @@
 """Sample-average pipeline over two-stage stochastic linear programs.
 
-An instance carries first-stage prices over a box polytope and a list of
-scenario blocks; each block prices extra purchases and auxiliary variables
-and couples them to the first stage through a nonnegative technology
-matrix.  The expected-cost objective is convex and piecewise linear, its
+An instance carries first-stage prices over a finite box (the only
+polytope: there are no extra linear rows) and a list of scenario blocks;
+each block prices extra purchases and auxiliary variables and couples them
+to the first stage through a nonnegative technology matrix.  The
+expected-cost objective is convex and piecewise linear, its
 subgradients come for free from the recourse duals, and the minimizer here
 is a multi-cut L-shaped (cutting-plane) method that solves the sampled
 problem to a certified gap.  The deterministic-equivalent LP (one big
@@ -66,20 +67,22 @@ class ScenarioBlock:
         coup = np.asarray(self.coupling, dtype=float).reshape(k, n)
         object.__setattr__(self, "technology", tech)
         object.__setattr__(self, "coupling", coup)
+        for name in ("recourse_cost", "aux_cost", "coupling", "technology",
+                     "requirement"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"scenario {name} must be finite")
         if (tech < 0).any():
             raise ValueError("technology matrix must be nonnegative")
-        if self.probability < 0:
-            raise ValueError("negative scenario probability")
+        if not 0.0 <= self.probability < math.inf:
+            raise ValueError("scenario probability must be finite and >= 0")
 
 
 @dataclass(frozen=True)
 class Polytope:
-    """A box with optional extra linear rows (sense >=) and a radius bound."""
+    """A finite box lower <= x <= upper with a radius bound."""
 
     lower: np.ndarray
     upper: np.ndarray
-    rows: np.ndarray | None = None
-    row_rhs: np.ndarray | None = None
     radius: float | None = None
 
     def __post_init__(self):
@@ -87,14 +90,17 @@ class Polytope:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if self.rows is not None:
-            object.__setattr__(self, "rows",
-                               np.atleast_2d(np.asarray(self.rows, dtype=float)))
-            object.__setattr__(self, "row_rhs",
-                               np.atleast_1d(np.asarray(self.row_rhs, dtype=float)))
+        if lo.shape != hi.shape:
+            raise ValueError("lower and upper bounds differ in length")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("box bounds must be finite")
+        if (lo > hi).any():
+            raise ValueError("a lower bound exceeds its upper bound")
         if self.radius is None:
             object.__setattr__(self, "radius",
                                float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))))
+        elif not math.isfinite(self.radius):
+            raise ValueError("radius must be finite")
 
     @property
     def dim(self) -> int:
@@ -102,11 +108,7 @@ class Polytope:
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
-        if (x < self.lower - tol).any() or (x > self.upper + tol).any():
-            return False
-        if self.rows is not None and (self.rows @ x < self.row_rhs - tol).any():
-            return False
-        return True
+        return not ((x < self.lower - tol).any() or (x > self.upper + tol).any())
 
 
 def unit_box(m: int) -> Polytope:
@@ -122,6 +124,8 @@ class StochasticLPInstance:
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.first_stage_cost, dtype=float))
         object.__setattr__(self, "first_stage_cost", w)
+        if not np.isfinite(w).all():
+            raise ValueError("first-stage costs must be finite")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         if self.polytope.dim != w.size:
             raise ValueError("polytope dimension must match the cost vector")
@@ -333,10 +337,6 @@ def minimize(instance: StochasticLPInstance, tolerance: float = 1e-6,
     the iteration's cuts).
     """
     poly = instance.polytope
-    if poly.rows is not None:
-        raise ValueError("the cutting-plane minimizer supports box polytopes only")
-    if not (np.isfinite(poly.lower).all() and np.isfinite(poly.upper).all()):
-        raise ValueError("the cutting-plane minimizer needs a bounded box")
     prepared = _prepared_blocks(instance)
     weights = instance.probabilities()
     m = poly.dim
@@ -392,10 +392,10 @@ def minimize(instance: StochasticLPInstance, tolerance: float = 1e-6,
 
 
 def base_grid(spec: GridSpec, polytope: Polytope) -> np.ndarray:
-    """Lattice of spacing epsilon/(K * levels * sqrt(m)) inside the polytope."""
+    """Lattice of spacing epsilon/(K * levels * sqrt(m)) inside the box."""
     m = polytope.dim
-    if m > 3:
-        raise CapExceeded("grids are validation-scale: m <= 3")
+    if m > caps.GRID_DIM:
+        raise CapExceeded(f"grids are validation-scale: m <= {caps.GRID_DIM}")
     spacing = spec.spacing(m)
     axes = []
     for i in range(m):
@@ -403,13 +403,11 @@ def base_grid(spec: GridSpec, polytope: Polytope) -> np.ndarray:
         hi = math.floor(polytope.upper[i] / spacing + 1e-12)
         axes.append(np.arange(lo, hi + 1) * spacing)
     mesh = np.meshgrid(*axes, indexing="ij")
-    base = np.stack([g.ravel() for g in mesh], axis=1) if m else np.zeros((0, 0))
-    keep = np.array([polytope.contains(p) for p in base], dtype=bool)
-    return base[keep]
+    return np.stack([g.ravel() for g in mesh], axis=1) if m else np.zeros((0, 0))
 
 
 def extended_grid(spec: GridSpec, polytope: Polytope) -> np.ndarray:
-    """Base lattice inside the polytope, extended by dyadic interpolation.
+    """Base lattice inside the box, extended by dyadic interpolation.
 
     For every ordered pair of base points the points x + 2^-i (y - x) for
     i = 1..levels are appended.  The total point count is capped.
@@ -417,7 +415,7 @@ def extended_grid(spec: GridSpec, polytope: Polytope) -> np.ndarray:
     base = base_grid(spec, polytope)
     nbase = base.shape[0]
     total = nbase + nbase * nbase * 2 * spec.levels
-    if total > caps.cap("STOCOMB_CAP_GRID_POINTS"):
+    if total > caps.GRID_POINTS:
         raise CapExceeded(f"extended grid would hold about {total} points")
     points = [base]
     fractions = [2.0 ** -(i + 1) for i in range(spec.levels)]
@@ -432,7 +430,7 @@ def extended_grid(spec: GridSpec, polytope: Polytope) -> np.ndarray:
 
 def check_omega_subgradient(h_oracle, x, d, omega: float, polytope: Polytope,
                             trials: int, rng, tol: float = 1e-7):
-    """Sample the polytope and test the relaxed subgradient inequality.
+    """Sample the box and test the relaxed subgradient inequality.
 
     Returns ``(True, None)`` or ``(False, witness_point)``.
     """
@@ -441,11 +439,6 @@ def check_omega_subgradient(h_oracle, x, d, omega: float, polytope: Polytope,
     hx = h_oracle(x)
     for _ in range(trials):
         y = rng.uniform(polytope.lower, polytope.upper)
-        if polytope.rows is not None:
-            for _retry in range(200):
-                if polytope.contains(y):
-                    break
-                y = rng.uniform(polytope.lower, polytope.upper)
         if h_oracle(y) - hx < d @ (y - x) - omega * hx - tol:
             return False, y
     return True, None
@@ -534,7 +527,7 @@ def deterministic_equivalent(instance: StochasticLPInstance) -> LinearProgram:
     """One LP over (z, all scenario variables) with the exact objective.
 
     The first-stage columns are shifted to z = x - lower, so the box becomes
-    0 <= z <= upper - lower and needs no rows for any finite lower bound; the
+    0 <= z <= upper - lower and needs no rows for its lower bound; the
     objective omits the constant first_stage_cost . lower.  With a zero lower
     bound z is x.
     """
@@ -543,11 +536,8 @@ def deterministic_equivalent(instance: StochasticLPInstance) -> LinearProgram:
     nvar = m + sum(mr + ns for mr, ns in sizes)
     rows_n = sum(b.requirement.size for b in instance.scenarios)
     poly = instance.polytope
-    if not np.isfinite(poly.lower).all():
-        raise ValueError("the deterministic equivalent needs finite lower bounds")
-    extra = 0 if poly.rows is None else poly.rows.shape[0]
-    A = np.zeros((rows_n + extra, nvar))
-    b_vec = np.zeros(rows_n + extra)
+    A = np.zeros((rows_n, nvar))
+    b_vec = np.zeros(rows_n)
     c = np.zeros(nvar)
     c[:m] = instance.first_stage_cost
     col = m
@@ -562,9 +552,6 @@ def deterministic_equivalent(instance: StochasticLPInstance) -> LinearProgram:
         c[col + mr:col + mr + ns] = blk.probability * blk.aux_cost
         col += mr + ns
         row += k
-    if poly.rows is not None:
-        A[rows_n:, :m] = poly.rows
-        b_vec[rows_n:] = poly.row_rhs
     if poly.lower.any():
         b_vec -= A[:, :m] @ poly.lower
     upper = np.full(nvar, np.inf)

@@ -56,6 +56,8 @@ def from_table(values, ground: tuple) -> TableFunction:
         raise SchemaError(
             f"table needs {1 << len(ground)} values for {len(ground)} elements, "
             f"got {values.size}")
+    if not np.isfinite(values).all():
+        raise SchemaError("table values must be finite")
     values.flags.writeable = False
     return TableFunction(values, tuple(ground))
 
@@ -130,6 +132,13 @@ def random_coverage(ground: tuple, rng, universe_size: int = 6):
     return coverage(cover, weights)
 
 
+def _finite(value, what: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise SchemaError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def from_json(payload: dict, ground: tuple):
     """Build one of the named set functions from its JSON payload."""
     kind = payload.get("kind")
@@ -138,14 +147,16 @@ def from_json(payload: dict, ground: tuple):
     if kind == "coverage":
         try:
             cover = {g: payload["cover"][str(g)] for g in ground}
-            weights = {u: float(w) for u, w in payload["weights"].items()}
+            weights = {u: _finite(w, "coverage weight")
+                       for u, w in payload["weights"].items()}
         except KeyError as exc:
             raise SchemaError(f"coverage payload missing {exc}") from exc
         return coverage(cover, weights)
     if kind == "weighted_rank":
         try:
-            weights = {g: float(payload["weights"][str(g)]) for g in ground}
-            cap = float(payload["cap"])
+            weights = {g: _finite(payload["weights"][str(g)], "weight")
+                       for g in ground}
+            cap = _finite(payload["cap"], "cap")
         except KeyError as exc:
             raise SchemaError(f"weighted_rank payload missing {exc}") from exc
         return weighted_rank(weights, cap)

@@ -18,12 +18,15 @@ from typing import Callable
 
 from . import caps
 from .errors import CapExceeded
-from .model import ProblemInstance, exact_opt, members
+from .model import ProblemInstance, exact_opt, guard_sweep, members
 from .rng import stream
 from .setfun import check_monotone, check_submodular
 from .solvers import ApproxAlgorithm
 
 RATIO_TOL = 1e-12
+EXHAUSTIVE_ORDERS = 5   # subsets up to this size get every ordering in check_scheme
+SAMPLED_ORDERS = 60     # random orderings drawn for each larger subset
+ORDER_SEED = 0          # seed of those draws
 
 # xi(S, j): share of client j in the cost of serving S.
 CostShareFunction = Callable[[frozenset, object], float]
@@ -59,7 +62,7 @@ class FairnessReport:
 def check_fairness(xi: CostShareFunction, problem: ProblemInstance,
                    tol: float = 1e-9) -> FairnessReport:
     """Verify sum of shares <= exact optimum cost for every client subset."""
-    _guard_caps(problem)
+    guard_sweep(problem, "cost-share")
     for mask in range(1 << len(problem.clients)):
         S = frozenset(members(mask, problem.clients))
         opt = exact_opt(problem, S)
@@ -71,7 +74,7 @@ def check_fairness(xi: CostShareFunction, problem: ProblemInstance,
 
 def check_support(xi: CostShareFunction, problem: ProblemInstance) -> bool:
     """Shares must vanish for clients outside the served set."""
-    _guard_caps(problem)
+    guard_sweep(problem, "cost-share")
     for mask in range(1 << len(problem.clients)):
         S = frozenset(members(mask, problem.clients))
         for j in problem.clients:
@@ -80,14 +83,8 @@ def check_support(xi: CostShareFunction, problem: ProblemInstance) -> bool:
     return True
 
 
-def _guard_caps(problem: ProblemInstance):
-    if (len(problem.clients) > caps.cap("STOCOMB_CAP_SUBADD_CLIENTS")
-            or len(problem.elements) > caps.cap("STOCOMB_CAP_SUBADD_ELEMENTS")):
-        raise CapExceeded("instance too large for the cost-share sweep")
-
-
 def _strictness(xi, alg, problem, singletons_only):
-    _guard_caps(problem)
+    guard_sweep(problem, "cost-share")
     subsets = [frozenset(members(mask, problem.clients))
                for mask in range(1 << len(problem.clients))]
     solved = {S: alg.solve(problem, S) for S in subsets}
@@ -153,10 +150,12 @@ def marginal_scheme(f, ground: tuple) -> OrderedCostShareScheme:
 
     ``chi(i, S, order)`` is the increase of f when i arrives at its position
     in the order.  The function is checked exhaustively (ground sets up to
-    10 elements), after which the scheme is certified with both factors 1.
+    ``caps.MARGINAL_SCHEME`` elements), after which the scheme is certified
+    with both factors 1.
     """
-    if len(ground) > 10:
-        raise CapExceeded("marginal-scheme certification enumerates up to 2^10 sets")
+    if len(ground) > caps.MARGINAL_SCHEME:
+        raise CapExceeded(f"marginal-scheme certification enumerates up to "
+                          f"2^{caps.MARGINAL_SCHEME} sets")
     check_monotone(f, ground)
     check_submodular(f, ground)
 
@@ -181,12 +180,12 @@ class SchemeReport:
     witness: str | None = None
 
 
-def _orderings(subset_tuple: tuple, exhaustive_limit: int, sample: int, rng):
-    if len(subset_tuple) <= exhaustive_limit:
+def _orderings(subset_tuple: tuple, rng):
+    if len(subset_tuple) <= EXHAUSTIVE_ORDERS:
         yield from itertools.permutations(subset_tuple)
     else:
         seen = set()
-        for _ in range(sample):
+        for _ in range(SAMPLED_ORDERS):
             perm = tuple(rng.permutation(len(subset_tuple)))
             order = tuple(subset_tuple[k] for k in perm)
             if order not in seen:
@@ -195,24 +194,22 @@ def _orderings(subset_tuple: tuple, exhaustive_limit: int, sample: int, rng):
 
 
 def check_scheme(scheme, f, ground: tuple, *,
-                 exhaustive_limit: int = 5,
-                 sampled_orders: int = 60,
                  order_universe=None,
                  cross_pair_filter=None,
-                 seed: int = 0,
                  tol: float = 1e-9) -> SchemeReport:
     """Measure eta-hat, beta-hat, and cross-monotonicity of ``scheme``.
 
-    By default every ordering of every subset up to ``exhaustive_limit``
-    elements is swept (larger subsets are sampled).  ``order_universe`` may
-    supply global orderings of the ground set instead, in which case each
-    subset inherits its induced orderings; ``cross_pair_filter(S, T)`` can
-    restrict which nested pairs the cross-monotonicity sweep visits.
+    By default every ordering of every subset up to ``EXHAUSTIVE_ORDERS``
+    elements is swept; larger subsets get ``SAMPLED_ORDERS`` seeded random
+    orderings.  ``order_universe`` may supply global orderings of the ground
+    set instead, in which case each subset inherits its induced orderings;
+    ``cross_pair_filter(S, T)`` can restrict which nested pairs the
+    cross-monotonicity sweep visits.
     """
-    if len(ground) > caps.cap("STOCOMB_CAP_SCHEME_CLIENTS"):
+    if len(ground) > caps.SCHEME_CLIENTS:
         raise CapExceeded("ground set too large for the scheme sweep")
     chi = scheme.chi if isinstance(scheme, OrderedCostShareScheme) else scheme
-    rng = stream(seed, "scheme-orders")
+    rng = stream(ORDER_SEED, "scheme-orders")
     n = len(ground)
 
     def orders_of(subset_tuple):
@@ -223,7 +220,7 @@ def check_scheme(scheme, f, ground: tuple, *,
                 if order not in induced:
                     induced.append(order)
             return induced
-        return list(_orderings(subset_tuple, exhaustive_limit, sampled_orders, rng))
+        return list(_orderings(subset_tuple, rng))
 
     eta_hat = 0.0
     beta_hat = 0.0

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from stocomb import caps
 from stocomb.boosting import (
     BoostPolicyBuilder,
     IndBoostPolicyBuilder,
@@ -69,6 +70,20 @@ class TestBoostAndSample:
         builder = BoostPolicyBuilder(problem, alg)
         ev = evaluate_policy(problem, builder, dist, sigma=2.0, mode="exact")
         assert ev.expected_cost == pytest.approx(expected, abs=1e-12)
+
+    def test_draw_space_cap_is_exact(self, monkeypatch):
+        # 10 outcomes over 3 rounds are exactly the cap: enumerated, not
+        # refused (a floating-point log comparison reads 3 log 10 > log 1000).
+        monkeypatch.setattr(caps, "DRAWS", 1000)
+        problem, _ = edge1()
+        builder = BoostPolicyBuilder(problem, algorithm_for(problem))
+        ten = Explicit(tuple((frozenset({"j"}) if k else frozenset(), 0.1)
+                             for k in range(10)))
+        assert len(builder.draw_space(ten, 3.0)) == 2
+        with pytest.raises(CapExceeded):
+            builder.draw_space(ten, 4.0)
+        one = Explicit(((frozenset({"j"}), 1.0),))
+        assert builder.draw_space(one, 1000.0) == [(frozenset({"j"}), 1.0)]
 
     def test_monte_carlo_mode_brackets_exact(self):
         problem, dist = edge1(q=0.5, sigma=2.0)

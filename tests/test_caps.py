@@ -1,0 +1,169 @@
+"""Every enumeration cap: an input one past it is refused before enumeration.
+
+Each case builds the smallest input beyond one ``stocomb.caps`` constant,
+with the oracles the enumeration would call replaced by ``forbidden``, and
+expects :class:`CapExceeded`.
+"""
+
+import itertools
+
+import pytest
+
+from stocomb import boosting, caps, gap, model
+from stocomb.boosting import (
+    BoostPolicyBuilder,
+    IndBoostPolicyBuilder,
+    exact_two_stage_opt,
+)
+from stocomb.errors import CapExceeded
+from stocomb.gap import GapInstance, SplitMap, check_split_invariants
+from stocomb.model import (
+    Explicit,
+    IndependentBernoulli,
+    ProblemInstance,
+    ScenarioDistribution,
+    check_monotone_feasibility,
+    check_subadditive,
+    enumerate_support,
+    exact_opt,
+)
+from stocomb.saa import GridSpec, Polytope, base_grid, extended_grid, unit_box
+from stocomb.sharing import (
+    check_fairness,
+    check_scheme,
+    check_support,
+    marginal_scheme,
+    measure_strictness,
+    zero_shares,
+)
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("enumerated past the cap")
+
+
+class ForbiddenDistribution(ScenarioDistribution):
+    sample = staticmethod(forbidden)
+    support = forbidden
+
+
+def problem(n_clients, n_elements):
+    clients = tuple(f"c{i}" for i in range(n_clients))
+    elements = tuple(f"e{i}" for i in range(n_elements))
+    return ProblemInstance(clients, elements, {e: 1.0 for e in elements}, 1.0,
+                           forbidden)
+
+
+def items(n):
+    return tuple(f"i{k}" for k in range(n))
+
+
+def opt_elements(monkeypatch):
+    big = problem(1, caps.OPT_ELEMENTS + 1)
+    yield lambda: exact_opt(big, frozenset(big.clients))
+
+
+def support_clients(monkeypatch):
+    monkeypatch.setattr(model, "bernoulli_weights", forbidden)
+    monkeypatch.setattr(gap, "bernoulli_weights", forbidden)
+    ground = items(caps.SUPPORT_CLIENTS + 1)
+    yield lambda: enumerate_support(
+        IndependentBernoulli(tuple((j, 0.5) for j in ground)))
+    yield lambda: gap.independent_expectation(
+        GapInstance(ground, forbidden, {j: 0.5 for j in ground}))
+
+
+def sweeps(big):
+    yield lambda: check_subadditive(big)
+    yield lambda: check_monotone_feasibility(big)
+    yield lambda: check_fairness(forbidden, big)
+    yield lambda: check_support(forbidden, big)
+    yield lambda: measure_strictness(zero_shares(), None, big)
+
+
+def subadd_clients(monkeypatch):
+    yield from sweeps(problem(caps.SUBADD_CLIENTS + 1, 1))
+
+
+def subadd_elements(monkeypatch):
+    yield from sweeps(problem(1, caps.SUBADD_ELEMENTS + 1))
+
+
+def draws(monkeypatch):
+    two = Explicit(((frozenset(), 0.5), (frozenset({"c0"}), 0.5)))
+    builder = BoostPolicyBuilder(problem(1, 1), None)
+    # 2 ** DRAWS.bit_length() is the first power of two above DRAWS.
+    yield lambda: builder.draw_space(two, float(caps.DRAWS.bit_length()))
+    yield lambda: builder.sample_draw(ForbiddenDistribution(),
+                                      caps.DRAWS + 1.0, None)
+    monkeypatch.setattr(boosting, "bernoulli_weights", forbidden)
+    marginals = tuple((j, 0.5) for j in items(caps.DRAWS.bit_length()))
+    yield lambda: IndBoostPolicyBuilder(problem(1, 1), None,
+                                        marginals).draw_space(None, 1.0)
+
+
+def two_stage(monkeypatch):
+    n = caps.TWO_STAGE.bit_length()  # 2^n * 1 outcome exceeds the cap
+    big = problem(1, n)
+    yield lambda: exact_two_stage_opt(big, Explicit(((frozenset(), 1.0),)))
+
+
+def scheme_clients(monkeypatch):
+    yield lambda: check_scheme(forbidden, forbidden, items(caps.SCHEME_CLIENTS + 1))
+
+
+def marginal_scheme_cap(monkeypatch):
+    yield lambda: marginal_scheme(forbidden, items(caps.MARGINAL_SCHEME + 1))
+
+
+def gap_clients(monkeypatch):
+    ground = items(caps.GAP_CLIENTS + 1)
+    yield lambda: gap.worst_case_expectation(
+        GapInstance(ground, forbidden, {j: 0.5 for j in ground}))
+    small = items(caps.GAP_CLIENTS)
+    yield lambda: check_split_invariants(
+        GapInstance(small, forbidden, {j: 0.5 for j in small}),
+        SplitMap({small[0]: 2}))
+
+
+def grid_dim(monkeypatch):
+    spec = GridSpec(epsilon=0.5, gamma=1.0, lipschitz=1.0, radius=1.0)
+    yield lambda: base_grid(spec, unit_box(caps.GRID_DIM + 1))
+
+
+def grid_points(monkeypatch):
+    # One level and unit spacing: n base points extend to n + 2 n^2 points.
+    spec = GridSpec(epsilon=1.0, gamma=1.0, lipschitz=1.0, radius=0.5)
+    assert (spec.levels, spec.spacing(1)) == (1, 1.0)
+    n = next(n for n in itertools.count(1) if n + 2 * n * n > caps.GRID_POINTS)
+    yield lambda: extended_grid(spec, Polytope([0.0], [n - 1.0]))
+
+
+CASES = {
+    "OPT_ELEMENTS": opt_elements,
+    "SUPPORT_CLIENTS": support_clients,
+    "SUBADD_CLIENTS": subadd_clients,
+    "SUBADD_ELEMENTS": subadd_elements,
+    "DRAWS": draws,
+    "TWO_STAGE": two_stage,
+    "SCHEME_CLIENTS": scheme_clients,
+    "MARGINAL_SCHEME": marginal_scheme_cap,
+    "GAP_CLIENTS": gap_clients,
+    "GRID_DIM": grid_dim,
+    "GRID_POINTS": grid_points,
+}
+
+
+def test_every_cap_has_a_case():
+    constants = {name for name, value in vars(caps).items()
+                 if name.isupper() and isinstance(value, int)}
+    assert constants == set(CASES)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_one_past_the_cap_is_refused(name, monkeypatch):
+    calls = list(CASES[name](monkeypatch))
+    assert calls
+    for call in calls:
+        with pytest.raises(CapExceeded):
+            call()

@@ -1,13 +1,17 @@
 """Sample-average pipeline: recourse values, subgradients, grids, guarantees."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stocomb.errors import CapExceeded, Infeasible
+from stocomb.cli import main
+from stocomb.errors import CapExceeded, Infeasible, SchemaError
 from stocomb.generate import random_stochastic_lp
+from stocomb.io import load_stochastic_lp
 from stocomb.model import exact_opt
 from stocomb.problems import ufl_problem
 from stocomb.rng import stream
@@ -31,6 +35,8 @@ from stocomb.saa import (
     subgradient_at,
     unit_box,
 )
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def one_dim_instance(price=1.0, requirement=1.0, probability=1.0):
@@ -283,11 +289,17 @@ class TestMinimize:
             assert opt == pytest.approx(res.value, abs=1e-7)
             assert opt == pytest.approx(h_exact(inst, x), abs=1e-7)
 
-    def test_rows_are_rejected(self):
-        poly = Polytope(np.zeros(1), np.ones(1), rows=[[1.0]], row_rhs=[0.2])
-        inst = StochasticLPInstance([1.0], poly, ())
-        with pytest.raises(ValueError):
-            minimize(inst)
+    @pytest.mark.parametrize("key", ["rows", "row_rhs"])
+    def test_polytope_rows_are_a_schema_error(self, key, tmp_path, capsys):
+        # The polytope is a box; run-saa refuses extra rows at load (exit 2).
+        payload = json.loads((INSTANCES / "saa_ufl.json").read_text())
+        payload["polytope"][key] = [[1.0, 1.0]] if key == "rows" else [1.0]
+        with pytest.raises(SchemaError):
+            load_stochastic_lp(payload)
+        bad = tmp_path / "rows.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["run-saa", "--instance", str(bad), "--seed", "1"]) == 2
+        assert "schema error" in capsys.readouterr().err
 
     def test_non_convergence_flag_keeps_best_iterate(self):
         inst = random_stochastic_lp(2, 3, 42)
