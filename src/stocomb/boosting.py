@@ -71,6 +71,9 @@ class BoostPolicyBuilder:
     problem: ProblemInstance
     alg: ApproxAlgorithm
 
+    def draws_per_run(self, sigma: float) -> int:
+        return max(1, _rounds(sigma))
+
     def sample_draw(self, dist: ScenarioDistribution, sigma: float, rng) -> frozenset:
         rounds = _rounds(sigma)
         drawn: frozenset = frozenset()
@@ -124,6 +127,9 @@ class IndBoostPolicyBuilder:
 
     def boosted(self, sigma: float) -> list[tuple]:
         return [(j, min(1.0, sigma * p)) for j, p in self.marginals]
+
+    def draws_per_run(self, sigma: float) -> int:
+        return 1
 
     def sample_draw(self, dist, sigma: float, rng) -> frozenset:
         return frozenset(j for j, p in self.boosted(sigma) if rng.random() < p)
@@ -190,7 +196,8 @@ def evaluate_policy(problem: ProblemInstance, builder, dist: ScenarioDistributio
 
     Exact mode enumerates the builder's own draw space against the scenario
     support.  Monte-Carlo mode replays ``runs`` independent (draw,
-    realization) pairs and reports a 99% confidence halfwidth.
+    realization) pairs and reports a 99% confidence halfwidth; it refuses
+    more than ``caps.DRAWS`` sampling draws in all before drawing any.
     """
     if sigma is None:
         sigma = problem.inflation
@@ -206,6 +213,9 @@ def evaluate_policy(problem: ProblemInstance, builder, dist: ScenarioDistributio
         return PolicyEvaluation(total, "exact")
     if mode != "monte_carlo":
         raise ValueError(f"unknown evaluation mode {mode!r}")
+    draws = runs * builder.draws_per_run(sigma)
+    if draws > caps.DRAWS:
+        raise CapExceeded(f"{draws} Monte-Carlo sampling draws exceed {caps.DRAWS}")
     if rng is None:
         raise ValueError("monte_carlo mode needs a random generator")
     policies: dict = {}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from pathlib import Path
@@ -69,7 +70,7 @@ from .rng import stream
 from .saa import build_sample_average, h_exact, minimize, solve_deterministic_equivalent
 from .sharing import check_fairness, equal_split_shares
 from .solvers import algorithm_for, empirical_alpha
-from .setfun import table as setfun_table
+from .setfun import TABLE_ITEMS, table as setfun_table
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -128,6 +129,9 @@ def _config_echo(args, fields) -> dict:
 
 def cmd_gen(args) -> int:
     if args.kind == "gap":
+        if args.clients > TABLE_ITEMS:
+            raise SchemaError(f"gap instances are tables of at most {TABLE_ITEMS} "
+                              f"items, got {args.clients}")
         inst = random_gap_instance(args.clients, args.seed)
         fn = inst.f
         payload = {
@@ -338,6 +342,14 @@ def _at_least(minimum: int):
     return count
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float (exit 2 for nan or inf)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once: parsing leaves it unchanged."""
@@ -386,15 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-saa", help="sample-average pipeline on a stochastic LP")
     p.add_argument("--instance", required=True)
     p.add_argument("--samples", type=_at_least(1), default=2000)
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=_finite, default=1e-6)
     p.add_argument("--trace", help="write the per-iteration CSV trace here")
     common(p, needs_seed=True)
     p.set_defaults(func=cmd_run_saa)
 
     p = sub.add_parser("gap", help="correlation-gap report for a gap instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--eta", type=_finite, default=1.0)
+    p.add_argument("--beta", type=_finite, default=1.0)
     common(p, needs_seed=False)
     p.set_defaults(func=cmd_gap)
 

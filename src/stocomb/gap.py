@@ -12,17 +12,17 @@ schemes transfer to split instances by paying only the earliest copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
 
 from . import caps
 from ._kernels import bernoulli_weights
-from .errors import CapExceeded, DegenerateInstance, UncertifiedScheme
+from .errors import CapExceeded, DegenerateInstance, NotMonotone, UncertifiedScheme
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .model import members
-from .setfun import E_RATIO, table
+from .model import members, subset_table
+from .setfun import E_RATIO, check_monotone, from_table, table
 from .sharing import OrderedCostShareScheme, SchemeReport
 
 GAP_TOL = 1e-9
@@ -84,10 +84,6 @@ class SplitMap:
             for k in range(1, self.copies.get(i, 1) + 1):
                 out.append((i, k))
         return tuple(out)
-
-    @staticmethod
-    def project(subset: frozenset) -> frozenset:
-        return frozenset(orig for orig, _k in subset)
 
 
 def worst_case_expectation(inst: GapInstance):
@@ -164,15 +160,15 @@ def correlation_gap(inst: GapInstance, eta: float = 1.0,
 def split(inst: GapInstance, split_map: SplitMap) -> GapInstance:
     """Clone items into equal-marginal copies; cost looks only at originals."""
     ground = split_map.ground_of(inst)
+    if len(ground) > caps.SUPPORT_CLIENTS:
+        raise CapExceeded(f"{len(ground)} copies are too many to tabulate")
     marginals = {(i, k): inst.marginals[i] / split_map.copies.get(i, 1)
                  for (i, k) in ground}
-    base_f = inst.f
-
-    @cache
-    def f(subset: frozenset) -> float:
-        return base_f(SplitMap.project(subset))
-
-    return GapInstance(ground=ground, f=f, marginals=marginals)
+    # originals[mask]: the mask of the original items ``mask`` holds a copy of.
+    bit = {i: 1 << b for b, i in enumerate(inst.ground)}
+    originals = subset_table([bit[i] for i, _k in ground], np.bitwise_or, 0)
+    return GapInstance(ground=ground, f=from_table(inst._table[originals], ground),
+                       marginals=marginals)
 
 
 def split_scheme(scheme: OrderedCostShareScheme,
@@ -224,16 +220,14 @@ class SplitReport:
 def check_split_invariants(inst: GapInstance, split_map: SplitMap) -> SplitReport:
     """Monotonicity transfer, worst-case preservation (within ``SPLIT_TOL``),
     independent shrinkage."""
-    new = split(inst, split_map)
-    n = len(new.ground)
-    if n > caps.GAP_CLIENTS:
+    if len(split_map.ground_of(inst)) > caps.GAP_CLIENTS:
         raise CapExceeded("split instance too large for the worst-case LP")
-    vals = new._table
-    monotone = True
-    for mask in range(1 << n):
-        for i in range(n):
-            if not (mask >> i) & 1 and vals[mask | (1 << i)] < vals[mask]:
-                monotone = False
+    new = split(inst, split_map)
+    try:
+        check_monotone(new.f, new.ground, tol=0.0)
+        monotone = True
+    except NotMonotone:
+        monotone = False
     worst_old, _ = worst_case_expectation(inst)
     worst_new, _ = worst_case_expectation(new)
     ind_old = independent_expectation(inst)

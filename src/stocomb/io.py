@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import NumericalFailure, SchemaError
 from .gap import GapInstance
 from .model import (
     Explicit,
@@ -250,7 +250,12 @@ def load_gap_instance(payload: dict) -> GapInstance:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Sorted-key JSON text; a value that is not finite (a sum that left the
+    float range) is a :class:`NumericalFailure`."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalFailure(f"report value out of range: {exc}") from exc
 
 
 def read_json(path) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import caps
 from ._kernels import bernoulli_weights
-from .errors import CapExceeded, Infeasible
+from .errors import CapExceeded, Infeasible, NumericalFailure
 
 COST_TOL = 1e-9
 PROB_TOL = 1e-12
@@ -62,7 +62,10 @@ class ProblemInstance:
     def cost(self, subset) -> float:
         # fsum is exactly rounded, so the value does not depend on the
         # (hash-seeded) iteration order of a frozenset.
-        return math.fsum(self.first_stage_cost[e] for e in subset)
+        try:
+            return math.fsum(self.first_stage_cost[e] for e in subset)
+        except OverflowError as exc:
+            raise NumericalFailure("element costs sum past the float range") from exc
 
     def element_index(self) -> dict:
         return {e: i for i, e in enumerate(self.elements)}
@@ -197,6 +200,15 @@ def members(mask: int, items: tuple) -> tuple:
         mask >>= 1
         i += 1
     return tuple(out)
+
+
+def subset_table(values, combine, empty) -> np.ndarray:
+    """Mask-indexed table of ``combine`` folded over each subset's values in
+    index order, from ``empty``; doubles t to concat(t, combine(t, v))."""
+    t = np.array([empty])
+    for v in values:
+        t = np.concatenate([t, combine(t, v)])
+    return t
 
 
 def exact_opt(problem: ProblemInstance, clients: frozenset,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import caps
-from .errors import CapExceeded, Infeasible, Unbounded
+from .errors import CapExceeded, Infeasible, NumericalFailure, Unbounded
 from .lp import (
     FEAS_TOL,
     INFEASIBLE,
@@ -374,9 +374,10 @@ def minimize(instance: StochasticLPInstance, tolerance: float = 1e-6,
             if len(rows) > MAX_CONSTRAINTS or cost.size > MAX_VARIABLES:
                 raise CapExceeded(f"cutting-plane master would hold {len(rows)} "
                                   f"cuts over {cost.size} columns")
-            res = _solve_or_raise(LinearProgram(
-                cost, np.reshape(rows, (len(rows), cost.size)), np.array(rhs),
-                upper_bounds=upper), "cutting-plane master LP")
+            A, b = np.reshape(rows, (len(rows), cost.size)), np.array(rhs)
+            _check_overflow("cutting-plane master LP", A, b)
+            res = _solve_or_raise(LinearProgram(cost, A, b, upper_bounds=upper),
+                                  "cutting-plane master LP")
             lower = res.value + float(instance.first_stage_cost @ poly.lower)
             # A master vertex on a face of the box lies on it exactly.
             x = poly.lower + res.primal[:m]
@@ -556,8 +557,15 @@ def deterministic_equivalent(instance: StochasticLPInstance) -> LinearProgram:
         b_vec -= A[:, :m] @ poly.lower
     upper = np.full(nvar, np.inf)
     upper[:m] = poly.upper - poly.lower
-    lp = LinearProgram(c, A, b_vec, upper_bounds=upper)
-    return lp
+    _check_overflow("deterministic equivalent", A, b_vec)
+    return LinearProgram(c, A, b_vec, upper_bounds=upper)
+
+
+def _check_overflow(what: str, *arrays):
+    """LP data is built from finite input; an entry that left the float
+    range is a :class:`NumericalFailure`, not bad input."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalFailure(f"{what} data overflow the float range")
 
 
 def _solve_or_raise(lp: LinearProgram, what: str):

@@ -11,10 +11,12 @@ import math
 
 import numpy as np
 
-from .errors import NotMonotone, NotSubmodular, SchemaError
-from .model import members
+from . import caps
+from .errors import CapExceeded, NotMonotone, NotSubmodular, SchemaError
+from .model import members, subset_table
 
 MONO_TOL = 1e-9
+TABLE_ITEMS = 16  # most ground elements of an explicit ``table`` payload
 
 
 def table(f, ground: tuple) -> np.ndarray:
@@ -66,26 +68,25 @@ def cardinality():
     return lambda subset: float(len(subset))
 
 
-def coverage(cover: dict, weights: dict):
-    """Weighted coverage: f(S) = total weight of the union of covered items."""
-    cover = {k: frozenset(v) for k, v in cover.items()}
+def coverage(cover: dict, weights: dict) -> TableFunction:
+    """Weighted coverage: f(S) = total weight of the union of covered items,
+    summed in ``weights`` order; a table over the keys of ``cover``."""
+    ground = tuple(cover)
+    if len(ground) > caps.SUPPORT_CLIENTS:
+        raise CapExceeded(f"a table over {len(ground)} items exceeds the cap")
+    if not set().union(*map(set, cover.values())) <= weights.keys():
+        raise ValueError("every covered item needs a weight")
+    values = np.zeros(1 << len(ground))
+    for u, w in weights.items():
+        values += w * subset_table([u in cover[g] for g in ground], np.logical_or, False)
+    return from_table(values, ground)
 
-    def f(subset: frozenset) -> float:
-        hit = set()
-        for item in subset:
-            hit |= cover[item]
-        return float(sum(weights[u] for u in hit))
 
-    return f
-
-
-def weighted_rank(weights: dict, cap: float):
-    """f(S) = min(sum of weights over S, cap); submodular for cap >= 0."""
-
-    def f(subset: frozenset) -> float:
-        return float(min(sum(weights[i] for i in subset), cap))
-
-    return f
+def weighted_rank(weights: dict, cap: float) -> TableFunction:
+    """f(S) = min(sum of weights over S, cap), summed in key order: each key
+    covers itself, and the coverage is capped; submodular for cap >= 0."""
+    f = coverage({g: {g} for g in weights}, weights)
+    return from_table(np.minimum(f.values, cap), f.ground)
 
 
 def check_monotone(f, ground: tuple, tol: float = MONO_TOL):
@@ -142,27 +143,21 @@ def _finite(value, what: str) -> float:
 def from_json(payload: dict, ground: tuple):
     """Build one of the named set functions from its JSON payload."""
     kind = payload.get("kind")
-    if kind == "cardinality":
-        return cardinality()
-    if kind == "coverage":
-        try:
-            cover = {g: payload["cover"][str(g)] for g in ground}
-            weights = {u: _finite(w, "coverage weight")
-                       for u, w in payload["weights"].items()}
-        except KeyError as exc:
-            raise SchemaError(f"coverage payload missing {exc}") from exc
-        return coverage(cover, weights)
-    if kind == "weighted_rank":
-        try:
-            weights = {g: _finite(payload["weights"][str(g)], "weight")
-                       for g in ground}
-            cap = _finite(payload["cap"], "cap")
-        except KeyError as exc:
-            raise SchemaError(f"weighted_rank payload missing {exc}") from exc
-        return weighted_rank(weights, cap)
+    try:
+        if kind == "cardinality":
+            return cardinality()
+        if kind == "coverage":
+            return coverage({g: payload["cover"][str(g)] for g in ground},
+                            {u: _finite(w, "coverage weight")
+                             for u, w in payload["weights"].items()})
+        if kind == "weighted_rank":
+            return weighted_rank({g: _finite(payload["weights"][str(g)], "weight")
+                                  for g in ground}, _finite(payload["cap"], "cap"))
+    except KeyError as exc:
+        raise SchemaError(f"{kind} payload missing {exc}") from exc
     if kind == "table":
-        if len(ground) > 16:
-            raise SchemaError("explicit tables support at most 16 ground elements")
+        if len(ground) > TABLE_ITEMS:
+            raise SchemaError(f"explicit tables support at most {TABLE_ITEMS} elements")
         return from_table(payload.get("values", ()), ground)
     raise SchemaError(f"unknown set-function kind {kind!r}")
 

@@ -78,6 +78,20 @@ def loop_table(f, ground: tuple) -> np.ndarray:
     return out
 
 
+def loop_coverage(cover: dict, weights: dict):
+    """Weighted coverage called per subset, summing in ``weights`` order."""
+    def f(subset):
+        hit = set().union(*(cover[g] for g in subset))
+        return float(sum(w for u, w in weights.items() if u in hit))
+    return f
+
+
+def loop_weighted_rank(weights: dict, cap: float):
+    """min(sum of weights over the subset, cap), summing in key order."""
+    return lambda subset: float(min(sum(w for g, w in weights.items()
+                                        if g in subset), cap))
+
+
 def loop_product_support(clients: tuple, probs: list) -> list:
     """Independent-Bernoulli support, one (subset, probability) per mask."""
     n = len(clients)

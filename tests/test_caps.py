@@ -9,10 +9,11 @@ import itertools
 
 import pytest
 
-from stocomb import boosting, caps, gap, model
+from stocomb import boosting, caps, gap, model, setfun
 from stocomb.boosting import (
     BoostPolicyBuilder,
     IndBoostPolicyBuilder,
+    evaluate_policy,
     exact_two_stage_opt,
 )
 from stocomb.errors import CapExceeded
@@ -47,6 +48,10 @@ class ForbiddenDistribution(ScenarioDistribution):
     support = forbidden
 
 
+class ForbiddenValues(dict):
+    values = items = forbidden
+
+
 def problem(n_clients, n_elements):
     clients = tuple(f"c{i}" for i in range(n_clients))
     elements = tuple(f"e{i}" for i in range(n_elements))
@@ -71,6 +76,14 @@ def support_clients(monkeypatch):
         IndependentBernoulli(tuple((j, 0.5) for j in ground)))
     yield lambda: gap.independent_expectation(
         GapInstance(ground, forbidden, {j: 0.5 for j in ground}))
+    # The builtin set functions are tables: refused before reading their
+    # entries, so before allocating one.
+    yield lambda: setfun.weighted_rank(ForbiddenValues.fromkeys(ground, 1.0), 1.0)
+    yield lambda: setfun.coverage(ForbiddenValues.fromkeys(ground, {0}), {0: 1.0})
+    # A split past the cap is refused before reading the original table.
+    small = items(caps.SUPPORT_CLIENTS)
+    yield lambda: gap.split(GapInstance(small, forbidden, {j: 0.5 for j in small}),
+                            SplitMap({small[0]: 2}))
 
 
 def sweeps(big):
@@ -96,6 +109,11 @@ def draws(monkeypatch):
     yield lambda: builder.draw_space(two, float(caps.DRAWS.bit_length()))
     yield lambda: builder.sample_draw(ForbiddenDistribution(),
                                       caps.DRAWS + 1.0, None)
+    # Monte-Carlo evaluation: runs x floor(sigma) draws.
+    for sigma, runs in ((1.0, caps.DRAWS + 1), (2.0, caps.DRAWS // 2 + 1)):
+        yield lambda sigma=sigma, runs=runs: evaluate_policy(
+            problem(1, 1), builder, ForbiddenDistribution(), sigma,
+            "monte_carlo", forbidden, runs)
     monkeypatch.setattr(boosting, "bernoulli_weights", forbidden)
     marginals = tuple((j, 0.5) for j in items(caps.DRAWS.bit_length()))
     yield lambda: IndBoostPolicyBuilder(problem(1, 1), None,

@@ -2,7 +2,9 @@
 
 Every numeric leaf of every reference instance is replaced, one at a time,
 by each value of ``SUBSTITUTES``; the instance's command then runs in
-process and must return one of the documented exit codes 0-4.
+process and must return one of the documented exit codes 0-4.  Costs large
+enough to overflow a sum, non-finite command-line numbers and oversized
+requests get the same treatment.
 """
 
 import json
@@ -15,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from stocomb.cli import main
+from stocomb.io import load_gap_instance, read_json
+from stocomb.setfun import TABLE_ITEMS
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -28,7 +32,8 @@ COMMANDS = {
     "saa_ufl.json": ["run-saa", "--samples", "50", "--seed", "1"],
 }
 SUBSTITUTES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-               "null": None, "-1": -1, "0": 0, "2": 2}
+               "null": None, "-1": -1, "0": 0, "2": 2,
+               "1e308": 1e308, "-1e308": -1e308}
 EXIT_CODES = {0, 1, 2, 3, 4}
 
 
@@ -44,6 +49,13 @@ def numeric_paths(node, path=()):
         yield path
 
 
+def stocomb_env(**extra) -> dict:
+    """Environment for a subprocess that imports stocomb from ``src``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def substituted(payload, path, value):
     copy = json.loads(json.dumps(payload))
     node = copy
@@ -51,6 +63,16 @@ def substituted(payload, path, value):
         node = node[step]
     node[path[-1]] = value
     return copy
+
+
+def exit_code(argv, capsys) -> int:
+    """Exit code of ``main(argv)``, counting argparse's exit as its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    return code
 
 
 def test_every_instance_is_swept():
@@ -78,17 +100,114 @@ def test_numeric_leaf_substitution(source, label, tmp_path, capsys):
     assert not failures, "\n".join(failures)
 
 
-@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
-def test_huge_sigma_exits_3_without_hanging(mode, tmp_path):
+@pytest.mark.parametrize("sigma,mode,runs", [
+    (1e308, "exact", ["--runs", "100"]),
+    (1e308, "monte_carlo", ["--runs", "100"]),
+    # 10^6 draws in each of the default 10,000 Monte-Carlo runs.
+    (1e6, "monte_carlo", []),
+], ids=["exact", "monte_carlo", "monte_carlo_default_runs"])
+def test_huge_sigma_exits_3_without_hanging(sigma, mode, runs, tmp_path):
     payload = json.loads((INSTANCES / "edge1.json").read_text())
-    payload["sigma"] = 1e308
+    payload["sigma"] = sigma
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(payload))
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-m", "stocomb", "run-boost", "--instance", str(inst),
-         "--seed", "1", "--mode", mode, "--runs", "100"],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=30)
+         "--seed", "1", "--mode", mode] + runs,
+        env=stocomb_env(), capture_output=True, timeout=30)
     assert run.returncode == 3, run.stderr.decode()
     assert b"cap exceeded" in run.stderr
+
+
+def huge_costs(payload):
+    """Every first-stage cost of the instance set to 1e308."""
+    copy = json.loads(json.dumps(payload))
+    if "elements" in copy:
+        for element in copy["elements"]:
+            element["cost"] = 1e308
+    else:
+        copy["first_stage_cost"] = [1e308] * len(copy["first_stage_cost"])
+    return copy
+
+
+@pytest.mark.parametrize("source", ["cov3.json", "tri3.json", "edge1.json",
+                                    "edge1_independent.json", "saa_ufl.json"])
+def test_every_cost_huge_exits_without_traceback(source, tmp_path, capsys):
+    payload = huge_costs(json.loads((INSTANCES / source).read_text()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    command = COMMANDS[source]
+    assert exit_code(command[:1] + ["--instance", str(bad)] + command[1:],
+                     capsys) in EXIT_CODES
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["gap", "--instance", str(INSTANCES / "gap2.json"), "--eta"],
+    ["gap", "--instance", str(INSTANCES / "gap2.json"), "--beta"],
+    ["run-saa", "--instance", str(INSTANCES / "saa_ufl.json"), "--samples", "5",
+     "--seed", "1", "--tolerance"],
+], ids=["eta", "beta", "tolerance"])
+def test_non_finite_arguments_exit_2(argv, value, capsys):
+    assert exit_code(argv + [value], capsys) == 2
+
+
+def test_gen_gap_refuses_unloadable_sizes(tmp_path, capsys):
+    out = tmp_path / "gap.json"
+    assert exit_code(["gen", "--kind", "gap", "--clients", str(TABLE_ITEMS + 1),
+                      "--seed", "1", "--output", str(out)], capsys) == 2
+    assert not out.exists()
+    assert exit_code(["gen", "--kind", "gap", "--clients", str(TABLE_ITEMS),
+                      "--seed", "1", "--output", str(out)], capsys) == 0
+    assert len(load_gap_instance(read_json(out)).ground) == TABLE_ITEMS
+
+
+def test_coverage_item_without_weight_exits_2(tmp_path, capsys):
+    payload = {"ground": ["a", "b"], "marginals": {"a": 0.5, "b": 0.5},
+               "set_function": {"kind": "coverage",
+                                "cover": {"a": ["u"], "b": ["u", "v"]},
+                                "weights": {"u": 1.0}}}
+    inst = tmp_path / "cov.json"
+    inst.write_text(json.dumps(payload))
+    assert exit_code(["gap", "--instance", str(inst)], capsys) == 2
+
+
+HASH_SEED_INSTANCES = {
+    "coverage": {"kind": "coverage",
+                 "cover": {f"i{k}": [f"u{(k * 5 + d) % 11}" for d in range(4)]
+                           for k in range(8)},
+                 "weights": {f"u{u}": 0.1 + 0.07 * u for u in range(11)}},
+    "weighted_rank": {"kind": "weighted_rank",
+                      "weights": {f"i{k}": 0.1 + 0.13 * k for k in range(8)},
+                      "cap": 3.3},
+}
+
+HASH_SEED_PROBE = """
+import hashlib, sys
+from stocomb.cli import main
+from stocomb.io import load_gap_instance, read_json
+from stocomb.setfun import TABLE_ITEMS
+from stocomb.io import load_gap_instance, read_json
+from stocomb.setfun import table
+inst = load_gap_instance(read_json(sys.argv[1]))
+print(hashlib.sha256(table(inst.f, inst.ground).tobytes()).hexdigest())
+main(["gap", "--instance", sys.argv[1]])
+"""
+
+
+@pytest.mark.parametrize("kind", list(HASH_SEED_INSTANCES))
+def test_set_function_reports_ignore_the_hash_seed(kind, tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "ground": [f"i{k}" for k in range(8)],
+        "marginals": {f"i{k}": 0.15 + 0.1 * k for k in range(8)},
+        "set_function": HASH_SEED_INSTANCES[kind]}))
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROBE, str(inst)],
+            env=stocomb_env(PYTHONHASHSEED=seed),
+            capture_output=True, timeout=60)
+        assert proc.returncode in (0, 1), proc.stderr.decode()
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

@@ -1,9 +1,10 @@
 """The shared subset and product-measure helpers against the loops they replaced.
 
-``members`` is the library's one mask-to-subset map and ``bernoulli_weights``
-its one product-measure table.  Each caller that used to carry its own loop
-must give bit-identical results, for ground sets of 0 to 8 items and for
-marginals that include 0 and 1.
+``members`` is the library's one mask-to-subset map, ``bernoulli_weights``
+its one product-measure table and ``subset_table`` its one doubling
+builder.  Each caller that used to carry its own loop must give
+bit-identical results, for ground sets of 0 to 8 items and for marginals
+that include 0 and 1.
 """
 
 import numpy as np
@@ -12,14 +13,17 @@ import pytest
 from conftest import (
     iter_bits,
     loop_boosted_draw_space,
+    loop_coverage,
     loop_product_support,
     loop_table,
+    loop_weighted_rank,
     mask_subset,
 )
 from stocomb.boosting import IndBoostPolicyBuilder
+from stocomb.gap import GapInstance, SplitMap, split
 from stocomb.model import IndependentBernoulli, members
 from stocomb.rng import stream
-from stocomb.setfun import random_coverage, table
+from stocomb.setfun import coverage, random_coverage, table, weighted_rank
 
 SIZES = range(9)
 
@@ -73,3 +77,27 @@ def test_table_matches_loop(n):
     ground = tuple(f"g{i}" for i in range(n))
     f = random_coverage(ground, stream(n, "helper-table"))
     np.testing.assert_array_equal(table(f, ground), loop_table(f, ground))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_set_function_tables_match_loops(n):
+    rng = np.random.default_rng(200 + n)
+    ground = tuple(f"g{i}" for i in range(n))
+    # String ids: the order of a set of them changes with the hash seed.
+    universe = [f"u{k}" for k in range(12)]
+    cover = {g: set(rng.choice(universe, size=int(rng.integers(0, 5)),
+                               replace=False).tolist()) for g in ground}
+    weights = {u: float(rng.uniform(0.1, 1.0))
+               for u in rng.permutation(universe).tolist()}
+    f = coverage(cover, weights)
+    assert table(f, ground).tobytes() == \
+        loop_table(loop_coverage(cover, weights), ground).tobytes()
+    ranks = {g: float(rng.uniform(0.1, 1.0)) for g in ground}
+    cap = 0.6 * sum(ranks.values())
+    assert table(weighted_rank(ranks, cap), ground).tobytes() == \
+        loop_table(loop_weighted_rank(ranks, cap), ground).tobytes()
+    # A split reads the original value at the projection onto originals.
+    new = split(GapInstance(ground, f, {g: 0.5 for g in ground}),
+                SplitMap({g: 1 + k % 2 for k, g in enumerate(ground)}))
+    projected = loop_table(lambda s: f(frozenset(c[0] for c in s)), new.ground)
+    assert table(new.f, new.ground).tobytes() == projected.tobytes()
