@@ -66,7 +66,6 @@ from .saa import (
     Polytope,
     ScenarioBlock,
     StochasticLPInstance,
-    SubgradientVector,
     TwoStageUFL,
     build_sample_average,
     check_omega_subgradient,

@@ -9,8 +9,9 @@ and inputs reproduces the report byte for byte, so wall-clock time goes to
 stderr rather than into the file.
 
 Exit codes: 0 success, 1 a check or bound failed, 2 schema error,
-3 enumeration cap exceeded, 4 solver failure (infeasible, unbounded, or
-numerical), 5 refused to overwrite an existing output.
+3 enumeration cap exceeded, 4 solver failure (infeasible, unbounded,
+numerical, or a degenerate gap instance), 5 refused to overwrite an
+existing output.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .boosting import (
 )
 from .errors import (
     CapExceeded,
+    DegenerateInstance,
     Infeasible,
     NumericalFailure,
     SchemaError,
@@ -143,6 +145,8 @@ def cmd_gen(args) -> int:
             },
         }
     else:
+        if args.kind == "set_cover" and args.clients == 0:
+            raise SchemaError("set-cover instances need at least one client")
         problem = random_problem(args.kind, args.clients, args.elements, args.seed)
         if args.distribution == "explicit":
             dist = random_explicit_distribution(problem.clients, args.seed)
@@ -350,6 +354,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    """argparse type: a finite float above zero (exit 2 otherwise)."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once: parsing leaves it unchanged."""
@@ -365,14 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report rendering (csv emits the record table)")
         if needs_seed:
-            p.add_argument("--seed", type=int, required=True,
+            p.add_argument("--seed", type=_at_least(0), required=True,
                            help="seed for every random draw in this run")
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--kind", required=True,
                    choices=("steiner", "ufl", "set_cover", "vertex_cover", "gap"))
-    p.add_argument("--clients", type=int, default=4)
-    p.add_argument("--elements", type=int, default=5)
+    p.add_argument("--clients", type=_at_least(0), default=4)
+    p.add_argument("--elements", type=_at_least(0), default=5)
     p.add_argument("--distribution",
                    choices=("explicit", "independent", "none"), default="explicit")
     common(p, needs_seed=True)
@@ -405,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="correlation-gap report for a gap instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--eta", type=_finite, default=1.0)
-    p.add_argument("--beta", type=_finite, default=1.0)
+    p.add_argument("--eta", type=_positive, default=1.0)
+    p.add_argument("--beta", type=_positive, default=1.0)
     common(p, needs_seed=False)
     p.set_defaults(func=cmd_gap)
 
@@ -432,7 +444,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (Infeasible, Unbounded, NumericalFailure) as exc:
+    except (Infeasible, Unbounded, NumericalFailure, DegenerateInstance) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except FileExistsError as exc:

@@ -196,7 +196,6 @@ def load_stochastic_lp(payload: dict) -> StochasticLPInstance:
     poly = Polytope(
         lower=np.asarray(poly_payload.get("lower", np.zeros(w.size)), dtype=float),
         upper=np.asarray(poly_payload.get("upper", np.ones(w.size)), dtype=float),
-        radius=poly_payload.get("radius"),
     )
     blocks = []
     for blk in _require(payload, "scenarios", "lp instance"):
@@ -224,7 +223,6 @@ def dump_stochastic_lp(instance: StochasticLPInstance) -> dict:
         "polytope": {
             "lower": poly.lower.tolist(),
             "upper": poly.upper.tolist(),
-            "radius": poly.radius,
         },
         "scenarios": [],
     }

@@ -15,7 +15,8 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -76,14 +77,20 @@ class ScenarioBlock:
         if not 0.0 <= self.probability < math.inf:
             raise ValueError("scenario probability must be finite and >= 0")
 
+    @cached_property
+    def recourse_lp(self) -> tuple:
+        """``(A, c)`` of the recourse LP, built on first use: the stacked
+        ``[technology, coupling]`` and the matching prices."""
+        return (np.hstack([self.technology, self.coupling]),
+                np.concatenate([self.recourse_cost, self.aux_cost]))
+
 
 @dataclass(frozen=True)
 class Polytope:
-    """A finite box lower <= x <= upper with a radius bound."""
+    """A finite box lower <= x <= upper."""
 
     lower: np.ndarray
     upper: np.ndarray
-    radius: float | None = None
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -96,11 +103,6 @@ class Polytope:
             raise ValueError("box bounds must be finite")
         if (lo > hi).any():
             raise ValueError("a lower bound exceeds its upper bound")
-        if self.radius is None:
-            object.__setattr__(self, "radius",
-                               float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))))
-        elif not math.isfinite(self.radius):
-            raise ValueError("radius must be finite")
 
     @property
     def dim(self) -> int:
@@ -156,14 +158,6 @@ class StochasticLPInstance:
 
 
 @dataclass(frozen=True)
-class SubgradientVector:
-    """A vector claimed to be an omega-subgradient (omega = 0 means exact)."""
-
-    d: np.ndarray
-    omega: float = 0.0
-
-
-@dataclass(frozen=True)
 class GridSpec:
     """Parameters of the extended grid and the derived level count.
 
@@ -195,19 +189,12 @@ class GridSpec:
         return self.epsilon / (self.lipschitz * self.levels * math.sqrt(m))
 
 
-def _prepared_blocks(instance: StochasticLPInstance):
-    """Per-scenario constraint matrices, cached once per hot loop."""
-    out = []
-    for b in instance.scenarios:
-        A = np.hstack([b.technology, b.coupling])
-        c = np.concatenate([b.recourse_cost, b.aux_cost])
-        out.append((A, c, b.technology, b.requirement))
-    return out
-
-
-def _recourse_prepared(prepared, index, x):
-    A, c, tech, req = prepared[index]
-    status, y, duals, value = solve_prepared(A, req - tech @ x, c)
+def recourse_value(instance: StochasticLPInstance, index: int, x):
+    """Optimal recourse cost and dual vector for one scenario at x."""
+    block = instance.scenarios[index]
+    A, c = block.recourse_lp
+    rhs = block.requirement - block.technology @ np.asarray(x, dtype=float)
+    status, _, duals, value = solve_prepared(A, rhs, c)
     if status == 1:
         raise Infeasible(f"recourse LP infeasible in scenario {index}")
     if status == 2:
@@ -215,20 +202,14 @@ def _recourse_prepared(prepared, index, x):
     return value, duals
 
 
-def recourse_value(instance: StochasticLPInstance, index: int, x):
-    """Optimal recourse cost and dual vector for one scenario at x."""
-    x = np.asarray(x, dtype=float)
-    return _recourse_prepared(_prepared_blocks(instance), index, x)
-
-
-def _evaluate(instance, prepared, x, weights):
+def _evaluate(instance, x, weights):
     """h(x) and ``(index, recourse value, duals)`` per weighted scenario."""
     total = float(instance.first_stage_cost @ x)
     parts = []
     for i, w in enumerate(weights):
         if w == 0.0:
             continue
-        value, duals = _recourse_prepared(prepared, i, x)
+        value, duals = recourse_value(instance, i, x)
         total += w * value
         parts.append((i, value, duals))
     return total, parts
@@ -239,21 +220,19 @@ def h_exact(instance: StochasticLPInstance, x, weights=None) -> float:
     x = np.asarray(x, dtype=float)
     if weights is None:
         weights = instance.probabilities()
-    return _evaluate(instance, _prepared_blocks(instance), x, weights)[0]
+    return _evaluate(instance, x, weights)[0]
 
 
-def subgradient_at(instance: StochasticLPInstance, x,
-                   weights=None) -> SubgradientVector:
+def subgradient_at(instance: StochasticLPInstance, x, weights=None) -> np.ndarray:
     """Dual-formula subgradient: first-stage prices minus the weighted
     pullback of the recourse duals through each technology matrix."""
     x = np.asarray(x, dtype=float)
     if weights is None:
         weights = instance.probabilities()
-    prepared = _prepared_blocks(instance)
     d = instance.first_stage_cost.astype(float).copy()
-    for i, _, duals in _evaluate(instance, prepared, x, weights)[1]:
-        d -= weights[i] * (prepared[i][2].T @ duals)
-    return SubgradientVector(d=d, omega=0.0)
+    for i, _, duals in _evaluate(instance, x, weights)[1]:
+        d -= weights[i] * (instance.scenarios[i].technology.T @ duals)
+    return d
 
 
 def sample_size(m: int, price_ratio: float, lipschitz: float, radius: float,
@@ -290,20 +269,9 @@ def build_sample_average(instance: StochasticLPInstance, n_samples: int,
     """
     probs = instance.probabilities()
     counts = rng.multinomial(n_samples, probs)
-    blocks = []
-    for b, c in zip(instance.scenarios, counts):
-        if c == 0:
-            continue
-        blocks.append(ScenarioBlock(
-            probability=c / n_samples,
-            recourse_cost=b.recourse_cost,
-            aux_cost=b.aux_cost,
-            coupling=b.coupling,
-            technology=b.technology,
-            requirement=b.requirement,
-        ))
-    return StochasticLPInstance(instance.first_stage_cost, instance.polytope,
-                                tuple(blocks))
+    blocks = tuple(replace(b, probability=c / n_samples)
+                   for b, c in zip(instance.scenarios, counts) if c)
+    return StochasticLPInstance(instance.first_stage_cost, instance.polytope, blocks)
 
 
 @dataclass(frozen=True)
@@ -337,7 +305,6 @@ def minimize(instance: StochasticLPInstance, tolerance: float = 1e-6,
     the iteration's cuts).
     """
     poly = instance.polytope
-    prepared = _prepared_blocks(instance)
     weights = instance.probabilities()
     m = poly.dim
     # Master columns: z = x - lower, then theta+ and theta- per weighted scenario.
@@ -354,21 +321,21 @@ def minimize(instance: StochasticLPInstance, tolerance: float = 1e-6,
     converged = False
     t = 0
     for t in range(1, max_iterations + 1):
-        value, parts = _evaluate(instance, prepared, x, weights)
+        value, parts = _evaluate(instance, x, weights)
         if value < best_value:
             best_x, best_value = x, value
         added = False
         for j, (i, q, duals) in enumerate(parts):
             if q <= theta[j] + CUT_TOL * max(1.0, abs(q)):
                 continue
-            _, _, tech, req = prepared[i]
-            g = tech.T @ duals
+            block = instance.scenarios[i]
+            g = block.technology.T @ duals
             row = np.zeros(m + 2 * k)
             row[:m] = g
             row[m + j] = 1.0
             row[m + k + j] = -1.0
             rows.append(row)
-            rhs.append(float(duals @ req - g @ poly.lower))
+            rhs.append(float(duals @ block.requirement - g @ poly.lower))
             added = True
         if added or t == 1:
             if len(rows) > MAX_CONSTRAINTS or cost.size > MAX_VARIABLES:
@@ -486,36 +453,20 @@ def encode_ufl(data: TwoStageUFL) -> StochasticLPInstance:
     nf = len(data.facilities)
     blocks = []
     for subset, p in data.scenarios:
-        active = [j for j in data.clients if j in subset]
-        cindex = {j: t for t, j in enumerate(active)}
+        active = [t for t, j in enumerate(data.clients) if j in subset]
         na = len(active)
-        nvar_aux = nf * na
-        rows = na + nf * na
-        coupling = np.zeros((rows, nvar_aux))
-        technology = np.zeros((rows, nf))
-        requirement = np.zeros(rows)
-        # Coverage: for each active client, assignments sum to >= 1.
-        for j in active:
-            r = cindex[j]
-            for i in range(nf):
-                coupling[r, i * na + cindex[j]] = 1.0
-            requirement[r] = 1.0
-        # Linking: assignment (i, j) needs facility i opened in some stage.
-        for i in range(nf):
-            for j in active:
-                r = na + i * na + cindex[j]
-                coupling[r, i * na + cindex[j]] = -1.0
-                technology[r, i] = 1.0
-                requirement[r] = 0.0
-        aux_cost = np.array([data.service_cost[i, data.clients.index(j)]
-                             for i in range(nf) for j in active])
+        # Rows: coverage per active client (its assignments sum to >= 1),
+        # then linking per assignment (i, j) at column i * na + j (facility
+        # i is opened in some stage).
         blocks.append(ScenarioBlock(
             probability=p,
             recourse_cost=data.second_open_cost,
-            aux_cost=aux_cost if na else np.zeros(0),
-            coupling=coupling if na else np.zeros((rows, 0)),
-            technology=technology,
-            requirement=requirement,
+            aux_cost=data.service_cost[:, active].ravel(),
+            coupling=np.vstack([np.tile(np.eye(na), nf),
+                                np.diag(np.full(nf * na, -1.0))]),
+            technology=np.vstack([np.zeros((na, nf)),
+                                  np.repeat(np.eye(nf), na, axis=0)]),
+            requirement=np.concatenate([np.ones(na), np.zeros(nf * na)]),
         ))
     return StochasticLPInstance(
         first_stage_cost=data.open_cost,
@@ -530,12 +481,16 @@ def deterministic_equivalent(instance: StochasticLPInstance) -> LinearProgram:
     The first-stage columns are shifted to z = x - lower, so the box becomes
     0 <= z <= upper - lower and needs no rows for its lower bound; the
     objective omits the constant first_stage_cost . lower.  With a zero lower
-    bound z is x.
+    bound z is x.  An LP past the dense size of :mod:`stocomb.lp` raises
+    :class:`CapExceeded` before anything is allocated.
     """
     m = instance.first_stage_cost.size
     sizes = [(b.recourse_cost.size, b.aux_cost.size) for b in instance.scenarios]
     nvar = m + sum(mr + ns for mr, ns in sizes)
     rows_n = sum(b.requirement.size for b in instance.scenarios)
+    if rows_n > MAX_CONSTRAINTS or nvar > MAX_VARIABLES:
+        raise CapExceeded(f"deterministic equivalent would hold {rows_n} rows "
+                          f"over {nvar} columns")
     poly = instance.polytope
     A = np.zeros((rows_n, nvar))
     b_vec = np.zeros(rows_n)

@@ -273,9 +273,11 @@ def algorithm_for(problem: ProblemInstance) -> ApproxAlgorithm:
 
 
 def empirical_alpha(problem: ProblemInstance, alg: ApproxAlgorithm | None = None) -> float:
-    """Worst observed solver/optimum cost ratio over every client subset."""
-    from .model import exact_opt  # local import to avoid a cycle
+    """Worst observed solver/optimum cost ratio over every client subset
+    (within the ``caps.SUBADD_*`` sweep bounds)."""
+    from .model import exact_opt, guard_sweep  # local import to avoid a cycle
 
+    guard_sweep(problem, "solver")
     if alg is None:
         alg = algorithm_for(problem)
     worst = 1.0

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from stocomb.fixtures import cov3, edge1, tri3
+from stocomb.saa import ScenarioBlock, StochasticLPInstance, unit_box
 
 
 def powerset(items):
@@ -119,6 +120,54 @@ def loop_boosted_draw_space(boosted: list) -> list:
         if p > 0.0:
             out.append((frozenset(members), p))
     return out
+
+
+# -- The loop ``stocomb.saa.encode_ufl`` replaced -----------------------------
+# The library builds each facility-location block from whole identity and
+# repeat matrices; this entry-by-entry version is the oracle it must match
+# bit for bit.
+
+def loop_encode_ufl(data):
+    """Two-stage facility-location blocks, filled one entry at a time."""
+    nf = len(data.facilities)
+    blocks = []
+    for subset, p in data.scenarios:
+        active = [j for j in data.clients if j in subset]
+        cindex = {j: t for t, j in enumerate(active)}
+        na = len(active)
+        nvar_aux = nf * na
+        rows = na + nf * na
+        coupling = np.zeros((rows, nvar_aux))
+        technology = np.zeros((rows, nf))
+        requirement = np.zeros(rows)
+        # Coverage: for each active client, assignments sum to >= 1.
+        for j in active:
+            r = cindex[j]
+            for i in range(nf):
+                coupling[r, i * na + cindex[j]] = 1.0
+            requirement[r] = 1.0
+        # Linking: assignment (i, j) needs facility i opened in some stage.
+        for i in range(nf):
+            for j in active:
+                r = na + i * na + cindex[j]
+                coupling[r, i * na + cindex[j]] = -1.0
+                technology[r, i] = 1.0
+                requirement[r] = 0.0
+        aux_cost = np.array([data.service_cost[i, data.clients.index(j)]
+                             for i in range(nf) for j in active])
+        blocks.append(ScenarioBlock(
+            probability=p,
+            recourse_cost=data.second_open_cost,
+            aux_cost=aux_cost if na else np.zeros(0),
+            coupling=coupling if na else np.zeros((rows, 0)),
+            technology=technology,
+            requirement=requirement,
+        ))
+    return StochasticLPInstance(
+        first_stage_cost=data.open_cost,
+        polytope=unit_box(nf),
+        scenarios=tuple(blocks),
+    )
 
 
 @pytest.fixture

@@ -187,7 +187,7 @@ def test_criterion_04_dual_formula_subgradients():
         wnorm = float(np.linalg.norm(inst.first_stage_cost))
         rng = stream(seed, "acc4")
         x = rng.uniform(0, 1, m)
-        d = subgradient_at(inst, x).d
+        d = subgradient_at(inst, x)
         if np.linalg.norm(d) > lam * wnorm + 1e-9:
             violations.append(f"seed {seed}: norm bound violated")
         hx = h_exact(inst, x)

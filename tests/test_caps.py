@@ -37,6 +37,7 @@ from stocomb.sharing import (
     measure_strictness,
     zero_shares,
 )
+from stocomb.solvers import empirical_alpha
 
 
 def forbidden(*args, **kwargs):
@@ -92,6 +93,7 @@ def sweeps(big):
     yield lambda: check_fairness(forbidden, big)
     yield lambda: check_support(forbidden, big)
     yield lambda: measure_strictness(zero_shares(), None, big)
+    yield lambda: empirical_alpha(big)
 
 
 def subadd_clients(monkeypatch):

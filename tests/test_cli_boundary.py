@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 
 from stocomb.cli import main
-from stocomb.io import load_gap_instance, read_json
+from stocomb.generate import random_stochastic_lp
+from stocomb.io import dump_stochastic_lp, load_gap_instance, read_json, write_json
+from stocomb.lp import MAX_CONSTRAINTS
 from stocomb.setfun import TABLE_ITEMS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -150,6 +152,41 @@ def test_every_cost_huge_exits_without_traceback(source, tmp_path, capsys):
 ], ids=["eta", "beta", "tolerance"])
 def test_non_finite_arguments_exit_2(argv, value, capsys):
     assert exit_code(argv + [value], capsys) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "set_cover", "--seed", "-1"],
+    ["run-saa", "--instance", str(INSTANCES / "saa_ufl.json"), "--seed", "-1"],
+    ["gen", "--kind", "steiner", "--clients", "-2", "--seed", "1"],
+    ["gen", "--kind", "steiner", "--elements", "-1", "--seed", "1"],
+    ["gen", "--kind", "set_cover", "--clients", "0", "--seed", "1"],
+    ["gap", "--instance", str(INSTANCES / "gap2.json"), "--eta=0"],
+    ["gap", "--instance", str(INSTANCES / "gap2.json"), "--eta=-1e-3"],
+    ["gap", "--instance", str(INSTANCES / "gap2.json"), "--beta=0"],
+], ids=["gen_seed", "run_saa_seed", "clients", "elements", "set_cover_no_client",
+        "eta_zero", "eta_negative", "beta_zero"])
+def test_out_of_range_arguments_exit_2(argv, capsys):
+    assert exit_code(argv, capsys) == 2
+
+
+def test_oversized_deterministic_equivalent_exits_3(tmp_path, capsys):
+    inst = random_stochastic_lp(3, 200, seed=5)
+    assert sum(b.requirement.size for b in inst.scenarios) > MAX_CONSTRAINTS
+    path = tmp_path / "big.json"
+    write_json(path, dump_stochastic_lp(inst))
+    assert main(["run-saa", "--instance", str(path), "--samples", "50",
+                 "--seed", "1"]) == 3
+    assert "cap exceeded: deterministic equivalent" in capsys.readouterr().err
+
+
+def test_zero_independent_expectation_exits_4(tmp_path, capsys):
+    inst = tmp_path / "degenerate.json"
+    inst.write_text(json.dumps({
+        "ground": ["a", "b"], "marginals": {"a": 0.0, "b": 0.0},
+        "set_function": {"kind": "weighted_rank", "weights": {"a": 1, "b": 1},
+                         "cap": 1.0}}))
+    assert main(["gap", "--instance", str(inst)]) == 4
+    assert "solver failure" in capsys.readouterr().err
 
 
 def test_gen_gap_refuses_unloadable_sizes(tmp_path, capsys):

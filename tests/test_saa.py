@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import loop_encode_ufl
 from stocomb.cli import main
 from stocomb.errors import CapExceeded, Infeasible, SchemaError
 from stocomb.generate import random_stochastic_lp
@@ -83,7 +84,7 @@ class TestObjective:
     def test_no_scenarios_is_linear(self):
         inst = StochasticLPInstance([2.0, 3.0], unit_box(2), ())
         assert h_exact(inst, [0.5, 0.5]) == pytest.approx(2.5)
-        assert subgradient_at(inst, [0.5, 0.5]).d == pytest.approx([2.0, 3.0])
+        assert subgradient_at(inst, [0.5, 0.5]) == pytest.approx([2.0, 3.0])
 
     def test_single_scenario_sum(self):
         inst = one_dim_instance()
@@ -127,7 +128,7 @@ class TestSubgradient:
         # On x < 1 the dual is 1, so the subgradient of x + (1 - x) is 0;
         # matches the finite-difference slope.
         inst = one_dim_instance()
-        d = subgradient_at(inst, [0.5]).d
+        d = subgradient_at(inst, [0.5])
         fd = (h_exact(inst, [0.6]) - h_exact(inst, [0.4])) / 0.2
         assert d[0] == pytest.approx(fd, abs=1e-9)
         assert d[0] == pytest.approx(0.0, abs=1e-9)
@@ -139,7 +140,7 @@ class TestSubgradient:
             for _ in range(100):
                 x = rng.uniform(0, 1, 2)
                 y = rng.uniform(0, 1, 2)
-                d = subgradient_at(inst, x).d
+                d = subgradient_at(inst, x)
                 assert (h_exact(inst, y) - h_exact(inst, x)
                         >= d @ (y - x) - 1e-7)
 
@@ -150,7 +151,7 @@ class TestSubgradient:
             wnorm = np.linalg.norm(inst.first_stage_cost)
             rng = stream(seed, "norm")
             for _ in range(10):
-                d = subgradient_at(inst, rng.uniform(0, 1, 3)).d
+                d = subgradient_at(inst, rng.uniform(0, 1, 3))
                 assert np.linalg.norm(d) <= lam * wnorm + 1e-9
 
     def test_unbiased_over_resamples(self):
@@ -158,7 +159,7 @@ class TestSubgradient:
         # within three standard errors.
         inst = random_stochastic_lp(2, 4, 7)
         x = np.array([0.4, 0.6])
-        exact = subgradient_at(inst, x).d
+        exact = subgradient_at(inst, x)
         rng = stream(9, "resample")
         samples = np.array([_empirical_subgradient(inst, x, rng)
                             for _ in range(1000)])
@@ -185,7 +186,7 @@ def _empirical_subgradient(inst, x, rng):
     by_req = {b.requirement.tobytes(): b.probability for b in sampled.scenarios}
     for b in inst.scenarios:
         weights.append(by_req.get(b.requirement.tobytes(), 0.0))
-    return subgradient_at(inst, x, weights=np.array(weights)).d
+    return subgradient_at(inst, x, weights=np.array(weights))
 
 
 class TestSampleSize:
@@ -353,7 +354,7 @@ class TestOmegaSubgradient:
     def test_exact_subgradient_passes(self):
         inst = random_stochastic_lp(2, 3, 17)
         x = np.array([0.5, 0.5])
-        d = subgradient_at(inst, x).d
+        d = subgradient_at(inst, x)
         ok, witness = check_omega_subgradient(
             lambda y: h_exact(inst, y), x, d, 0.0, inst.polytope,
             trials=200, rng=stream(0, "omega"))
@@ -365,7 +366,7 @@ class TestOmegaSubgradient:
         inst = random_stochastic_lp(2, 3, 18)
         x = np.array([0.3, 0.7])
         omega = 0.05
-        d = subgradient_at(inst, x).d
+        d = subgradient_at(inst, x)
         d_hat = d - omega * inst.first_stage_cost  # lower edge of the band
         ok, _ = check_omega_subgradient(
             lambda y: h_exact(inst, y), x, d_hat, omega, inst.polytope,
@@ -375,11 +376,20 @@ class TestOmegaSubgradient:
     def test_inflated_vector_fails_with_witness(self):
         inst = one_dim_instance(price=2.0)  # strictly decreasing objective
         x = np.array([0.5])
-        bad = subgradient_at(inst, x).d + 1.5
+        bad = subgradient_at(inst, x) + 1.5
         ok, witness = check_omega_subgradient(
             lambda y: h_exact(inst, y), x, bad, 0.0, inst.polytope,
             trials=500, rng=stream(2, "omega"))
         assert not ok and witness is not None
+
+
+def arrays(inst):
+    """Every array of an instance as (dtype, shape, bytes), plus probabilities."""
+    out = [inst.first_stage_cost, inst.polytope.lower, inst.polytope.upper]
+    for b in inst.scenarios:
+        out += [np.float64(b.probability), b.recourse_cost, b.aux_cost,
+                b.coupling, b.technology, b.requirement]
+    return [(a.dtype, a.shape, a.tobytes()) for a in out]
 
 
 class TestUflEncoding:
@@ -423,6 +433,23 @@ class TestUflEncoding:
                 for facs in itertools.combinations(("f0", "f1"), k))
             expected += p * best
         assert h_exact(inst, [0.0, 0.0]) == pytest.approx(expected, abs=1e-7)
+
+    def test_blocks_match_the_loop_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            nf, nc = rng.integers(1, 4), rng.integers(1, 5)
+            clients = tuple(f"c{j}" for j in range(nc))
+            # The empty scenario has no active client, so no assignment column.
+            scenarios = [(frozenset(), 0.2)] + [
+                (frozenset(c for c in clients if rng.random() < 0.5), 0.8 / 3)
+                for _ in range(3)]
+            data = TwoStageUFL(
+                facilities=tuple(f"f{i}" for i in range(nf)), clients=clients,
+                open_cost=rng.uniform(0, 2, nf),
+                second_open_cost=rng.uniform(0, 3, nf),
+                service_cost=rng.uniform(0, 1, (nf, nc)),
+                scenarios=scenarios)
+            assert arrays(encode_ufl(data)) == arrays(loop_encode_ufl(data)), trial
 
 
 class TestConcentration:
