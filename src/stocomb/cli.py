@@ -131,8 +131,8 @@ def _config_echo(args, fields) -> dict:
 
 def cmd_gen(args) -> int:
     if args.kind == "gap":
-        if args.clients > TABLE_ITEMS:
-            raise SchemaError(f"gap instances are tables of at most {TABLE_ITEMS} "
+        if not 1 <= args.clients <= TABLE_ITEMS:
+            raise SchemaError(f"gap instances are tables of 1 to {TABLE_ITEMS} "
                               f"items, got {args.clients}")
         inst = random_gap_instance(args.clients, args.seed)
         fn = inst.f
@@ -304,29 +304,27 @@ def cmd_gap(args) -> int:
 
 def cmd_check(args) -> int:
     problem, _ = load_instance(read_json(args.instance))
-    results = {}
-    if args.suite == "subadditivity":
-        rep = check_subadditive(problem)
-        results["subadditivity"] = {"ok": rep.ok, "failure": rep.failure}
-    elif args.suite == "monotone-feasibility":
-        rep = check_monotone_feasibility(problem)
-        results["monotone-feasibility"] = {"ok": rep.ok, "failure": rep.failure}
-    elif args.suite == "solver":
+    if args.suite == "solver":
         alg = algorithm_for(problem)
         alpha_hat = empirical_alpha(problem, alg)
-        ok = alpha_hat <= alg.alpha + 1e-9
-        results["solver"] = {"ok": bool(ok), "claimed_alpha": float(alg.alpha),
-                             "empirical_alpha": float(alpha_hat)}
-    elif args.suite == "fairness":
-        rep = check_fairness(equal_split_shares(problem), problem)
-        results["fairness"] = {"ok": rep.ok, "failure": rep.violation}
+        result = {"ok": bool(alpha_hat <= alg.alpha + 1e-9),
+                  "claimed_alpha": float(alg.alpha),
+                  "empirical_alpha": float(alpha_hat)}
     else:
-        raise SchemaError(f"unknown suite {args.suite!r}")
-    passed = all(r["ok"] for r in results.values())
+        if args.suite == "subadditivity":
+            rep = check_subadditive(problem)
+        elif args.suite == "monotone-feasibility":
+            rep = check_monotone_feasibility(problem)
+        elif args.suite == "fairness":
+            rep = check_fairness(equal_split_shares(problem), problem)
+        else:
+            raise SchemaError(f"unknown suite {args.suite!r}")
+        result = {"ok": rep.ok, "failure": rep.failure}
+    passed = result["ok"]
     report = {
         "command": "check",
         "config": _config_echo(args, ("instance", "suite")),
-        "results": results,
+        "results": {args.suite: result},
         "passed": bool(passed),
         "artifact_version": __version__,
     }
@@ -346,20 +344,19 @@ def _at_least(minimum: int):
     return count
 
 
-def _finite(text: str) -> float:
-    """argparse type: a finite float (exit 2 for nan or inf)."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value!r}")
-    return value
+def _finite_above(bound: float, strict: bool):
+    """argparse type: a finite float above ``bound``, or equal to it unless
+    ``strict`` (exit 2 otherwise)."""
 
+    def number(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value) or value < bound or (strict and value == bound):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'above' if strict else 'at least'} {bound}, "
+                f"got {value!r}")
+        return value
 
-def _positive(text: str) -> float:
-    """argparse type: a finite float above zero (exit 2 otherwise)."""
-    value = _finite(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value!r}")
-    return value
+    return number
 
 
 @functools.cache
@@ -410,15 +407,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-saa", help="sample-average pipeline on a stochastic LP")
     p.add_argument("--instance", required=True)
     p.add_argument("--samples", type=_at_least(1), default=2000)
-    p.add_argument("--tolerance", type=_finite, default=1e-6)
+    p.add_argument("--tolerance", type=_finite_above(0.0, strict=False), default=1e-6)
     p.add_argument("--trace", help="write the per-iteration CSV trace here")
     common(p, needs_seed=True)
     p.set_defaults(func=cmd_run_saa)
 
     p = sub.add_parser("gap", help="correlation-gap report for a gap instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--eta", type=_positive, default=1.0)
-    p.add_argument("--beta", type=_positive, default=1.0)
+    p.add_argument("--eta", type=_finite_above(0.0, strict=True), default=1.0)
+    p.add_argument("--beta", type=_finite_above(0.0, strict=True), default=1.0)
     common(p, needs_seed=False)
     p.set_defaults(func=cmd_gap)
 

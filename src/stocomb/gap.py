@@ -96,17 +96,17 @@ def worst_case_expectation(inst: GapInstance):
     the nested prefixes of the items sorted by decreasing marginal, which
     always carries a feasible distribution.  Each round prices all 2^n
     subsets at once against the master's duals y (items) and y0 (mass),
-    reduced cost -f(S) - (sum of y over S + y0), and adds the
-    ``PRICE_COLUMNS`` most negative ones.  The loop stops when no reduced
-    cost is below ``-PRICE_TOL * max(1, |value|)``: the duals are then
-    feasible for the full LP, so the master's value is its optimum.
+    reduced cost -f(S) - (sum of y over S + y0) with the sums tabulated by
+    doubling, and adds the ``PRICE_COLUMNS`` most negative ones.  The loop
+    stops when no reduced cost is below ``-PRICE_TOL * max(1, |value|)``:
+    the duals are then feasible for the full LP, so the master's value is
+    its optimum.
     """
     n = len(inst.ground)
     if n > caps.GAP_CLIENTS:
         raise CapExceeded("ground set too large for the worst-case LP")
     values = inst._table
     p = inst.marginal_vector()
-    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
     # The comonotone chain: nested prefixes by decreasing marginal.
     cols = np.concatenate([[0], np.cumsum(1 << np.argsort(-p, kind="stable"))])
     in_master = np.zeros(1 << n, dtype=bool)
@@ -115,12 +115,12 @@ def worst_case_expectation(inst: GapInstance):
     rhs = np.concatenate([rhs, -rhs])
     while True:
         in_master[cols] = True
-        A = np.vstack([bits[cols].T, np.ones(cols.size)])
+        A = np.vstack([(cols >> np.arange(n)[:, None]) & 1, np.ones(cols.size)])
         res = solve_lp(LinearProgram(-values[cols], np.vstack([A, -A]), rhs))
         if res.status != OPTIMAL:
             raise DegenerateInstance(f"worst-case LP ended {res.status}")
         y = res.duals[:n + 1] - res.duals[n + 1:]
-        reduced = -values - (bits @ y[:n] + y[n])
+        reduced = -values - (subset_table(y[:n], np.add, 0.0) + y[n])
         # The master already prices its own columns; skipping them makes
         # every round add new ones, so the loop ends within 2^n columns.
         reduced[in_master] = np.inf

@@ -25,6 +25,8 @@ from .rng import stream
 from .saa import ScenarioBlock, StochasticLPInstance, unit_box
 from .setfun import random_coverage
 
+EXPLICIT_SUPPORT = 4  # most client sets of a random explicit distribution, {} included
+
 
 def _cost(rng) -> float:
     return float(np.round(rng.uniform(0.1, 2.0), 4))
@@ -125,13 +127,12 @@ def _random_ufl(n_clients: int, n_facilities: int, rng) -> ProblemInstance:
                        assign_costs)
 
 
-def random_explicit_distribution(clients: tuple, seed: int,
-                                 max_support: int = 4) -> Explicit:
-    """Random finitely supported distribution, always including a chance of
-    the empty realization."""
+def random_explicit_distribution(clients: tuple, seed: int) -> Explicit:
+    """Random distribution on at most ``EXPLICIT_SUPPORT`` client sets,
+    always including a chance of the empty realization."""
     rng = stream(seed, "gen-dist-explicit")
     subsets = [frozenset()]
-    for _ in range(max_support - 1):
+    for _ in range(EXPLICIT_SUPPORT - 1):
         mask = int(rng.integers(1 << len(clients)))
         subsets.append(frozenset(clients[i] for i in range(len(clients))
                                  if (mask >> i) & 1))
@@ -148,12 +149,11 @@ def random_marginals(clients: tuple, seed: int) -> IndependentBernoulli:
         (j, float(np.round(rng.uniform(0.05, 0.6), 6))) for j in clients))
 
 
-def random_gap_instance(n_ground: int, seed: int,
-                        universe_size: int = 6) -> GapInstance:
+def random_gap_instance(n_ground: int, seed: int) -> GapInstance:
     """Monotone submodular coverage cost with random marginals."""
     rng = stream(seed, "gen-gap")
     ground = tuple(f"i{k}" for k in range(n_ground))
-    f = random_coverage(ground, rng, universe_size=universe_size)
+    f = random_coverage(ground, rng)
     marginals = {i: float(np.round(rng.uniform(0.1, 0.9), 6)) for i in ground}
     return GapInstance(ground, f, marginals)
 

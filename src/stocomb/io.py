@@ -39,8 +39,6 @@ from .problems import (
 from .saa import Polytope, ScenarioBlock, StochasticLPInstance
 from .setfun import from_json as setfun_from_json
 
-PROBLEM_KINDS = ("steiner", "ufl", "set_cover", "vertex_cover")
-
 
 def _schema_checked(what: str):
     """Loader decorator: data the model constructors reject (a ``ValueError``,

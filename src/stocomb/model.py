@@ -134,9 +134,6 @@ class IndependentBernoulli(ScenarioDistribution):
     def clients(self) -> tuple:
         return tuple(j for j, _ in self.marginals)
 
-    def marginal_map(self) -> dict:
-        return dict(self.marginals)
-
     def sample(self, rng):
         return frozenset(j for j, p in self.marginals if rng.random() < p)
 
@@ -209,6 +206,20 @@ def subset_table(values, combine, empty) -> np.ndarray:
     for v in values:
         t = np.concatenate([t, combine(t, v)])
     return t
+
+
+def first_decrease(values, tol: float):
+    """First (mask, i), mask-major then by index, where adding item i to
+    ``mask`` lowers the mask-indexed table by more than ``tol``, or None when
+    the table is monotone: the one lattice-monotonicity test."""
+    masks = np.arange(values.size)
+    first = None
+    for i in range(values.size.bit_length() - 1):
+        low = masks[masks & (1 << i) == 0]
+        bad = np.flatnonzero(values[low | 1 << i] < values[low] - tol)
+        if bad.size and (first is None or low[bad[0]] < first[0]):
+            first = (int(low[bad[0]]), i)
+    return first
 
 
 def exact_opt(problem: ProblemInstance, clients: frozenset,
@@ -293,12 +304,11 @@ def check_monotone_feasibility(problem: ProblemInstance) -> CheckReport:
                     for mask in range(1 << len(problem.elements))]
     for mask in range(1 << len(problem.clients)):
         S = frozenset(members(mask, problem.clients))
-        for F in element_sets:
-            if not problem.feasibility(F, S):
-                continue
-            for e in problem.elements:
-                if e not in F and not problem.feasibility(F | {e}, S):
-                    return CheckReport(False,
-                                       f"adding {e!r} broke feasibility for "
-                                       f"{sorted(map(str, S))}")
+        feasible = np.fromiter((problem.feasibility(F, S) for F in element_sets),
+                               dtype=bool, count=len(element_sets))
+        broken = first_decrease(feasible, 0.0)
+        if broken is not None:
+            return CheckReport(False,
+                               f"adding {problem.elements[broken[1]]!r} broke "
+                               f"feasibility for {sorted(map(str, S))}")
     return CheckReport(True)

@@ -7,16 +7,18 @@ which is what the exhaustive gap oracles operate on.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from . import caps
 from .errors import CapExceeded, NotMonotone, NotSubmodular, SchemaError
-from .model import members, subset_table
+from .model import first_decrease, members, subset_table
 
 MONO_TOL = 1e-9
 TABLE_ITEMS = 16  # most ground elements of an explicit ``table`` payload
+COVERAGE_UNIVERSE = 6  # universe items of a random coverage function
 
 
 def table(f, ground: tuple) -> np.ndarray:
@@ -92,44 +94,41 @@ def weighted_rank(weights: dict, cap: float) -> TableFunction:
 def check_monotone(f, ground: tuple, tol: float = MONO_TOL):
     """Raise :class:`NotMonotone` unless f is nondecreasing (exhaustive)."""
     vals = table(f, ground)
-    n = len(ground)
-    for mask in range(1 << n):
-        for i in range(n):
-            if not (mask >> i) & 1 and vals[mask | (1 << i)] < vals[mask] - tol:
-                raise NotMonotone(
-                    f"adding {ground[i]!r} to mask {mask:b} decreases the value")
+    broken = first_decrease(vals, tol)
+    if broken is not None:
+        mask, i = broken
+        raise NotMonotone(f"adding {ground[i]!r} to mask {mask:b} decreases the value")
     return vals
 
 
 def check_submodular(f, ground: tuple, tol: float = MONO_TOL):
-    """Raise :class:`NotSubmodular` on a violated diminishing-returns pair."""
+    """Raise :class:`NotSubmodular` on the first violated (mask, i < j) pair."""
     vals = table(f, ground)
-    n = len(ground)
-    for mask in range(1 << n):
-        for i in range(n):
-            if (mask >> i) & 1:
-                continue
-            for j in range(i + 1, n):
-                if (mask >> j) & 1:
-                    continue
-                lhs = vals[mask | (1 << i)] + vals[mask | (1 << j)]
-                rhs = vals[mask | (1 << i) | (1 << j)] + vals[mask]
-                if lhs < rhs - tol:
-                    raise NotSubmodular(
-                        f"pair ({ground[i]!r}, {ground[j]!r}) on mask {mask:b} "
-                        "violates diminishing returns")
+    masks = np.arange(vals.size)
+    first = None
+    for i, j in itertools.combinations(range(len(ground)), 2):
+        low = masks[masks & (1 << i | 1 << j) == 0]
+        lhs = vals[low | 1 << i] + vals[low | 1 << j]
+        rhs = vals[low | 1 << i | 1 << j] + vals[low]
+        bad = np.flatnonzero(lhs < rhs - tol)
+        if bad.size and (first is None or low[bad[0]] < first[0]):
+            first = (int(low[bad[0]]), i, j)
+    if first is not None:
+        mask, i, j = first
+        raise NotSubmodular(f"pair ({ground[i]!r}, {ground[j]!r}) on mask {mask:b} "
+                            "violates diminishing returns")
     return vals
 
 
-def random_coverage(ground: tuple, rng, universe_size: int = 6):
-    """Random weighted-coverage function; monotone and submodular."""
+def random_coverage(ground: tuple, rng):
+    """Random weighted coverage of ``COVERAGE_UNIVERSE`` items; monotone, submodular."""
     cover = {}
     for g in ground:
-        k = int(rng.integers(1, universe_size + 1))
-        cover[g] = frozenset(int(u) for u in rng.choice(universe_size, size=k,
+        k = int(rng.integers(1, COVERAGE_UNIVERSE + 1))
+        cover[g] = frozenset(int(u) for u in rng.choice(COVERAGE_UNIVERSE, size=k,
                                                         replace=False))
     weights = {u: float(np.round(rng.uniform(0.2, 1.5), 6))
-               for u in range(universe_size)}
+               for u in range(COVERAGE_UNIVERSE)}
     return coverage(cover, weights)
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 from . import caps
 from .errors import CapExceeded
-from .model import ProblemInstance, exact_opt, guard_sweep, members
+from .model import CheckReport, ProblemInstance, exact_opt, guard_sweep, members
 from .rng import stream
 from .setfun import check_monotone, check_submodular
 from .solvers import ApproxAlgorithm
@@ -53,23 +53,17 @@ def total_share(xi: CostShareFunction, subset: frozenset) -> float:
     return sum(xi(subset, j) for j in subset)
 
 
-@dataclass(frozen=True)
-class FairnessReport:
-    ok: bool
-    violation: str | None = None
-
-
 def check_fairness(xi: CostShareFunction, problem: ProblemInstance,
-                   tol: float = 1e-9) -> FairnessReport:
+                   tol: float = 1e-9) -> CheckReport:
     """Verify sum of shares <= exact optimum cost for every client subset."""
     guard_sweep(problem, "cost-share")
     for mask in range(1 << len(problem.clients)):
         S = frozenset(members(mask, problem.clients))
         opt = exact_opt(problem, S)
         if total_share(xi, S) > opt.cost + tol:
-            return FairnessReport(
+            return CheckReport(
                 False, f"shares for {sorted(map(str, S))} exceed the optimum")
-    return FairnessReport(True)
+    return CheckReport(True)
 
 
 def check_support(xi: CostShareFunction, problem: ProblemInstance) -> bool:

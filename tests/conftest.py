@@ -11,7 +11,9 @@ import itertools
 import numpy as np
 import pytest
 
+from stocomb.errors import NotMonotone, NotSubmodular
 from stocomb.fixtures import cov3, edge1, tri3
+from stocomb.model import CheckReport
 from stocomb.saa import ScenarioBlock, StochasticLPInstance, unit_box
 
 
@@ -120,6 +122,59 @@ def loop_boosted_draw_space(boosted: list) -> list:
         if p > 0.0:
             out.append((frozenset(members), p))
     return out
+
+
+# -- The per-subset loops of the exhaustive property checks -------------------
+# ``setfun.check_monotone`` and ``model.check_monotone_feasibility`` share the
+# one lattice-monotonicity helper ``model.first_decrease``, and
+# ``setfun.check_submodular`` tests every pair with numpy.  These are the
+# loops they replaced, kept as oracles: same verdict, exception and message.
+
+def loop_check_monotone(vals, ground: tuple, tol: float):
+    n = len(ground)
+    for mask in range(1 << n):
+        for i in range(n):
+            if not (mask >> i) & 1 and vals[mask | (1 << i)] < vals[mask] - tol:
+                raise NotMonotone(
+                    f"adding {ground[i]!r} to mask {mask:b} decreases the value")
+    return vals
+
+
+def loop_check_submodular(vals, ground: tuple, tol: float):
+    n = len(ground)
+    for mask in range(1 << n):
+        for i in range(n):
+            if (mask >> i) & 1:
+                continue
+            for j in range(i + 1, n):
+                if (mask >> j) & 1:
+                    continue
+                lhs = vals[mask | (1 << i)] + vals[mask | (1 << j)]
+                rhs = vals[mask | (1 << i) | (1 << j)] + vals[mask]
+                if lhs < rhs - tol:
+                    raise NotSubmodular(
+                        f"pair ({ground[i]!r}, {ground[j]!r}) on mask {mask:b} "
+                        "violates diminishing returns")
+    return vals
+
+
+def loop_check_monotone_feasibility(problem) -> CheckReport:
+    """Calls the oracle again at F | {e} for every feasible F."""
+    if not problem.feasibility(frozenset(), frozenset()):
+        return CheckReport(False, "the empty set does not serve the empty client set")
+    element_sets = [mask_subset(problem.elements, mask)
+                    for mask in range(1 << len(problem.elements))]
+    for mask in range(1 << len(problem.clients)):
+        S = mask_subset(problem.clients, mask)
+        for F in element_sets:
+            if not problem.feasibility(F, S):
+                continue
+            for e in problem.elements:
+                if e not in F and not problem.feasibility(F | {e}, S):
+                    return CheckReport(False,
+                                       f"adding {e!r} broke feasibility for "
+                                       f"{sorted(map(str, S))}")
+    return CheckReport(True)
 
 
 # -- The loop ``stocomb.saa.encode_ufl`` replaced -----------------------------

@@ -147,7 +147,7 @@ def test_criterion_03_sampling_process_equivalence():
     violations = []
     for seed in range(10):
         clients = tuple(f"c{i}" for i in range(3))
-        dist = random_explicit_distribution(clients, seed, max_support=4)
+        dist = random_explicit_distribution(clients, seed)
         support = list(dist.outcomes)
         for rounds in (1, 2, 3):
             direct: dict = {}

@@ -288,7 +288,7 @@ class TestProcessEquivalence:
     def test_joint_tables_match(self, sigma):
         for seed in range(8):
             clients = tuple(f"c{i}" for i in range(3))
-            dist = random_explicit_distribution(clients, seed, max_support=4)
+            dist = random_explicit_distribution(clients, seed)
             support = list(dist.outcomes)
             direct = self.law_direct(support, sigma)
             holdout = self.law_holdout(support, sigma)

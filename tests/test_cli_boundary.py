@@ -163,8 +163,10 @@ def test_non_finite_arguments_exit_2(argv, value, capsys):
     ["gap", "--instance", str(INSTANCES / "gap2.json"), "--eta=0"],
     ["gap", "--instance", str(INSTANCES / "gap2.json"), "--eta=-1e-3"],
     ["gap", "--instance", str(INSTANCES / "gap2.json"), "--beta=0"],
+    ["run-saa", "--instance", str(INSTANCES / "saa_ufl.json"), "--seed", "1",
+     "--tolerance=-1e-3"],
 ], ids=["gen_seed", "run_saa_seed", "clients", "elements", "set_cover_no_client",
-        "eta_zero", "eta_negative", "beta_zero"])
+        "eta_zero", "eta_negative", "beta_zero", "tolerance_negative"])
 def test_out_of_range_arguments_exit_2(argv, capsys):
     assert exit_code(argv, capsys) == 2
 
@@ -197,6 +199,16 @@ def test_gen_gap_refuses_unloadable_sizes(tmp_path, capsys):
     assert exit_code(["gen", "--kind", "gap", "--clients", str(TABLE_ITEMS),
                       "--seed", "1", "--output", str(out)], capsys) == 0
     assert len(load_gap_instance(read_json(out)).ground) == TABLE_ITEMS
+
+
+def test_gen_gap_refuses_an_empty_ground_set(tmp_path, capsys):
+    out = tmp_path / "gap.json"
+    assert exit_code(["gen", "--kind", "gap", "--clients", "0", "--seed", "1",
+                      "--output", str(out)], capsys) == 2
+    assert not out.exists()
+    assert exit_code(["gen", "--kind", "gap", "--clients", "1", "--seed", "1",
+                      "--output", str(out)], capsys) == 0
+    assert main(["gap", "--instance", str(out)]) == 0
 
 
 def test_coverage_item_without_weight_exits_2(tmp_path, capsys):

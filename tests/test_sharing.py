@@ -45,7 +45,7 @@ class TestFairness:
             return 2.0 * exact_opt(problem, S).cost / len(S) if j in S else 0.0
 
         report = check_fairness(xi, problem)
-        assert not report.ok and "exceed" in report.violation
+        assert not report.ok and "exceed" in report.failure
 
     def test_support_property(self):
         for problem in (tri3(), cov3(), edge1()[0]):
