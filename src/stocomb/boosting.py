@@ -26,11 +26,13 @@ from .model import (
     IndependentBernoulli,
     ProblemInstance,
     ScenarioDistribution,
-    Solution,
+    cheapest,
     enumerate_support,
     exact_opt,
+    feasible_table,
     members,
     sample,
+    subset_table,
 )
 from .solvers import ApproxAlgorithm
 
@@ -237,33 +239,31 @@ def exact_two_stage_opt(problem: ProblemInstance, dist: ScenarioDistribution,
 
     Minimizes first-stage cost plus sigma times the expected exact
     augmentation cost over every first-stage element subset; ties go to the
-    lexicographically smallest subset.
+    lexicographically smallest subset.  A scenario's recourse cost from every
+    F at once is a superset-min over its feasibility table, one element at a
+    time: best[F] = min(best[F], price + best[F + element]), so no cost cancels.
     """
     if sigma is None:
         sigma = problem.inflation
     support = enumerate_support(dist)
-    n = len(problem.elements)
-    if (1 << n) * max(len(support), 1) > caps.TWO_STAGE:
+    if (1 << len(problem.elements)) * max(len(support), 1) > caps.TWO_STAGE:
         raise CapExceeded("two-stage search space exceeds the cap")
-    best = None
-    for mask in range(1 << n):
-        first = frozenset(members(mask, problem.elements))
-        value = problem.cost(first)
-        feasible = True
-        for realized, p in support:
-            if p == 0.0:
-                continue
-            try:
-                value += sigma * p * exact_opt(problem, realized, base=first).cost
-            except Infeasible:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        key = members(mask, range(n))  # the index tuple of ``first``
-        if best is None or value < best[0] - 1e-12 or (
-                value < best[0] + 1e-12 and key < best[1]):
-            best = (value, key, first)
-    if best is None:
+    scenarios = [(realized, p) for realized, p in support if p != 0.0]
+    problem.cost(problem.elements)  # NumericalFailure, before Infeasible, on overflow
+    prices = [problem.first_stage_cost[e] for e in problem.elements]
+    values = subset_table(prices, np.add, 0.0)
+    for realized, p in scenarios:
+        best = np.where(feasible_table(problem, realized), 0.0, np.inf)
+        for i, price in enumerate(prices):
+            pairs = best.reshape(-1, 2, 1 << i)
+            np.minimum(pairs[:, 0], price + pairs[:, 1], out=pairs[:, 0])
+        with np.errstate(over="ignore"):  # an overflowing value is inf and drops out
+            values += sigma * p * best
+    ok = values < np.inf
+    if not ok.any():
         raise Infeasible("no first-stage set admits feasible recourse everywhere")
-    return TwoStageOptimum(best[0], best[2])
+    first = frozenset(members(cheapest(values, ok, 1e-12), problem.elements))
+    value = problem.cost(first)  # then each scenario's exact recourse, in order
+    for realized, p in scenarios:
+        value += sigma * p * exact_opt(problem, realized, base=first).cost
+    return TwoStageOptimum(value, first)

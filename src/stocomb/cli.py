@@ -23,8 +23,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .boosting import (
     BoostPolicyBuilder,
@@ -33,7 +31,6 @@ from .boosting import (
     evaluate_policy,
     exact_two_stage_opt,
     ind_boost,
-    policy_cost,
 )
 from .errors import (
     CapExceeded,

@@ -3,8 +3,9 @@
 A problem instance is a finite client set, a finite element set with
 nonnegative first-stage prices, a second-stage inflation factor, and a
 feasibility oracle deciding whether an element subset serves a client
-subset.  Every shipped oracle here is deliberately brute force: these are
-the reference answers that the approximation machinery is tested against.
+subset.  Every shipped oracle here is deliberately brute force, the reference
+answers the approximation machinery is tested against, on one subset-lattice
+core: ``feasible_table``, ``subset_table`` and the tie-break ``cheapest``.
 """
 
 from __future__ import annotations
@@ -222,36 +223,42 @@ def first_decrease(values, tol: float):
     return first
 
 
+def feasible_table(problem: ProblemInstance, clients: frozenset,
+                   base: frozenset = frozenset()) -> np.ndarray:
+    """``feasibility(base | F, clients)`` for every mask F over the elements
+    outside ``base`` (in ``problem.elements`` order), one oracle call each:
+    the one feasibility table of the exhaustive oracles."""
+    free = tuple(e for e in problem.elements if e not in base)
+    return np.fromiter((problem.feasibility(base.union(members(mask, free)), clients)
+                        for mask in range(1 << len(free))), dtype=bool)
+
+
+def cheapest(costs, ok, tol: float) -> int:
+    """The one tie-break: of the ``ok`` masks (at least one) within ``tol`` of
+    their cheapest, the one with the lexicographically smallest index tuple."""
+    near = np.flatnonzero(ok & (costs <= costs[ok].min() + tol))
+    return min(near.tolist(), key=lambda mask: members(mask, range(mask.bit_length())))
+
+
 def exact_opt(problem: ProblemInstance, clients: frozenset,
               base: frozenset = frozenset()) -> Solution:
     """Cheapest element set, on top of ``base``, serving ``clients``.
 
-    Exhaustive search over all subsets of the non-base elements.  Ties are
-    broken toward the lexicographically smallest index tuple so the oracle
-    is deterministic.
+    Exhaustive search over all subsets of the non-base elements, with ties
+    broken by :func:`cheapest` so the oracle is deterministic.
     """
     clients = frozenset(clients)
     base = frozenset(base)
     free = tuple(e for e in problem.elements if e not in base)
     if len(free) > caps.OPT_ELEMENTS:
         raise CapExceeded(f"2^{len(free)} candidate sets exceed the search cap")
-    index = problem.element_index()
-    best_cost = None
-    best_key = None
-    best_set = None
-    for mask in range(1 << len(free)):
-        picked = members(mask, free)
-        chosen = frozenset(picked)
-        if not problem.feasibility(base | chosen, clients):
-            continue
-        c = problem.cost(picked)
-        key = tuple(index[e] for e in picked)  # members keep index order
-        if (best_cost is None or c < best_cost - COST_TOL
-                or (c <= best_cost + COST_TOL and key < best_key)):
-            best_cost, best_key, best_set = c, key, chosen
-    if best_set is None:
+    ok = feasible_table(problem, clients, base)
+    if not ok.any():
         raise Infeasible(f"no element subset serves {sorted(map(str, clients))}")
-    return Solution(best_set, best_cost)
+    problem.cost(free)  # largest sum, feasible if any is: NumericalFailure on overflow
+    costs = subset_table([problem.first_stage_cost[e] for e in free], np.add, 0.0)
+    picked = members(cheapest(costs, ok, COST_TOL), free)
+    return Solution(frozenset(picked), problem.cost(picked))
 
 
 @dataclass(frozen=True)
@@ -300,13 +307,9 @@ def check_monotone_feasibility(problem: ProblemInstance) -> CheckReport:
     guard_sweep(problem, "monotonicity")
     if not problem.feasibility(frozenset(), frozenset()):
         return CheckReport(False, "the empty set does not serve the empty client set")
-    element_sets = [frozenset(members(mask, problem.elements))
-                    for mask in range(1 << len(problem.elements))]
     for mask in range(1 << len(problem.clients)):
         S = frozenset(members(mask, problem.clients))
-        feasible = np.fromiter((problem.feasibility(F, S) for F in element_sets),
-                               dtype=bool, count=len(element_sets))
-        broken = first_decrease(feasible, 0.0)
+        broken = first_decrease(feasible_table(problem, S), 0.0)
         if broken is not None:
             return CheckReport(False,
                                f"adding {problem.elements[broken[1]]!r} broke "

@@ -11,9 +11,10 @@ import itertools
 import numpy as np
 import pytest
 
-from stocomb.errors import NotMonotone, NotSubmodular
+from stocomb.boosting import TwoStageOptimum
+from stocomb.errors import Infeasible, NotMonotone, NotSubmodular
 from stocomb.fixtures import cov3, edge1, tri3
-from stocomb.model import CheckReport
+from stocomb.model import COST_TOL, CheckReport, Solution
 from stocomb.saa import ScenarioBlock, StochasticLPInstance, unit_box
 
 
@@ -175,6 +176,57 @@ def loop_check_monotone_feasibility(problem) -> CheckReport:
                                        f"adding {e!r} broke feasibility for "
                                        f"{sorted(map(str, S))}")
     return CheckReport(True)
+
+
+# -- The exhaustive optimizers' per-subset loops ------------------------------
+# ``model.exact_opt`` and ``boosting.exact_two_stage_opt`` tabulate
+# feasibility once (``model.feasible_table``), price the lattice with numpy
+# and break ties with ``model.cheapest``.  These are the loops they replaced:
+# one oracle call per subset, and one exact optimum per (first stage,
+# scenario) pair, each with its own sequential tolerance tie-break.
+
+def loop_exact_opt(problem, clients, base=frozenset()):
+    clients = frozenset(clients)
+    base = frozenset(base)
+    free = tuple(e for e in problem.elements if e not in base)
+    index = {e: i for i, e in enumerate(problem.elements)}
+    best = None
+    for mask in range(1 << len(free)):
+        picked = tuple(iter_bits(mask, free))
+        if not problem.feasibility(base | frozenset(picked), clients):
+            continue
+        c = problem.cost(picked)
+        key = tuple(index[e] for e in picked)
+        if (best is None or c < best[0] - COST_TOL
+                or (c <= best[0] + COST_TOL and key < best[1])):
+            best = (c, key, frozenset(picked))
+    if best is None:
+        raise Infeasible(f"no element subset serves {sorted(map(str, clients))}")
+    return Solution(best[2], best[0])
+
+
+def loop_exact_two_stage_opt(problem, dist, sigma=None):
+    if sigma is None:
+        sigma = problem.inflation
+    support = dist.support()
+    n = len(problem.elements)
+    best = None
+    for mask in range(1 << n):
+        first = mask_subset(problem.elements, mask)
+        value = problem.cost(first)
+        try:
+            for realized, p in support:
+                if p != 0.0:
+                    value += sigma * p * loop_exact_opt(problem, realized, first).cost
+        except Infeasible:
+            continue
+        key = tuple(i for i in range(n) if (mask >> i) & 1)
+        if best is None or value < best[0] - 1e-12 or (
+                value < best[0] + 1e-12 and key < best[1]):
+            best = (value, key, first)
+    if best is None:
+        raise Infeasible("no first-stage set admits feasible recourse everywhere")
+    return TwoStageOptimum(best[0], best[2])
 
 
 # -- The loop ``stocomb.saa.encode_ufl`` replaced -----------------------------

@@ -75,6 +75,19 @@ def _sizes(kind):
     return 4, 5
 
 
+# Two larger cases per kind, |V| = 5 and |X| = 8-10.  Facility location
+# takes 4 clients and 2 facilities (10 elements): 5 clients give 6 or 12.
+LARGE_SIZES = {"set_cover": ((5, 8), (5, 10)), "vertex_cover": ((5, 8), (5, 10)),
+               "steiner": ((5, 8), (5, 10)), "ufl": ((4, 2), (4, 2))}
+
+
+def _cases():
+    """(seed, kind, generator sizes): 50 small cases, then the larger ones."""
+    small = [(seed, KINDS[seed % 4], _sizes(KINDS[seed % 4])) for seed in range(50)]
+    large = [(kind, sizes) for kind in KINDS for sizes in LARGE_SIZES[kind]]
+    return small + [(50 + k, kind, sizes) for k, (kind, sizes) in enumerate(large)]
+
+
 def test_criterion_01_boost_and_sample_guarantee():
     start = time.perf_counter()
     violations = []
@@ -93,10 +106,9 @@ def test_criterion_01_boost_and_sample_guarantee():
     if ev.expected_cost / optimum.value > alpha + beta + 1e-9:
         violations.append("EDGE1 ratio exceeds alpha + beta")
 
-    for seed in range(50):
-        kind = KINDS[seed % 4]
+    for seed, kind, sizes in _cases():
         sigma = float([1, 2, 3][seed % 3])
-        problem = random_problem(kind, *_sizes(kind), seed=seed, sigma=sigma)
+        problem = random_problem(kind, *sizes, seed=seed, sigma=sigma)
         dist = random_explicit_distribution(problem.clients, seed)
         alg = algorithm_for(problem)
         alpha = empirical_alpha(problem, alg)
@@ -120,10 +132,9 @@ def test_criterion_01_boost_and_sample_guarantee():
 def test_criterion_02_ind_boost_guarantee():
     start = time.perf_counter()
     violations = []
-    for seed in range(50):
-        kind = KINDS[seed % 4]
+    for seed, kind, sizes in _cases():
         sigma = float([1, 2, 3][seed % 3])
-        problem = random_problem(kind, *_sizes(kind), seed=seed, sigma=sigma)
+        problem = random_problem(kind, *sizes, seed=seed, sigma=sigma)
         dist = random_marginals(problem.clients, seed)
         alg = algorithm_for(problem)
         alpha = empirical_alpha(problem, alg)

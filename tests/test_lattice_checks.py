@@ -1,4 +1,4 @@
-"""The exhaustive property checks against the per-subset loops they replaced.
+"""The exhaustive checks and optimizers against the loops they replaced.
 
 ``setfun.check_monotone`` and ``model.check_monotone_feasibility`` both call
 ``model.first_decrease``, the one lattice-monotonicity helper, and
@@ -6,6 +6,15 @@
 loop's verdict, exception type and message, on tables whose differences
 land exactly on the tolerance as well as on every shipped problem kind and
 on non-monotone custom oracles.
+
+``model.exact_opt`` and ``boosting.exact_two_stage_opt`` read the oracle
+through ``model.feasible_table`` and break ties with ``model.cheapest``.
+Each must pick the loop's set with a bit-identical cost, or raise the
+loop's exception type, on every kind with and without a base, on an oracle
+that does not decompose per client, on all three distribution kinds with
+zero-probability and infeasible scenarios, on exact integer ties and on
+1e308 costs.  Only near-tie chains closer than ``COST_TOL`` may differ;
+the last test pins the rule there.
 """
 
 import tracemalloc
@@ -18,15 +27,30 @@ from conftest import (
     loop_check_monotone,
     loop_check_monotone_feasibility,
     loop_check_submodular,
+    loop_exact_opt,
+    loop_exact_two_stage_opt,
 )
-from stocomb.errors import StocombError
+from stocomb.boosting import TwoStageOptimum, exact_two_stage_opt
+from stocomb.errors import Infeasible, NumericalFailure, StocombError
 from stocomb.fixtures import cov3, edge1, tri3
 from stocomb.gap import worst_case_expectation
-from stocomb.generate import random_gap_instance, random_problem
+from stocomb.generate import (
+    random_explicit_distribution,
+    random_gap_instance,
+    random_marginals,
+    random_problem,
+)
 from stocomb.model import (
+    COST_TOL,
+    Explicit,
+    IndependentBernoulli,
+    KPartition,
     ProblemInstance,
     check_monotone_feasibility,
+    cheapest,
+    exact_opt,
     first_decrease,
+    members,
     subset_table,
 )
 from stocomb.setfun import check_monotone, check_submodular, from_table
@@ -164,3 +188,151 @@ def test_worst_case_allocates_no_bit_matrix():
         tracemalloc.stop()
     assert peak < (1 << n) * n * 8  # one 2^n x n float64 array
 
+
+
+# -- exact_opt and exact_two_stage_opt against their loops ---------------------
+
+def solved(solve, *args):
+    """(chosen set, cost bits) of a solution or two-stage optimum, or the
+    exception type."""
+    try:
+        got = solve(*args)
+    except StocombError as exc:
+        return type(exc)
+    if isinstance(got, TwoStageOptimum):
+        return got.first_stage, got.value.hex()
+    return got.chosen, got.cost.hex()
+
+
+def cost_variants(problem):
+    """The instance as generated, with integer costs (exact ties), with one
+    cost at 1e308 and with every cost at 1e308."""
+    elements = problem.elements
+    yield problem
+    yield replace(problem, first_stage_cost={e: float(1 + k % 3)
+                                             for k, e in enumerate(elements)})
+    yield replace(problem, first_stage_cost={**problem.first_stage_cost,
+                                             elements[0]: 1e308})
+    yield replace(problem, first_stage_cost=dict.fromkeys(elements, 1e308))
+
+
+def cardinality_problem(n_elements: int, n_clients: int) -> ProblemInstance:
+    """Any len(S) elements serve S: an oracle that is no union of per-client
+    conditions, and infeasible for client sets larger than the element set."""
+    elements = tuple(f"e{i}" for i in range(n_elements))
+    return ProblemInstance(
+        clients=tuple(f"c{j}" for j in range(n_clients)), elements=elements,
+        first_stage_cost={e: float(1 + k % 2) for k, e in enumerate(elements)},
+        inflation=2.0, feasibility=lambda F, S: len(F) >= len(S))
+
+
+# (clients, elements) generator arguments at |X| = 8; ufl: 3 clients and 2
+# facilities, 8 elements.
+OPT_SIZES = {"steiner": (5, 8), "set_cover": (4, 8), "vertex_cover": (4, 8),
+             "ufl": (3, 2)}
+
+
+@pytest.mark.parametrize("kind", OPT_SIZES)
+def test_exact_opt_matches_loop_on_every_kind(kind):
+    problem = random_problem(kind, *OPT_SIZES[kind], seed=5)
+    elements = problem.elements
+    verdicts = set()
+    for variant in cost_variants(problem):
+        for mask in range(1 << len(problem.clients)):
+            S = frozenset(members(mask, problem.clients))
+            for base in (frozenset(), frozenset(elements[:1]), frozenset(elements[1::3])):
+                got = solved(exact_opt, variant, S, base)
+                assert got == solved(loop_exact_opt, variant, S, base), (S, base)
+                verdicts.add(got if isinstance(got, type) else "ok")
+    assert verdicts == {"ok", NumericalFailure}
+
+
+def test_exact_opt_matches_loop_on_a_cardinality_oracle():
+    problem = cardinality_problem(6, 8)
+    verdicts = set()
+    for mask in range(1 << 8):
+        S = frozenset(members(mask, problem.clients))
+        for base in (frozenset(), frozenset({"e0"}), frozenset({"e1", "e3"})):
+            got = solved(exact_opt, problem, S, base)
+            assert got == solved(loop_exact_opt, problem, S, base), (S, base)
+            verdicts.add(got if isinstance(got, type) else "ok")
+    assert verdicts == {"ok", Infeasible}
+
+
+def distributions(clients: tuple, seed: int):
+    """Explicit, independent and partition laws over ``clients``, among them
+    zero-probability scenarios (the last explicit one the whole client set)."""
+    explicit = random_explicit_distribution(clients, seed)
+    yield explicit
+    yield Explicit(explicit.outcomes + ((frozenset(clients), 0.0),))
+    yield random_marginals(clients, seed)
+    yield IndependentBernoulli(tuple((j, (0.0, 1.0, 0.5)[k % 3])
+                                     for k, j in enumerate(clients)))
+    yield KPartition((frozenset(clients[::2]), frozenset(clients[1::2])))
+
+
+def two_stage_problems():
+    out = [tri3(), cov3(), edge1()[0]]
+    for kind, (clients, elements) in SIZES.items():
+        out.append(random_problem(kind, clients, elements, 1, sigma=3.0))
+    return out
+
+
+@pytest.mark.filterwarnings("error")  # an overflow to inf is no warning
+@pytest.mark.parametrize("sigma", (None, 1e308))
+@pytest.mark.parametrize("problem", two_stage_problems(),
+                         ids=lambda p: f"{p.kind}-{len(p.clients)}x{len(p.elements)}")
+def test_two_stage_opt_matches_loop(problem, sigma):
+    for variant in cost_variants(problem):
+        for dist in distributions(problem.clients, len(problem.elements)):
+            got = solved(exact_two_stage_opt, variant, dist, sigma)
+            assert got == solved(loop_exact_two_stage_opt, variant, dist, sigma), dist
+
+
+def test_two_stage_opt_matches_loop_on_a_cardinality_oracle():
+    problem = cardinality_problem(4, 6)
+    verdicts = set()
+    for dist in distributions(problem.clients, 1):
+        for sigma in (1.0, 2.5):
+            got = solved(exact_two_stage_opt, problem, dist, sigma)
+            assert got == solved(loop_exact_two_stage_opt, problem, dist, sigma), dist
+            verdicts.add(got if isinstance(got, type) else "ok")
+    assert verdicts == {"ok", Infeasible}
+
+
+def test_two_stage_opt_tabulates_the_oracle_once_per_scenario():
+    problem = random_problem("set_cover", 4, 8, 4)
+    calls = 0
+
+    def counting(F, S):
+        nonlocal calls
+        calls += 1
+        return problem.feasibility(F, S)
+
+    exact_two_stage_opt(replace(problem, feasibility=counting),
+                        random_marginals(problem.clients, 4))
+    # A table per scenario, then the winner's exact recourse per scenario.
+    assert calls <= 2 * (1 << 4) * (1 << 8)
+
+
+def test_cheapest_takes_the_smallest_index_tuple_within_tol():
+    costs = np.array([0.0, 1.0, 1.0, 1.0, 0.5])  # {}, {0}, {1}, {0, 1}, {2}
+    ok = np.array([False, False, True, True, True])
+    assert cheapest(costs, ok, 0.5) == 3  # (0, 1) < (1,) < (2,)
+    assert cheapest(costs, ok, 0.4) == 4
+    ok[1] = True
+    assert cheapest(costs, ok, 0.5) == 1  # (0,) < (0, 1)
+
+
+def test_near_tie_chain_goes_to_the_smallest_tuple_within_tol_of_the_minimum():
+    # Singletons a, b, c at 1 + 1.2 tol, 1 + 0.6 tol and 1.  The loop's
+    # sequential rule keeps a over b (b is not lower by more than tol), then
+    # takes c (lower than a by more than tol).  ``cheapest`` takes the
+    # smallest index tuple within tol of the minimum, b.
+    tol = COST_TOL
+    problem = ProblemInstance(
+        clients=("x",), elements=("a", "b", "c"),
+        first_stage_cost={"a": 1.0 + 1.2 * tol, "b": 1.0 + 0.6 * tol, "c": 1.0},
+        inflation=1.0, feasibility=lambda F, S: len(F) >= len(S))
+    assert exact_opt(problem, {"x"}).chosen == {"b"}
+    assert loop_exact_opt(problem, {"x"}).chosen == {"c"}
