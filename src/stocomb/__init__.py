@@ -51,9 +51,7 @@ from .model import (
     Solution,
     check_monotone_feasibility,
     check_subadditive,
-    enumerate_support,
     exact_opt,
-    sample,
 )
 from .problems import (
     set_cover_problem,

@@ -23,16 +23,16 @@ from . import caps
 from ._kernels import bernoulli_weights
 from .errors import CapExceeded, Infeasible
 from .model import (
+    CHUNK,
     IndependentBernoulli,
     ProblemInstance,
     ScenarioDistribution,
     cheapest,
-    enumerate_support,
     exact_opt,
     feasible_table,
     members,
-    sample,
     subset_table,
+    variates,
 )
 from .solvers import ApproxAlgorithm
 
@@ -73,20 +73,17 @@ class BoostPolicyBuilder:
     problem: ProblemInstance
     alg: ApproxAlgorithm
 
-    def draws_per_run(self, sigma: float) -> int:
-        return max(1, _rounds(sigma))
+    def draw_law(self, dist: ScenarioDistribution, sigma: float):
+        """(law, rounds): a draw is the union of ``rounds`` samples of ``law``."""
+        return dist, _rounds(sigma)
 
     def sample_draw(self, dist: ScenarioDistribution, sigma: float, rng) -> frozenset:
-        rounds = _rounds(sigma)
-        drawn: frozenset = frozenset()
-        for _ in range(rounds):
-            drawn |= sample(dist, rng)
-        return drawn
+        return dist.sample(rng, _rounds(sigma))
 
     def draw_space(self, dist: ScenarioDistribution, sigma: float):
         """Distribution of the union of floor(sigma) independent samples."""
         rounds = _rounds(sigma)
-        support = enumerate_support(dist)
+        support = dist.support()
         # Any support of two or more outcomes passes the cap within
         # DRAWS.bit_length() rounds, so the exponent is clipped there and
         # the size is compared exactly without building a huge integer.
@@ -130,11 +127,11 @@ class IndBoostPolicyBuilder:
     def boosted(self, sigma: float) -> list[tuple]:
         return [(j, min(1.0, sigma * p)) for j, p in self.marginals]
 
-    def draws_per_run(self, sigma: float) -> int:
-        return 1
+    def draw_law(self, dist, sigma: float):
+        return IndependentBernoulli(self.boosted(sigma)), 1
 
     def sample_draw(self, dist, sigma: float, rng) -> frozenset:
-        return frozenset(j for j, p in self.boosted(sigma) if rng.random() < p)
+        return IndependentBernoulli(self.boosted(sigma)).sample(rng)
 
     def draw_space(self, dist, sigma: float):
         boosted = self.boosted(sigma)
@@ -197,14 +194,20 @@ def evaluate_policy(problem: ProblemInstance, builder, dist: ScenarioDistributio
     """Expected two-stage cost of the builder's policy family.
 
     Exact mode enumerates the builder's own draw space against the scenario
-    support.  Monte-Carlo mode replays ``runs`` independent (draw,
-    realization) pairs and reports a 99% confidence halfwidth; it refuses
-    more than ``caps.DRAWS`` sampling draws in all before drawing any.
+    support.  Monte-Carlo mode replays ``runs`` (at least 2) independent
+    (draw, realization) pairs and reports a 99% confidence halfwidth; it
+    refuses more than ``caps.DRAWS`` sampling draws in all before drawing
+    any.  It draws in batches that read ``rng`` in per-run order, each
+    run's draw and then its realization, so every seeded stream gives the
+    values of one-run-at-a-time sampling, bit for bit.  The one exception is
+    independent boosting over a :class:`KPartition` law, which mixes float
+    and integer variates within a run: no batched order reproduces that
+    stream, so it is drawn run by run (and still decoded in batches).
     """
     if sigma is None:
         sigma = problem.inflation
     if mode == "exact":
-        support = enumerate_support(dist)
+        support = dist.support()
         total = 0.0
         for drawn, p_draw in builder.draw_space(dist, sigma):
             policy = builder.policy(drawn)
@@ -215,22 +218,60 @@ def evaluate_policy(problem: ProblemInstance, builder, dist: ScenarioDistributio
         return PolicyEvaluation(total, "exact")
     if mode != "monte_carlo":
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    draws = runs * builder.draws_per_run(sigma)
+    if runs < 2:
+        raise ValueError(f"monte_carlo mode needs at least 2 runs, not {runs}")
+    law, rounds = builder.draw_law(dist, sigma)
+    draws = runs * max(1, rounds)
     if draws > caps.DRAWS:
         raise CapExceeded(f"{draws} Monte-Carlo sampling draws exceed {caps.DRAWS}")
     if rng is None:
         raise ValueError("monte_carlo mode needs a random generator")
-    policies: dict = {}
-    costs = np.empty(runs)
-    for t in range(runs):
-        drawn = builder.sample_draw(dist, sigma, rng)
-        if drawn not in policies:
-            policies[drawn] = builder.policy(drawn)
-        realized = sample(dist, rng)
-        costs[t] = policy_cost(problem, policies[drawn], realized, sigma)
+    costs = _monte_carlo_costs(problem, builder, law, rounds, dist, sigma, rng, runs)
     mean = float(costs.mean())
     half = 2.5758293035489004 * float(costs.std(ddof=1)) / math.sqrt(runs)
     return PolicyEvaluation(mean, "monte_carlo", half)
+
+
+def _monte_carlo_costs(problem, builder, law, rounds, dist, sigma, rng,
+                       runs) -> np.ndarray:
+    """Each run's cost, pricing every distinct (drawn, realized) pair once.
+
+    A run reads ``rounds`` draws of ``law`` and then one of ``dist``.  Pairs
+    are priced in order of first appearance, each draw's policy built at its
+    first run, so the first exception raised is the run-by-run loop's.
+    """
+    width = rounds * law.width  # a run's first ``width`` variates make its draw
+    batch = max(1, CHUNK // max(width + dist.width, 1))
+    policies: dict = {}
+    prices: dict = {}
+    costs = np.empty(runs)
+    for start in range(0, runs, batch):
+        k = min(batch, runs - start)
+        if law.below == dist.below:
+            v = variates(rng, law.below, (k, width + dist.width))
+            drawn_v, realized_v = v[:, :width], v[:, width:]
+        else:  # float and integer variates interleave within each run
+            rows = [(variates(rng, law.below, (1, width)),
+                     variates(rng, dist.below, (1, dist.width))) for _ in range(k)]
+            drawn_v = np.concatenate([d for d, _ in rows])
+            realized_v = np.concatenate([r for _, r in rows])
+        drawn = law.decode(drawn_v.reshape(k, rounds, law.width)).any(axis=1)
+        realized = dist.decode(realized_v)
+        keys = np.packbits(np.concatenate([drawn, realized], axis=1), axis=1)
+        unique, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                           return_inverse=True)
+        batch_prices = np.empty(len(unique))
+        for u in np.argsort(first):
+            key = unique[u].tobytes()
+            if key not in prices:
+                d = frozenset(itertools.compress(law.universe, drawn[first[u]]))
+                if d not in policies:
+                    policies[d] = builder.policy(d)
+                r = frozenset(itertools.compress(dist.universe, realized[first[u]]))
+                prices[key] = policy_cost(problem, policies[d], r, sigma)
+            batch_prices[u] = prices[key]
+        costs[start:start + k] = batch_prices[inverse.reshape(-1)]
+    return costs
 
 
 def exact_two_stage_opt(problem: ProblemInstance, dist: ScenarioDistribution,
@@ -245,7 +286,7 @@ def exact_two_stage_opt(problem: ProblemInstance, dist: ScenarioDistribution,
     """
     if sigma is None:
         sigma = problem.inflation
-    support = enumerate_support(dist)
+    support = dist.support()
     if (1 << len(problem.elements)) * max(len(support), 1) > caps.TWO_STAGE:
         raise CapExceeded("two-stage search space exceeds the cap")
     scenarios = [(realized, p) for realized, p in support if p != 0.0]

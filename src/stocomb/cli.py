@@ -62,7 +62,6 @@ from .model import (
     IndependentBernoulli,
     check_monotone_feasibility,
     check_subadditive,
-    enumerate_support,
     exact_opt,
 )
 from .rng import stream
@@ -185,7 +184,7 @@ def cmd_solve_det(args) -> int:
 
 def _boost_report(args, problem, dist, builder, seeded_policy, command: str) -> dict:
     sigma = problem.inflation
-    support = enumerate_support(dist)
+    support = dist.support()
     records = []
     for realized, p in sorted(support, key=lambda kv: sorted(map(str, kv[0]))):
         patch = seeded_policy.recourse(realized)

@@ -10,6 +10,8 @@ core: ``feasible_table``, ``subset_table`` and the tie-break ``cheapest``.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
@@ -22,6 +24,7 @@ from .errors import CapExceeded, Infeasible, NumericalFailure
 
 COST_TOL = 1e-9
 PROB_TOL = 1e-12
+CHUNK = 1 << 16  # variates drawn per batch when sampling many draws
 
 
 @dataclass(frozen=True)
@@ -78,13 +81,49 @@ class ProblemInstance:
         return replace(self, first_stage_cost=costs)
 
 
-class ScenarioDistribution:
-    """Black-box distribution over client subsets; see the three variants."""
+def variates(rng: np.random.Generator, below, shape) -> np.ndarray:
+    """Uniform floats in [0, 1) when ``below`` is None, else integers in
+    [0, below), read from ``rng`` row-major: in the order, and to the stream
+    position, of as many scalar ``rng.random()`` or ``rng.integers(below)``
+    calls."""
+    return rng.random(shape) if below is None else rng.integers(below, size=shape)
 
-    def sample(self, rng: np.random.Generator) -> frozenset:
+
+def membership(sets, universe: tuple) -> np.ndarray:
+    """Boolean rows, one per set, of which ``universe`` items it holds."""
+    return np.array([[j in s for j in universe] for s in sets],
+                    dtype=bool).reshape(len(sets), len(universe))
+
+
+class ScenarioDistribution:
+    """Black-box distribution over client subsets; see the three variants.
+
+    A variant reads ``width`` variates of its ``below`` kind (see
+    :func:`variates`) per draw, and ``decode`` maps the last axis of a
+    variate array to membership rows over ``universe``.  ``sample`` decodes
+    its rows with ``decode`` too, so scalar and batched draws cannot drift.
+    """
+
+    width = 1
+    below = None
+    universe = ()
+
+    def decode(self, variates: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def sample(self, rng: np.random.Generator, rounds: int = 1) -> frozenset:
+        """The union of ``rounds`` independent draws, one by default, read
+        from ``rng`` in batches of at most ``CHUNK`` variates; deterministic
+        for a fixed generator state."""
+        hit = np.zeros(len(self.universe), dtype=bool)
+        batch = max(1, CHUNK // max(self.width, 1))
+        for start in range(0, rounds, batch):
+            k = min(batch, rounds - start)
+            hit |= self.decode(variates(rng, self.below, (k, self.width))).any(axis=0)
+        return frozenset(itertools.compress(self.universe, hit))
+
     def support(self) -> list[tuple[frozenset, float]]:
+        """All (subset, probability) pairs of the distribution."""
         raise NotImplementedError
 
 
@@ -103,14 +142,22 @@ class Explicit(ScenarioDistribution):
         if not abs(total - 1.0) <= PROB_TOL:
             raise ValueError(f"scenario probabilities sum to {total}, not 1")
 
-    def sample(self, rng):
-        u = rng.random()
-        acc = 0.0
-        for s, p in self.outcomes:
-            acc += p
-            if u < acc:
-                return s
-        return self.outcomes[-1][0]
+    @functools.cached_property
+    def universe(self) -> tuple:
+        return tuple(dict.fromkeys(j for s, _ in self.outcomes for j in s))
+
+    @functools.cached_property
+    def _table(self):
+        return (np.cumsum([p for _, p in self.outcomes]),
+                membership([s for s, _ in self.outcomes], self.universe))
+
+    def decode(self, variates):
+        """The first outcome whose running probability sum (added in order)
+        exceeds u, so zero-probability outcomes are never drawn; the last
+        outcome when the sum falls short of u."""
+        acc, table = self._table
+        i = np.searchsorted(acc, variates[..., 0], side="right")
+        return table[np.minimum(i, acc.size - 1)]
 
     def support(self):
         return list(self.outcomes)
@@ -135,15 +182,30 @@ class IndependentBernoulli(ScenarioDistribution):
     def clients(self) -> tuple:
         return tuple(j for j, _ in self.marginals)
 
-    def sample(self, rng):
-        return frozenset(j for j, p in self.marginals if rng.random() < p)
+    @property
+    def width(self) -> int:
+        return len(self.marginals)
+
+    @property
+    def universe(self) -> tuple:
+        return self.clients()
+
+    @functools.cached_property
+    def _p(self) -> np.ndarray:
+        return np.array([p for _, p in self.marginals], dtype=float)
+
+    def decode(self, variates):
+        """Client i is in when its own variate u_i < p_i."""
+        return variates < self._p
 
     def support(self):
+        """Every subset with its product weight, in mask order; refused with
+        :class:`CapExceeded` past ``caps.SUPPORT_CLIENTS`` clients."""
         clients = self.clients()
         n = len(clients)
         if n > caps.SUPPORT_CLIENTS:
             raise CapExceeded(f"2^{n} subsets exceed the enumeration cap")
-        weights = bernoulli_weights(np.array([p for _, p in self.marginals]))
+        weights = bernoulli_weights(self._p)
         return [(frozenset(members(mask, clients)), float(w))
                 for mask, w in enumerate(weights)]
 
@@ -165,26 +227,25 @@ class KPartition(ScenarioDistribution):
                 raise ValueError("partition blocks must be disjoint")
             seen |= b
 
-    def sample(self, rng):
-        return self.blocks[int(rng.integers(len(self.blocks)))]
+    @property
+    def below(self) -> int:
+        return len(self.blocks)
+
+    @functools.cached_property
+    def universe(self) -> tuple:
+        return tuple(j for b in self.blocks for j in b)
+
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        return membership(self.blocks, self.universe)
+
+    def decode(self, variates):
+        """Block k for the integer k."""
+        return self._table[variates[..., 0]]
 
     def support(self):
         w = 1.0 / len(self.blocks)
         return [(b, w) for b in self.blocks]
-
-
-def sample(dist: ScenarioDistribution, rng: np.random.Generator) -> frozenset:
-    """Draw one client subset; deterministic for a fixed generator state."""
-    return dist.sample(rng)
-
-
-def enumerate_support(dist: ScenarioDistribution) -> list[tuple[frozenset, float]]:
-    """All (subset, probability) pairs of the distribution.
-
-    Raises :class:`CapExceeded` when a product distribution would need more
-    than ``2^caps.SUPPORT_CLIENTS`` terms.
-    """
-    return dist.support()
 
 
 def members(mask: int, items: tuple) -> tuple:

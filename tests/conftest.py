@@ -7,14 +7,20 @@ enumeration) so that a library bug cannot hide behind a shared code path.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from stocomb.boosting import TwoStageOptimum
+from stocomb.boosting import (
+    IndBoostPolicyBuilder,
+    PolicyEvaluation,
+    TwoStageOptimum,
+    policy_cost,
+)
 from stocomb.errors import Infeasible, NotMonotone, NotSubmodular
 from stocomb.fixtures import cov3, edge1, tri3
-from stocomb.model import COST_TOL, CheckReport, Solution
+from stocomb.model import COST_TOL, CheckReport, Explicit, IndependentBernoulli, Solution
 from stocomb.saa import ScenarioBlock, StochasticLPInstance, unit_box
 
 
@@ -227,6 +233,49 @@ def loop_exact_two_stage_opt(problem, dist, sigma=None):
     if best is None:
         raise Infeasible("no first-stage set admits feasible recourse everywhere")
     return TwoStageOptimum(best[0], best[2])
+
+
+# -- The run-by-run Monte-Carlo loop -----------------------------------------
+# ``boosting.evaluate_policy`` draws its runs in batches, decodes them with
+# numpy and prices each distinct (drawn, realized) pair once.  This is the
+# loop it replaced, with each law's scalar sampler written out as it was:
+# same mean and halfwidth bit for bit, same stream position, same exception.
+
+def loop_sample(dist, rng) -> frozenset:
+    if isinstance(dist, Explicit):
+        u = rng.random()
+        acc = 0.0
+        for s, p in dist.outcomes:
+            acc += p
+            if u < acc:
+                return s
+        return dist.outcomes[-1][0]
+    if isinstance(dist, IndependentBernoulli):
+        return frozenset(j for j, p in dist.marginals if rng.random() < p)
+    return dist.blocks[int(rng.integers(len(dist.blocks)))]
+
+
+def loop_sample_draw(builder, dist, sigma, rng) -> frozenset:
+    if isinstance(builder, IndBoostPolicyBuilder):
+        return frozenset(j for j, p in builder.boosted(sigma) if rng.random() < p)
+    drawn = frozenset()
+    for _ in range(int(math.floor(sigma))):
+        drawn |= loop_sample(dist, rng)
+    return drawn
+
+
+def loop_monte_carlo(problem, builder, dist, sigma, rng, runs) -> PolicyEvaluation:
+    policies = {}
+    costs = np.empty(runs)
+    for t in range(runs):
+        drawn = loop_sample_draw(builder, dist, sigma, rng)
+        if drawn not in policies:
+            policies[drawn] = builder.policy(drawn)
+        realized = loop_sample(dist, rng)
+        costs[t] = policy_cost(problem, policies[drawn], realized, sigma)
+    mean = float(costs.mean())
+    half = 2.5758293035489004 * float(costs.std(ddof=1)) / math.sqrt(runs)
+    return PolicyEvaluation(mean, "monte_carlo", half)
 
 
 # -- The loop ``stocomb.saa.encode_ufl`` replaced -----------------------------

@@ -19,7 +19,7 @@ from stocomb.boosting import (
 from stocomb.errors import CapExceeded, Infeasible
 from stocomb.fixtures import edge1, tri3
 from stocomb.generate import random_explicit_distribution, random_problem
-from stocomb.model import Explicit, IndependentBernoulli, enumerate_support, exact_opt
+from stocomb.model import Explicit, IndependentBernoulli, exact_opt
 from stocomb.problems import set_cover_problem
 from stocomb.rng import stream
 from stocomb.solvers import algorithm_for
@@ -172,8 +172,7 @@ class TestIndBoost:
                 marginals = tuple((j, 0.3) for j in problem.clients)
                 policy = ind_boost(problem, alg, marginals, 2.0,
                                    stream(seed, "feas"))
-                for realized, _p in enumerate_support(
-                        IndependentBernoulli(marginals)):
+                for realized, _p in IndependentBernoulli(marginals).support():
                     patch = policy.recourse(realized)
                     assert problem.feasibility(policy.first_stage | patch,
                                                realized)

@@ -25,7 +25,6 @@ from stocomb.model import (
     ScenarioDistribution,
     check_monotone_feasibility,
     check_subadditive,
-    enumerate_support,
     exact_opt,
 )
 from stocomb.saa import GridSpec, Polytope, base_grid, extended_grid, unit_box
@@ -73,8 +72,7 @@ def support_clients(monkeypatch):
     monkeypatch.setattr(model, "bernoulli_weights", forbidden)
     monkeypatch.setattr(gap, "bernoulli_weights", forbidden)
     ground = items(caps.SUPPORT_CLIENTS + 1)
-    yield lambda: enumerate_support(
-        IndependentBernoulli(tuple((j, 0.5) for j in ground)))
+    yield lambda: IndependentBernoulli(tuple((j, 0.5) for j in ground)).support()
     yield lambda: gap.independent_expectation(
         GapInstance(ground, forbidden, {j: 0.5 for j in ground}))
     # The builtin set functions are tables: refused before reading their

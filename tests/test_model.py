@@ -15,9 +15,7 @@ from stocomb.model import (
     ProblemInstance,
     check_monotone_feasibility,
     check_subadditive,
-    enumerate_support,
     exact_opt,
-    sample,
 )
 from stocomb.rng import stream
 
@@ -26,26 +24,26 @@ class TestSampling:
     def test_point_mass_on_empty(self):
         dist = Explicit(((frozenset(), 1.0),))
         rng = stream(0, "s")
-        assert all(sample(dist, rng) == frozenset() for _ in range(50))
+        assert all(dist.sample(rng) == frozenset() for _ in range(50))
 
     def test_degenerate_marginals(self):
         dist = IndependentBernoulli((("j", 1.0), ("k", 0.0)))
         rng = stream(1, "s")
-        assert all(sample(dist, rng) == frozenset({"j"}) for _ in range(50))
+        assert all(dist.sample(rng) == frozenset({"j"}) for _ in range(50))
 
     def test_monte_carlo_frequency(self):
         # P(j in S) should come out 0.5 within 0.01 over 1e5 draws.
         dist = IndependentBernoulli((("j", 0.5),))
         rng = stream(2, "s")
-        hits = sum("j" in sample(dist, rng) for _ in range(100_000))
+        hits = sum("j" in dist.sample(rng) for _ in range(100_000))
         assert abs(hits / 100_000 - 0.5) < 0.01
 
     def test_same_seed_same_draws(self):
         dist = IndependentBernoulli((("a", 0.3), ("b", 0.7), ("c", 0.5)))
         rng = stream(7, "x")
-        first = [sample(dist, rng) for _ in range(20)]
+        first = [dist.sample(rng) for _ in range(20)]
         rng = stream(7, "x")
-        second = [sample(dist, rng) for _ in range(20)]
+        second = [dist.sample(rng) for _ in range(20)]
         assert first == second
 
     def test_explicit_probabilities_must_normalize(self):
@@ -62,37 +60,37 @@ class TestSampling:
 class TestSupport:
     def test_k_partition_support(self):
         dist = KPartition((frozenset({"a"}), frozenset({"b"})))
-        assert enumerate_support(dist) == [(frozenset({"a"}), 0.5),
-                                           (frozenset({"b"}), 0.5)]
+        assert dist.support() == [(frozenset({"a"}), 0.5),
+                                  (frozenset({"b"}), 0.5)]
 
     def test_product_measure_support(self):
         dist = IndependentBernoulli((("a", 0.5), ("b", 0.5)))
-        support = dict(enumerate_support(dist))
+        support = dict(dist.support())
         assert len(support) == 4
         assert all(abs(p - 0.25) < 1e-12 for p in support.values())
 
     def test_explicit_support_is_identity(self):
         outcomes = ((frozenset({"a"}), 0.3), (frozenset(), 0.7))
-        assert enumerate_support(Explicit(outcomes)) == list(outcomes)
+        assert Explicit(outcomes).support() == list(outcomes)
 
     def test_support_cap(self):
         big = IndependentBernoulli(tuple((f"c{i}", 0.5) for i in range(21)))
         with pytest.raises(CapExceeded):
-            enumerate_support(big)
+            big.support()
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
     @settings(max_examples=40, deadline=None)
     def test_support_probabilities_sum_to_one(self, marginals):
         dist = IndependentBernoulli(tuple((f"c{i}", p) for i, p in enumerate(marginals)))
-        total = sum(p for _, p in enumerate_support(dist))
+        total = sum(p for _, p in dist.support())
         assert abs(total - 1.0) <= 1e-9
 
     def test_support_expectation_matches_monte_carlo(self):
         # Weighted expectation of |S| over the support vs a 1e5-draw estimate.
         dist = IndependentBernoulli((("a", 0.2), ("b", 0.8), ("c", 0.5)))
-        exact = sum(p * len(s) for s, p in enumerate_support(dist))
+        exact = sum(p * len(s) for s, p in dist.support())
         rng = stream(3, "mc")
-        draws = np.array([len(sample(dist, rng)) for _ in range(100_000)])
+        draws = np.array([len(dist.sample(rng)) for _ in range(100_000)])
         sigma = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - exact) <= 3 * sigma + 1e-9
 
