@@ -6,7 +6,14 @@ Bland's rule guarantees termination.  The LPs this library solves are
 small (cutting-plane and column-generation masters, recourse LPs and
 deterministic equivalents, within ``MAX_VARIABLES`` columns and
 ``MAX_CONSTRAINTS`` rows); the tableau kernel is the vectorized numpy
-function in :mod:`stocomb._kernels`.
+code in :mod:`stocomb._kernels`.
+
+``solve_lp`` and ``solve_prepared`` solve from scratch.  A
+:class:`ColumnMaster` keeps its optimal tableau, so a column-generation
+master that only gains columns is re-optimized from its last basis rather
+than solved again.  Every solve, cold or resumed, stops at the pivot limit
+``max_pivots`` of its own (possibly widened) shape and raises
+:class:`NumericalFailure` there.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import simplex_kernel
+from ._kernels import simplex_kernel, simplex_resume
 from .errors import NumericalFailure
 
 OPTIMAL = "optimal"
@@ -69,6 +76,26 @@ class LPResult:
     duals: np.ndarray | None
 
 
+def max_pivots(m: int, n: int) -> int:
+    """Default pivot limit of an LP with ``m`` rows and ``n`` columns."""
+    return 200 + 50 * (m + n)
+
+
+def _checked(out):
+    """Pass the kernel's result through; raise at the pivot limit."""
+    if out[0] == 3:
+        raise NumericalFailure(f"simplex hit the pivot limit after {out[4]} pivots")
+    return out
+
+
+def _result(status, x, duals, value, n_rows) -> LPResult:
+    if status == 1:
+        return LPResult(INFEASIBLE, None, None, None)
+    if status == 2:
+        return LPResult(UNBOUNDED, None, None, None)
+    return LPResult(OPTIMAL, x, value, duals[:n_rows])
+
+
 def solve_prepared(A: np.ndarray, b: np.ndarray, c: np.ndarray,
                    pivot_limit: int | None = None):
     """Low-level entry: arrays in, ``(status, x, duals, value)`` out.
@@ -77,14 +104,12 @@ def solve_prepared(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     solves.  Raises :class:`NumericalFailure` on pivot-limit exhaustion.
     """
     if pivot_limit is None:
-        pivot_limit = 200 + 50 * (A.shape[0] + A.shape[1])
-    status, x, duals, value, pivots = simplex_kernel(
+        pivot_limit = max_pivots(*A.shape)
+    status, x, duals, value, _pivots, _tableau = _checked(simplex_kernel(
         np.ascontiguousarray(A, dtype=np.float64),
         np.ascontiguousarray(b, dtype=np.float64),
         np.ascontiguousarray(c, dtype=np.float64),
-        PIVOT_TOL, FEAS_TOL, pivot_limit)
-    if status == 3:
-        raise NumericalFailure(f"simplex hit the pivot limit after {pivots} pivots")
+        PIVOT_TOL, FEAS_TOL, pivot_limit))
     return status, x, duals, value
 
 
@@ -103,8 +128,36 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None) -> LPResult:
             A = np.vstack([A, rows])
             b = np.concatenate([b, -lp.upper_bounds[finite]])
     status, x, duals, value = solve_prepared(A, b, c, pivot_limit)
-    if status == 1:
-        return LPResult(INFEASIBLE, None, None, None)
-    if status == 2:
-        return LPResult(UNBOUNDED, None, None, None)
-    return LPResult(OPTIMAL, x, value, duals[:n_user])
+    return _result(status, x, duals, value, n_user)
+
+
+class ColumnMaster:
+    """``min c.y`` s.t. ``A y >= b``, ``y >= 0``, solved once and then
+    re-optimized from its last basis as columns are appended.
+
+    ``result`` is the :class:`LPResult` of the current columns, in the
+    order they were added, and ``pivots`` the pivot count of the last cold
+    solve or resume.  Only an optimal master takes more columns.
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray):
+        A = np.ascontiguousarray(A, dtype=np.float64)
+        self._set(simplex_kernel(A, np.ascontiguousarray(b, dtype=np.float64),
+                                 np.ascontiguousarray(c, dtype=np.float64),
+                                 PIVOT_TOL, FEAS_TOL, max_pivots(*A.shape)))
+
+    def _set(self, out):
+        status, x, duals, value, self.pivots, self._tableau = _checked(out)
+        self.result = _result(status, x, duals, value, duals.size)
+
+    def add_columns(self, A: np.ndarray, c: np.ndarray) -> LPResult:
+        """Append the columns ``A`` with costs ``c`` and re-optimize from
+        the current basis."""
+        if self._tableau is None:
+            raise ValueError(f"a {self.result.status} master takes no columns")
+        A = np.ascontiguousarray(A, dtype=np.float64)
+        n = self.result.primal.size + A.shape[1]
+        self._set(simplex_resume(self._tableau, A,
+                                 np.ascontiguousarray(c, dtype=np.float64),
+                                 PIVOT_TOL, max_pivots(A.shape[0], n)))
+        return self.result

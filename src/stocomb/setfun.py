@@ -66,8 +66,11 @@ def from_table(values, ground: tuple) -> TableFunction:
     return TableFunction(values, tuple(ground))
 
 
-def cardinality():
-    return lambda subset: float(len(subset))
+def cardinality(ground: tuple) -> TableFunction:
+    """f(S) = |S|, a table over ``ground``."""
+    if len(ground) > caps.SUPPORT_CLIENTS:
+        raise CapExceeded(f"a table over {len(ground)} items exceeds the cap")
+    return from_table(subset_table(np.ones(len(ground)), np.add, 0.0), ground)
 
 
 def coverage(cover: dict, weights: dict) -> TableFunction:
@@ -144,7 +147,7 @@ def from_json(payload: dict, ground: tuple):
     kind = payload.get("kind")
     try:
         if kind == "cardinality":
-            return cardinality()
+            return cardinality(ground)
         if kind == "coverage":
             return coverage({g: payload["cover"][str(g)] for g in ground},
                             {u: _finite(w, "coverage weight")

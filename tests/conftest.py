@@ -18,9 +18,19 @@ from stocomb.boosting import (
     TwoStageOptimum,
     policy_cost,
 )
-from stocomb.errors import Infeasible, NotMonotone, NotSubmodular
+from stocomb.errors import DegenerateInstance, Infeasible, NotMonotone, NotSubmodular
 from stocomb.fixtures import cov3, edge1, tri3
-from stocomb.model import COST_TOL, CheckReport, Explicit, IndependentBernoulli, Solution
+from stocomb.gap import PRICE_COLUMNS, PRICE_TOL
+from stocomb.lp import OPTIMAL, LinearProgram, solve_lp
+from stocomb.model import (
+    COST_TOL,
+    CheckReport,
+    Explicit,
+    IndependentBernoulli,
+    Solution,
+    members,
+    subset_table,
+)
 from stocomb.saa import ScenarioBlock, StochasticLPInstance, unit_box
 
 
@@ -278,6 +288,39 @@ def loop_monte_carlo(problem, builder, dist, sigma, rng, runs) -> PolicyEvaluati
     return PolicyEvaluation(mean, "monte_carlo", half)
 
 
+# -- The cold column-generation loop ----------------------------------------
+# ``gap.worst_case_expectation`` re-optimizes its restricted master from the
+# last simplex basis after each pricing round (``lp.ColumnMaster``).  This is
+# the loop it replaced, which solves every round's master from scratch with
+# ``solve_lp``: same chain start, pricing and stop test.
+
+def cold_worst_case(inst):
+    n = len(inst.ground)
+    values = inst._table
+    p = inst.marginal_vector()
+    cols = np.concatenate([[0], np.cumsum(1 << np.argsort(-p, kind="stable"))])
+    in_master = np.zeros(1 << n, dtype=bool)
+    rhs = np.append(p, 1.0)
+    rhs = np.concatenate([rhs, -rhs])
+    while True:
+        in_master[cols] = True
+        A = np.vstack([(cols >> np.arange(n)[:, None]) & 1, np.ones(cols.size)])
+        res = solve_lp(LinearProgram(-values[cols], np.vstack([A, -A]), rhs))
+        if res.status != OPTIMAL:
+            raise DegenerateInstance(f"worst-case LP ended {res.status}")
+        y = res.duals[:n + 1] - res.duals[n + 1:]
+        reduced = -values - (subset_table(y[:n], np.add, 0.0) + y[n])
+        reduced[in_master] = np.inf
+        new = np.argsort(reduced, kind="stable")[:PRICE_COLUMNS]
+        new = new[reduced[new] < -PRICE_TOL * max(1.0, abs(res.value))]
+        if new.size == 0:
+            break
+        cols = np.concatenate([cols, new])
+    dist = {frozenset(members(int(mask), inst.ground)): float(a)
+            for mask, a in sorted(zip(cols, res.primal)) if a > 1e-12}
+    return -res.value, dist
+
+
 # -- The loop ``stocomb.saa.encode_ufl`` replaced -----------------------------
 # The library builds each facility-location block from whole identity and
 # repeat matrices; this entry-by-entry version is the oracle it must match
@@ -344,6 +387,30 @@ def edge1_pair():
 def criterion_line(number: int, name: str, passed: bool):
     status = "PASS" if passed else "FAIL"
     print(f"[acceptance {number:2d}] {status}  {name}")
+
+
+def zero_rhs_lp(rng):
+    """``(c, A, b)`` with every row active at the origin, so pivots from it
+    are degenerate; positive costs put the optimum 0 there."""
+    m, n = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+    A = np.round(rng.uniform(-1, 1, (m, n)), 2)
+    b = np.zeros(m)
+    c = np.round(rng.uniform(0.1, 1, n), 2)
+    return c, A, b
+
+
+def equality_pair_lp(rng):
+    """``(c, A, b)`` with k feasible equalities written as +/- row pairs,
+    the worst-case-LP pattern; the first k rows are the equalities."""
+    n = int(rng.integers(2, 6))
+    k = int(rng.integers(1, 3))
+    E = np.round(rng.uniform(0, 1, (k, n)), 2)
+    x_feas = np.round(rng.uniform(0, 1, n), 2)
+    d = E @ x_feas  # guarantees feasibility
+    A = np.vstack([E, -E])
+    b = np.concatenate([d, -d])
+    c = np.round(rng.uniform(0.1, 2, n), 2)
+    return c, A, b
 
 
 def vertex_oracle_lp(c, A, b):

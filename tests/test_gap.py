@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from stocomb import gap
+from conftest import cold_worst_case
+from stocomb import cli, gap
 from stocomb.errors import CapExceeded, DegenerateInstance, UncertifiedScheme
 from stocomb.gap import (
     GapInstance,
@@ -20,8 +21,9 @@ from stocomb.gap import (
     worst_case_expectation,
 )
 from stocomb.generate import random_gap_instance
+from stocomb.io import load_gap_instance, read_json
 from stocomb.fixtures import gap2 as gap2_instance
-from stocomb.lp import OPTIMAL, LinearProgram, solve_lp
+from stocomb.lp import OPTIMAL, ColumnMaster, LinearProgram, solve_lp
 from stocomb.rng import stream
 from stocomb.setfun import E_RATIO, cardinality, from_table, table, weighted_rank
 from stocomb.sharing import check_scheme, marginal_scheme
@@ -115,7 +117,7 @@ def degenerate_instances():
 
 class TestWorstCase:
     def test_linear_function_is_marginal_sum(self):
-        inst = GapInstance(("a", "b", "c"), cardinality(),
+        inst = GapInstance(("a", "b", "c"), cardinality(("a", "b", "c")),
                            {"a": 0.3, "b": 0.6, "c": 0.9})
         worst, _ = worst_case_expectation(inst)
         assert worst == pytest.approx(1.8, abs=1e-8)
@@ -154,16 +156,18 @@ class TestWorstCase:
     def test_master_stays_a_small_part_of_the_subset_table(self, monkeypatch):
         # Wrong duals can still end at the optimum by adding every subset;
         # pricing must reach it with a small fraction of the 4096 columns.
-        widths = []
+        masters = []
 
-        def spy(lp):
-            widths.append(lp.objective.size)
-            return solve_lp(lp)
+        class Spy(ColumnMaster):
+            def __init__(self, *args):
+                super().__init__(*args)
+                masters.append(self)
 
-        monkeypatch.setattr(gap, "solve_lp", spy)
+        monkeypatch.setattr(gap, "ColumnMaster", Spy)
         for kind in ("coverage", "uniform"):
             worst_case_expectation(table_instance(12, 312, kind))
-        assert max(widths) <= 256
+        assert len(masters) == 2
+        assert max(m.result.primal.size for m in masters) <= 256
 
     def test_degenerate_instances_match_dense_lp(self):
         for inst in degenerate_instances():
@@ -186,15 +190,44 @@ class TestWorstCase:
 
     def test_cap(self):
         inst = random_gap_instance(3, 0)
-        big = GapInstance(tuple(f"i{k}" for k in range(13)),
-                          cardinality(), {f"i{k}": 0.5 for k in range(13)})
+        ground = tuple(f"i{k}" for k in range(13))
+        big = GapInstance(ground, cardinality(ground),
+                          {f"i{k}": 0.5 for k in range(13)})
         with pytest.raises(CapExceeded):
             worst_case_expectation(big)
 
 
+def assert_matches_cold(inst):
+    """The warm-started column generation against the cold loop: values
+    within 1e-12 relative, and a distribution that attains its value."""
+    worst, dist = worst_case_expectation(inst)
+    cold, _ = cold_worst_case(inst)
+    assert abs(worst - cold) <= 1e-12 * max(1.0, abs(cold))
+    assert_distribution(inst, worst, dist)
+
+
+class TestWarmStartAgainstColdLoop:
+    @pytest.mark.parametrize("kind", ["coverage", "uniform"])
+    def test_table_instances(self, kind):
+        for n in range(1, 13):
+            assert_matches_cold(table_instance(n, 300 + n, kind))
+
+    def test_degenerate_instances(self):
+        for inst in degenerate_instances():
+            assert_matches_cold(inst)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_instances(self, seed, tmp_path):
+        for n in range(9, 13):
+            path = tmp_path / f"gap_{n}.json"
+            assert cli.main(["gen", "--kind", "gap", "--clients", str(n),
+                             "--seed", str(seed), "--output", str(path)]) == 0
+            assert_matches_cold(load_gap_instance(read_json(path)))
+
+
 class TestIndependent:
     def test_linear_function(self):
-        inst = GapInstance(tuple("abcd"), cardinality(),
+        inst = GapInstance(tuple("abcd"), cardinality(tuple("abcd")),
                            {c: 0.5 for c in "abcd"})
         assert independent_expectation(inst) == pytest.approx(2.0)
 
@@ -203,14 +236,14 @@ class TestIndependent:
             pytest.approx(0.75, abs=1e-12)
 
     def test_deterministic_marginals(self):
-        inst = GapInstance(("a", "b"), cardinality(), {"a": 1.0, "b": 0.0})
+        inst = GapInstance(("a", "b"), cardinality(("a", "b")), {"a": 1.0, "b": 0.0})
         assert independent_expectation(inst) == pytest.approx(
             inst.f(frozenset({"a"})))
 
 
 class TestCorrelationGap:
     def test_linear_gap_is_one(self):
-        inst = GapInstance(("a", "b"), cardinality(), {"a": 0.4, "b": 0.7})
+        inst = GapInstance(("a", "b"), cardinality(("a", "b")), {"a": 0.4, "b": 0.7})
         report = correlation_gap(inst)
         assert report.kappa == pytest.approx(1.0, abs=1e-8)
 
@@ -379,7 +412,7 @@ class TestGapBound:
         assert verify_gap_bound(inst, 1.0, 1.0, cert)
 
     def test_linear_function(self):
-        inst = GapInstance(("a", "b"), cardinality(), {"a": 0.3, "b": 0.8})
+        inst = GapInstance(("a", "b"), cardinality(("a", "b")), {"a": 0.3, "b": 0.8})
         scheme = marginal_scheme(inst.f, inst.ground)
         assert verify_gap_bound(inst, 1.0, 1.0, scheme)
 
@@ -389,8 +422,8 @@ class TestGapBound:
 
     def test_weak_certificate_rejected(self):
         report = check_scheme(
-            marginal_scheme(cardinality(), ("a", "b")), cardinality(),
-            ("a", "b"))
+            marginal_scheme(cardinality(("a", "b")), ("a", "b")),
+            cardinality(("a", "b")), ("a", "b"))
         # claiming tighter factors than measured must fail
         weak = type(report)(eta_hat=2.0, beta_hat=1.0, cross_monotone=True)
         with pytest.raises(UncertifiedScheme):

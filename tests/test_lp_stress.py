@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import vertex_oracle_lp
+from conftest import equality_pair_lp, vertex_oracle_lp, zero_rhs_lp
 from stocomb.lp import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp, solve_prepared
 
 
@@ -33,10 +33,7 @@ def test_zero_rhs_degeneracy():
     # must still terminate at the right value.
     rng = np.random.default_rng(5)
     for _ in range(50):
-        m, n = int(rng.integers(2, 6)), int(rng.integers(2, 5))
-        A = np.round(rng.uniform(-1, 1, (m, n)), 2)
-        b = np.zeros(m)
-        c = np.round(rng.uniform(0.1, 1, n), 2)
+        c, A, b = zero_rhs_lp(rng)
         res = solve_lp(LinearProgram(c, A, b))
         assert res.status == OPTIMAL
         assert res.value == pytest.approx(0.0, abs=1e-9)
@@ -46,17 +43,11 @@ def test_equality_encoded_rows():
     # Equalities written as +/- row pairs, the worst-case-LP pattern.
     rng = np.random.default_rng(6)
     for trial in range(60):
-        n = int(rng.integers(2, 6))
-        k = int(rng.integers(1, 3))
-        E = np.round(rng.uniform(0, 1, (k, n)), 2)
-        x_feas = np.round(rng.uniform(0, 1, n), 2)
-        d = E @ x_feas  # guarantees feasibility
-        A = np.vstack([E, -E])
-        b = np.concatenate([d, -d])
-        c = np.round(rng.uniform(0.1, 2, n), 2)
+        c, A, b = equality_pair_lp(rng)
+        k = b.size // 2
         res = solve_lp(LinearProgram(c, A, b))
         assert res.status == OPTIMAL, trial
-        assert (np.abs(E @ res.primal - d) <= 1e-7).all()
+        assert (np.abs(A[:k] @ res.primal - b[:k]) <= 1e-7).all()
         feasible, oracle = vertex_oracle_lp(c, A, b)
         assert feasible
         assert res.value == pytest.approx(oracle, abs=1e-7)

@@ -19,7 +19,7 @@ from stocomb.setfun import (
 
 
 def test_cardinality():
-    f = cardinality()
+    f = cardinality(("a", "b"))
     assert f(frozenset()) == 0.0
     assert f(frozenset({"a", "b"})) == 2.0
 

@@ -88,7 +88,7 @@ class TestStrictness:
 
 class TestMarginalScheme:
     def test_modular_function_gives_unit_shares(self):
-        scheme = marginal_scheme(cardinality(), ("a", "b", "c"))
+        scheme = marginal_scheme(cardinality(("a", "b", "c")), ("a", "b", "c"))
         for order in (("a", "b"), ("b", "a")):
             for i in order:
                 assert scheme(i, frozenset(order), order) == pytest.approx(1.0)
@@ -129,8 +129,8 @@ class TestMarginalScheme:
 
 class TestCheckScheme:
     def test_marginal_cardinality(self):
-        scheme = marginal_scheme(cardinality(), ("a", "b", "c"))
-        report = check_scheme(scheme, cardinality(), ("a", "b", "c"))
+        scheme = marginal_scheme(cardinality(("a", "b", "c")), ("a", "b", "c"))
+        report = check_scheme(scheme, cardinality(("a", "b", "c")), ("a", "b", "c"))
         assert report.eta_hat == pytest.approx(1.0, abs=1e-9)
         assert report.beta_hat == pytest.approx(1.0, abs=1e-9)
         assert report.cross_monotone
@@ -144,7 +144,7 @@ class TestCheckScheme:
 
     def test_zero_scheme_flags_infinite_beta(self):
         zero = OrderedCostShareScheme(chi=lambda i, S, o: 0.0, eta=1.0, beta=1.0)
-        report = check_scheme(zero, cardinality(), ("a", "b"))
+        report = check_scheme(zero, cardinality(("a", "b")), ("a", "b"))
         assert report.beta_hat == math.inf
         assert report.witness is not None
 
@@ -162,5 +162,5 @@ class TestCheckScheme:
         # Shares that grow with the set size violate cross-monotonicity.
         bad = OrderedCostShareScheme(chi=lambda i, S, o: float(len(S)),
                                      eta=10.0, beta=10.0)
-        report = check_scheme(bad, cardinality(), ("a", "b"))
+        report = check_scheme(bad, cardinality(("a", "b")), ("a", "b"))
         assert not report.cross_monotone
