@@ -42,6 +42,13 @@ class ProblemInstance:
     ``feasibility(F, S)`` must be monotone in ``F`` and accept the empty set
     for ``S = {}``; both properties are assumed throughout and checked
     exhaustively by :func:`check_monotone_feasibility` on small instances.
+
+    ``served_table()``, set by the shipped kinds' builders, returns the
+    uint64 served-client table of an oracle that decomposes per client:
+    entry F (an element mask) has bit j set when F serves client j, and F
+    serves S exactly when it serves every client of S.  It must agree with
+    ``feasibility``.  A custom oracle has none, and :func:`client_optima`
+    then calls :func:`exact_opt`.
     """
 
     clients: tuple
@@ -51,6 +58,7 @@ class ProblemInstance:
     feasibility: Callable[[frozenset, frozenset], bool]
     kind: str = "custom"
     payload: Mapping[str, Any] = field(default_factory=dict)
+    served_table: Callable[[], np.ndarray] | None = None
 
     def __post_init__(self):
         if len(set(self.clients)) != len(self.clients):
@@ -314,12 +322,55 @@ def exact_opt(problem: ProblemInstance, clients: frozenset,
     if len(free) > caps.OPT_ELEMENTS:
         raise CapExceeded(f"2^{len(free)} candidate sets exceed the search cap")
     ok = feasible_table(problem, clients, base)
+    return _cheapest_solution(problem, clients, free, ok,
+                              lambda: _price_table(problem, free))
+
+
+def _price_table(problem: ProblemInstance, items: tuple) -> np.ndarray:
+    """First-stage cost of every mask over ``items``."""
+    return subset_table([problem.first_stage_cost[e] for e in items], np.add, 0.0)
+
+
+def _cheapest_solution(problem, clients, free, ok, prices) -> Solution:
+    """The cheapest ``ok`` mask over ``free``, priced by ``prices()`` once the
+    costs are known to sum inside the float range: the tail of
+    :func:`exact_opt` and of :func:`client_optima`."""
     if not ok.any():
         raise Infeasible(f"no element subset serves {sorted(map(str, clients))}")
     problem.cost(free)  # largest sum, feasible if any is: NumericalFailure on overflow
-    costs = subset_table([problem.first_stage_cost[e] for e in free], np.add, 0.0)
-    picked = members(cheapest(costs, ok, COST_TOL), free)
+    picked = members(cheapest(prices(), ok, COST_TOL), free)
     return Solution(frozenset(picked), problem.cost(picked))
+
+
+MASK_BITS = 64  # clients a uint64 served-client table can hold
+
+
+def client_optima(problem: ProblemInstance) -> Callable[[frozenset], Solution]:
+    """``S -> exact_opt(problem, S)``, memoized, for every client set S.
+
+    With a served-client table (``problem.served_table``), every S is
+    priced from that one table: F serves S exactly when
+    ``served[F] & S == S``, so no oracle is called.  The value, its ties
+    and its exceptions are :func:`exact_opt`'s.  A problem without a table,
+    a client set outside ``problem.clients``, more than ``MASK_BITS``
+    clients or more than ``caps.OPT_ELEMENTS`` elements fall back to
+    :func:`exact_opt` itself.  Nothing is built before the first call.
+    """
+    bit = {j: 1 << i for i, j in enumerate(problem.clients)}
+    tabled = (problem.served_table is not None and len(bit) <= MASK_BITS
+              and len(problem.elements) <= caps.OPT_ELEMENTS)
+    served = functools.cache(lambda: problem.served_table())
+    prices = functools.cache(lambda: _price_table(problem, problem.elements))
+
+    @functools.cache
+    def opt(clients: frozenset) -> Solution:
+        if not (tabled and clients <= bit.keys()):
+            return exact_opt(problem, clients)
+        want = np.uint64(sum(bit[j] for j in clients))
+        return _cheapest_solution(problem, clients, problem.elements,
+                                  served() & want == want, prices)
+
+    return lambda clients: opt(frozenset(clients))
 
 
 @dataclass(frozen=True)
@@ -348,7 +399,8 @@ def check_subadditive(problem: ProblemInstance) -> CheckReport:
     guard_sweep(problem, "subadditivity")
     subsets = [frozenset(members(mask, problem.clients))
                for mask in range(1 << len(problem.clients))]
-    opt = {S: exact_opt(problem, S) for S in subsets}
+    optimum = client_optima(problem)
+    opt = {S: optimum(S) for S in subsets}
     for S in subsets:
         for T in subsets:
             union = S | T

@@ -10,7 +10,6 @@ summability and budget-balance ratios and verifies cross-monotonicity.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,7 +17,8 @@ from typing import Callable
 
 from . import caps
 from .errors import CapExceeded
-from .model import CheckReport, ProblemInstance, exact_opt, guard_sweep, members
+from .model import CheckReport, ProblemInstance, client_optima, guard_sweep, members
+from .model import exact_opt  # noqa: F401 - kept importable: tracers patch it here by name
 from .rng import stream
 from .setfun import check_monotone, check_submodular
 from .solvers import ApproxAlgorithm
@@ -57,9 +57,10 @@ def check_fairness(xi: CostShareFunction, problem: ProblemInstance,
                    tol: float = 1e-9) -> CheckReport:
     """Verify sum of shares <= exact optimum cost for every client subset."""
     guard_sweep(problem, "cost-share")
+    optimum = client_optima(problem)
     for mask in range(1 << len(problem.clients)):
         S = frozenset(members(mask, problem.clients))
-        opt = exact_opt(problem, S)
+        opt = optimum(S)
         if total_share(xi, S) > opt.cost + tol:
             return CheckReport(
                 False, f"shares for {sorted(map(str, S))} exceed the optimum")
@@ -121,16 +122,13 @@ def measure_unistrictness(xi: CostShareFunction, alg: ApproxAlgorithm,
 
 def equal_split_shares(problem: ProblemInstance) -> CostShareFunction:
     """Exact optimum split evenly over the served clients."""
-
-    @functools.cache
-    def opt_cost(subset: frozenset) -> float:
-        return exact_opt(problem, subset).cost
+    optimum = client_optima(problem)
 
     def xi(subset: frozenset, j) -> float:
         subset = frozenset(subset)
         if j not in subset:
             return 0.0
-        return opt_cost(subset) / len(subset)
+        return optimum(subset).cost / len(subset)
 
     return xi
 

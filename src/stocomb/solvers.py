@@ -16,7 +16,7 @@ from functools import partial
 from typing import Callable
 
 from .errors import Disconnected, Infeasible
-from .model import ProblemInstance, Solution, members
+from .model import ProblemInstance, Solution, client_optima, guard_sweep, members
 from .problems import _UnionFind
 from .setfun import harmonic
 
@@ -275,15 +275,14 @@ def algorithm_for(problem: ProblemInstance) -> ApproxAlgorithm:
 def empirical_alpha(problem: ProblemInstance, alg: ApproxAlgorithm | None = None) -> float:
     """Worst observed solver/optimum cost ratio over every client subset
     (within the ``caps.SUBADD_*`` sweep bounds)."""
-    from .model import exact_opt, guard_sweep  # local import to avoid a cycle
-
     guard_sweep(problem, "solver")
     if alg is None:
         alg = algorithm_for(problem)
+    optimum = client_optima(problem)
     worst = 1.0
     for mask in range(1 << len(problem.clients)):
         S = frozenset(members(mask, problem.clients))
-        opt = exact_opt(problem, S)
+        opt = optimum(S)
         got = alg.solve(problem, S)
         if opt.cost <= 1e-12:
             if got.cost > 1e-12:

@@ -21,6 +21,8 @@ from stocomb.boosting import (
 from stocomb.errors import DegenerateInstance, Infeasible, NotMonotone, NotSubmodular
 from stocomb.fixtures import cov3, edge1, tri3
 from stocomb.gap import PRICE_COLUMNS, PRICE_TOL
+from stocomb.generate import random_problem
+from stocomb.io import dump_instance
 from stocomb.lp import OPTIMAL, LinearProgram, solve_lp
 from stocomb.model import (
     COST_TOL,
@@ -28,10 +30,13 @@ from stocomb.model import (
     Explicit,
     IndependentBernoulli,
     Solution,
+    exact_opt,
+    guard_sweep,
     members,
     subset_table,
 )
 from stocomb.saa import ScenarioBlock, StochasticLPInstance, unit_box
+from stocomb.solvers import algorithm_for
 
 
 def powerset(items):
@@ -245,6 +250,86 @@ def loop_exact_two_stage_opt(problem, dist, sigma=None):
     return TwoStageOptimum(best[0], best[2])
 
 
+# -- The per-client-set sweeps -----------------------------------------------
+# ``check_subadditive``, ``check_fairness``, ``equal_split_shares`` and
+# ``empirical_alpha`` price every client set through ``model.client_optima``,
+# which reads one served-client table (``ProblemInstance.served_table``).
+# These are the loops they replaced, one ``exact_opt`` (one oracle table)
+# per client set, and the table they read written with one oracle call per
+# (element set, client): same reports, same exceptions.
+
+def loop_served_table(problem) -> np.ndarray:
+    """Bit j of entry F is ``feasibility(F, {j})``."""
+    out = np.zeros(1 << len(problem.elements), dtype=np.uint64)
+    for mask in range(out.size):
+        F = mask_subset(problem.elements, mask)
+        for j, client in enumerate(problem.clients):
+            if problem.feasibility(F, frozenset({client})):
+                out[mask] |= np.uint64(1 << j)
+    return out
+
+
+def loop_check_subadditive(problem) -> CheckReport:
+    guard_sweep(problem, "subadditivity")
+    subsets = [frozenset(members(mask, problem.clients))
+               for mask in range(1 << len(problem.clients))]
+    opt = {S: exact_opt(problem, S) for S in subsets}
+    for S in subsets:
+        for T in subsets:
+            union = S | T
+            if not problem.feasibility(opt[S].chosen | opt[T].chosen, union):
+                return CheckReport(False,
+                                   f"union of optima for {sorted(map(str, S))} and "
+                                   f"{sorted(map(str, T))} is not feasible for their union")
+            if opt[union].cost > opt[S].cost + opt[T].cost + COST_TOL:
+                return CheckReport(False,
+                                   f"cost of the union of {sorted(map(str, S))} and "
+                                   f"{sorted(map(str, T))} exceeds the sum of parts")
+    return CheckReport(True)
+
+
+def loop_check_fairness(xi, problem, tol=1e-9) -> CheckReport:
+    guard_sweep(problem, "cost-share")
+    for mask in range(1 << len(problem.clients)):
+        S = frozenset(members(mask, problem.clients))
+        opt = exact_opt(problem, S)
+        if sum(xi(S, j) for j in S) > opt.cost + tol:
+            return CheckReport(
+                False, f"shares for {sorted(map(str, S))} exceed the optimum")
+    return CheckReport(True)
+
+
+def loop_equal_split_shares(problem):
+    cache = {}
+
+    def xi(subset, j):
+        subset = frozenset(subset)
+        if j not in subset:
+            return 0.0
+        if subset not in cache:
+            cache[subset] = exact_opt(problem, subset).cost
+        return cache[subset] / len(subset)
+
+    return xi
+
+
+def loop_empirical_alpha(problem, alg=None) -> float:
+    guard_sweep(problem, "solver")
+    if alg is None:
+        alg = algorithm_for(problem)
+    worst = 1.0
+    for mask in range(1 << len(problem.clients)):
+        S = frozenset(members(mask, problem.clients))
+        opt = exact_opt(problem, S)
+        got = alg.solve(problem, S)
+        if opt.cost <= 1e-12:
+            if got.cost > 1e-12:
+                return math.inf
+            continue
+        worst = max(worst, got.cost / opt.cost)
+    return worst
+
+
 # -- The run-by-run Monte-Carlo loop -----------------------------------------
 # ``boosting.evaluate_policy`` draws its runs in batches, decodes them with
 # numpy and prices each distinct (drawn, realized) pair once.  This is the
@@ -367,6 +452,25 @@ def loop_encode_ufl(data):
         polytope=unit_box(nf),
         scenarios=tuple(blocks),
     )
+
+
+# -- Instance files whose ids name nothing ------------------------------------
+
+MALFORMED_IDS = ("steiner_endpoint", "vertex_cover_endpoint", "ufl_facility")
+
+
+def malformed_ids(case: str) -> dict:
+    """A dumped instance with one id that names nothing of its kind."""
+    if case == "steiner_endpoint":
+        payload = dump_instance(tri3())
+        payload["problem"]["edges"]["e13"] = ["1", "ghost"]
+    elif case == "vertex_cover_endpoint":
+        payload = dump_instance(random_problem("vertex_cover", 3, 4, seed=1))
+        payload["problem"]["edges"]["g0"][1] = "ghost"
+    else:
+        payload = dump_instance(random_problem("ufl", 2, 2, seed=1))
+        payload["problem"]["assignments"]["f0~c0"][0] = "ghost"
+    return payload
 
 
 @pytest.fixture

@@ -47,6 +47,24 @@ def test_doc_examples_match_golden_files(argv, golden, tmp_path):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+# Every check suite on both reference instances; tri3 subadditivity is the
+# README example above.
+CHECK_SUITES = [(inst, suite) for inst in ("tri3", "cov3")
+                for suite in ("subadditivity", "fairness", "solver",
+                              "monotone-feasibility")
+                if (inst, suite) != ("tri3", "subadditivity")]
+
+
+@pytest.mark.parametrize("inst,suite", CHECK_SUITES,
+                         ids=[f"{i}_{s}" for i, s in CHECK_SUITES])
+def test_check_suites_match_golden_files(inst, suite, tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["check", "--instance", str(INSTANCES / f"{inst}.json"),
+                 "--suite", suite, "--output", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"check_{inst}_{suite}.json").read_bytes()
+
+
 def test_edge1_report_values(tmp_path):
     out = tmp_path / "r.json"
     main(["run-boost", "--instance", str(INSTANCES / "edge1.json"),

@@ -22,6 +22,8 @@ from stocomb.io import dump_stochastic_lp, load_gap_instance, read_json, write_j
 from stocomb.lp import MAX_CONSTRAINTS
 from stocomb.setfun import TABLE_ITEMS
 
+from conftest import MALFORMED_IDS, malformed_ids
+
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
 
@@ -169,6 +171,27 @@ def test_non_finite_arguments_exit_2(argv, value, capsys):
         "eta_zero", "eta_negative", "beta_zero", "tolerance_negative"])
 def test_out_of_range_arguments_exit_2(argv, capsys):
     assert exit_code(argv, capsys) == 2
+
+
+SUITES = ("subadditivity", "monotone-feasibility", "solver", "fairness")
+ID_COMMANDS = [["solve-det", "--exact"]] + [["check", "--suite", s] for s in SUITES]
+
+
+@pytest.mark.parametrize("command", ID_COMMANDS, ids=["solve_det"] + list(SUITES))
+@pytest.mark.parametrize("case", MALFORMED_IDS)
+def test_ids_that_name_nothing_exit_2(case, command, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    write_json(bad, malformed_ids(case))
+    assert exit_code(command[:1] + ["--instance", str(bad)] + command[1:], capsys) == 2
+
+
+@pytest.mark.parametrize("command", ID_COMMANDS, ids=["solve_det"] + list(SUITES))
+def test_set_cover_member_that_is_not_a_client_exits_0(command, tmp_path, capsys):
+    payload = json.loads((INSTANCES / "cov3.json").read_text())
+    payload["problem"]["sets"]["sA"].append("ghost")
+    inst = tmp_path / "inst.json"
+    write_json(inst, payload)
+    assert exit_code(command[:1] + ["--instance", str(inst)] + command[1:], capsys) == 0
 
 
 def test_oversized_deterministic_equivalent_exits_3(tmp_path, capsys):

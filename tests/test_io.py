@@ -15,8 +15,17 @@ from stocomb.io import (
     load_instance,
     load_stochastic_lp,
 )
-from stocomb.model import Explicit, IndependentBernoulli, KPartition
+from stocomb.model import (
+    Explicit,
+    IndependentBernoulli,
+    KPartition,
+    check_subadditive,
+    client_optima,
+    exact_opt,
+)
 from stocomb.saa import h_exact
+
+from conftest import MALFORMED_IDS, loop_served_table, malformed_ids
 
 
 @pytest.mark.parametrize("kind", ["steiner", "ufl", "set_cover", "vertex_cover"])
@@ -98,3 +107,20 @@ def test_gap_instance_loading():
     })
     assert inst.f(frozenset({"a", "b"})) == 2.0
     assert inst.marginals["a"] == 0.5
+
+
+@pytest.mark.parametrize("case", MALFORMED_IDS)
+def test_ids_that_name_nothing_raise_schema_error(case):
+    with pytest.raises(SchemaError, match="ghost"):
+        load_instance(malformed_ids(case))
+
+
+def test_set_cover_member_that_is_not_a_client_is_accepted():
+    payload = dump_instance(cov3())
+    payload["problem"]["sets"]["sA"].append("ghost")
+    problem, _ = load_instance(payload)
+    assert problem.payload["sets"]["sA"] == {"1", "2", "ghost"}
+    assert (problem.served_table() == loop_served_table(problem)).all()
+    optimum = client_optima(problem)
+    assert optimum({"1", "2"}) == exact_opt(problem, {"1", "2"})
+    assert check_subadditive(problem).ok
