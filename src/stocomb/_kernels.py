@@ -92,10 +92,9 @@ def _read_off(status, tableau, pivots):
     n = T.shape[1] - 1 - 2 * m
     if status != 0:
         return status, np.zeros(n), np.zeros(m), 0.0, pivots, None
-    x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i, -1]
+    level = np.zeros(n + 2 * m)  # every column's level; structural ones first
+    level[basis] = T[:, -1]
+    x = level[:n]
     value = -obj[-1]
     # Row multipliers read off the artificial columns, mapped back through
     # the row sign applied during setup.
@@ -112,9 +111,8 @@ def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit):
     basis = np.arange(n + m, n + 2 * m).astype(np.int64)
     row_sign = np.where(b >= 0.0, 1.0, -1.0)
     T[:, :n] = row_sign.reshape(m, 1) * A
-    for i in range(m):
-        T[i, n + i] = -row_sign[i]
-        T[i, n + m + i] = 1.0
+    np.fill_diagonal(T[:, n:], -row_sign)  # surplus block
+    np.fill_diagonal(T[:, n + m:], 1.0)  # artificial block
     T[:, rhs_col] = row_sign * b
 
     # Phase 1 minimizes the artificial sum; with every artificial basic the
@@ -136,14 +134,10 @@ def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit):
     # stay artificial are redundant and remain at level zero.
     for i in range(m):
         if basis[i] >= n + m:
-            q = -1
-            for j in range(n + m):
-                if abs(T[i, j]) > tol:
-                    q = j
-                    break
-            if q >= 0:
-                _pivot(T, i, q)
-                basis[i] = q
+            nonzero = np.flatnonzero(np.abs(T[i, :n + m]) > tol)
+            if nonzero.size:
+                _pivot(T, i, nonzero[0])
+                basis[i] = nonzero[0]
 
     # Install the phase-2 objective: rebuild reduced costs from c.
     obj[:] = 0.0

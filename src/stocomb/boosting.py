@@ -20,7 +20,6 @@ from typing import Callable
 import numpy as np
 
 from . import caps
-from ._kernels import bernoulli_weights
 from .errors import CapExceeded, Infeasible
 from .model import (
     CHUNK,
@@ -77,9 +76,6 @@ class BoostPolicyBuilder:
         """(law, rounds): a draw is the union of ``rounds`` samples of ``law``."""
         return dist, _rounds(sigma)
 
-    def sample_draw(self, dist: ScenarioDistribution, sigma: float, rng) -> frozenset:
-        return dist.sample(rng, _rounds(sigma))
-
     def draw_space(self, dist: ScenarioDistribution, sigma: float):
         """Distribution of the union of floor(sigma) independent samples."""
         rounds = _rounds(sigma)
@@ -128,19 +124,15 @@ class IndBoostPolicyBuilder:
         return [(j, min(1.0, sigma * p)) for j, p in self.marginals]
 
     def draw_law(self, dist, sigma: float):
+        """(law, 1): a draw is one sample of the boosted product law."""
         return IndependentBernoulli(self.boosted(sigma)), 1
 
-    def sample_draw(self, dist, sigma: float, rng) -> frozenset:
-        return IndependentBernoulli(self.boosted(sigma)).sample(rng)
-
     def draw_space(self, dist, sigma: float):
-        boosted = self.boosted(sigma)
-        if 2 ** len(boosted) > caps.DRAWS:
+        """The boosted law's positive-weight support, in mask order."""
+        law, _ = self.draw_law(dist, sigma)
+        if 2 ** law.width > caps.DRAWS:
             raise CapExceeded("boosted-draw space too large to enumerate")
-        clients = tuple(j for j, _ in boosted)
-        weights = bernoulli_weights(np.array([p for _, p in boosted]))
-        return [(frozenset(members(mask, clients)), float(w))
-                for mask, w in enumerate(weights) if w > 0.0]
+        return [(drawn, w) for drawn, w in law.support() if w > 0.0]
 
     def policy(self, drawn: frozenset) -> TwoStagePolicy:
         first = self.alg.solve(self.problem, drawn).chosen
@@ -166,7 +158,8 @@ def boost_and_sample(problem: ProblemInstance, alg: ApproxAlgorithm,
     if sigma is None:
         sigma = problem.inflation
     builder = BoostPolicyBuilder(problem, alg)
-    return builder.policy(builder.sample_draw(dist, sigma, rng))
+    law, rounds = builder.draw_law(dist, sigma)
+    return builder.policy(law.sample(rng, rounds))
 
 
 def ind_boost(problem: ProblemInstance, alg: ApproxAlgorithm,
@@ -175,7 +168,8 @@ def ind_boost(problem: ProblemInstance, alg: ApproxAlgorithm,
     if isinstance(marginals, IndependentBernoulli):
         marginals = marginals.marginals
     builder = IndBoostPolicyBuilder(problem, alg, tuple(marginals))
-    return builder.policy(builder.sample_draw(None, sigma, rng))
+    law, rounds = builder.draw_law(None, sigma)
+    return builder.policy(law.sample(rng, rounds))
 
 
 def policy_cost(problem: ProblemInstance, policy: TwoStagePolicy,
@@ -236,9 +230,9 @@ def _monte_carlo_costs(problem, builder, law, rounds, dist, sigma, rng,
                        runs) -> np.ndarray:
     """Each run's cost, pricing every distinct (drawn, realized) pair once.
 
-    A run reads ``rounds`` draws of ``law`` and then one of ``dist``.  Pairs
-    are priced in order of first appearance, each draw's policy built at its
-    first run, so the first exception raised is the run-by-run loop's.
+    A run reads ``rounds`` draws of ``law`` and then one of ``dist``.  The
+    runs are walked in order, each pair priced and each draw's policy built
+    at its first run, so the first exception raised is the run-by-run loop's.
     """
     width = rounds * law.width  # a run's first ``width`` variates make its draw
     batch = max(1, CHUNK // max(width + dist.width, 1))
@@ -258,19 +252,15 @@ def _monte_carlo_costs(problem, builder, law, rounds, dist, sigma, rng,
         drawn = law.decode(drawn_v.reshape(k, rounds, law.width)).any(axis=1)
         realized = dist.decode(realized_v)
         keys = np.packbits(np.concatenate([drawn, realized], axis=1), axis=1)
-        unique, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                           return_inverse=True)
-        batch_prices = np.empty(len(unique))
-        for u in np.argsort(first):
-            key = unique[u].tobytes()
+        for t, row in enumerate(keys):
+            key = row.tobytes()
             if key not in prices:
-                d = frozenset(itertools.compress(law.universe, drawn[first[u]]))
+                d = frozenset(itertools.compress(law.universe, drawn[t]))
                 if d not in policies:
                     policies[d] = builder.policy(d)
-                r = frozenset(itertools.compress(dist.universe, realized[first[u]]))
+                r = frozenset(itertools.compress(dist.universe, realized[t]))
                 prices[key] = policy_cost(problem, policies[d], r, sigma)
-            batch_prices[u] = prices[key]
-        costs[start:start + k] = batch_prices[inverse.reshape(-1)]
+            costs[start + t] = prices[key]
     return costs
 
 

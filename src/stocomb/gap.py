@@ -20,9 +20,10 @@ import numpy as np
 from . import caps
 from ._kernels import bernoulli_weights
 from .errors import CapExceeded, DegenerateInstance, NotMonotone, UncertifiedScheme
+from .lp import OPTIMAL, ColumnMaster
 # ``solve_lp`` is not called here; it stays a module attribute because
 # perfbench/tracing.py patches ``gap.solve_lp`` by name.
-from .lp import OPTIMAL, ColumnMaster, solve_lp  # noqa: F401
+from .lp import solve_lp  # noqa: F401
 from .model import members, subset_table
 from .setfun import E_RATIO, check_monotone, from_table, table
 from .sharing import OrderedCostShareScheme, SchemeReport

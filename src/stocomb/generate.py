@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .gap import GapInstance
-from .model import Explicit, IndependentBernoulli, ProblemInstance
+from .model import Explicit, IndependentBernoulli, ProblemInstance, members
 from .problems import (
     set_cover_problem,
     steiner_problem,
@@ -134,8 +134,7 @@ def random_explicit_distribution(clients: tuple, seed: int) -> Explicit:
     subsets = [frozenset()]
     for _ in range(EXPLICIT_SUPPORT - 1):
         mask = int(rng.integers(1 << len(clients)))
-        subsets.append(frozenset(clients[i] for i in range(len(clients))
-                                 if (mask >> i) & 1))
+        subsets.append(frozenset(members(mask, clients)))
     subsets = sorted(set(subsets), key=lambda s: sorted(map(str, s)))
     weights = rng.uniform(0.05, 1.0, len(subsets))
     weights = np.round(weights / weights.sum(), 8)

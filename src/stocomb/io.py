@@ -139,13 +139,7 @@ def load_instance(payload: dict):
 
 
 def _check_distribution_clients(dist: ScenarioDistribution, clients: set):
-    if isinstance(dist, Explicit):
-        mentioned = set().union(*(s for s, _ in dist.outcomes)) if dist.outcomes else set()
-    elif isinstance(dist, IndependentBernoulli):
-        mentioned = set(dist.clients())
-    else:
-        mentioned = set().union(*dist.blocks)
-    unknown = mentioned - clients
+    unknown = set(dist.universe) - clients
     if unknown:
         raise SchemaError(
             f"distribution mentions unknown clients: {sorted(map(str, unknown))}")

@@ -187,16 +187,13 @@ class IndependentBernoulli(ScenarioDistribution):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"marginal for {j!r} outside [0, 1]")
 
-    def clients(self) -> tuple:
-        return tuple(j for j, _ in self.marginals)
-
     @property
     def width(self) -> int:
         return len(self.marginals)
 
-    @property
+    @functools.cached_property
     def universe(self) -> tuple:
-        return self.clients()
+        return tuple(j for j, _ in self.marginals)
 
     @functools.cached_property
     def _p(self) -> np.ndarray:
@@ -209,12 +206,11 @@ class IndependentBernoulli(ScenarioDistribution):
     def support(self):
         """Every subset with its product weight, in mask order; refused with
         :class:`CapExceeded` past ``caps.SUPPORT_CLIENTS`` clients."""
-        clients = self.clients()
-        n = len(clients)
+        n = len(self.universe)
         if n > caps.SUPPORT_CLIENTS:
             raise CapExceeded(f"2^{n} subsets exceed the enumeration cap")
         weights = bernoulli_weights(self._p)
-        return [(frozenset(members(mask, clients)), float(w))
+        return [(frozenset(members(mask, self.universe)), float(w))
                 for mask, w in enumerate(weights)]
 
 
@@ -381,28 +377,31 @@ class CheckReport:
     failure: str | None = None
 
 
-def guard_sweep(problem: ProblemInstance, sweep: str):
-    """Raise :class:`CapExceeded` unless ``problem`` fits the exhaustive
-    sweeps over all client subsets (``caps.SUBADD_CLIENTS`` clients and
+def client_sets(problem: ProblemInstance, sweep: str) -> list[frozenset]:
+    """Every client set of ``problem``, in mask order: the one enumeration of
+    the exhaustive sweeps.  Raises :class:`CapExceeded`, naming ``sweep``,
+    unless ``problem`` fits them (``caps.SUBADD_CLIENTS`` clients and
     ``caps.SUBADD_ELEMENTS`` elements)."""
     if (len(problem.clients) > caps.SUBADD_CLIENTS
             or len(problem.elements) > caps.SUBADD_ELEMENTS):
         raise CapExceeded(f"instance too large for the {sweep} sweep")
+    return [frozenset(members(mask, problem.clients))
+            for mask in range(1 << len(problem.clients))]
 
 
 def check_subadditive(problem: ProblemInstance) -> CheckReport:
     """Verify, for every pair of client sets, that optimal solutions combine.
 
     Checks both that the union of the two optima is feasible for the union
-    of the client sets and that optimal costs are subadditive.
+    of the client sets and that optimal costs are subadditive.  Both tests
+    are symmetric in the pair, so T runs from S onward in mask order; the
+    first failing ordered pair always has S at or before T.
     """
-    guard_sweep(problem, "subadditivity")
-    subsets = [frozenset(members(mask, problem.clients))
-               for mask in range(1 << len(problem.clients))]
+    subsets = client_sets(problem, "subadditivity")
     optimum = client_optima(problem)
     opt = {S: optimum(S) for S in subsets}
-    for S in subsets:
-        for T in subsets:
+    for i, S in enumerate(subsets):
+        for T in subsets[i:]:
             union = S | T
             if not problem.feasibility(opt[S].chosen | opt[T].chosen, union):
                 return CheckReport(False,
@@ -417,11 +416,10 @@ def check_subadditive(problem: ProblemInstance) -> CheckReport:
 
 def check_monotone_feasibility(problem: ProblemInstance) -> CheckReport:
     """Exhaustively verify monotonicity of the oracle and Sols({}) != {}."""
-    guard_sweep(problem, "monotonicity")
+    subsets = client_sets(problem, "monotonicity")
     if not problem.feasibility(frozenset(), frozenset()):
         return CheckReport(False, "the empty set does not serve the empty client set")
-    for mask in range(1 << len(problem.clients)):
-        S = frozenset(members(mask, problem.clients))
+    for S in subsets:
         broken = first_decrease(feasible_table(problem, S), 0.0)
         if broken is not None:
             return CheckReport(False,

@@ -17,7 +17,7 @@ from typing import Callable
 
 from . import caps
 from .errors import CapExceeded
-from .model import CheckReport, ProblemInstance, client_optima, guard_sweep, members
+from .model import CheckReport, ProblemInstance, client_optima, client_sets, members
 from .model import exact_opt  # noqa: F401 - kept importable: tracers patch it here by name
 from .rng import stream
 from .setfun import check_monotone, check_submodular
@@ -56,10 +56,9 @@ def total_share(xi: CostShareFunction, subset: frozenset) -> float:
 def check_fairness(xi: CostShareFunction, problem: ProblemInstance,
                    tol: float = 1e-9) -> CheckReport:
     """Verify sum of shares <= exact optimum cost for every client subset."""
-    guard_sweep(problem, "cost-share")
+    subsets = client_sets(problem, "cost-share")
     optimum = client_optima(problem)
-    for mask in range(1 << len(problem.clients)):
-        S = frozenset(members(mask, problem.clients))
+    for S in subsets:
         opt = optimum(S)
         if total_share(xi, S) > opt.cost + tol:
             return CheckReport(
@@ -69,9 +68,7 @@ def check_fairness(xi: CostShareFunction, problem: ProblemInstance,
 
 def check_support(xi: CostShareFunction, problem: ProblemInstance) -> bool:
     """Shares must vanish for clients outside the served set."""
-    guard_sweep(problem, "cost-share")
-    for mask in range(1 << len(problem.clients)):
-        S = frozenset(members(mask, problem.clients))
+    for S in client_sets(problem, "cost-share"):
         for j in problem.clients:
             if j not in S and xi(S, j) > 0.0:
                 return False
@@ -79,9 +76,7 @@ def check_support(xi: CostShareFunction, problem: ProblemInstance) -> bool:
 
 
 def _strictness(xi, alg, problem, singletons_only):
-    guard_sweep(problem, "cost-share")
-    subsets = [frozenset(members(mask, problem.clients))
-               for mask in range(1 << len(problem.clients))]
+    subsets = client_sets(problem, "cost-share")
     solved = {S: alg.solve(problem, S) for S in subsets}
     if singletons_only:
         additions = [frozenset({j}) for j in problem.clients]

@@ -16,7 +16,7 @@ from functools import partial
 from typing import Callable
 
 from .errors import Disconnected, Infeasible
-from .model import ProblemInstance, Solution, client_optima, guard_sweep, members
+from .model import ProblemInstance, Solution, client_optima, client_sets
 from .problems import _UnionFind
 from .setfun import harmonic
 
@@ -275,13 +275,12 @@ def algorithm_for(problem: ProblemInstance) -> ApproxAlgorithm:
 def empirical_alpha(problem: ProblemInstance, alg: ApproxAlgorithm | None = None) -> float:
     """Worst observed solver/optimum cost ratio over every client subset
     (within the ``caps.SUBADD_*`` sweep bounds)."""
-    guard_sweep(problem, "solver")
+    subsets = client_sets(problem, "solver")
     if alg is None:
         alg = algorithm_for(problem)
     optimum = client_optima(problem)
     worst = 1.0
-    for mask in range(1 << len(problem.clients)):
-        S = frozenset(members(mask, problem.clients))
+    for S in subsets:
         opt = optimum(S)
         got = alg.solve(problem, S)
         if opt.cost <= 1e-12:

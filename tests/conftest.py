@@ -30,8 +30,8 @@ from stocomb.model import (
     Explicit,
     IndependentBernoulli,
     Solution,
+    client_sets,
     exact_opt,
-    guard_sweep,
     members,
     subset_table,
 )
@@ -270,9 +270,7 @@ def loop_served_table(problem) -> np.ndarray:
 
 
 def loop_check_subadditive(problem) -> CheckReport:
-    guard_sweep(problem, "subadditivity")
-    subsets = [frozenset(members(mask, problem.clients))
-               for mask in range(1 << len(problem.clients))]
+    subsets = client_sets(problem, "subadditivity")
     opt = {S: exact_opt(problem, S) for S in subsets}
     for S in subsets:
         for T in subsets:
@@ -289,9 +287,7 @@ def loop_check_subadditive(problem) -> CheckReport:
 
 
 def loop_check_fairness(xi, problem, tol=1e-9) -> CheckReport:
-    guard_sweep(problem, "cost-share")
-    for mask in range(1 << len(problem.clients)):
-        S = frozenset(members(mask, problem.clients))
+    for S in client_sets(problem, "cost-share"):
         opt = exact_opt(problem, S)
         if sum(xi(S, j) for j in S) > opt.cost + tol:
             return CheckReport(
@@ -314,12 +310,11 @@ def loop_equal_split_shares(problem):
 
 
 def loop_empirical_alpha(problem, alg=None) -> float:
-    guard_sweep(problem, "solver")
+    subsets = client_sets(problem, "solver")
     if alg is None:
         alg = algorithm_for(problem)
     worst = 1.0
-    for mask in range(1 << len(problem.clients)):
-        S = frozenset(members(mask, problem.clients))
+    for S in subsets:
         opt = exact_opt(problem, S)
         got = alg.solve(problem, S)
         if opt.cost <= 1e-12:

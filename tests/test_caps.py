@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from stocomb import boosting, caps, gap, model, setfun
+from stocomb import caps, gap, model, setfun
 from stocomb.boosting import (
     BoostPolicyBuilder,
     IndBoostPolicyBuilder,
@@ -107,14 +107,13 @@ def draws(monkeypatch):
     builder = BoostPolicyBuilder(problem(1, 1), None)
     # 2 ** DRAWS.bit_length() is the first power of two above DRAWS.
     yield lambda: builder.draw_space(two, float(caps.DRAWS.bit_length()))
-    yield lambda: builder.sample_draw(ForbiddenDistribution(),
-                                      caps.DRAWS + 1.0, None)
+    yield lambda: builder.draw_law(ForbiddenDistribution(), caps.DRAWS + 1.0)
     # Monte-Carlo evaluation: runs x floor(sigma) draws.
     for sigma, runs in ((1.0, caps.DRAWS + 1), (2.0, caps.DRAWS // 2 + 1)):
         yield lambda sigma=sigma, runs=runs: evaluate_policy(
             problem(1, 1), builder, ForbiddenDistribution(), sigma,
             "monte_carlo", forbidden, runs)
-    monkeypatch.setattr(boosting, "bernoulli_weights", forbidden)
+    monkeypatch.setattr(model, "bernoulli_weights", forbidden)
     marginals = tuple((j, 0.5) for j in items(caps.DRAWS.bit_length()))
     yield lambda: IndBoostPolicyBuilder(problem(1, 1), None,
                                         marginals).draw_space(None, 1.0)

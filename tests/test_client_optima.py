@@ -23,8 +23,8 @@ from stocomb.model import (
     Solution,
     check_subadditive,
     client_optima,
+    client_sets,
     exact_opt,
-    members,
 )
 from stocomb.problems import (
     set_cover_problem,
@@ -107,11 +107,6 @@ HAND_BUILT = {
 }
 
 
-def client_sets(problem):
-    return [frozenset(members(mask, problem.clients))
-            for mask in range(1 << len(problem.clients))]
-
-
 def outcome(fn, *args):
     """``fn(*args)``, or the type and message of what it raised."""
     try:
@@ -148,7 +143,7 @@ def test_served_table_reads_the_payload_not_the_oracle():
 
 def assert_optima_agree(problem, extra=()):
     optimum = client_optima(problem)
-    for S in client_sets(problem) + list(extra):
+    for S in client_sets(problem, "client-optima") + list(extra):
         assert outcome(optimum, S) == outcome(exact_opt, problem, S), S
 
 
@@ -206,7 +201,7 @@ def test_client_optima_builds_one_table_on_first_call():
                       or problem.served_table())
     optimum = client_optima(counted)
     assert built == []
-    for S in client_sets(problem) * 2:
+    for S in client_sets(problem, "client-optima") * 2:
         optimum(S)
     assert built == [1]
 
@@ -280,23 +275,76 @@ def greedy_prefix(problem, clients):
 PREFIX = ApproxAlgorithm("prefix", 2.0, greedy_prefix, None)
 
 
+def pairs_from_s_onward(problem, calls):
+    """The subadditivity loop's oracle calls without the pair checks where T
+    precedes S.  The loop first tabulates every client set's optimum (2^|X|
+    calls each), then asks once per ordered pair (S, T) in row order."""
+    n = 1 << len(problem.clients)
+    table = min(len(calls), n << len(problem.elements))
+    pairs = calls[table:]
+    return calls[:table] + [c for k, c in enumerate(pairs) if k % n >= k // n]
+
+
+def sweep_runs(problem, sweeps):
+    """(outcome, oracle calls) of each sweep on a fresh recording oracle."""
+    runs = []
+    for sweep in sweeps:
+        custom, calls = recording(problem)
+        runs.append((sweep(custom), calls))
+    return runs
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_custom_oracles_see_the_loops_calls(kind):
     for seed in range(3):
         problem = raw_problem(kind, seed)
-        runs = []
-        for subadditive, fairness, shares, alpha in (
-                (check_subadditive, check_fairness, equal_split_shares, empirical_alpha),
-                (loop_check_subadditive, loop_check_fairness, loop_equal_split_shares,
-                 loop_empirical_alpha)):
-            custom, calls = recording(problem)
-            results = [outcome(subadditive, custom),
-                       outcome(fairness, shares(custom), custom),
-                       outcome(alpha, custom, PREFIX)]
-            runs.append((results, calls))
-        (got, got_calls), (want, want_calls) = runs
-        assert got == want
-        assert got_calls == want_calls
+        got = sweep_runs(problem, (
+            lambda p: outcome(check_subadditive, p),
+            lambda p: outcome(check_fairness, equal_split_shares(p), p),
+            lambda p: outcome(empirical_alpha, p, PREFIX)))
+        want = sweep_runs(problem, (
+            lambda p: outcome(loop_check_subadditive, p),
+            lambda p: outcome(loop_check_fairness, loop_equal_split_shares(p), p),
+            lambda p: outcome(loop_empirical_alpha, p, PREFIX)))
+        assert [r for r, _ in got] == [r for r, _ in want]
+        assert got[0][1] == pairs_from_s_onward(problem, want[0][1])
+        assert [c for _, c in got[1:]] == [c for _, c in want[1:]]
+
+
+def two_client_problem(feasibility):
+    """Clients a and b, elements x (cost 1) and y (cost 5)."""
+    return ProblemInstance(("a", "b"), ("x", "y"), {"x": 1.0, "y": 5.0}, 1.0,
+                           feasibility)
+
+
+def split_serving(F, S):
+    """Each client alone is served by x, the two together only by y."""
+    return not S or ("y" if S == {"a", "b"} else "x") in F
+
+
+def second_opinion():
+    """``split_serving`` on a first call, and yes on any repeated call: the
+    union check repeats a call of the optimum's table, so it passes while the
+    table's optimum for {a, b} costs more than the two parts."""
+    asked = set()
+
+    def oracle(F, S):
+        again = (F, S) in asked
+        asked.add((F, S))
+        return again or split_serving(F, S)
+
+    return oracle
+
+
+@pytest.mark.parametrize("oracle, message", [
+    (lambda: split_serving,
+     "union of optima for ['a'] and ['b'] is not feasible for their union"),
+    (second_opinion, "cost of the union of ['a'] and ['b'] exceeds the sum of parts"),
+])
+def test_custom_subadditivity_failures_are_the_loops(oracle, message):
+    got = check_subadditive(two_client_problem(oracle()))
+    assert got == loop_check_subadditive(two_client_problem(oracle()))
+    assert got.failure == message
 
 
 def test_sweeps_refuse_oversized_instances_before_building_a_table():

@@ -96,7 +96,8 @@ def test_scalar_draw_is_the_loop_draw(builder, law):
     b = builder_for(builder, problem)
     rng, oracle_rng = stream(1, "d"), stream(1, "d")
     for sigma in SIGMAS:
-        assert ([b.sample_draw(dist, sigma, rng) for _ in range(50)]
+        law, rounds = b.draw_law(dist, sigma)
+        assert ([law.sample(rng, rounds) for _ in range(50)]
                 == [loop_sample_draw(b, dist, sigma, oracle_rng) for _ in range(50)])
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
