@@ -26,8 +26,10 @@ from .model import (
     IndependentBernoulli,
     ProblemInstance,
     ScenarioDistribution,
+    _cheapest_solution,
+    _price_table,
     cheapest,
-    exact_opt,
+    exact_opt,  # noqa: F401 - kept importable: tracers patch it here by name
     feasible_table,
     members,
     subset_table,
@@ -273,6 +275,9 @@ def exact_two_stage_opt(problem: ProblemInstance, dist: ScenarioDistribution,
     lexicographically smallest subset.  A scenario's recourse cost from every
     F at once is a superset-min over its feasibility table, one element at a
     time: best[F] = min(best[F], price + best[F + element]), so no cost cancels.
+    The winner's recourse in each scenario, ``exact_opt(problem, S,
+    base=first)``, is read from the same table, so the oracle is called once
+    per (element set, scenario).
     """
     if sigma is None:
         sigma = problem.inflation
@@ -283,8 +288,9 @@ def exact_two_stage_opt(problem: ProblemInstance, dist: ScenarioDistribution,
     problem.cost(problem.elements)  # NumericalFailure, before Infeasible, on overflow
     prices = [problem.first_stage_cost[e] for e in problem.elements]
     values = subset_table(prices, np.add, 0.0)
-    for realized, p in scenarios:
-        best = np.where(feasible_table(problem, realized), 0.0, np.inf)
+    tables = [feasible_table(problem, realized) for realized, _ in scenarios]
+    for table, (_, p) in zip(tables, scenarios):
+        best = np.where(table, 0.0, np.inf)
         for i, price in enumerate(prices):
             pairs = best.reshape(-1, 2, 1 << i)
             np.minimum(pairs[:, 0], price + pairs[:, 1], out=pairs[:, 0])
@@ -293,8 +299,15 @@ def exact_two_stage_opt(problem: ProblemInstance, dist: ScenarioDistribution,
     ok = values < np.inf
     if not ok.any():
         raise Infeasible("no first-stage set admits feasible recourse everywhere")
-    first = frozenset(members(cheapest(values, ok, 1e-12), problem.elements))
+    picked = cheapest(values, ok, 1e-12)
+    first = frozenset(members(picked, problem.elements))
+    free = tuple(e for e in problem.elements if e not in first)
+    bits = [1 << i for i, e in enumerate(problem.elements) if e not in first]
+    above = subset_table(bits, np.bitwise_or, picked)  # first | F, F over free
+    costs = _price_table(problem, free)
     value = problem.cost(first)  # then each scenario's exact recourse, in order
-    for realized, p in scenarios:
-        value += sigma * p * exact_opt(problem, realized, base=first).cost
+    for table, (realized, p) in zip(tables, scenarios):
+        recourse = _cheapest_solution(problem, realized, free, table[above],
+                                      lambda: costs)
+        value += sigma * p * recourse.cost
     return TwoStageOptimum(value, first)

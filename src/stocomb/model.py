@@ -25,6 +25,7 @@ from .errors import CapExceeded, Infeasible, NumericalFailure
 COST_TOL = 1e-9
 PROB_TOL = 1e-12
 CHUNK = 1 << 16  # variates drawn per batch when sampling many draws
+BLOCK = 1 << 12  # masks per block of a lattice table built block by block
 
 
 @dataclass(frozen=True)
@@ -291,11 +292,24 @@ def first_decrease(values, tol: float):
 def feasible_table(problem: ProblemInstance, clients: frozenset,
                    base: frozenset = frozenset()) -> np.ndarray:
     """``feasibility(base | F, clients)`` for every mask F over the elements
-    outside ``base`` (in ``problem.elements`` order), one oracle call each:
-    the one feasibility table of the exhaustive oracles."""
+    outside ``base`` (in ``problem.elements`` order), one oracle call each in
+    mask order: the one feasibility table of the exhaustive oracles.
+
+    The table is built in blocks of ``BLOCK`` masks.  The element sets of the
+    low free elements are built once by doubling; block h asks the oracle
+    about ``top | s`` for each of them, where ``top`` is ``base`` plus the
+    high free elements of h.  So no more than ``BLOCK`` sets are held at once.
+    """
     free = tuple(e for e in problem.elements if e not in base)
-    return np.fromiter((problem.feasibility(base.union(members(mask, free)), clients)
-                        for mask in range(1 << len(free))), dtype=bool)
+    split = BLOCK.bit_length() - 1
+    low, high = free[:split], free[split:]
+    sets = [frozenset()]
+    for e in low:
+        sets += [s | {e} for s in sets]
+    tops = (base.union(members(h, high)) for h in range(1 << len(high)))
+    return np.fromiter((problem.feasibility(top | s, clients)
+                        for top in tops for s in sets),
+                       dtype=bool, count=1 << len(free))
 
 
 def cheapest(costs, ok, tol: float) -> int:
@@ -330,7 +344,8 @@ def _price_table(problem: ProblemInstance, items: tuple) -> np.ndarray:
 def _cheapest_solution(problem, clients, free, ok, prices) -> Solution:
     """The cheapest ``ok`` mask over ``free``, priced by ``prices()`` once the
     costs are known to sum inside the float range: the tail of
-    :func:`exact_opt` and of :func:`client_optima`."""
+    :func:`exact_opt`, of :func:`client_optima` and of the two-stage
+    optimum's recourse."""
     if not ok.any():
         raise Infeasible(f"no element subset serves {sorted(map(str, clients))}")
     problem.cost(free)  # largest sum, feasible if any is: NumericalFailure on overflow

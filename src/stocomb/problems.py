@@ -23,9 +23,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .model import ProblemInstance, subset_table
+from .model import BLOCK, ProblemInstance, subset_table
 
-BLOCK = 1 << 12  # element masks per numpy block of a served table built by blocks
 ONE = np.uint64(1)
 
 

@@ -206,6 +206,14 @@ def loop_check_monotone_feasibility(problem) -> CheckReport:
 # one oracle call per subset, and one exact optimum per (first stage,
 # scenario) pair, each with its own sequential tolerance tie-break.
 
+def loop_feasible_table(problem, clients, base=frozenset()) -> np.ndarray:
+    """One element set per mask, ``base`` plus the mask's free elements: the
+    generator ``model.feasible_table`` used before it built sets in blocks."""
+    free = tuple(e for e in problem.elements if e not in base)
+    return np.fromiter((problem.feasibility(base.union(members(mask, free)), clients)
+                        for mask in range(1 << len(free))), dtype=bool)
+
+
 def loop_exact_opt(problem, clients, base=frozenset()):
     clients = frozenset(clients)
     base = frozenset(base)

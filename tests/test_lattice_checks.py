@@ -15,8 +15,14 @@ that does not decompose per client, on all three distribution kinds with
 zero-probability and infeasible scenarios, on exact integer ties and on
 1e308 costs.  Only near-tie chains closer than ``COST_TOL`` may differ;
 the last test pins the rule there.
+
+``model.feasible_table`` builds its element sets block by block; it must
+give the per-mask generator's table and ask the oracle the same (F, S)
+pairs in the same order, on both sides of the block boundary, and hold
+no more than a block of element sets at once.
 """
 
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -29,6 +35,7 @@ from conftest import (
     loop_check_submodular,
     loop_exact_opt,
     loop_exact_two_stage_opt,
+    loop_feasible_table,
 )
 from stocomb.boosting import TwoStageOptimum, exact_two_stage_opt
 from stocomb.errors import Infeasible, NumericalFailure, StocombError
@@ -49,6 +56,7 @@ from stocomb.model import (
     check_monotone_feasibility,
     cheapest,
     exact_opt,
+    feasible_table,
     first_decrease,
     members,
     subset_table,
@@ -174,6 +182,80 @@ def test_monotone_feasibility_tabulates_the_oracle_once():
 
     assert check_monotone_feasibility(replace(problem, feasibility=counting)).ok
     assert calls <= 1 + (1 << 5) * (1 << 8)
+
+
+# -- feasible_table against the per-mask generator it replaced ----------------
+
+def recorded_table(build, problem, clients, base):
+    """``build``'s table bytes and the (F, S) pairs it asked the oracle, in order."""
+    calls = []
+
+    def oracle(F, S):
+        calls.append((F, S))
+        return problem.feasibility(F, S)
+
+    return build(replace(problem, feasibility=oracle), clients, base).tobytes(), calls
+
+
+def assert_table_matches_loop(problem, clients, base):
+    got = recorded_table(feasible_table, problem, clients, base)
+    assert got == recorded_table(loop_feasible_table, problem, clients, base)
+
+
+# Free-element counts on both sides of the 12-element block boundary.
+FREE_COUNTS = (0, 1, 12, 13, 14)
+
+# (clients, elements) generator arguments giving 14 elements; ufl: 6 clients
+# and 2 facilities.
+TABLE_SIZES = {"steiner": (6, 14), "set_cover": (4, 14), "vertex_cover": (4, 14),
+               "ufl": (6, 2)}
+
+
+def base_leaving(elements: tuple, free: int, rng) -> frozenset:
+    """A random base of all but ``free`` elements, spread through the order."""
+    picked = rng.choice(len(elements), len(elements) - free, replace=False)
+    return frozenset(elements[i] for i in picked)
+
+
+@pytest.mark.parametrize("kind", TABLE_SIZES)
+def test_feasible_table_matches_loop_on_shipped_kinds(kind):
+    problem = random_problem(kind, *TABLE_SIZES[kind], seed=7)
+    rng = np.random.default_rng(7)
+    full = frozenset(problem.clients)
+    part = frozenset(problem.clients[::2])
+    for free in FREE_COUNTS:
+        base = base_leaving(problem.elements, free, rng)
+        assert (len(base) == 0) == (free == len(problem.elements))
+        for clients in (full, part):
+            assert_table_matches_loop(problem, clients, base)
+
+
+@pytest.mark.parametrize("free", FREE_COUNTS)
+def test_feasible_table_matches_loop_on_custom_oracles(free):
+    rng = np.random.default_rng(free)
+    for n, base_size in ((free, 0), (free + 2, 2)):
+        # The random oracle's own lookup is slow, so large tables ask only
+        # the cheap cardinality oracle.
+        problems = [cardinality_problem(n, 3)]
+        if n < 12:
+            problems.append(table_oracle(rng, n, 2, True))
+        for problem in problems:
+            base = base_leaving(problem.elements, n - base_size, rng)
+            for clients in (problem.clients[:0], problem.clients[:1], problem.clients):
+                assert_table_matches_loop(problem, frozenset(clients), base)
+
+
+def test_feasible_table_holds_one_block_of_element_sets():
+    problem = cardinality_problem(16, 1)
+    tracemalloc.start()
+    try:
+        table = feasible_table(problem, frozenset(problem.clients))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.sum() == (1 << 16) - 1
+    # 2^16 element sets alive at once would take 2^16 empty frozensets' room.
+    assert peak < (1 << 16) * sys.getsizeof(frozenset())
 
 
 def test_worst_case_allocates_no_bit_matrix():
@@ -302,17 +384,26 @@ def test_two_stage_opt_matches_loop_on_a_cardinality_oracle():
 
 def test_two_stage_opt_tabulates_the_oracle_once_per_scenario():
     problem = random_problem("set_cover", 4, 8, 4)
-    calls = 0
+    for costs in (problem.first_stage_cost, dict.fromkeys(problem.elements, 1.0)):
+        calls = 0
 
-    def counting(F, S):
-        nonlocal calls
-        calls += 1
-        return problem.feasibility(F, S)
+        def counting(F, S):
+            nonlocal calls
+            calls += 1
+            return problem.feasibility(F, S)
 
-    exact_two_stage_opt(replace(problem, feasibility=counting),
-                        random_marginals(problem.clients, 4))
-    # A table per scenario, then the winner's exact recourse per scenario.
-    assert calls <= 2 * (1 << 4) * (1 << 8)
+        variant = replace(problem, first_stage_cost=costs)
+        dist = random_marginals(problem.clients, 4)
+        got = exact_two_stage_opt(replace(variant, feasibility=counting), dist, 1.5)
+        # One table per scenario; the winner's recourse is read from it.
+        assert calls <= (1 << 4) * (1 << 8)
+        # Equal prices tie many recourse sets: each scenario's recourse cost
+        # is still exact_opt's on top of the chosen first stage.
+        want = variant.cost(got.first_stage)
+        for S, p in dist.support():
+            if p != 0.0:
+                want += 1.5 * p * exact_opt(variant, S, base=got.first_stage).cost
+        assert got.value.hex() == want.hex()
 
 
 def test_cheapest_takes_the_smallest_index_tuple_within_tol():
