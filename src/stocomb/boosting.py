@@ -232,9 +232,10 @@ def _monte_carlo_costs(problem, builder, law, rounds, dist, sigma, rng,
                        runs) -> np.ndarray:
     """Each run's cost, pricing every distinct (drawn, realized) pair once.
 
-    A run reads ``rounds`` draws of ``law`` and then one of ``dist``.  The
-    runs are walked in order, each pair priced and each draw's policy built
-    at its first run, so the first exception raised is the run-by-run loop's.
+    A run reads ``rounds`` draws of ``law`` and then one of ``dist``.  Each
+    batch's distinct pairs are found with one ``np.unique`` and walked in the
+    order of their first runs, each pair priced and each draw's policy built
+    there, so the first exception raised is the run-by-run loop's.
     """
     width = rounds * law.width  # a run's first ``width`` variates make its draw
     batch = max(1, CHUNK // max(width + dist.width, 1))
@@ -253,16 +254,23 @@ def _monte_carlo_costs(problem, builder, law, rounds, dist, sigma, rng,
             realized_v = np.concatenate([r for _, r in rows])
         drawn = law.decode(drawn_v.reshape(k, rounds, law.width)).any(axis=1)
         realized = dist.decode(realized_v)
-        keys = np.packbits(np.concatenate([drawn, realized], axis=1), axis=1)
-        for t, row in enumerate(keys):
-            key = row.tobytes()
+        # A leading set bit keeps the keys of an empty universe one byte wide.
+        lead = np.ones((k, 1), dtype=bool)
+        keys = np.packbits(np.concatenate([lead, drawn, realized], axis=1), axis=1)
+        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        batch_prices = np.empty(first.size)
+        for u in np.argsort(first):
+            t = first[u]
+            key = keys[t].tobytes()
             if key not in prices:
                 d = frozenset(itertools.compress(law.universe, drawn[t]))
                 if d not in policies:
                     policies[d] = builder.policy(d)
                 r = frozenset(itertools.compress(dist.universe, realized[t]))
                 prices[key] = policy_cost(problem, policies[d], r, sigma)
-            costs[start + t] = prices[key]
+            batch_prices[u] = prices[key]
+        costs[start:start + k] = batch_prices[inverse]
     return costs
 
 

@@ -298,7 +298,8 @@ def feasible_table(problem: ProblemInstance, clients: frozenset,
     The table is built in blocks of ``BLOCK`` masks.  The element sets of the
     low free elements are built once by doubling; block h asks the oracle
     about ``top | s`` for each of them, where ``top`` is ``base`` plus the
-    high free elements of h.  So no more than ``BLOCK`` sets are held at once.
+    high free elements of h, or about the doubled sets themselves when
+    ``top`` is empty.  So no more than ``BLOCK`` sets are held at once.
     """
     free = tuple(e for e in problem.elements if e not in base)
     split = BLOCK.bit_length() - 1
@@ -307,9 +308,10 @@ def feasible_table(problem: ProblemInstance, clients: frozenset,
     for e in low:
         sets += [s | {e} for s in sets]
     tops = (base.union(members(h, high)) for h in range(1 << len(high)))
-    return np.fromiter((problem.feasibility(top | s, clients)
-                        for top in tops for s in sets),
-                       dtype=bool, count=1 << len(free))
+    asked = itertools.repeat(clients)
+    return np.fromiter(itertools.chain.from_iterable(
+        map(problem.feasibility, map(top.union, sets) if top else sets, asked)
+        for top in tops), dtype=bool, count=1 << len(free))
 
 
 def cheapest(costs, ok, tol: float) -> int:

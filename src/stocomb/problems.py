@@ -3,7 +3,8 @@
 Each builder returns a :class:`~stocomb.model.ProblemInstance` whose payload
 carries the kind-specific structure used by the deterministic solvers and by
 the JSON serializer.  All four feasibility oracles are monotone in the
-element set.
+element set.  Each reads F and S as Python int bitmasks, through id bits and
+per-element masks built once with the instance.
 
 Facility location is encoded with two element flavors: one element per
 facility (opening it) and one per usable (facility, client) pair (the
@@ -28,26 +29,6 @@ from .model import BLOCK, ProblemInstance, subset_table
 ONE = np.uint64(1)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {v: v for v in items}
-
-    def find(self, v):
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
-
-    def union(self, a, b) -> bool:
-        """Merge the classes of a and b; False when they were already one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def _check_ends(edges: Mapping, vertices: tuple):
     """ValueError unless both ends of every edge (id -> (u, v)) are vertices."""
     known = set(vertices)
@@ -55,6 +36,15 @@ def _check_ends(edges: Mapping, vertices: tuple):
         for v in ends:
             if v not in known:
                 raise ValueError(f"edge {e!r} names {v!r}, which is not a vertex")
+
+
+def _union(masks: Mapping, items) -> int:
+    """The ``|`` of ``masks[x]`` over ``items``: the int bitmask the oracles
+    read a set of ids as."""
+    out = 0
+    for x in items:
+        out |= masks[x]
+    return out
 
 
 def _fold_table(client_masks) -> np.ndarray:
@@ -91,18 +81,26 @@ def steiner_problem(vertices, edges: Mapping, costs: Mapping,
     if root not in vertices:
         raise ValueError(f"root {root!r} is not a vertex")
     _check_ends(edges, vertices)
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    edge_mask = {e: bit[u] | bit[v] for e, (u, v) in edges.items()}
 
     def feasible(F: frozenset, S: frozenset) -> bool:
-        targets = S | {root} if S else frozenset()
-        if len(targets) <= 1:
-            return True
-        uf = _UnionFind(vertices)
-        for e in F:
-            u, v = edges[e]
-            uf.union(u, v)
-        it = iter(targets)
-        rep = uf.find(next(it))
-        return all(uf.find(v) == rep for v in it)
+        # The root's reach absorbs every edge of F that touches it, pass
+        # after pass, until S is inside it or a pass absorbs nothing.
+        need = _union(bit, S)
+        reach = bit[root]
+        todo = [edge_mask[e] for e in F]
+        while need & ~reach:
+            rest = []
+            for m in todo:
+                if m & reach:
+                    reach |= m
+                else:
+                    rest.append(m)
+            if len(rest) == len(todo):
+                return False
+            todo = rest
+        return True
 
     def served() -> np.ndarray:
         # The vertices joined to the root: |V| - 1 relaxation passes over
@@ -137,12 +135,14 @@ def set_cover_problem(clients, sets: Mapping, costs: Mapping,
     """Set cover: elements are the sets of the collection."""
     clients = tuple(clients)
     sets = {e: frozenset(members) for e, members in sets.items()}
+    # Every client, and every id a set lists, gets a bit.
+    ids = dict.fromkeys(clients + tuple(j for members in sets.values() for j in members))
+    id_bit = {j: 1 << i for i, j in enumerate(ids)}
+    cover = {e: _union(id_bit, members) for e, members in sets.items()}
 
     def feasible(F: frozenset, S: frozenset) -> bool:
-        covered = set()
-        for e in F:
-            covered |= sets[e]
-        return S <= covered
+        need = _union(id_bit, S)
+        return _union(cover, F) & need == need
 
     def served() -> np.ndarray:
         # A set may list ids that are not clients; they serve no client.
@@ -167,9 +167,15 @@ def vertex_cover_problem(vertices, edges: Mapping, costs: Mapping,
     vertices = tuple(vertices)
     edges = {c: (u, v) for c, (u, v) in edges.items()}
     _check_ends(edges, vertices)
+    bit = {w: 1 << i for i, w in enumerate(vertices)}
+    edge_mask = {c: bit[u] | bit[v] for c, (u, v) in edges.items()}
 
     def feasible(F: frozenset, S: frozenset) -> bool:
-        return all(edges[c][0] in F or edges[c][1] in F for c in S)
+        chosen = _union(bit, F)
+        for c in S:
+            if not edge_mask[c] & chosen:
+                return False
+        return True
 
     def served() -> np.ndarray:
         bits = [(1 << i, ends) for i, ends in enumerate(edges.values())]
@@ -201,17 +207,21 @@ def ufl_problem(clients, facilities, open_costs: Mapping,
     for a, (i, j) in assignments.items():
         if i not in facilities:
             raise ValueError(f"assignment {a!r} names {i!r}, which is not a facility")
-    by_client: dict = {j: [] for j in clients}
+    elements = facilities + tuple(assignments)
+    bit = {e: 1 << k for k, e in enumerate(elements)}
+    pair_masks: dict = {j: [] for j in clients}  # client -> its (assignment | facility) masks
     for a, (i, j) in assignments.items():
-        by_client[j].append((a, i))
+        pair_masks[j].append(bit[a] | bit[i])
 
     def feasible(F: frozenset, S: frozenset) -> bool:
+        chosen = _union(bit, F)
         for j in S:
-            if not any(a in F and i in F for a, i in by_client[j]):
+            for m in pair_masks[j]:
+                if m & chosen == m:
+                    break
+            else:
                 return False
         return True
-
-    elements = facilities + tuple(assignments)
 
     def served() -> np.ndarray:
         pos = {e: np.uint64(k) for k, e in enumerate(elements)}

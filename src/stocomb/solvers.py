@@ -17,7 +17,6 @@ from typing import Callable
 
 from .errors import Disconnected, Infeasible
 from .model import ProblemInstance, Solution, client_optima, client_sets
-from .problems import _UnionFind
 from .setfun import harmonic
 
 
@@ -46,6 +45,26 @@ def augment(alg: ApproxAlgorithm, problem: ProblemInstance,
 
 
 # -- Steiner tree ----------------------------------------------------------
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {v: v for v in items}
+
+    def find(self, v):
+        p = self.parent
+        while p[v] != v:
+            p[v] = p[p[v]]
+            v = p[v]
+        return v
+
+    def union(self, a, b) -> bool:
+        """Merge the classes of a and b; False when they were already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
 
 def _dijkstra(vertices, adjacency, costs, source, vindex):
     # Strict-improvement relaxation keeps the predecessor graph acyclic even

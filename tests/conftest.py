@@ -258,6 +258,87 @@ def loop_exact_two_stage_opt(problem, dist, sigma=None):
     return TwoStageOptimum(best[0], best[2])
 
 
+# -- The set oracles the shipped bitmask oracles replaced ----------------------
+# Each shipped ``feasible`` closure (``stocomb.problems``) reads F and S as
+# int bitmasks built with the instance.  These are the closures they
+# replaced, which read them as sets, rebuilt from a shipped kind's payload.
+
+class LoopUnionFind:
+    def __init__(self, items):
+        self.parent = {v: v for v in items}
+
+    def find(self, v):
+        p = self.parent
+        while p[v] != v:
+            p[v] = p[p[v]]
+            v = p[v]
+        return v
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def loop_steiner_feasible(vertices, edges, root):
+    def feasible(F, S):
+        targets = S | {root} if S else frozenset()
+        if len(targets) <= 1:
+            return True
+        uf = LoopUnionFind(vertices)
+        for e in F:
+            u, v = edges[e]
+            uf.union(u, v)
+        it = iter(targets)
+        rep = uf.find(next(it))
+        return all(uf.find(v) == rep for v in it)
+
+    return feasible
+
+
+def loop_set_cover_feasible(sets):
+    def feasible(F, S):
+        covered = set()
+        for e in F:
+            covered |= sets[e]
+        return S <= covered
+
+    return feasible
+
+
+def loop_vertex_cover_feasible(edges):
+    def feasible(F, S):
+        return all(edges[c][0] in F or edges[c][1] in F for c in S)
+
+    return feasible
+
+
+def loop_ufl_feasible(clients, assignments):
+    by_client = {j: [] for j in clients}
+    for a, (i, j) in assignments.items():
+        by_client[j].append((a, i))
+
+    def feasible(F, S):
+        for j in S:
+            if not any(a in F and i in F for a, i in by_client[j]):
+                return False
+        return True
+
+    return feasible
+
+
+def loop_feasibility(problem):
+    """The set oracle of a shipped kind's ``problem``."""
+    payload = problem.payload
+    if problem.kind == "steiner":
+        return loop_steiner_feasible(problem.clients, payload["edges"], payload["root"])
+    if problem.kind == "set_cover":
+        return loop_set_cover_feasible(payload["sets"])
+    if problem.kind == "vertex_cover":
+        return loop_vertex_cover_feasible(payload["edges"])
+    return loop_ufl_feasible(problem.clients, payload["assignments"])
+
+
 # -- The per-client-set sweeps -----------------------------------------------
 # ``check_subadditive``, ``check_fairness``, ``equal_split_shares`` and
 # ``empirical_alpha`` price every client set through ``model.client_optima``,

@@ -6,7 +6,8 @@ written with one oracle call per (element set, client), and
 ties and exceptions) for every client set.  The four sweeps routed through
 it must report what their per-client-set loops (``tests/conftest.py``)
 report; on custom oracles, which have no table, the oracle must see exactly
-the loops' calls.
+the loops' calls.  Each shipped bitmask oracle must answer every (F, S) as
+the set oracle it replaced and as the served table.
 """
 
 from dataclasses import replace
@@ -25,6 +26,7 @@ from stocomb.model import (
     client_optima,
     client_sets,
     exact_opt,
+    members,
 )
 from stocomb.problems import (
     set_cover_problem,
@@ -40,6 +42,7 @@ from conftest import (
     loop_check_subadditive,
     loop_empirical_alpha,
     loop_equal_split_shares,
+    loop_feasibility,
     loop_served_table,
 )
 
@@ -100,6 +103,9 @@ HAND_BUILT = {
         ("u", "v"), {"g": ("u", "u"), "h": ("u", "v")}, {"u": 1.0, "v": 0.5}),
     "client_without_assignment": ufl_problem(
         ("a", "b"), ("f",), {"f": 1.0}, {"f~a": ("f", "a")}, {"f~a": 0.5}),
+    "non_client_set_members": set_cover_problem(
+        ("a", "b"), {"s": ("a", "x"), "t": ("x",), "u": ("y", "b")},
+        {"s": 1.0, "t": 0.5, "u": 1.0}),
     "set_cover_no_elements": set_cover_problem(("a",), {}, {}),
     "steiner_no_elements": steiner_problem(("r", "a"), {}, {}),
     "vertex_cover_no_elements": vertex_cover_problem((), {}, {}),
@@ -137,6 +143,40 @@ def test_served_table_matches_the_oracle_on_hand_built_cases(name):
 def test_served_table_reads_the_payload_not_the_oracle():
     problem = replace(cov3(), feasibility=None)
     assert problem.served_table().tolist() == [0, 3, 6, 7, 4, 7, 6, 7]
+
+
+# -- The bitmask oracles against the set oracles they replaced ------------------
+
+def assert_oracle_agrees(problem):
+    """On every (F, S) over the instance's ids, the shipped oracle answers as
+    the set oracle it replaced and as the served table."""
+    loop = loop_feasibility(problem)
+    served = problem.served_table().tolist()
+    element_sets = [frozenset(members(f, problem.elements)) for f in range(len(served))]
+    for s in range(1 << len(problem.clients)):
+        S = frozenset(members(s, problem.clients))
+        for f, F in enumerate(element_sets):
+            got = problem.feasibility(F, S)
+            assert got == loop(F, S) == (served[f] & s == s), (sorted(F), sorted(S))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_oracle_matches_the_set_oracle_on_random_instances(kind):
+    sizes = [(3, 2), (2, 3)] if kind == "ufl" else [(5, 8), (4, 6)]
+    for seed in range(4):
+        for n_clients, n_elements in sizes:
+            assert_oracle_agrees(random_problem(kind, n_clients, n_elements, seed))
+    # The raw instances bring self-loops, stray ids and unserved clients.
+    small = [p for p in (raw_problem(kind, seed) for seed in range(12))
+             if len(p.elements) <= 8]
+    assert small
+    for problem in small:
+        assert_oracle_agrees(problem)
+
+
+@pytest.mark.parametrize("name", list(HAND_BUILT))
+def test_oracle_matches_the_set_oracle_on_hand_built_cases(name):
+    assert_oracle_agrees(HAND_BUILT[name])
 
 
 # -- client_optima against exact_opt -------------------------------------------

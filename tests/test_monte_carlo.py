@@ -14,7 +14,12 @@ import pytest
 
 from conftest import loop_monte_carlo, loop_sample, loop_sample_draw
 from stocomb import boosting, caps
-from stocomb.boosting import BoostPolicyBuilder, IndBoostPolicyBuilder, evaluate_policy
+from stocomb.boosting import (
+    BoostPolicyBuilder,
+    IndBoostPolicyBuilder,
+    evaluate_policy,
+    policy_cost,
+)
 from stocomb.errors import CapExceeded
 from stocomb.generate import random_explicit_distribution, random_problem
 from stocomb.model import Explicit, IndependentBernoulli, KPartition
@@ -156,6 +161,35 @@ def test_matches_loop_on_every_kind():
         dist = random_explicit_distribution(problem.clients, seed)
         for builder in ("boost", "ind_boost"):
             assert_same(problem, builder_for(builder, problem), dist, 2.0, seed, 2000)
+
+
+@pytest.mark.parametrize("builder", ["boost", "ind_boost"])
+@pytest.mark.parametrize("law", ["explicit", "partition"])
+def test_each_distinct_pair_is_priced_once(monkeypatch, law, builder):
+    # A 50-variate batch holds 8 or 16 runs, so the pairs recur across
+    # batches; each must still be priced once per evaluation, not per batch.
+    monkeypatch.setattr(boosting, "CHUNK", 50)
+    priced = []
+
+    def counting(problem, policy, realized, sigma):
+        priced.append(realized)
+        return policy_cost(problem, policy, realized, sigma)
+
+    monkeypatch.setattr(boosting, "policy_cost", counting)
+    problem = random_problem("set_cover", 5, 6, seed=2, sigma=2.0)
+    dist = laws(problem.clients)[law]
+    b = builder_for(builder, problem)
+    runs = 1003
+    oracle_rng = stream(7, "once")
+    seen = [(loop_sample_draw(b, dist, 2.0, oracle_rng), loop_sample(dist, oracle_rng))
+            for _ in range(runs)]
+    draw, rounds = b.draw_law(dist, 2.0)
+    per_batch = 50 // (rounds * draw.width + dist.width)
+    per_batch_pricing = sum(len(set(seen[i:i + per_batch]))
+                            for i in range(0, runs, per_batch))
+    assert per_batch_pricing > 2 * len(set(seen))
+    evaluate_policy(problem, b, dist, 2.0, "monte_carlo", stream(7, "once"), runs)
+    assert len(priced) == len(set(seen))
 
 
 def test_empty_universe_matches_loop():
