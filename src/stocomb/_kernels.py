@@ -10,17 +10,23 @@ independent expectation of the correlation gap all read it.
 
 Kernel conventions
 ------------------
-``simplex_kernel(A, b, c, tol, feas_tol, pivot_limit)`` solves
+``simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0)`` solves
 
-    min c.x   subject to   A x >= b,  x >= 0
+    min c.x   subject to   A[:eq] x = b[:eq],  A[eq:] x >= b[eq:],  x >= 0
 
 by two-phase primal simplex on a dense tableau with Bland's anticycling rule
 and returns ``(status, x, duals, value, pivots, tableau)`` where status is
 0 = optimal, 1 = infeasible, 2 = unbounded, 3 = pivot limit reached.
-Duals are reported per input row and are nonnegative at optimality.  The
-tableau columns are structural, surplus, artificial and right-hand side;
-the artificial block holds B^-1 of the current basis.  At optimality
-``tableau`` is ``(T, obj, basis, row_sign)``, otherwise ``None``.
+Duals are reported per input row; at optimality those of the ``>=`` rows
+are nonnegative and those of the equality rows have either sign.  The
+tableau columns are structural, surplus (one per ``>=`` row, none for an
+equality row), artificial (one per row) and right-hand side; the
+artificial block holds B^-1 of the current basis.  The reduced-cost row is
+the tableau's last row, so one rank-1 update per pivot updates both.  At
+optimality ``tableau`` is ``(W, basis, row_sign, surplus)``: the
+constraint rows stacked over the reduced-cost row, the basic column of
+each row, the sign each row was multiplied by to make its right-hand side
+nonnegative, and the number of surplus columns; otherwise it is ``None``.
 
 ``simplex_resume(tableau, A, c, tol, pivot_limit)`` appends the columns
 ``A`` with costs ``c`` to an optimal tableau and re-optimizes from its
@@ -33,99 +39,109 @@ from __future__ import annotations
 
 import numpy as np
 
-_HUGE = np.int64(1) << 60
-
 # There is no compiled kernel; the constant stays for benchmark records
 # that report it.
 HAVE_JIT = False
 
 
 def _pivot(T, r, q):
-    """Pivot tableau ``T`` on entry (r, q); returns the scaled pivot row."""
+    """Pivot tableau ``T`` on entry (r, q) in place."""
     piv_row = T[r] / T[r, q]
     factors = T[:, q].copy()
     factors[r] = 0.0
-    T -= np.outer(factors, piv_row)
+    T -= factors[:, None] * piv_row
     T[r] = piv_row
     T[:, q] = 0.0
     T[r, q] = 1.0
-    return piv_row
 
 
-def _bland(T, obj, basis, enter_max, tol, pivots, pivot_limit):
+def _bland(W, basis, enter_max, tol, pivots, pivot_limit):
     """Primal simplex with Bland's rule from the feasible basis ``basis``.
 
-    Columns below ``enter_max`` may enter.  ``T``, ``obj`` and ``basis`` are
-    updated in place; returns ``(status, pivots)`` with status 0 = optimal,
-    2 = unbounded (the entering column has no positive entry) or 3 = the
-    running pivot count passed ``pivot_limit``.
+    ``W`` is the tableau with the reduced-cost row last; columns below
+    ``enter_max`` may enter.  ``W`` and ``basis`` are updated in place;
+    returns ``(status, pivots)`` with status 0 = optimal, 2 = unbounded
+    (the entering column has no positive entry) or 3 = the running pivot
+    count passed ``pivot_limit``.
     """
-    rhs_col = T.shape[1] - 1
+    obj = W[-1, :enter_max]
+    T = W[:-1]
+    rhs = T[:, -1]
     while True:
-        negative = obj[:enter_max] < -tol
-        if not negative.any():
+        entering = (obj < -tol).nonzero()[0]
+        if not entering.size:
             return 0, pivots  # reduced costs nonnegative: optimal
-        q = int(np.argmax(negative))  # Bland: first eligible column
+        q = entering[0]  # Bland: first eligible column
         col = T[:, q]
-        valid = col > tol
-        if not valid.any():
+        rows = (col > tol).nonzero()[0]
+        if not rows.size:
             return 2, pivots
-        safe = np.where(valid, col, 1.0)
-        ratios = np.where(valid, T[:, rhs_col] / safe, np.inf)
-        best = ratios.min()
-        tie = ratios <= best + 1e-12
-        r = int(np.argmin(np.where(tie, basis, _HUGE)))  # smallest basis var
+        ratios = rhs[rows] / col[rows]
+        if rows.size == 1 and ratios[0] < np.inf:
+            r = rows[0]  # the one positive row, with no tie to break
+        else:
+            # Ties within 1e-12 of the least ratio go to the smallest basis
+            # index.  A least ratio of +inf ties every row, a NaN none, and
+            # then row 0 leaves.
+            best = ratios.min()
+            if best == np.inf:
+                r = basis.argmin()
+            elif best != best:
+                r = 0
+            else:
+                tie = rows[ratios <= best + 1e-12]
+                r = tie[basis[tie].argmin()]
         pivots += 1
         if pivots > pivot_limit:
             return 3, pivots
-        piv_row = _pivot(T, r, q)
-        if obj[q] != 0.0:
-            obj -= obj[q] * piv_row
-            obj[q] = 0.0
+        _pivot(W, r, q)
         basis[r] = q
 
 
 def _read_off(status, tableau, pivots):
     """The kernel's result tuple for ``tableau`` at ``status``."""
-    T, obj, basis, row_sign = tableau
+    W, basis, row_sign, surplus = tableau
     m = row_sign.size
-    n = T.shape[1] - 1 - 2 * m
+    n = W.shape[1] - 1 - surplus - m
     if status != 0:
         return status, np.zeros(n), np.zeros(m), 0.0, pivots, None
-    level = np.zeros(n + 2 * m)  # every column's level; structural ones first
-    level[basis] = T[:, -1]
+    art = n + surplus
+    level = np.zeros(art + m)  # every column's level; structural ones first
+    level[basis] = W[:-1, -1]
     x = level[:n]
-    value = -obj[-1]
+    value = -W[-1, -1]
     # Row multipliers read off the artificial columns, mapped back through
     # the row sign applied during setup.
-    duals = -obj[n + m:n + 2 * m] * row_sign
+    duals = -W[-1, art:art + m] * row_sign
     return 0, x, duals, value, pivots, tableau
 
 
-def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit):
+def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0):
     m, n = A.shape
-    ncols = n + 2 * m  # structural + surplus + artificial
+    surplus = m - eq
+    art = n + surplus  # first artificial column
+    ncols = art + m  # structural + surplus + artificial
     rhs_col = ncols
 
-    T = np.zeros((m, ncols + 1))
-    basis = np.arange(n + m, n + 2 * m).astype(np.int64)
+    W = np.zeros((m + 1, ncols + 1))
+    T, obj = W[:-1], W[-1]
+    basis = np.arange(art, ncols, dtype=np.int64)
     row_sign = np.where(b >= 0.0, 1.0, -1.0)
     T[:, :n] = row_sign.reshape(m, 1) * A
-    np.fill_diagonal(T[:, n:], -row_sign)  # surplus block
-    np.fill_diagonal(T[:, n + m:], 1.0)  # artificial block
+    np.fill_diagonal(T[eq:, n:], -row_sign[eq:])  # surplus block
+    np.fill_diagonal(T[:, art:], 1.0)  # artificial block
     T[:, rhs_col] = row_sign * b
 
     # Phase 1 minimizes the artificial sum; with every artificial basic the
     # reduced-cost row starts as c1 minus the column sums.
-    obj = np.zeros(ncols + 1)
     colsum = T.sum(axis=0)
     obj[:] = -colsum
-    obj[n + m:ncols] += 1.0
-    tableau = (T, obj, basis, row_sign)
+    obj[art:ncols] += 1.0
+    tableau = (W, basis, row_sign, surplus)
 
     # Artificials never enter.  The phase-1 objective is bounded below by 0,
     # so an unbounded ray there cannot happen; it is reported as a failure.
-    status, pivots = _bland(T, obj, basis, n + m, tol, 0, pivot_limit)
+    status, pivots = _bland(W, basis, art, tol, 0, pivot_limit)
     if status != 0:
         return _read_off(3, tableau, pivots)
     if -obj[rhs_col] > feas_tol:
@@ -133,8 +149,8 @@ def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit):
     # Pivot artificials out where a nonzero column allows it; rows that
     # stay artificial are redundant and remain at level zero.
     for i in range(m):
-        if basis[i] >= n + m:
-            nonzero = np.flatnonzero(np.abs(T[i, :n + m]) > tol)
+        if basis[i] >= art:
+            nonzero = np.flatnonzero(np.abs(T[i, :art]) > tol)
             if nonzero.size:
                 _pivot(T, i, nonzero[0])
                 basis[i] = nonzero[0]
@@ -146,36 +162,38 @@ def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit):
         bi = basis[i]
         if bi < n and c[bi] != 0.0:
             obj -= c[bi] * T[i]
-    status, pivots = _bland(T, obj, basis, n + m, tol, pivots, pivot_limit)
+    status, pivots = _bland(W, basis, art, tol, pivots, pivot_limit)
     return _read_off(status, tableau, pivots)
 
 
 def simplex_resume(tableau, A, c, tol, pivot_limit):
     """Append the columns ``A`` (costs ``c``) to an optimal tableau and
     re-optimize from its basis with phase 2 alone."""
-    T, obj, basis, row_sign = tableau
+    W, basis, row_sign, surplus = tableau
     m, k = A.shape
-    n = T.shape[1] - 1 - 2 * m
+    n = W.shape[1] - 1 - surplus - m
+    art = n + surplus
     # The artificial block holds B^-1, so a new column's entries are
     # B^-1 (row_sign a) and its reduced cost is c + obj[artificials] . (row_sign a).
     signed = row_sign.reshape(m, 1) * A
-    inverse = T[:, n + m:n + 2 * m]
-    T = np.concatenate([T[:, :n], inverse @ signed, T[:, n:]], axis=1)
-    obj = np.concatenate([obj[:n], c + obj[n + m:n + 2 * m] @ signed, obj[n:]])
+    added = np.empty((m + 1, k))
+    added[:-1] = W[:-1, art:art + m] @ signed
+    added[-1] = c + W[-1, art:art + m] @ signed
+    W = np.concatenate([W[:, :n], added, W[:, n:]], axis=1)
     basis = np.where(basis >= n, basis + k, basis)
-    tableau = (T, obj, basis, row_sign)
+    tableau = (W, basis, row_sign, surplus)
     # Appending columns keeps the basis primal feasible, so phase 1 is skipped.
-    status, pivots = _bland(T, obj, basis, n + k + m, tol, 0, pivot_limit)
+    status, pivots = _bland(W, basis, art + k, tol, 0, pivot_limit)
     return _read_off(status, tableau, pivots)
 
 
 def bernoulli_weights(p):
-    """Probability of every subset (as a bit mask) under independent marginals."""
-    n = p.shape[0]
-    size = 1 << n
-    idx = np.arange(size)
-    w = np.ones(size)
-    for i in range(n):
-        has = (idx >> i) & 1
-        w *= np.where(has == 1, p[i], 1.0 - p[i])
+    """Probability of every subset (as a bit mask) under independent marginals.
+
+    Built by doubling: item i's factor multiplies the table of items below
+    it, which fills the masks without bit i, then those with it.
+    """
+    w = np.ones(1)
+    for pi in p:
+        w = np.concatenate([w * (1.0 - pi), w * pi])
     return w

@@ -89,24 +89,40 @@ class SplitMap:
         return tuple(out)
 
 
+def priced_columns(reduced: np.ndarray, value: float) -> np.ndarray:
+    """The columns that join the master: those with reduced cost below
+    ``-PRICE_TOL * max(1, |value|)``, the ``PRICE_COLUMNS`` most negative
+    first, ties in index order."""
+    new = np.flatnonzero(reduced < -PRICE_TOL * max(1.0, abs(value)))
+    if new.size > PRICE_COLUMNS:
+        # Only candidates up to the PRICE_COLUMNS-th smallest reduced cost,
+        # ties included, can be among the first PRICE_COLUMNS.
+        candidates = reduced[new]
+        kth = np.partition(candidates, PRICE_COLUMNS - 1)[PRICE_COLUMNS - 1]
+        new = new[candidates <= kth]
+    return new[np.argsort(reduced[new], kind="stable")[:PRICE_COLUMNS]]
+
+
 def worst_case_expectation(inst: GapInstance):
     """Optimal value and attaining distribution of the fixed-marginal LP.
 
     Maximizes the expectation of f over all subset distributions whose item
     marginals match the instance: one column per subset, one equality row
-    per item plus the total mass.  Solved by column generation (Gilmore &
-    Gomory 1961).  The restricted master starts from the comonotone chain,
-    the nested prefixes of the items sorted by decreasing marginal, which
-    always carries a feasible distribution.  Each round prices all 2^n
-    subsets at once against the master's duals y (items) and y0 (mass),
-    reduced cost -f(S) - (sum of y over S + y0) with the sums tabulated by
-    doubling, and adds the ``PRICE_COLUMNS`` most negative ones.  The loop
-    stops when no reduced cost is below ``-PRICE_TOL * max(1, |value|)``:
-    the duals are then feasible for the full LP, so the master's value is
-    its optimum.  Adding columns keeps the master's basis primal feasible,
-    so each round re-optimizes it from the last basis (phase 2 of the
-    simplex alone, :class:`~stocomb.lp.ColumnMaster`) instead of solving it
-    from scratch.
+    per item plus the total mass, passed to the simplex as equality rows.
+    Solved by column generation (Gilmore & Gomory 1961).  The restricted
+    master starts from the comonotone chain, the nested prefixes of the
+    items sorted by decreasing marginal, which always carries a feasible
+    distribution.  Each round prices all 2^n subsets at once against the
+    master's free-signed duals y (items) and y0 (mass), reduced cost
+    -f(S) - (sum of y over S + y0) with the sums tabulated by doubling.  The
+    subsets whose reduced cost is below ``-PRICE_TOL * max(1, |value|)``
+    are sorted, stably, by reduced cost and the first ``PRICE_COLUMNS``
+    join the master (:func:`priced_columns`).  The loop stops when there is
+    none: the duals are then feasible for the full LP, so the master's
+    value is its optimum.  Adding columns keeps the master's basis primal
+    feasible, so each round re-optimizes it from the last basis (phase 2 of
+    the simplex alone, :class:`~stocomb.lp.ColumnMaster`) instead of solving
+    it from scratch.
     """
     n = len(inst.ground)
     if n > caps.GAP_CLIENTS:
@@ -116,27 +132,23 @@ def worst_case_expectation(inst: GapInstance):
     # The comonotone chain: nested prefixes by decreasing marginal.
     cols = np.concatenate([[0], np.cumsum(1 << np.argsort(-p, kind="stable"))])
     in_master = np.zeros(1 << n, dtype=bool)
-    # Equality rows doubled into >= pairs: item marginals, then total mass.
-    rhs = np.append(p, 1.0)
-    rhs = np.concatenate([rhs, -rhs])
 
     def rows(masks):
-        A = np.vstack([(masks >> np.arange(n)[:, None]) & 1, np.ones(masks.size)])
-        return np.vstack([A, -A])
+        """Equality rows: item marginals, then total mass."""
+        return np.vstack([(masks >> np.arange(n)[:, None]) & 1, np.ones(masks.size)])
 
-    master = ColumnMaster(rows(cols), rhs, -values[cols])
+    master = ColumnMaster(rows(cols), np.append(p, 1.0), -values[cols], n + 1)
     while True:
         in_master[cols] = True
         res = master.result
         if res.status != OPTIMAL:
             raise DegenerateInstance(f"worst-case LP ended {res.status}")
-        y = res.duals[:n + 1] - res.duals[n + 1:]
+        y = res.duals
         reduced = -values - (subset_table(y[:n], np.add, 0.0) + y[n])
         # The master already prices its own columns; skipping them makes
         # every round add new ones, so the loop ends within 2^n columns.
         reduced[in_master] = np.inf
-        new = np.argsort(reduced, kind="stable")[:PRICE_COLUMNS]
-        new = new[reduced[new] < -PRICE_TOL * max(1.0, abs(res.value))]
+        new = priced_columns(reduced, res.value)
         if new.size == 0:
             break
         cols = np.concatenate([cols, new])

@@ -11,7 +11,8 @@ code in :mod:`stocomb._kernels`.
 ``solve_lp`` and ``solve_prepared`` solve from scratch.  A
 :class:`ColumnMaster` keeps its optimal tableau, so a column-generation
 master that only gains columns is re-optimized from its last basis rather
-than solved again.  Every solve, cold or resumed, stops at the pivot limit
+than solved again; its leading rows may be equalities, which the kernel
+takes natively.  Every solve, cold or resumed, stops at the pivot limit
 ``max_pivots`` of its own (possibly widened) shape and raises
 :class:`NumericalFailure` there.
 """
@@ -132,19 +133,22 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None) -> LPResult:
 
 
 class ColumnMaster:
-    """``min c.y`` s.t. ``A y >= b``, ``y >= 0``, solved once and then
-    re-optimized from its last basis as columns are appended.
+    """``min c.y`` s.t. ``A y >= b``, ``y >= 0``, where the first ``eq``
+    rows hold with equality, solved once and then re-optimized from its
+    last basis as columns are appended.
 
     ``result`` is the :class:`LPResult` of the current columns, in the
     order they were added, and ``pivots`` the pivot count of the last cold
-    solve or resume.  Only an optimal master takes more columns.
+    solve or resume.  The duals of the equality rows have either sign.
+    Only an optimal master takes more columns.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray):
+    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray,
+                 eq: int = 0):
         A = np.ascontiguousarray(A, dtype=np.float64)
         self._set(simplex_kernel(A, np.ascontiguousarray(b, dtype=np.float64),
                                  np.ascontiguousarray(c, dtype=np.float64),
-                                 PIVOT_TOL, FEAS_TOL, max_pivots(*A.shape)))
+                                 PIVOT_TOL, FEAS_TOL, max_pivots(*A.shape), eq))
 
     def _set(self, out):
         status, x, duals, value, self.pivots, self._tableau = _checked(out)

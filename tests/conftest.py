@@ -7,6 +7,7 @@ enumeration) so that a library bug cannot hide behind a shared code path.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from stocomb.fixtures import cov3, edge1, tri3
 from stocomb.gap import PRICE_COLUMNS, PRICE_TOL
 from stocomb.generate import random_problem
 from stocomb.io import dump_instance
-from stocomb.lp import OPTIMAL, LinearProgram, solve_lp
+from stocomb.lp import OPTIMAL, ColumnMaster, LinearProgram, solve_lp
 from stocomb.model import (
     COST_TOL,
     CheckReport,
@@ -115,6 +116,18 @@ def loop_weighted_rank(weights: dict, cap: float):
     """min(sum of weights over the subset, cap), summing in key order."""
     return lambda subset: float(min(sum(w for g, w in weights.items()
                                         if g in subset), cap))
+
+
+def loop_bernoulli_weights(p) -> np.ndarray:
+    """Product-measure table, one pass over all 2^n masks per item."""
+    n = p.shape[0]
+    size = 1 << n
+    idx = np.arange(size)
+    w = np.ones(size)
+    for i in range(n):
+        has = (idx >> i) & 1
+        w *= np.where(has == 1, p[i], 1.0 - p[i])
+    return w
 
 
 def loop_product_support(clients: tuple, probs: list) -> list:
@@ -490,6 +503,161 @@ def cold_worst_case(inst):
     return -res.value, dist
 
 
+# -- The simplex kernel before native equality rows ---------------------------
+# ``stocomb._kernels`` takes its first ``eq`` rows as equalities, keeps the
+# reduced-cost row as the tableau's last row and runs a leaner Bland loop.
+# This is the kernel it replaced, for ``>=`` rows only; with ``eq = 0`` the
+# new kernel must return the same (status, x, duals, value, pivots) bit for
+# bit.
+
+_HUGE = np.int64(1) << 60
+
+
+def ge_pivot(T, r, q):
+    piv_row = T[r] / T[r, q]
+    factors = T[:, q].copy()
+    factors[r] = 0.0
+    T -= np.outer(factors, piv_row)
+    T[r] = piv_row
+    T[:, q] = 0.0
+    T[r, q] = 1.0
+    return piv_row
+
+
+def ge_bland(T, obj, basis, enter_max, tol, pivots, pivot_limit):
+    rhs_col = T.shape[1] - 1
+    while True:
+        negative = obj[:enter_max] < -tol
+        if not negative.any():
+            return 0, pivots
+        q = int(np.argmax(negative))
+        col = T[:, q]
+        valid = col > tol
+        if not valid.any():
+            return 2, pivots
+        safe = np.where(valid, col, 1.0)
+        ratios = np.where(valid, T[:, rhs_col] / safe, np.inf)
+        best = ratios.min()
+        tie = ratios <= best + 1e-12
+        r = int(np.argmin(np.where(tie, basis, _HUGE)))
+        pivots += 1
+        if pivots > pivot_limit:
+            return 3, pivots
+        piv_row = ge_pivot(T, r, q)
+        if obj[q] != 0.0:
+            obj -= obj[q] * piv_row
+            obj[q] = 0.0
+        basis[r] = q
+
+
+def ge_read_off(status, tableau, pivots):
+    T, obj, basis, row_sign = tableau
+    m = row_sign.size
+    n = T.shape[1] - 1 - 2 * m
+    if status != 0:
+        return status, np.zeros(n), np.zeros(m), 0.0, pivots, None
+    level = np.zeros(n + 2 * m)
+    level[basis] = T[:, -1]
+    x = level[:n]
+    value = -obj[-1]
+    duals = -obj[n + m:n + 2 * m] * row_sign
+    return 0, x, duals, value, pivots, tableau
+
+
+def ge_simplex_kernel(A, b, c, tol, feas_tol, pivot_limit):
+    m, n = A.shape
+    ncols = n + 2 * m
+    rhs_col = ncols
+    T = np.zeros((m, ncols + 1))
+    basis = np.arange(n + m, n + 2 * m).astype(np.int64)
+    row_sign = np.where(b >= 0.0, 1.0, -1.0)
+    T[:, :n] = row_sign.reshape(m, 1) * A
+    np.fill_diagonal(T[:, n:], -row_sign)
+    np.fill_diagonal(T[:, n + m:], 1.0)
+    T[:, rhs_col] = row_sign * b
+    obj = np.zeros(ncols + 1)
+    colsum = T.sum(axis=0)
+    obj[:] = -colsum
+    obj[n + m:ncols] += 1.0
+    tableau = (T, obj, basis, row_sign)
+    status, pivots = ge_bland(T, obj, basis, n + m, tol, 0, pivot_limit)
+    if status != 0:
+        return ge_read_off(3, tableau, pivots)
+    if -obj[rhs_col] > feas_tol:
+        return ge_read_off(1, tableau, pivots)
+    for i in range(m):
+        if basis[i] >= n + m:
+            nonzero = np.flatnonzero(np.abs(T[i, :n + m]) > tol)
+            if nonzero.size:
+                ge_pivot(T, i, nonzero[0])
+                basis[i] = nonzero[0]
+    obj[:] = 0.0
+    obj[:n] = c
+    for i in range(m):
+        bi = basis[i]
+        if bi < n and c[bi] != 0.0:
+            obj -= c[bi] * T[i]
+    status, pivots = ge_bland(T, obj, basis, n + m, tol, pivots, pivot_limit)
+    return ge_read_off(status, tableau, pivots)
+
+
+def ge_simplex_resume(tableau, A, c, tol, pivot_limit):
+    T, obj, basis, row_sign = tableau
+    m, k = A.shape
+    n = T.shape[1] - 1 - 2 * m
+    signed = row_sign.reshape(m, 1) * A
+    inverse = T[:, n + m:n + 2 * m]
+    T = np.concatenate([T[:, :n], inverse @ signed, T[:, n:]], axis=1)
+    obj = np.concatenate([obj[:n], c + obj[n + m:n + 2 * m] @ signed, obj[n:]])
+    basis = np.where(basis >= n, basis + k, basis)
+    tableau = (T, obj, basis, row_sign)
+    status, pivots = ge_bland(T, obj, basis, n + k + m, tol, 0, pivot_limit)
+    return ge_read_off(status, tableau, pivots)
+
+
+# -- The doubled-row correlation-gap master ------------------------------------
+# ``gap.worst_case_expectation`` hands the simplex its n + 1 equality rows
+# as they are and prices threshold-first.  This is the loop it replaced,
+# which doubled each equality into a >= pair, read the duals as differences
+# and sorted the whole reduced-cost table.
+
+def sort_first_pricing(reduced, value):
+    new = np.argsort(reduced, kind="stable")[:PRICE_COLUMNS]
+    return new[reduced[new] < -PRICE_TOL * max(1.0, abs(value))]
+
+
+def doubled_worst_case(inst):
+    n = len(inst.ground)
+    values = inst._table
+    p = inst.marginal_vector()
+    cols = np.concatenate([[0], np.cumsum(1 << np.argsort(-p, kind="stable"))])
+    in_master = np.zeros(1 << n, dtype=bool)
+    rhs = np.append(p, 1.0)
+    rhs = np.concatenate([rhs, -rhs])
+
+    def rows(masks):
+        A = np.vstack([(masks >> np.arange(n)[:, None]) & 1, np.ones(masks.size)])
+        return np.vstack([A, -A])
+
+    master = ColumnMaster(rows(cols), rhs, -values[cols])
+    while True:
+        in_master[cols] = True
+        res = master.result
+        if res.status != OPTIMAL:
+            raise DegenerateInstance(f"worst-case LP ended {res.status}")
+        y = res.duals[:n + 1] - res.duals[n + 1:]
+        reduced = -values - (subset_table(y[:n], np.add, 0.0) + y[n])
+        reduced[in_master] = np.inf
+        new = sort_first_pricing(reduced, res.value)
+        if new.size == 0:
+            break
+        cols = np.concatenate([cols, new])
+        master.add_columns(rows(new), -values[new])
+    dist = {frozenset(members(int(mask), inst.ground)): float(a)
+            for mask, a in sorted(zip(cols, res.primal)) if a > 1e-12}
+    return -res.value, dist
+
+
 # -- The loop ``stocomb.saa.encode_ufl`` replaced -----------------------------
 # The library builds each facility-location block from whole identity and
 # repeat matrices; this entry-by-entry version is the oracle it must match
@@ -536,6 +704,30 @@ def loop_encode_ufl(data):
         polytope=unit_box(nf),
         scenarios=tuple(blocks),
     )
+
+
+# -- Numeric leaves of instance files -----------------------------------------
+
+def numeric_paths(node, path=()):
+    """Key/index paths of every int or float leaf (booleans excluded)."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from numeric_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from numeric_paths(child, path + (index,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def substituted(payload, path, value):
+    """A copy of ``payload`` with the leaf at ``path`` set to ``value``."""
+    copy = json.loads(json.dumps(payload))
+    node = copy
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return copy
 
 
 # -- Instance files whose ids name nothing ------------------------------------

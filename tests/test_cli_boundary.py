@@ -22,7 +22,7 @@ from stocomb.io import dump_stochastic_lp, load_gap_instance, read_json, write_j
 from stocomb.lp import MAX_CONSTRAINTS
 from stocomb.setfun import TABLE_ITEMS
 
-from conftest import MALFORMED_IDS, malformed_ids
+from conftest import MALFORMED_IDS, malformed_ids, numeric_paths, substituted
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -41,32 +41,11 @@ SUBSTITUTES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
 EXIT_CODES = {0, 1, 2, 3, 4}
 
 
-def numeric_paths(node, path=()):
-    """Key/index paths of every int or float leaf (booleans excluded)."""
-    if isinstance(node, dict):
-        for key, child in node.items():
-            yield from numeric_paths(child, path + (key,))
-    elif isinstance(node, list):
-        for index, child in enumerate(node):
-            yield from numeric_paths(child, path + (index,))
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        yield path
-
-
 def stocomb_env(**extra) -> dict:
     """Environment for a subprocess that imports stocomb from ``src``."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **extra)
-
-
-def substituted(payload, path, value):
-    copy = json.loads(json.dumps(payload))
-    node = copy
-    for step in path[:-1]:
-        node = node[step]
-    node[path[-1]] = value
-    return copy
 
 
 def exit_code(argv, capsys) -> int:

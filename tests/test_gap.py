@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cold_worst_case
-from stocomb import cli, gap
+from conftest import cold_worst_case, doubled_worst_case, sort_first_pricing
+from stocomb import _kernels, cli, gap
 from stocomb.errors import CapExceeded, DegenerateInstance, UncertifiedScheme
 from stocomb.gap import (
     GapInstance,
@@ -15,6 +15,7 @@ from stocomb.gap import (
     check_split_invariants,
     correlation_gap,
     independent_expectation,
+    priced_columns,
     split,
     split_scheme,
     verify_gap_bound,
@@ -223,6 +224,73 @@ class TestWarmStartAgainstColdLoop:
             assert cli.main(["gen", "--kind", "gap", "--clients", str(n),
                              "--seed", str(seed), "--output", str(path)]) == 0
             assert_matches_cold(load_gap_instance(read_json(path)))
+
+
+def pivot_count(monkeypatch, solve, inst):
+    """``solve(inst)`` and the pivots of its cold solves and resumes,
+    counted at the one Bland loop."""
+    counted = [0]
+    bland = _kernels._bland
+
+    def counting(*args):
+        status, pivots = bland(*args)
+        counted[0] += pivots - args[4]
+        return status, pivots
+
+    monkeypatch.setattr(_kernels, "_bland", counting)
+    out = solve(inst)
+    monkeypatch.setattr(_kernels, "_bland", bland)
+    return out, counted[0]
+
+
+def assert_matches_doubled(monkeypatch, inst):
+    """Equality rows against the doubled >= pairs they replaced: values
+    within 1e-12 relative, a distribution meeting the marginals, and never
+    more pivots."""
+    (worst, dist), pivots = pivot_count(monkeypatch, worst_case_expectation, inst)
+    (ref, _), ref_pivots = pivot_count(monkeypatch, doubled_worst_case, inst)
+    assert abs(worst - ref) <= 1e-12 * max(1.0, abs(ref))
+    assert_distribution(inst, worst, dist)
+    assert pivots <= ref_pivots
+    return pivots, ref_pivots
+
+
+class TestEqualityRowsAgainstDoubledRows:
+    @pytest.mark.parametrize("kind", ["coverage", "uniform"])
+    def test_table_instances(self, kind, monkeypatch):
+        total = ref_total = 0
+        for n in range(1, 13):
+            pivots, ref_pivots = assert_matches_doubled(
+                monkeypatch, table_instance(n, 300 + n, kind))
+            total += pivots
+            ref_total += ref_pivots
+        assert total < ref_total
+
+    def test_degenerate_instances(self, monkeypatch):
+        for inst in degenerate_instances():
+            assert_matches_doubled(monkeypatch, inst)
+
+    def test_pricing_picks_the_sorted_columns(self):
+        rng = np.random.default_rng(13)
+        inf = np.inf
+        vectors = [
+            np.array([0.0, 1.0, inf, 2.0]),  # no negative entry
+            np.full(5, inf),
+            np.array([-1.0, -1.0, -2.0, -1.0, 0.0, -2.0] * 3),  # ties
+            np.array([-inf, -1.0, inf, -inf, -3.0, np.nan, -0.0, 0.0]),
+            np.array([-1e-9, -1e-10, -2e-9, 1e-9]),  # near the threshold
+            np.array([np.nan, -1.0, np.nan]),
+        ]
+        for size in (3, 8, 9, 40, 4096):
+            vec = np.round(rng.uniform(-2, 1, size), 1)
+            vec[rng.integers(0, size, size // 3)] = inf
+            vec[rng.integers(0, size, size // 5)] = -inf
+            vectors.append(vec)
+        for vec in vectors:
+            for value in (0.0, -0.5, 3.0, -1e9):
+                got = priced_columns(vec, value)
+                np.testing.assert_array_equal(got, sort_first_pricing(vec, value))
+                assert got.dtype == np.intp
 
 
 class TestIndependent:

@@ -3,8 +3,9 @@
 ``members`` is the library's one mask-to-subset map, ``bernoulli_weights``
 its one product-measure table and ``subset_table`` its one doubling
 builder.  Each caller that used to carry its own loop must give
-bit-identical results, for ground sets of 0 to 8 items and for marginals
-that include 0 and 1.
+bit-identical results, for ground sets of 0 to 8 items (0 to 20 for the
+product-measure table against its per-item loop) and for marginals that
+include 0 and 1.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from conftest import (
     iter_bits,
+    loop_bernoulli_weights,
     loop_boosted_draw_space,
     loop_coverage,
     loop_product_support,
@@ -19,6 +21,7 @@ from conftest import (
     loop_weighted_rank,
     mask_subset,
 )
+from stocomb._kernels import bernoulli_weights
 from stocomb.boosting import IndBoostPolicyBuilder
 from stocomb.gap import GapInstance, SplitMap, split
 from stocomb.model import IndependentBernoulli, members
@@ -59,6 +62,13 @@ def test_independent_support_matches_loop(n):
         want = loop_product_support(clients, probs)
         assert got == want
         assert all(type(p) is float for _, p in got)
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_bernoulli_weights_match_item_loop(n):
+    for probs in marginal_vectors(n):
+        p = np.array(probs)
+        assert bernoulli_weights(p).tobytes() == loop_bernoulli_weights(p).tobytes()
 
 
 @pytest.mark.parametrize("n", SIZES)
