@@ -77,20 +77,17 @@ def _bland(W, basis, enter_max, tol, pivots, pivot_limit):
         if not rows.size:
             return 2, pivots
         ratios = rhs[rows] / col[rows]
-        if rows.size == 1 and ratios[0] < np.inf:
-            r = rows[0]  # the one positive row, with no tie to break
+        # Ties within 1e-12 of the least ratio go to the smallest basis
+        # index.  A least ratio of +inf ties every row, a NaN none, and then
+        # row 0 leaves.
+        best = ratios.min()
+        if best == np.inf:
+            r = basis.argmin()
+        elif best != best:
+            r = 0
         else:
-            # Ties within 1e-12 of the least ratio go to the smallest basis
-            # index.  A least ratio of +inf ties every row, a NaN none, and
-            # then row 0 leaves.
-            best = ratios.min()
-            if best == np.inf:
-                r = basis.argmin()
-            elif best != best:
-                r = 0
-            else:
-                tie = rows[ratios <= best + 1e-12]
-                r = tie[basis[tie].argmin()]
+            tie = rows[ratios <= best + 1e-12]
+            r = tie[basis[tie].argmin()]
         pivots += 1
         if pivots > pivot_limit:
             return 3, pivots
