@@ -43,7 +43,8 @@ from .setfun import from_json as setfun_from_json
 def _schema_checked(what: str):
     """Loader decorator: data the model constructors reject (a ``ValueError``,
     such as probabilities that do not sum to 1 or a number that is not
-    finite) or a payload of the wrong shape is reported as a
+    finite) or a payload of the wrong shape (such as ``null``, a number, a
+    string or a list where an object belongs) is reported as a
     :class:`SchemaError`."""
 
     def decorate(load):
@@ -51,7 +52,7 @@ def _schema_checked(what: str):
         def checked(payload):
             try:
                 return load(payload)
-            except (TypeError, KeyError, ValueError) as exc:
+            except (TypeError, KeyError, ValueError, AttributeError) as exc:
                 raise SchemaError(f"malformed {what}: {exc}") from exc
 
         return checked
@@ -205,6 +206,8 @@ def load_stochastic_lp(payload: dict) -> StochasticLPInstance:
             technology=np.asarray(blk["technology"], dtype=float),
             requirement=np.asarray(blk["requirement"], dtype=float),
         ))
+    if not blocks:
+        raise SchemaError("no scenarios: their probabilities sum to 0, not 1")
     return StochasticLPInstance(w, poly, tuple(blocks))
 
 

@@ -16,6 +16,8 @@ Beside its oracle, each builder gives the instance a served-client table
 (``ProblemInstance.served_table``) built with numpy from the payload: entry
 F has bit j set when element set F serves client j.  Every shipped oracle
 decomposes per client, so F serves S exactly when ``served[F] & S == S``.
+Set cover, vertex cover and facility location serve a client once F holds
+one of its patterns, so :func:`_pattern_kind` writes both for all three.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .model import BLOCK, ProblemInstance, subset_table
+from .model import BLOCK, ProblemInstance
 
 ONE = np.uint64(1)
 
@@ -47,13 +49,6 @@ def _union(masks: Mapping, items) -> int:
     return out
 
 
-def _fold_table(client_masks) -> np.ndarray:
-    """Served table of elements that each serve a fixed client mask: the
-    ``bitwise_or`` of the masks of F's elements, for every element set F."""
-    return subset_table([np.uint64(m) for m in client_masks], np.bitwise_or,
-                        np.uint64(0))
-
-
 def _by_block(n: int, served: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``served(masks)`` over every element mask 0 .. 2^n - 1, computed on
     uint64 blocks of at most ``BLOCK`` masks so temporaries stay small."""
@@ -62,6 +57,44 @@ def _by_block(n: int, served: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         stop = min(start + BLOCK, out.size)
         out[start:stop] = served(np.arange(start, stop, dtype=np.uint64))
     return out
+
+
+def _pattern_kind(clients: tuple, elements: tuple, patterns: Mapping):
+    """The feasibility oracle and served-table builder of a kind whose client
+    is served once F holds one of its patterns.
+
+    ``patterns`` maps every id the oracle answers (each client, and any other
+    id the kind lists) to tuples of element ids.  The one-element patterns of
+    an id are read as one mask of elements any of which serves it, the longer
+    ones as masks F must hold whole.  Only ``clients`` get table bits.
+    """
+    bit = {e: 1 << k for k, e in enumerate(elements)}
+    any_of = {j: _union(bit, (p[0] for p in ps if len(p) == 1))
+              for j, ps in patterns.items()}
+    whole = {j: [_union(bit, p) for p in ps if len(p) != 1]
+             for j, ps in patterns.items()}
+
+    def feasible(F: frozenset, S: frozenset) -> bool:
+        chosen = _union(bit, F)
+        for j in S:
+            if not any_of[j] & chosen:
+                for m in whole[j]:
+                    if m & chosen == m:
+                        break
+                else:
+                    return False
+        return True
+
+    def serve(masks):
+        out = np.zeros_like(masks)
+        for k, j in enumerate(clients):
+            hit = masks & np.uint64(any_of[j]) != 0
+            for m in map(np.uint64, whole[j]):
+                hit |= masks & m == m
+            out |= hit.astype(np.uint64) << np.uint64(k)
+        return out
+
+    return feasible, lambda: _by_block(len(elements), serve)
 
 
 def steiner_problem(vertices, edges: Mapping, costs: Mapping,
@@ -135,20 +168,12 @@ def set_cover_problem(clients, sets: Mapping, costs: Mapping,
     """Set cover: elements are the sets of the collection."""
     clients = tuple(clients)
     sets = {e: frozenset(members) for e, members in sets.items()}
-    # Every client, and every id a set lists, gets a bit.
-    ids = dict.fromkeys(clients + tuple(j for members in sets.values() for j in members))
-    id_bit = {j: 1 << i for i, j in enumerate(ids)}
-    cover = {e: _union(id_bit, members) for e, members in sets.items()}
-
-    def feasible(F: frozenset, S: frozenset) -> bool:
-        need = _union(id_bit, S)
-        return _union(cover, F) & need == need
-
-    def served() -> np.ndarray:
-        # A set may list ids that are not clients; they serve no client.
-        bit = {j: 1 << i for i, j in enumerate(clients)}
-        return _fold_table(sum(bit[j] for j in sets[e] if j in bit) for e in sets)
-
+    # Every client, and every id a set lists, is answered.
+    patterns: dict = {j: [] for j in clients}
+    for e, members in sets.items():
+        for j in members:
+            patterns.setdefault(j, []).append((e,))
+    feasible, served = _pattern_kind(clients, tuple(sets), patterns)
     return ProblemInstance(
         clients=clients,
         elements=tuple(sets),
@@ -167,20 +192,8 @@ def vertex_cover_problem(vertices, edges: Mapping, costs: Mapping,
     vertices = tuple(vertices)
     edges = {c: (u, v) for c, (u, v) in edges.items()}
     _check_ends(edges, vertices)
-    bit = {w: 1 << i for i, w in enumerate(vertices)}
-    edge_mask = {c: bit[u] | bit[v] for c, (u, v) in edges.items()}
-
-    def feasible(F: frozenset, S: frozenset) -> bool:
-        chosen = _union(bit, F)
-        for c in S:
-            if not edge_mask[c] & chosen:
-                return False
-        return True
-
-    def served() -> np.ndarray:
-        bits = [(1 << i, ends) for i, ends in enumerate(edges.values())]
-        return _fold_table(sum(b for b, ends in bits if w in ends) for w in vertices)
-
+    feasible, served = _pattern_kind(
+        tuple(edges), vertices, {c: ((u,), (v,)) for c, (u, v) in edges.items()})
     return ProblemInstance(
         clients=tuple(edges),
         elements=vertices,
@@ -208,34 +221,10 @@ def ufl_problem(clients, facilities, open_costs: Mapping,
         if i not in facilities:
             raise ValueError(f"assignment {a!r} names {i!r}, which is not a facility")
     elements = facilities + tuple(assignments)
-    bit = {e: 1 << k for k, e in enumerate(elements)}
-    pair_masks: dict = {j: [] for j in clients}  # client -> its (assignment | facility) masks
+    patterns: dict = {j: [] for j in clients}
     for a, (i, j) in assignments.items():
-        pair_masks[j].append(bit[a] | bit[i])
-
-    def feasible(F: frozenset, S: frozenset) -> bool:
-        chosen = _union(bit, F)
-        for j in S:
-            for m in pair_masks[j]:
-                if m & chosen == m:
-                    break
-            else:
-                return False
-        return True
-
-    def served() -> np.ndarray:
-        pos = {e: np.uint64(k) for k, e in enumerate(elements)}
-        client_pos = {j: np.uint64(k) for k, j in enumerate(clients)}
-        pairs = [(pos[a], pos[i], client_pos[j]) for a, (i, j) in assignments.items()]
-
-        def serve(masks):
-            out = np.zeros_like(masks)
-            for a, i, j in pairs:  # j is served where a and i are both chosen
-                out |= (masks >> a & masks >> i & ONE) << j
-            return out
-
-        return _by_block(len(elements), serve)
-
+        patterns[j].append((a, i))
+    feasible, served = _pattern_kind(clients, elements, patterns)
     costs = dict(open_costs)
     costs.update(assign_costs)
     return ProblemInstance(

@@ -706,7 +706,7 @@ def loop_encode_ufl(data):
     )
 
 
-# -- Numeric leaves of instance files -----------------------------------------
+# -- Numeric leaves and containers of instance files --------------------------
 
 def numeric_paths(node, path=()):
     """Key/index paths of every int or float leaf (booleans excluded)."""
@@ -720,8 +720,17 @@ def numeric_paths(node, path=()):
         yield path
 
 
+def container_paths(node, path=()):
+    """Key/index paths of every object- or list-valued node below the root."""
+    if isinstance(node, (dict, list)):
+        if path:
+            yield path
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from container_paths(child, path + (key,))
+
+
 def substituted(payload, path, value):
-    """A copy of ``payload`` with the leaf at ``path`` set to ``value``."""
+    """A copy of ``payload`` with the node at ``path`` set to ``value``."""
     copy = json.loads(json.dumps(payload))
     node = copy
     for step in path[:-1]:

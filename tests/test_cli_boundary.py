@@ -1,10 +1,10 @@
-"""CLI boundary sweep: malformed numbers get an exit code, never a traceback.
+"""CLI boundary sweep: malformed values get an exit code, never a traceback.
 
-Every numeric leaf of every reference instance is replaced, one at a time,
-by each value of ``SUBSTITUTES``; the instance's command then runs in
-process and must return one of the documented exit codes 0-4.  Costs large
-enough to overflow a sum, non-finite command-line numbers and oversized
-requests get the same treatment.
+Every numeric leaf and every object- or list-valued field of every reference
+instance is replaced, one at a time, by each value of ``SUBSTITUTES``; the
+instance's command then runs in process and must return one of the
+documented exit codes 0-4.  Costs large enough to overflow a sum, non-finite
+command-line numbers and oversized requests get the same treatment.
 """
 
 import json
@@ -22,7 +22,13 @@ from stocomb.io import dump_stochastic_lp, load_gap_instance, read_json, write_j
 from stocomb.lp import MAX_CONSTRAINTS
 from stocomb.setfun import TABLE_ITEMS
 
-from conftest import MALFORMED_IDS, malformed_ids, numeric_paths, substituted
+from conftest import (
+    MALFORMED_IDS,
+    container_paths,
+    malformed_ids,
+    numeric_paths,
+    substituted,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -37,7 +43,8 @@ COMMANDS = {
 }
 SUBSTITUTES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
                "null": None, "-1": -1, "0": 0, "2": 2,
-               "1e308": 1e308, "-1e308": -1e308}
+               "1e308": 1e308, "-1e308": -1e308,
+               "string": "x", "list": [], "object": {}}
 EXIT_CODES = {0, 1, 2, 3, 4}
 
 
@@ -69,7 +76,7 @@ def test_numeric_leaf_substitution(source, label, tmp_path, capsys):
     command = COMMANDS[source]
     bad = tmp_path / "bad.json"
     failures = []
-    for path in numeric_paths(payload):
+    for path in [*numeric_paths(payload), *container_paths(payload)]:
         bad.write_text(json.dumps(substituted(payload, path, SUBSTITUTES[label])))
         argv = command[:1] + ["--instance", str(bad)] + command[1:]
         try:
@@ -171,6 +178,16 @@ def test_set_cover_member_that_is_not_a_client_exits_0(command, tmp_path, capsys
     inst = tmp_path / "inst.json"
     write_json(inst, payload)
     assert exit_code(command[:1] + ["--instance", str(inst)] + command[1:], capsys) == 0
+
+
+def test_stochastic_lp_without_scenarios_exits_2(tmp_path, capsys):
+    payload = json.loads((INSTANCES / "saa_ufl.json").read_text())
+    payload["scenarios"] = []
+    inst = tmp_path / "inst.json"
+    write_json(inst, payload)
+    assert main(["run-saa", "--instance", str(inst), "--samples", "50",
+                 "--seed", "1"]) == 2
+    assert "no scenarios" in capsys.readouterr().err
 
 
 def test_oversized_deterministic_equivalent_exits_3(tmp_path, capsys):

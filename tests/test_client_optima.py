@@ -44,6 +44,7 @@ from conftest import (
     loop_equal_split_shares,
     loop_feasibility,
     loop_served_table,
+    loop_set_cover_feasible,
 )
 
 KINDS = ("steiner", "set_cover", "vertex_cover", "ufl")
@@ -177,6 +178,23 @@ def test_oracle_matches_the_set_oracle_on_random_instances(kind):
 @pytest.mark.parametrize("name", list(HAND_BUILT))
 def test_oracle_matches_the_set_oracle_on_hand_built_cases(name):
     assert_oracle_agrees(HAND_BUILT[name])
+
+
+def test_set_cover_answers_listed_non_client_ids():
+    """Ids a set lists but no client names (x, y) are answered as the set
+    oracle answers them, beside the clients, yet get no served-table bit."""
+    problem = HAND_BUILT["non_client_set_members"]
+    loop = loop_set_cover_feasible(problem.payload["sets"])
+    answers = set()
+    for f in range(1 << len(problem.elements)):
+        F = frozenset(members(f, problem.elements))
+        for s in range(1 << 4):
+            S = frozenset(members(s, ("a", "b", "x", "y")))
+            got = problem.feasibility(F, S)
+            assert got == loop(F, S), (sorted(F), sorted(S))
+            answers.add(got)
+    assert answers == {True, False}
+    assert int(np.bitwise_or.reduce(problem.served_table())) == 0b11
 
 
 # -- client_optima against exact_opt -------------------------------------------
