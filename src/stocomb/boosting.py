@@ -33,7 +33,6 @@ from .model import (
     feasible_table,
     members,
     subset_table,
-    variates,
 )
 from .solvers import ApproxAlgorithm
 
@@ -195,10 +194,7 @@ def evaluate_policy(problem: ProblemInstance, builder, dist: ScenarioDistributio
     refuses more than ``caps.DRAWS`` sampling draws in all before drawing
     any.  It draws in batches that read ``rng`` in per-run order, each
     run's draw and then its realization, so every seeded stream gives the
-    values of one-run-at-a-time sampling, bit for bit.  The one exception is
-    independent boosting over a :class:`KPartition` law, which mixes float
-    and integer variates within a run: no batched order reproduces that
-    stream, so it is drawn run by run (and still decoded in batches).
+    values of one-run-at-a-time sampling, bit for bit.
     """
     if sigma is None:
         sigma = problem.inflation
@@ -244,16 +240,9 @@ def _monte_carlo_costs(problem, builder, law, rounds, dist, sigma, rng,
     costs = np.empty(runs)
     for start in range(0, runs, batch):
         k = min(batch, runs - start)
-        if law.below == dist.below:
-            v = variates(rng, law.below, (k, width + dist.width))
-            drawn_v, realized_v = v[:, :width], v[:, width:]
-        else:  # float and integer variates interleave within each run
-            rows = [(variates(rng, law.below, (1, width)),
-                     variates(rng, dist.below, (1, dist.width))) for _ in range(k)]
-            drawn_v = np.concatenate([d for d, _ in rows])
-            realized_v = np.concatenate([r for _, r in rows])
-        drawn = law.decode(drawn_v.reshape(k, rounds, law.width)).any(axis=1)
-        realized = dist.decode(realized_v)
+        v = rng.random((k, width + dist.width))
+        drawn = law.decode(v[:, :width].reshape(k, rounds, law.width)).any(axis=1)
+        realized = dist.decode(v[:, width:])
         # A leading set bit keeps the keys of an empty universe one byte wide.
         lead = np.ones((k, 1), dtype=bool)
         keys = np.packbits(np.concatenate([lead, drawn, realized], axis=1), axis=1)

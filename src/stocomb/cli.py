@@ -44,7 +44,7 @@ from .errors import (
 from .gap import correlation_gap
 from .generate import (
     random_explicit_distribution,
-    random_gap_instance,
+    random_gap_payload,
     random_marginals,
     random_problem,
 )
@@ -68,7 +68,7 @@ from .rng import stream
 from .saa import build_sample_average, h_exact, minimize, solve_deterministic_equivalent
 from .sharing import check_fairness, equal_split_shares
 from .solvers import algorithm_for, empirical_alpha
-from .setfun import TABLE_ITEMS, table as setfun_table
+from .setfun import TABLE_ITEMS
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -128,18 +128,9 @@ def _config_echo(args, fields) -> dict:
 def cmd_gen(args) -> int:
     if args.kind == "gap":
         if not 1 <= args.clients <= TABLE_ITEMS:
-            raise SchemaError(f"gap instances are tables of 1 to {TABLE_ITEMS} "
-                              f"items, got {args.clients}")
-        inst = random_gap_instance(args.clients, args.seed)
-        fn = inst.f
-        payload = {
-            "ground": list(inst.ground),
-            "marginals": {str(i): inst.marginals[i] for i in inst.ground},
-            "set_function": {
-                "kind": "table",
-                "values": [float(v) for v in setfun_table(fn, inst.ground)],
-            },
-        }
+            raise SchemaError(f"gap instances take 1 to {TABLE_ITEMS} items, "
+                              f"got {args.clients}")
+        payload = random_gap_payload(args.clients, args.seed)
     else:
         if args.kind == "set_cover" and args.clients == 0:
             raise SchemaError("set-cover instances need at least one client")

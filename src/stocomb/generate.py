@@ -1,7 +1,8 @@
 """Reproducible random instance generators.
 
 Each generator takes explicit size parameters plus a seed and returns fully
-built objects; the CLI serializes them through :mod:`stocomb.io`.  Every
+built objects; the CLI serializes them through :mod:`stocomb.io`, except gap
+instances, which it writes as :func:`random_gap_payload` describes them.  Every
 generated instance satisfies its own validity checks by construction:
 graphs come out connected, every client is coverable, and gap instances use
 monotone submodular coverage functions.
@@ -23,7 +24,7 @@ from .problems import (
 )
 from .rng import stream
 from .saa import ScenarioBlock, StochasticLPInstance, unit_box
-from .setfun import random_coverage
+from .setfun import from_json, random_coverage
 
 EXPLICIT_SUPPORT = 4  # most client sets of a random explicit distribution, {} included
 
@@ -148,13 +149,22 @@ def random_marginals(clients: tuple, seed: int) -> IndependentBernoulli:
         (j, float(np.round(rng.uniform(0.05, 0.6), 6))) for j in clients))
 
 
-def random_gap_instance(n_ground: int, seed: int) -> GapInstance:
-    """Monotone submodular coverage cost with random marginals."""
+def random_gap_payload(n_ground: int, seed: int) -> dict:
+    """A gap instance file: a random coverage cost and random marginals."""
     rng = stream(seed, "gen-gap")
-    ground = tuple(f"i{k}" for k in range(n_ground))
-    f = random_coverage(ground, rng)
+    ground = [f"i{k}" for k in range(n_ground)]
+    set_function = random_coverage(ground, rng)
     marginals = {i: float(np.round(rng.uniform(0.1, 0.9), 6)) for i in ground}
-    return GapInstance(ground, f, marginals)
+    return {"ground": ground, "marginals": marginals, "set_function": set_function}
+
+
+def random_gap_instance(n_ground: int, seed: int) -> GapInstance:
+    """Monotone submodular coverage cost with random marginals, built from
+    :func:`random_gap_payload`."""
+    payload = random_gap_payload(n_ground, seed)
+    ground = tuple(payload["ground"])
+    return GapInstance(ground, from_json(payload["set_function"], ground),
+                       payload["marginals"])
 
 
 def random_stochastic_lp(m: int, n_scenarios: int, seed: int,

@@ -90,14 +90,6 @@ class ProblemInstance:
         return replace(self, first_stage_cost=costs)
 
 
-def variates(rng: np.random.Generator, below, shape) -> np.ndarray:
-    """Uniform floats in [0, 1) when ``below`` is None, else integers in
-    [0, below), read from ``rng`` row-major: in the order, and to the stream
-    position, of as many scalar ``rng.random()`` or ``rng.integers(below)``
-    calls."""
-    return rng.random(shape) if below is None else rng.integers(below, size=shape)
-
-
 def membership(sets, universe: tuple) -> np.ndarray:
     """Boolean rows, one per set, of which ``universe`` items it holds."""
     return np.array([[j in s for j in universe] for s in sets],
@@ -107,14 +99,15 @@ def membership(sets, universe: tuple) -> np.ndarray:
 class ScenarioDistribution:
     """Black-box distribution over client subsets; see the three variants.
 
-    A variant reads ``width`` variates of its ``below`` kind (see
-    :func:`variates`) per draw, and ``decode`` maps the last axis of a
-    variate array to membership rows over ``universe``.  ``sample`` decodes
-    its rows with ``decode`` too, so scalar and batched draws cannot drift.
+    A variant reads ``width`` uniform floats in [0, 1) per draw, and
+    ``decode`` maps the last axis of a float array to membership rows over
+    ``universe``.  ``rng.random(shape)`` reads the stream row-major, in the
+    order and to the position of as many scalar ``rng.random()`` calls, so
+    batches of draws read it in per-draw order.  ``sample`` decodes its rows
+    with ``decode`` too, so scalar and batched draws cannot drift.
     """
 
     width = 1
-    below = None
     universe = ()
 
     def decode(self, variates: np.ndarray) -> np.ndarray:
@@ -128,7 +121,7 @@ class ScenarioDistribution:
         batch = max(1, CHUNK // max(self.width, 1))
         for start in range(0, rounds, batch):
             k = min(batch, rounds - start)
-            hit |= self.decode(variates(rng, self.below, (k, self.width))).any(axis=0)
+            hit |= self.decode(rng.random((k, self.width))).any(axis=0)
         return frozenset(itertools.compress(self.universe, hit))
 
     def support(self) -> list[tuple[frozenset, float]]:
@@ -184,6 +177,8 @@ class IndependentBernoulli(ScenarioDistribution):
         else:
             pairs = tuple((j, float(p)) for j, p in self.marginals)
         object.__setattr__(self, "marginals", pairs)
+        if len({j for j, _ in pairs}) != len(pairs):
+            raise ValueError("duplicate client ids")
         for j, p in pairs:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"marginal for {j!r} outside [0, 1]")
@@ -232,10 +227,6 @@ class KPartition(ScenarioDistribution):
                 raise ValueError("partition blocks must be disjoint")
             seen |= b
 
-    @property
-    def below(self) -> int:
-        return len(self.blocks)
-
     @functools.cached_property
     def universe(self) -> tuple:
         return tuple(j for b in self.blocks for j in b)
@@ -245,8 +236,11 @@ class KPartition(ScenarioDistribution):
         return membership(self.blocks, self.universe)
 
     def decode(self, variates):
-        """Block k for the integer k."""
-        return self._table[variates[..., 0]]
+        """Block floor(k u) of the k blocks, or the last block should k u
+        round up to k."""
+        k = len(self.blocks)
+        i = (variates[..., 0] * k).astype(np.intp)
+        return self._table[np.minimum(i, k - 1)]
 
     def support(self):
         w = 1.0 / len(self.blocks)

@@ -123,16 +123,18 @@ def check_submodular(f, ground: tuple, tol: float = MONO_TOL):
     return vals
 
 
-def random_coverage(ground: tuple, rng):
-    """Random weighted coverage of ``COVERAGE_UNIVERSE`` items; monotone, submodular."""
+def random_coverage(ground: tuple, rng) -> dict:
+    """JSON payload of a random weighted coverage of ``COVERAGE_UNIVERSE``
+    items (monotone, submodular), for :func:`from_json`.  The items are the
+    strings "0", "1", ..., so they match the JSON keys of their weights."""
     cover = {}
     for g in ground:
         k = int(rng.integers(1, COVERAGE_UNIVERSE + 1))
-        cover[g] = frozenset(int(u) for u in rng.choice(COVERAGE_UNIVERSE, size=k,
-                                                        replace=False))
-    weights = {u: float(np.round(rng.uniform(0.2, 1.5), 6))
+        cover[str(g)] = [str(u) for u in rng.choice(COVERAGE_UNIVERSE, size=k,
+                                                    replace=False)]
+    weights = {str(u): float(np.round(rng.uniform(0.2, 1.5), 6))
                for u in range(COVERAGE_UNIVERSE)}
-    return coverage(cover, weights)
+    return {"kind": "coverage", "cover": cover, "weights": weights}
 
 
 def _finite(value, what: str) -> float:

@@ -444,7 +444,8 @@ def loop_sample(dist, rng) -> frozenset:
         return dist.outcomes[-1][0]
     if isinstance(dist, IndependentBernoulli):
         return frozenset(j for j, p in dist.marginals if rng.random() < p)
-    return dist.blocks[int(rng.integers(len(dist.blocks)))]
+    k = len(dist.blocks)
+    return dist.blocks[min(int(k * rng.random()), k - 1)]
 
 
 def loop_sample_draw(builder, dist, sigma, rng) -> frozenset:

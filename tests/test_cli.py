@@ -10,9 +10,16 @@ import pytest
 
 from stocomb.cli import main
 from stocomb.generate import random_gap_instance, random_marginals, random_problem
-from stocomb.io import canonical_json, dump_instance, load_instance, read_json
+from stocomb.io import (
+    canonical_json,
+    dump_instance,
+    load_gap_instance,
+    load_instance,
+    read_json,
+)
 from stocomb.model import check_monotone_feasibility
 from stocomb.setfun import check_monotone, check_submodular
+from stocomb.setfun import table as setfun_table
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -243,8 +250,12 @@ class TestGen:
         assert main(["gen", "--kind", "gap", "--clients", "4",
                      "--seed", "3", "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["set_function"]["kind"] == "table"
-        assert len(payload["set_function"]["values"]) == 16
+        assert payload["set_function"]["kind"] == "coverage"
+        # the file holds the coverage's description, whose table is the
+        # generator's own, bit for bit
+        loaded = load_gap_instance(payload)
+        assert (setfun_table(loaded.f, loaded.ground).tobytes()
+                == setfun_table(random_gap_instance(4, 3).f, loaded.ground).tobytes())
         # the generated file feeds straight back into the gap command
         report_path = tmp_path / "gapreport.json"
         assert main(["gap", "--instance", str(out),

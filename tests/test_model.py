@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_min_cost, connected, powerset
+from stocomb.boosting import ind_boost
 from stocomb.errors import CapExceeded, Infeasible
 from stocomb.fixtures import cov3, edge1, tri3
 from stocomb.model import (
@@ -18,6 +19,7 @@ from stocomb.model import (
     exact_opt,
 )
 from stocomb.rng import stream
+from stocomb.solvers import algorithm_for
 
 
 class TestSampling:
@@ -55,6 +57,18 @@ class TestSampling:
     def test_partition_blocks_must_be_disjoint(self):
         with pytest.raises(ValueError):
             KPartition((frozenset({"a"}), frozenset({"a", "b"})))
+
+    def test_independent_clients_must_be_distinct(self):
+        # A repeated client would be drawn twice, so "a" would appear with
+        # probability 0.75 where its marginal says 0.5.
+        with pytest.raises(ValueError, match="duplicate client ids"):
+            IndependentBernoulli((("a", 0.5), ("a", 0.5)))
+        with pytest.raises(ValueError, match="duplicate client ids"):
+            IndependentBernoulli((("a", 0.5), ("b", 0.2), ("a", 0.1)))
+        problem = cov3()
+        with pytest.raises(ValueError, match="duplicate client ids"):
+            ind_boost(problem, algorithm_for(problem),
+                      (("1", 0.5), ("1", 0.5)), 2.0, stream(0, "dup"))
 
 
 class TestSupport:

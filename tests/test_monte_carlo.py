@@ -93,6 +93,35 @@ def test_explicit_decode_at_the_cumulative_boundaries():
         assert got == [loop_sample(dist, Fixed(u)) for u in us]
 
 
+def test_partition_decode_at_the_block_boundaries():
+    # Block floor(k u): u = i/k starts block i, the float just below it is
+    # still in block i - 1, and u = 1 - 2^-53 stays in the last block.
+    for k in (1, 2, 3, 5, 7, 10):
+        dist = KPartition(tuple(frozenset({f"c{i}"}) for i in range(k)))
+        us = [0.0, 1.0 - 2 ** -53]
+        for i in range(1, k):
+            us += [i / k, np.nextafter(i / k, 0.0)]
+        rows = dist.decode(np.array(us)[:, None])
+        got = [frozenset(j for j, x in zip(dist.universe, row) if x) for row in rows]
+        assert got == [loop_sample(dist, Fixed(u)) for u in us]
+
+
+@pytest.mark.parametrize("law", ["explicit", "bernoulli", "partition", "boosted"])
+@pytest.mark.parametrize("rounds", [1, 3, 40_000])
+def test_every_law_reads_only_floats(law, rounds):
+    # A draw reads ``width`` floats and nothing else, so ``rounds`` draws
+    # leave the generator where one (rounds, width) float array leaves it.
+    problem = random_problem("set_cover", 5, 6, seed=1, sigma=2.0)
+    if law == "boosted":
+        dist, _ = builder_for("ind_boost", problem).draw_law(None, 2.0)
+    else:
+        dist = laws(problem.clients)[law]
+    rng, floats = stream(rounds, "f"), stream(rounds, "f")
+    dist.sample(rng, rounds)
+    floats.random((rounds, dist.width))
+    assert rng.bit_generator.state == floats.bit_generator.state
+
+
 @pytest.mark.parametrize("builder", ["boost", "ind_boost"])
 @pytest.mark.parametrize("law", ["explicit", "bernoulli", "partition"])
 def test_scalar_draw_is_the_loop_draw(builder, law):
@@ -111,26 +140,9 @@ def test_scalar_draw_is_the_loop_draw(builder, law):
 def test_batched_variates_read_the_scalar_stream(n):
     # The batching rests on this: one (k, w) call reads the stream, position
     # included, as k * w scalar calls in row-major order.
-    for batched, scalar in ((lambda r: r.random((7, 3)), lambda r: r.random()),
-                            (lambda r: r.integers(n, size=(7, 3)),
-                             lambda r: r.integers(n))):
-        a, b = stream(n, "v"), stream(n, "v")
-        assert batched(a).ravel().tolist() == [scalar(b) for _ in range(21)]
-        assert a.bit_generator.state == b.bit_generator.state
-
-
-def test_floats_then_an_integer_per_run_has_no_batched_order():
-    # Independent boosting over a partition law reads three floats and then
-    # one integer per run; neither batched order reproduces that stream, so
-    # evaluate_policy draws that pairing run by run.
-    rng = stream(0, "mix")
-    per_run = [(rng.random(3).tolist(), int(rng.integers(3))) for _ in range(20)]
-    floats_first = stream(0, "mix")
-    u = floats_first.random((20, 3))
-    assert list(zip(u.tolist(), floats_first.integers(3, size=20).tolist())) != per_run
-    ints_first = stream(0, "mix")
-    k = ints_first.integers(3, size=20)
-    assert list(zip(ints_first.random((20, 3)).tolist(), k.tolist())) != per_run
+    a, b = stream(n, "v"), stream(n, "v")
+    assert a.random((7, 3)).ravel().tolist() == [b.random() for _ in range(21)]
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 @pytest.mark.parametrize("sigma", SIGMAS)

@@ -69,7 +69,7 @@ def test_from_table_size_check():
 
 def test_checkers_accept_coverage():
     ground = tuple(f"g{i}" for i in range(5))
-    f = random_coverage(ground, stream(0, "t"))
+    f = from_json(random_coverage(ground, stream(0, "t")), ground)
     check_monotone(f, ground)
     check_submodular(f, ground)
 

@@ -26,7 +26,7 @@ from stocomb.boosting import IndBoostPolicyBuilder
 from stocomb.gap import GapInstance, SplitMap, split
 from stocomb.model import IndependentBernoulli, members
 from stocomb.rng import stream
-from stocomb.setfun import coverage, random_coverage, table, weighted_rank
+from stocomb.setfun import coverage, from_json, random_coverage, table, weighted_rank
 
 SIZES = range(9)
 
@@ -85,7 +85,7 @@ def test_boosted_draw_space_matches_loop(n):
 @pytest.mark.parametrize("n", SIZES)
 def test_table_matches_loop(n):
     ground = tuple(f"g{i}" for i in range(n))
-    f = random_coverage(ground, stream(n, "helper-table"))
+    f = from_json(random_coverage(ground, stream(n, "helper-table")), ground)
     np.testing.assert_array_equal(table(f, ground), loop_table(f, ground))
 
 

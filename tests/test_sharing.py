@@ -8,7 +8,7 @@ from conftest import powerset
 from stocomb.errors import NotMonotone, NotSubmodular
 from stocomb.fixtures import cov3, edge1, tri3
 from stocomb.model import exact_opt
-from stocomb.setfun import cardinality, random_coverage, weighted_rank
+from stocomb.setfun import cardinality, from_json, random_coverage, weighted_rank
 from stocomb.sharing import (
     OrderedCostShareScheme,
     check_fairness,
@@ -105,7 +105,7 @@ class TestMarginalScheme:
         import itertools
 
         ground = tuple(f"g{i}" for i in range(5))
-        f = random_coverage(ground, stream(11, "cov"))
+        f = from_json(random_coverage(ground, stream(11, "cov")), ground)
         scheme = marginal_scheme(f, ground)
         for S in powerset(ground):
             if not S:
@@ -151,7 +151,7 @@ class TestCheckScheme:
     def test_marginal_schemes_on_random_submodular(self):
         for seed in range(10):
             ground = tuple(f"g{i}" for i in range(4))
-            f = random_coverage(ground, stream(seed, "cov2"))
+            f = from_json(random_coverage(ground, stream(seed, "cov2")), ground)
             scheme = marginal_scheme(f, ground)
             report = check_scheme(scheme, f, ground)
             assert report.eta_hat <= 1 + 1e-9
