@@ -1,7 +1,7 @@
 """Self-contained dense LP solver returning primal, value, and duals.
 
-Problems are stated as ``min c.y`` subject to ``A y >= b`` with ``y >= 0``
-and optional per-variable upper bounds.  Two-phase primal simplex with
+Problems are stated as ``min c.y`` subject to ``A y >= b`` with ``y >= 0``;
+a bound on a variable is one more row.  Two-phase primal simplex with
 Bland's rule guarantees termination.  The LPs this library solves are
 small (cutting-plane and column-generation masters, recourse LPs and
 deterministic equivalents, within ``MAX_VARIABLES`` columns and
@@ -9,10 +9,11 @@ deterministic equivalents, within ``MAX_VARIABLES`` columns and
 code in :mod:`stocomb._kernels`.
 
 ``solve_lp`` and ``solve_prepared`` solve from scratch.  A
-:class:`ColumnMaster` keeps its optimal tableau, so a column-generation
-master that only gains columns is re-optimized from its last basis rather
-than solved again; its leading rows may be equalities, which the kernel
-takes natively.  Every solve, cold or resumed, stops at the pivot limit
+:class:`ColumnMaster` keeps its optimal tableau, so a master that only
+gains columns (the correlation-gap master; the L-shaped master's dual,
+a column per cut) is re-optimized from its last basis rather than solved
+again; its leading rows may be equalities, which the kernel takes
+natively.  Every solve, cold or resumed, stops at the pivot limit
 ``max_pivots`` of its own (possibly widened) shape and raises
 :class:`NumericalFailure` there.
 """
@@ -44,7 +45,6 @@ class LinearProgram:
     objective: np.ndarray
     constraints: np.ndarray
     rhs: np.ndarray
-    upper_bounds: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -60,11 +60,6 @@ class LinearProgram:
             )
         if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("LP data must be finite")
-        if self.upper_bounds is not None:
-            u = np.asarray(self.upper_bounds, dtype=float)
-            object.__setattr__(self, "upper_bounds", u)
-            if u.size != c.size:
-                raise ValueError("upper_bounds length must match objective")
         if c.size > MAX_VARIABLES or b.size > MAX_CONSTRAINTS:
             raise ValueError("LP exceeds supported dense size")
 
@@ -89,12 +84,12 @@ def _checked(out):
     return out
 
 
-def _result(status, x, duals, value, n_rows) -> LPResult:
+def _result(status, x, duals, value) -> LPResult:
     if status == 1:
         return LPResult(INFEASIBLE, None, None, None)
     if status == 2:
         return LPResult(UNBOUNDED, None, None, None)
-    return LPResult(OPTIMAL, x, value, duals[:n_rows])
+    return LPResult(OPTIMAL, x, value, duals)
 
 
 def solve_prepared(A: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -115,21 +110,10 @@ def solve_prepared(A: np.ndarray, b: np.ndarray, c: np.ndarray,
 
 
 def solve_lp(lp: LinearProgram, pivot_limit: int | None = None) -> LPResult:
-    """Solve ``lp``; at OPTIMAL the result satisfies strong duality.
-
-    Finite upper bounds are appended internally as extra rows; the reported
-    duals cover the caller's rows only.
-    """
-    A, b, c = lp.constraints, lp.rhs, lp.objective
-    n_user = b.size
-    if lp.upper_bounds is not None:
-        finite = np.isfinite(lp.upper_bounds)
-        if finite.any():
-            rows = -np.eye(c.size)[finite]
-            A = np.vstack([A, rows])
-            b = np.concatenate([b, -lp.upper_bounds[finite]])
-    status, x, duals, value = solve_prepared(A, b, c, pivot_limit)
-    return _result(status, x, duals, value, n_user)
+    """Solve ``lp``; at OPTIMAL the result satisfies strong duality."""
+    status, x, duals, value = solve_prepared(lp.constraints, lp.rhs,
+                                             lp.objective, pivot_limit)
+    return _result(status, x, duals, value)
 
 
 class ColumnMaster:
@@ -152,7 +136,7 @@ class ColumnMaster:
 
     def _set(self, out):
         status, x, duals, value, self.pivots, self._tableau = _checked(out)
-        self.result = _result(status, x, duals, value, duals.size)
+        self.result = _result(status, x, duals, value)
 
     def add_columns(self, A: np.ndarray, c: np.ndarray) -> LPResult:
         """Append the columns ``A`` with costs ``c`` and re-optimize from

@@ -27,13 +27,13 @@ from .lp import (
     INFEASIBLE,
     MAX_CONSTRAINTS,
     MAX_VARIABLES,
+    ColumnMaster,
     LinearProgram,
     UNBOUNDED,
     solve_lp,
     solve_prepared,
 )
-
-PROB_TOL = 1e-12
+from .model import PROB_TOL
 CUT_TOL = 1e-9  # relative slack before a recourse value violates its cut
 
 
@@ -295,63 +295,81 @@ def minimize(instance: StochasticLPInstance, tolerance: float = 1e-6,
         theta_s >= duals_s . (requirement_s - technology_s @ x).
 
     The master LP minimizes first-stage cost plus the weighted thetas over
-    the box, each theta free (split as theta+ - theta-); its optimum is a
-    lower bound on the objective and its minimizer is the next point.  The
-    run is ``converged`` once the best value found is within ``tolerance``
-    of that bound, or once no cut is violated (the master is exact at its
-    own minimizer); otherwise it stops after ``max_iterations`` with the
-    best point evaluated.  The first point is the box midpoint.  The trace
-    rows are (iteration, value at the iteration's point, lower bound after
-    the iteration's cuts).
+    the box; its optimum is a lower bound on the objective and its minimizer
+    is the next point.  It is kept as its LP dual over z = x - lower, with a
+    column mu_i per finite box width and a column lambda_c per cut
+    theta_s + g_c . z >= rhs_c:
+
+        min  width . mu - rhs . lambda
+        s.t. sum of lambda_c over the cuts of scenario s = p_s   (theta_s free)
+             mu_i - sum_c g_ci lambda_c >= -first_stage_cost_i   (per z_i)
+
+    Cuts only add columns, so the first iteration solves it cold and later
+    ones re-optimize from the last basis (:class:`ColumnMaster`); its row
+    duals are -theta and z.  The run is ``converged`` once the best value is
+    within ``tolerance`` of the bound, or once no cut is violated (the master
+    is exact at its own minimizer); else it stops after ``max_iterations``
+    (at least 1) with the best point evaluated, starting from the box
+    midpoint.  The trace rows are (iteration, value at the iteration's
+    point, lower bound after the iteration's cuts).
     """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     poly = instance.polytope
     weights = instance.probabilities()
     m = poly.dim
-    # Master columns: z = x - lower, then theta+ and theta- per weighted scenario.
     p = weights[weights != 0.0]
     k = p.size
-    cost = np.concatenate([instance.first_stage_cost, p, -p])
-    upper = np.concatenate([poly.upper - poly.lower, np.full(2 * k, np.inf)])
-    rows, rhs = [], []
+    # A width past the float range bounds nothing.
+    width = poly.upper - poly.lower
+    finite = np.isfinite(width)
+    master = None
+    cuts = 0
     theta = np.full(k, -np.inf)
     lower = -math.inf
     x = 0.5 * (poly.lower + poly.upper)
     best_x, best_value = x, math.inf
     trace = []
-    converged = False
-    t = 0
     for t in range(1, max_iterations + 1):
         value, parts = _evaluate(instance, x, weights)
         if value < best_value:
             best_x, best_value = x, value
-        added = False
+        cut_of, slopes, costs = [], [], []
         for j, (i, q, duals) in enumerate(parts):
             if q <= theta[j] + CUT_TOL * max(1.0, abs(q)):
                 continue
             block = instance.scenarios[i]
             g = block.technology.T @ duals
-            row = np.zeros(m + 2 * k)
-            row[:m] = g
-            row[m + j] = 1.0
-            row[m + k + j] = -1.0
-            rows.append(row)
-            rhs.append(float(duals @ block.requirement - g @ poly.lower))
-            added = True
-        if added or t == 1:
-            if len(rows) > MAX_CONSTRAINTS or cost.size > MAX_VARIABLES:
-                raise CapExceeded(f"cutting-plane master would hold {len(rows)} "
-                                  f"cuts over {cost.size} columns")
-            A, b = np.reshape(rows, (len(rows), cost.size)), np.array(rhs)
-            _check_overflow("cutting-plane master LP", A, b)
-            res = _solve_or_raise(LinearProgram(cost, A, b, upper_bounds=upper),
-                                  "cutting-plane master LP")
-            lower = res.value + float(instance.first_stage_cost @ poly.lower)
+            cut_of.append(j)
+            slopes.append(g)
+            costs.append(-float(duals @ block.requirement - g @ poly.lower))
+        if cut_of or t == 1:
+            cuts += len(cut_of)
+            if cuts > MAX_CONSTRAINTS or m + 2 * k > MAX_VARIABLES:
+                raise CapExceeded(f"cutting-plane master would hold {cuts} "
+                                  f"cuts over {m + 2 * k} columns")
+            A = np.vstack([np.eye(k)[:, cut_of], -np.reshape(slopes, (len(cut_of), m)).T])
+            _check_overflow("cutting-plane master LP", A, np.array(costs))
+            if master is None:
+                box = np.eye(k + m, m, -k)[:, finite]
+                master = ColumnMaster(np.hstack([box, A]),
+                                      np.concatenate([p, -instance.first_stage_cost]),
+                                      np.concatenate([width[finite], costs]), k)
+            else:
+                master.add_columns(A, costs)
+            res = master.result
+            # An infeasible dual means an unbounded master, and vice versa.
+            if res.status == INFEASIBLE:
+                raise Unbounded("cutting-plane master LP is unbounded")
+            if res.status == UNBOUNDED:
+                raise Infeasible("cutting-plane master LP is infeasible")
+            lower = float(instance.first_stage_cost @ poly.lower) - res.value
             # A master vertex on a face of the box lies on it exactly.
-            x = poly.lower + res.primal[:m]
+            x = poly.lower + res.duals[k:]
             x = np.where(x - poly.lower <= FEAS_TOL, poly.lower,
                          np.where(poly.upper - x <= FEAS_TOL, poly.upper, x))
-            theta = res.primal[m:m + k] - res.primal[m + k:]
-        converged = best_value - lower <= tolerance or (not added and t > 1)
+            theta = -res.duals[:k]
+        converged = best_value - lower <= tolerance or (not cut_of and t > 1)
         if keep_trace:
             trace.append((t, float(value), float(lower)))
         if converged:
@@ -479,19 +497,23 @@ def deterministic_equivalent(instance: StochasticLPInstance) -> LinearProgram:
     """One LP over (z, all scenario variables) with the exact objective.
 
     The first-stage columns are shifted to z = x - lower, so the box becomes
-    0 <= z <= upper - lower and needs no rows for its lower bound; the
-    objective omits the constant first_stage_cost . lower.  With a zero lower
-    bound z is x.  An LP past the dense size of :mod:`stocomb.lp` raises
-    :class:`CapExceeded` before anything is allocated.
+    0 <= z <= upper - lower: the last rows are -z_i >= lower_i - upper_i, one
+    per box width within the float range, and the lower bound needs none.
+    The objective omits the constant first_stage_cost . lower.  With a zero
+    lower bound z is x.  An LP past the dense size of :mod:`stocomb.lp`
+    raises :class:`CapExceeded` before anything is allocated.
     """
     m = instance.first_stage_cost.size
+    poly = instance.polytope
+    width = poly.upper - poly.lower
+    finite = np.isfinite(width)
     sizes = [(b.recourse_cost.size, b.aux_cost.size) for b in instance.scenarios]
     nvar = m + sum(mr + ns for mr, ns in sizes)
     rows_n = sum(b.requirement.size for b in instance.scenarios)
-    if rows_n > MAX_CONSTRAINTS or nvar > MAX_VARIABLES:
-        raise CapExceeded(f"deterministic equivalent would hold {rows_n} rows "
+    total = rows_n + int(finite.sum())
+    if total > MAX_CONSTRAINTS or nvar > MAX_VARIABLES:
+        raise CapExceeded(f"deterministic equivalent would hold {total} rows "
                           f"over {nvar} columns")
-    poly = instance.polytope
     A = np.zeros((rows_n, nvar))
     b_vec = np.zeros(rows_n)
     c = np.zeros(nvar)
@@ -510,10 +532,9 @@ def deterministic_equivalent(instance: StochasticLPInstance) -> LinearProgram:
         row += k
     if poly.lower.any():
         b_vec -= A[:, :m] @ poly.lower
-    upper = np.full(nvar, np.inf)
-    upper[:m] = poly.upper - poly.lower
     _check_overflow("deterministic equivalent", A, b_vec)
-    return LinearProgram(c, A, b_vec, upper_bounds=upper)
+    return LinearProgram(c, np.vstack([A, -np.eye(m, nvar)[finite]]),
+                         np.concatenate([b_vec, -width[finite]]))
 
 
 def _check_overflow(what: str, *arrays):
@@ -523,19 +544,13 @@ def _check_overflow(what: str, *arrays):
         raise NumericalFailure(f"{what} data overflow the float range")
 
 
-def _solve_or_raise(lp: LinearProgram, what: str):
-    res = solve_lp(lp)
-    if res.status == INFEASIBLE:
-        raise Infeasible(f"{what} is infeasible")
-    if res.status == UNBOUNDED:
-        raise Unbounded(f"{what} is unbounded")
-    return res
-
-
 def solve_deterministic_equivalent(instance: StochasticLPInstance):
     """Exact optimum (value, x) of the two-stage objective."""
-    res = _solve_or_raise(deterministic_equivalent(instance),
-                          "deterministic equivalent")
+    res = solve_lp(deterministic_equivalent(instance))
+    if res.status == INFEASIBLE:
+        raise Infeasible("deterministic equivalent is infeasible")
+    if res.status == UNBOUNDED:
+        raise Unbounded("deterministic equivalent is unbounded")
     m = instance.first_stage_cost.size
     lower = instance.polytope.lower
     return (res.value + float(instance.first_stage_cost @ lower),

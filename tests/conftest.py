@@ -24,7 +24,7 @@ from stocomb.fixtures import cov3, edge1, tri3
 from stocomb.gap import PRICE_COLUMNS, PRICE_TOL
 from stocomb.generate import random_problem
 from stocomb.io import dump_instance
-from stocomb.lp import OPTIMAL, ColumnMaster, LinearProgram, solve_lp
+from stocomb.lp import FEAS_TOL, OPTIMAL, ColumnMaster, LinearProgram, solve_lp
 from stocomb.model import (
     COST_TOL,
     CheckReport,
@@ -36,7 +36,13 @@ from stocomb.model import (
     members,
     subset_table,
 )
-from stocomb.saa import ScenarioBlock, StochasticLPInstance, unit_box
+from stocomb.saa import (
+    CUT_TOL,
+    ScenarioBlock,
+    StochasticLPInstance,
+    _evaluate,
+    unit_box,
+)
 from stocomb.solvers import algorithm_for
 
 
@@ -502,6 +508,64 @@ def cold_worst_case(inst):
     dist = {frozenset(members(int(mask), inst.ground)): float(a)
             for mask, a in sorted(zip(cols, res.primal)) if a > 1e-12}
     return -res.value, dist
+
+
+# -- The cold cutting-plane master ------------------------------------------
+# ``saa.minimize`` keeps its master as the LP dual on one ``lp.ColumnMaster``
+# and re-optimizes it from the last basis after each round of cuts.  This is
+# the loop it replaced, which rebuilt the primal master every round, split
+# each free theta as theta+ - theta- and solved it cold with ``solve_lp``,
+# the box widths as rows -z >= lower - upper: same start, cuts and stop test.
+
+def cold_master_minimize(instance, tolerance=1e-6, max_iterations=10_000):
+    """``(x, value, converged, iterations, lower)`` of the cold loop."""
+    poly = instance.polytope
+    weights = instance.probabilities()
+    m = poly.dim
+    p = weights[weights != 0.0]
+    k = p.size
+    cost = np.concatenate([instance.first_stage_cost, p, -p])
+    width = poly.upper - poly.lower
+    finite = np.isfinite(width)
+    box = -np.eye(m, cost.size)[finite]
+    rows, rhs = [], []
+    theta = np.full(k, -np.inf)
+    lower = -math.inf
+    x = 0.5 * (poly.lower + poly.upper)
+    best_x, best_value = x, math.inf
+    converged = False
+    t = 0
+    for t in range(1, max_iterations + 1):
+        value, parts = _evaluate(instance, x, weights)
+        if value < best_value:
+            best_x, best_value = x, value
+        added = False
+        for j, (i, q, duals) in enumerate(parts):
+            if q <= theta[j] + CUT_TOL * max(1.0, abs(q)):
+                continue
+            block = instance.scenarios[i]
+            g = block.technology.T @ duals
+            row = np.zeros(m + 2 * k)
+            row[:m] = g
+            row[m + j] = 1.0
+            row[m + k + j] = -1.0
+            rows.append(row)
+            rhs.append(float(duals @ block.requirement - g @ poly.lower))
+            added = True
+        if added or t == 1:
+            A = np.vstack([np.reshape(rows, (len(rows), cost.size)), box])
+            b = np.concatenate([rhs, -width[finite]])
+            res = solve_lp(LinearProgram(cost, A, b))
+            assert res.status == OPTIMAL
+            lower = res.value + float(instance.first_stage_cost @ poly.lower)
+            x = poly.lower + res.primal[:m]
+            x = np.where(x - poly.lower <= FEAS_TOL, poly.lower,
+                         np.where(poly.upper - x <= FEAS_TOL, poly.upper, x))
+            theta = res.primal[m:m + k] - res.primal[m + k:]
+        converged = best_value - lower <= tolerance or (not added and t > 1)
+        if converged:
+            break
+    return best_x, best_value, converged, t, lower
 
 
 # -- The simplex kernel before native equality rows ---------------------------

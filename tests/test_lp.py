@@ -18,10 +18,9 @@ from stocomb.lp import (
 )
 
 
-def lp(c, A, b, u=None):
+def lp(c, A, b):
     return LinearProgram(np.asarray(c, float), np.asarray(A, float),
-                         np.asarray(b, float),
-                         None if u is None else np.asarray(u, float))
+                         np.asarray(b, float))
 
 
 def test_single_constraint():
@@ -52,13 +51,6 @@ def test_infeasible_system():
 def test_unbounded():
     res = solve_lp(lp([-1.0], [[1.0]], [0.0]))
     assert res.status == UNBOUNDED
-
-
-def test_upper_bounds_become_rows():
-    res = solve_lp(lp([-1.0, -2.0], [[1.0, 0.0]], [0.0], u=[2.0, 1.5]))
-    assert res.status == OPTIMAL
-    assert res.value == pytest.approx(-5.0, abs=1e-9)
-    assert len(res.duals) == 1  # user rows only
 
 
 def test_pivot_limit_raises():

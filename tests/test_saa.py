@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import loop_encode_ufl
+from conftest import cold_master_minimize, loop_encode_ufl
+from stocomb import saa
 from stocomb.cli import main
 from stocomb.errors import CapExceeded, Infeasible, SchemaError
 from stocomb.generate import random_stochastic_lp
 from stocomb.io import load_stochastic_lp
+from stocomb.lp import ColumnMaster
 from stocomb.model import exact_opt
 from stocomb.problems import ufl_problem
 from stocomb.rng import stream
@@ -45,6 +47,19 @@ def one_dim_instance(price=1.0, requirement=1.0, probability=1.0):
                           aux_cost=[], coupling=np.zeros((1, 0)),
                           technology=[[1.0]], requirement=[requirement])
     return StochasticLPInstance([1.0], unit_box(1), (block,))
+
+
+def negative_recourse_instance():
+    """One scenario whose recourse value is -x (h is minimized at x = 1)."""
+    return StochasticLPInstance([0.5], unit_box(1), (ScenarioBlock(
+        probability=1.0, recourse_cost=[2.0], aux_cost=[-1.0],
+        coupling=[[-1.0]], technology=[[1.0]], requirement=[0.0]),))
+
+
+def boxed(inst, lower, upper):
+    return StochasticLPInstance(inst.first_stage_cost,
+                                Polytope(np.array(lower), np.array(upper)),
+                                inst.scenarios)
 
 
 class TestRecourse:
@@ -250,14 +265,9 @@ class TestMinimize:
         assert res.value == pytest.approx(1.0, abs=1e-4)
 
     def test_matches_deterministic_equivalent(self):
-        negative = StochasticLPInstance([0.5], unit_box(1), (ScenarioBlock(
-            probability=1.0, recourse_cost=[2.0], aux_cost=[-1.0],
-            coupling=[[-1.0]], technology=[[1.0]], requirement=[0.0]),))
-        shifted = random_stochastic_lp(2, 3, 305, with_aux=True)
-        shifted = StochasticLPInstance(
-            shifted.first_stage_cost,
-            Polytope(np.array([0.2, 0.4]), np.array([0.9, 1.0])),
-            shifted.scenarios)
+        negative = negative_recourse_instance()
+        shifted = boxed(random_stochastic_lp(2, 3, 305, with_aux=True),
+                        [0.2, 0.4], [0.9, 1.0])
         cases = [(random_stochastic_lp(2, 3, seed + 300, with_aux=True), 1e-7)
                  for seed in range(5)]
         cases += [(negative, 1e-7), (shifted, 1e-7),
@@ -278,12 +288,9 @@ class TestMinimize:
         inst = StochasticLPInstance([1.0], Polytope([-1.0], [1.0]), ())
         opt, x = solve_deterministic_equivalent(inst)
         assert (opt, list(x)) == (-1.0, [-1.0])
-        base = random_stochastic_lp(2, 3, 307, with_aux=True)
-        boxed = StochasticLPInstance(
-            base.first_stage_cost,
-            Polytope(np.array([-0.5, 0.3]), np.array([0.4, 1.2])),
-            base.scenarios)
-        for inst in (inst, boxed):
+        shifted = boxed(random_stochastic_lp(2, 3, 307, with_aux=True),
+                        [-0.5, 0.3], [0.4, 1.2])
+        for inst in (inst, shifted):
             opt, x = solve_deterministic_equivalent(inst)
             res = minimize(inst, tolerance=0.0)
             assert inst.polytope.contains(x)
@@ -301,6 +308,82 @@ class TestMinimize:
         bad.write_text(json.dumps(payload))
         assert main(["run-saa", "--instance", str(bad), "--seed", "1"]) == 2
         assert "schema error" in capsys.readouterr().err
+
+    def test_matches_the_cold_master(self):
+        """The warm-started dual master against the cold theta+/theta- loop
+        it replaced: the same verdict, value and bound, x in the box."""
+        rng = np.random.default_rng(20)
+        cases = [negative_recourse_instance()]
+        for seed in range(240):
+            m = 1 + seed % 4
+            inst = random_stochastic_lp(m, 1 + seed % 5, 2000 + seed,
+                                        with_aux=seed % 2 == 0)
+            if seed % 3 == 1:
+                lower = np.round(rng.uniform(-1.0, 0.5, m), 3)
+                inst = boxed(inst, lower,
+                             lower + np.round(rng.uniform(0.1, 1.5, m), 3))
+            cases.append(inst)
+        for inst in cases:
+            for tolerance in (1e-6, 0.0):
+                res = minimize(inst, tolerance=tolerance, keep_trace=True)
+                x, value, converged, _, lower = cold_master_minimize(
+                    inst, tolerance)
+                assert res.converged == converged
+                assert res.value == pytest.approx(value, rel=1e-9, abs=1e-12)
+                assert res.trace[-1][2] == pytest.approx(lower, rel=1e-9,
+                                                         abs=1e-12)
+                assert inst.polytope.contains(res.x, tol=0.0)
+                assert inst.polytope.contains(x, tol=0.0)
+
+    def test_master_is_warm_started(self, monkeypatch):
+        """One cold master solve per call, one resume per later iteration
+        that cut, and no cold ``solve_lp``."""
+        masters, resumed, evaluated = [], [], []
+        evaluate = saa._evaluate
+
+        class Spy(ColumnMaster):
+            def __init__(self, *args):
+                super().__init__(*args)
+                masters.append(self)
+
+            def add_columns(self, A, c):
+                assert A.shape[1] == len(c) > 0
+                resumed.append(len(evaluated))
+                return super().add_columns(A, c)
+
+        def counting(*args):
+            evaluated.append(args)
+            return evaluate(*args)
+
+        def refused(*args):
+            raise AssertionError("minimize called solve_lp")
+
+        monkeypatch.setattr(saa, "ColumnMaster", Spy)
+        monkeypatch.setattr(saa, "_evaluate", counting)
+        monkeypatch.setattr(saa, "solve_lp", refused)
+        resumes = 0
+        for seed in range(20):
+            inst = random_stochastic_lp(1 + seed % 3, 2 + seed % 4, 3000 + seed,
+                                        with_aux=True)
+            for tolerance, limit in ((0.0, 10_000), (0.0, 2), (1e-6, 10_000)):
+                for log in (masters, resumed, evaluated):
+                    log.clear()
+                res = minimize(inst, tolerance=tolerance, max_iterations=limit)
+                assert len(masters) == 1
+                assert len(evaluated) == res.iterations
+                # Every iteration after the first cuts, unless it ends the
+                # run because no cut was violated.
+                cut_every_time = list(range(2, res.iterations + 1))
+                assert resumed == cut_every_time or (
+                    res.converged and resumed == cut_every_time[:-1])
+                resumes += len(resumed)
+        assert resumes > 20
+
+    def test_needs_an_iteration(self):
+        inst = random_stochastic_lp(2, 3, 1)
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="max_iterations"):
+                minimize(inst, max_iterations=limit)
 
     def test_non_convergence_flag_keeps_best_iterate(self):
         inst = random_stochastic_lp(2, 3, 42)
