@@ -228,26 +228,38 @@ def _monte_carlo_costs(problem, builder, law, rounds, dist, sigma, rng,
                        runs) -> np.ndarray:
     """Each run's cost, pricing every distinct (drawn, realized) pair once.
 
-    A run reads ``rounds`` draws of ``law`` and then one of ``dist``.  Each
-    batch's distinct pairs are found with one ``np.unique`` and walked in the
-    order of their first runs, each pair priced and each draw's policy built
-    there, so the first exception raised is the run-by-run loop's.
+    A run reads ``rounds`` draws of ``law`` and then one of ``dist``.  Its
+    key is its drawn and realized bits packed little-endian into uint64
+    words, as many as the bits need (at least one).  Each batch's distinct
+    keys come from one stable ``np.lexsort``, so the first run of each group
+    is its smallest index, and the groups are walked in the order of their
+    first runs, each pair priced and each draw's policy built there, so the
+    first exception raised is the run-by-run loop's.
     """
     width = rounds * law.width  # a run's first ``width`` variates make its draw
     batch = max(1, CHUNK // max(width + dist.width, 1))
+    n_drawn, n_realized = len(law.universe), len(dist.universe)
+    words = max(1, -(-(n_drawn + n_realized) // 64))
     policies: dict = {}
     prices: dict = {}
     costs = np.empty(runs)
     for start in range(0, runs, batch):
         k = min(batch, runs - start)
         v = rng.random((k, width + dist.width))
-        drawn = law.decode(v[:, :width].reshape(k, rounds, law.width)).any(axis=1)
-        realized = dist.decode(v[:, width:])
-        # A leading set bit keeps the keys of an empty universe one byte wide.
-        lead = np.ones((k, 1), dtype=bool)
-        keys = np.packbits(np.concatenate([lead, drawn, realized], axis=1), axis=1)
-        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        bits = np.zeros((k, 64 * words), dtype=bool)
+        drawn = bits[:, :n_drawn]
+        for r in range(rounds):
+            drawn |= law.decode(v[:, r * law.width:(r + 1) * law.width])
+        realized = bits[:, n_drawn:n_drawn + n_realized]
+        realized[:] = dist.decode(v[:, width:])
+        keys = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        order = np.lexsort(keys.T)
+        ranked = keys[order]
+        new = np.ones(k, dtype=bool)
+        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        first = order[new]
+        inverse = np.empty(k, dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
         batch_prices = np.empty(first.size)
         for u in np.argsort(first):
             t = first[u]
@@ -269,12 +281,13 @@ def exact_two_stage_opt(problem: ProblemInstance, dist: ScenarioDistribution,
 
     Minimizes first-stage cost plus sigma times the expected exact
     augmentation cost over every first-stage element subset; ties go to the
-    lexicographically smallest subset.  A scenario's recourse cost from every
-    F at once is a superset-min over its feasibility table, one element at a
-    time: best[F] = min(best[F], price + best[F + element]), so no cost cancels.
-    The winner's recourse in each scenario, ``exact_opt(problem, S,
-    base=first)``, is read from the same table, so the oracle is called once
-    per (element set, scenario).
+    lexicographically smallest subset.  The feasibility table has one row
+    per scenario, built in one :func:`feasible_table` call.  A scenario's
+    recourse cost from every F at once is a superset-min over its row, one
+    element at a time for all rows together: best[F] = min(best[F], price +
+    best[F + element]), so no cost cancels.  The winner's recourse in each
+    scenario, ``exact_opt(problem, S, base=first)``, is read from the same
+    row, so the oracle is called once per (element set, scenario).
     """
     if sigma is None:
         sigma = problem.inflation
@@ -285,14 +298,14 @@ def exact_two_stage_opt(problem: ProblemInstance, dist: ScenarioDistribution,
     problem.cost(problem.elements)  # NumericalFailure, before Infeasible, on overflow
     prices = [problem.first_stage_cost[e] for e in problem.elements]
     values = subset_table(prices, np.add, 0.0)
-    tables = [feasible_table(problem, realized) for realized, _ in scenarios]
-    for table, (_, p) in zip(tables, scenarios):
-        best = np.where(table, 0.0, np.inf)
-        for i, price in enumerate(prices):
-            pairs = best.reshape(-1, 2, 1 << i)
-            np.minimum(pairs[:, 0], price + pairs[:, 1], out=pairs[:, 0])
-        with np.errstate(over="ignore"):  # an overflowing value is inf and drops out
-            values += sigma * p * best
+    tables = feasible_table(problem, [realized for realized, _ in scenarios])
+    best = np.where(tables, 0.0, np.inf)  # one row per scenario
+    for i, price in enumerate(prices):
+        pairs = best.reshape(len(best), 1 << (len(prices) - i - 1), 2, 1 << i)
+        np.minimum(pairs[:, :, 0], price + pairs[:, :, 1], out=pairs[:, :, 0])
+    with np.errstate(over="ignore"):  # an overflowing value is inf and drops out
+        for row, (_, p) in zip(best, scenarios):
+            values += sigma * p * row
     ok = values < np.inf
     if not ok.any():
         raise Infeasible("no first-stage set admits feasible recourse everywhere")

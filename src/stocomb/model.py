@@ -270,30 +270,37 @@ def subset_table(values, combine, empty) -> np.ndarray:
 
 
 def first_decrease(values, tol: float):
-    """First (mask, i), mask-major then by index, where adding item i to
-    ``mask`` lowers the mask-indexed table by more than ``tol``, or None when
-    the table is monotone: the one lattice-monotonicity test."""
-    masks = np.arange(values.size)
+    """First (row, mask, i), row-major, then mask-major, then by index, where
+    adding item i to ``mask`` lowers row ``row`` of the 2-D table of
+    mask-indexed rows by more than ``tol``, or None when every row is
+    monotone: the one lattice-monotonicity test."""
+    masks = np.arange(values.shape[1])
     first = None
-    for i in range(values.size.bit_length() - 1):
+    for i in range(values.shape[1].bit_length() - 1):
         low = masks[masks & (1 << i) == 0]
-        bad = np.flatnonzero(values[low | 1 << i] < values[low] - tol)
-        if bad.size and (first is None or low[bad[0]] < first[0]):
-            first = (int(low[bad[0]]), i)
+        bad = values[:, low | 1 << i] < values[:, low] - tol
+        if bad.any():
+            row, col = divmod(int(bad.argmax()), low.size)
+            if first is None or (row, int(low[col])) < first[:2]:
+                first = (row, int(low[col]), i)
     return first
 
 
-def feasible_table(problem: ProblemInstance, clients: frozenset,
+def feasible_table(problem: ProblemInstance, client_sets,
                    base: frozenset = frozenset()) -> np.ndarray:
-    """``feasibility(base | F, clients)`` for every mask F over the elements
-    outside ``base`` (in ``problem.elements`` order), one oracle call each in
-    mask order: the one feasibility table of the exhaustive oracles.
+    """Row r holds ``feasibility(base | F, client_sets[r])`` for every mask F
+    over the elements outside ``base`` (in ``problem.elements`` order): the
+    one feasibility table of the exhaustive oracles.
 
     The table is built in blocks of ``BLOCK`` masks.  The element sets of the
     low free elements are built once by doubling; block h asks the oracle
     about ``top | s`` for each of them, where ``top`` is ``base`` plus the
     high free elements of h, or about the doubled sets themselves when
-    ``top`` is empty.  So no more than ``BLOCK`` sets are held at once.
+    ``top`` is empty.  A block's element sets are built once and shared by
+    every row, and no more than two blocks of sets are held at once.  The
+    oracle is called once per (element set, client set), block by block and
+    row by row within a block, so each row's calls come in mask order; with
+    one row they are the calls of a per-mask loop.
     """
     free = tuple(e for e in problem.elements if e not in base)
     split = BLOCK.bit_length() - 1
@@ -301,11 +308,16 @@ def feasible_table(problem: ProblemInstance, clients: frozenset,
     sets = [frozenset()]
     for e in low:
         sets += [s | {e} for s in sets]
-    tops = (base.union(members(h, high)) for h in range(1 << len(high)))
-    asked = itertools.repeat(clients)
-    return np.fromiter(itertools.chain.from_iterable(
-        map(problem.feasibility, map(top.union, sets) if top else sets, asked)
-        for top in tops), dtype=bool, count=1 << len(free))
+    table = np.empty((len(client_sets), 1 << len(free)), dtype=bool)
+    for h in range(1 << len(high)):
+        top = base.union(members(h, high))
+        asked = list(map(top.union, sets)) if top else sets
+        block = slice(h * len(sets), (h + 1) * len(sets))
+        for row, clients in zip(table, client_sets):
+            row[block] = np.fromiter(map(problem.feasibility, asked,
+                                         itertools.repeat(clients)),
+                                     dtype=bool, count=len(sets))
+    return table
 
 
 def cheapest(costs, ok, tol: float) -> int:
@@ -327,7 +339,7 @@ def exact_opt(problem: ProblemInstance, clients: frozenset,
     free = tuple(e for e in problem.elements if e not in base)
     if len(free) > caps.OPT_ELEMENTS:
         raise CapExceeded(f"2^{len(free)} candidate sets exceed the search cap")
-    ok = feasible_table(problem, clients, base)
+    ok = feasible_table(problem, [clients], base)[0]
     return _cheapest_solution(problem, clients, free, ok,
                               lambda: _price_table(problem, free))
 
@@ -426,14 +438,20 @@ def check_subadditive(problem: ProblemInstance) -> CheckReport:
 
 
 def check_monotone_feasibility(problem: ProblemInstance) -> CheckReport:
-    """Exhaustively verify monotonicity of the oracle and Sols({}) != {}."""
+    """Exhaustively verify monotonicity of the oracle and Sols({}) != {}.
+
+    One feasibility table over every client set and one
+    :func:`first_decrease` pass over it: a failing sweep asks the oracle
+    about every client set before it reports the first failure, in client
+    set, then element set, then element order.
+    """
     subsets = client_sets(problem, "monotonicity")
     if not problem.feasibility(frozenset(), frozenset()):
         return CheckReport(False, "the empty set does not serve the empty client set")
-    for S in subsets:
-        broken = first_decrease(feasible_table(problem, S), 0.0)
-        if broken is not None:
-            return CheckReport(False,
-                               f"adding {problem.elements[broken[1]]!r} broke "
-                               f"feasibility for {sorted(map(str, S))}")
+    broken = first_decrease(feasible_table(problem, subsets), 0.0)
+    if broken is not None:
+        row, _, i = broken
+        return CheckReport(False,
+                           f"adding {problem.elements[i]!r} broke "
+                           f"feasibility for {sorted(map(str, subsets[row]))}")
     return CheckReport(True)

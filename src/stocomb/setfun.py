@@ -97,9 +97,9 @@ def weighted_rank(weights: dict, cap: float) -> TableFunction:
 def check_monotone(f, ground: tuple, tol: float = MONO_TOL):
     """Raise :class:`NotMonotone` unless f is nondecreasing (exhaustive)."""
     vals = table(f, ground)
-    broken = first_decrease(vals, tol)
+    broken = first_decrease(vals[None], tol)
     if broken is not None:
-        mask, i = broken
+        _, mask, i = broken
         raise NotMonotone(f"adding {ground[i]!r} to mask {mask:b} decreases the value")
     return vals
 

@@ -181,6 +181,17 @@ def loop_check_monotone(vals, ground: tuple, tol: float):
     return vals
 
 
+def loop_first_decrease(values, tol: float):
+    """``model.first_decrease`` on a 2-D table, one row at a time."""
+    n = values.shape[1].bit_length() - 1
+    for row in range(values.shape[0]):
+        for mask in range(1 << n):
+            for i in range(n):
+                if not (mask >> i) & 1 and values[row, mask | (1 << i)] < values[row, mask] - tol:
+                    return row, mask, i
+    return None
+
+
 def loop_check_submodular(vals, ground: tuple, tol: float):
     n = len(ground)
     for mask in range(1 << n):

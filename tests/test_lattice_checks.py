@@ -16,10 +16,12 @@ zero-probability and infeasible scenarios, on exact integer ties and on
 1e308 costs.  Only near-tie chains closer than ``COST_TOL`` may differ;
 the last test pins the rule there.
 
-``model.feasible_table`` builds its element sets block by block; it must
-give the per-mask generator's table and ask the oracle the same (F, S)
-pairs in the same order, on both sides of the block boundary, and hold
-no more than a block of element sets at once.
+``model.feasible_table`` builds one row per client set over element sets
+built block by block; each row must be the per-mask generator's table for
+its client set, asked with the same (F, S) pairs in the same order, on
+both sides of the block boundary, and the table must not hold the element
+sets of the whole lattice at once.  ``model.first_decrease`` on many rows
+must find the per-row loop's first failure.
 """
 
 import sys
@@ -36,6 +38,7 @@ from conftest import (
     loop_exact_opt,
     loop_exact_two_stage_opt,
     loop_feasible_table,
+    loop_first_decrease,
 )
 from stocomb.boosting import TwoStageOptimum, exact_two_stage_opt
 from stocomb.errors import Infeasible, NumericalFailure, StocombError
@@ -107,14 +110,43 @@ def test_table_checks_match_loops(n):
 
 
 def test_difference_exactly_at_tolerance_passes():
-    values = np.array([1.0, 0.75, 0.75, 1.0])  # each item lowers {} by 1/4
+    values = np.array([[1.0, 0.75, 0.75, 1.0]])  # each item lowers {} by 1/4
     assert first_decrease(values, 0.25) is None
-    assert first_decrease(values, 0.125) == (0, 0)
+    assert first_decrease(values, 0.125) == (0, 0, 0)
 
 
 def test_first_decrease_is_mask_major():
     # Item 1 breaks mask 1 and item 0 breaks mask 2: the smaller mask wins.
-    assert first_decrease(np.array([0.0, 1.0, 1.0, 0.5]), 0.0) == (1, 1)
+    assert first_decrease(np.array([[0.0, 1.0, 1.0, 0.5]]), 0.0) == (0, 1, 1)
+
+
+def test_first_decrease_is_row_major():
+    # Row 1 breaks at mask 1 and row 2 at mask 0: the earlier row wins.
+    values = np.array([[0.0, 1.0, 1.0, 1.0],
+                       [0.0, 1.0, 1.0, 0.5],
+                       [1.0, 0.0, 0.0, 0.0]])
+    assert first_decrease(values, 0.0) == (1, 1, 1)
+    assert first_decrease(values[2:], 0.0) == (0, 0, 0)
+    assert first_decrease(values[:0], 0.0) is None
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_first_decrease_on_many_rows_matches_loop(n):
+    # Rows drawn from the quarter tables, dented ones among them, so several
+    # rows fail and many decreases sit exactly on a tolerance; each suffix
+    # of the stack moves the first failing row.
+    tables = quarter_tables(n)
+    names = np.random.default_rng(n).choice(list(tables), 12)
+    rows = np.stack([tables[name] for name in names])
+    failing_rows = set()
+    for tol in TOLERANCES:
+        for k in range(len(rows)):
+            got = first_decrease(rows[k:], tol)
+            assert got == loop_first_decrease(rows[k:], tol), (tol, k)
+            if got is not None:
+                failing_rows.add(got[0])
+    if n >= 2:
+        assert len(failing_rows) > 1
 
 
 # (clients, elements) generator arguments; ufl takes facilities and adds
@@ -143,6 +175,13 @@ def table_oracle(rng, n_elements: int, n_clients: int, empty_ok: bool):
     """A random, mostly non-monotone oracle: one coin per (F, S) pair."""
     coins = rng.random((1 << n_elements, 1 << n_clients)) < 0.8
     coins[0, 0] = empty_ok
+    return coin_oracle(coins)
+
+
+def coin_oracle(coins):
+    """The oracle reading F and S as the row and column masks of ``coins``."""
+    n_elements = coins.shape[0].bit_length() - 1
+    n_clients = coins.shape[1].bit_length() - 1
     clients = tuple(f"c{j}" for j in range(n_clients))
     elements = tuple(f"e{i}" for i in range(n_elements))
 
@@ -161,6 +200,23 @@ def test_monotone_feasibility_matches_loop_on_custom_oracles(seed):
     problem = table_oracle(rng, int(rng.integers(0, 5)), int(rng.integers(0, 4)),
                            empty_ok=seed % 10 != 0)
     assert check_monotone_feasibility(problem) == loop_check_monotone_feasibility(problem)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_monotone_feasibility_matches_loop_when_several_client_sets_break(seed):
+    # Monotone (|F| >= |S|) for every client set but a random few, which
+    # read random coins: the report names the first broken one, as the
+    # loop does.
+    rng = np.random.default_rng(seed)
+    sizes = np.array([bin(mask).count("1") for mask in range(16)])
+    coins = sizes[:, None] >= sizes[:8][None, :]
+    broken = rng.choice(np.arange(1, 8), 3, replace=False)
+    coins[:, broken] = rng.random((16, 3)) < 0.7
+    coins[0, 0] = True
+    problem = coin_oracle(coins)
+    got = check_monotone_feasibility(problem)
+    assert got == loop_check_monotone_feasibility(problem)
+    assert not got.ok
 
 
 def test_monotone_feasibility_failures_are_seen():
@@ -187,19 +243,28 @@ def test_monotone_feasibility_tabulates_the_oracle_once():
 # -- feasible_table against the per-mask generator it replaced ----------------
 
 def recorded_table(build, problem, clients, base):
-    """``build``'s table bytes and the (F, S) pairs it asked the oracle, in order."""
+    """``build``'s table and the (F, S) pairs it asked the oracle, in order."""
     calls = []
 
     def oracle(F, S):
         calls.append((F, S))
         return problem.feasibility(F, S)
 
-    return build(replace(problem, feasibility=oracle), clients, base).tobytes(), calls
+    return build(replace(problem, feasibility=oracle), clients, base), calls
 
 
-def assert_table_matches_loop(problem, clients, base):
-    got = recorded_table(feasible_table, problem, clients, base)
-    assert got == recorded_table(loop_feasible_table, problem, clients, base)
+def assert_table_matches_loop(problem, client_sets, base):
+    """One table over distinct ``client_sets``: each row's bytes, and the
+    calls asked with that row's client set, are the per-mask generator's
+    on that client set alone."""
+    table, calls = recorded_table(feasible_table, problem, client_sets, base)
+    free = len(problem.elements) - len(base)
+    assert table.shape == (len(client_sets), 1 << free)
+    assert len(calls) == table.size
+    for row, clients in zip(table, client_sets):
+        want, want_calls = recorded_table(loop_feasible_table, problem, clients, base)
+        assert row.tobytes() == want.tobytes()
+        assert [call for call in calls if call[1] == clients] == want_calls
 
 
 # Free-element counts on both sides of the 12-element block boundary.
@@ -221,13 +286,12 @@ def base_leaving(elements: tuple, free: int, rng) -> frozenset:
 def test_feasible_table_matches_loop_on_shipped_kinds(kind):
     problem = random_problem(kind, *TABLE_SIZES[kind], seed=7)
     rng = np.random.default_rng(7)
-    full = frozenset(problem.clients)
-    part = frozenset(problem.clients[::2])
+    client_sets = [frozenset(problem.clients[:1]), frozenset(problem.clients[::2]),
+                   frozenset(problem.clients)]
     for free in FREE_COUNTS:
         base = base_leaving(problem.elements, free, rng)
         assert (len(base) == 0) == (free == len(problem.elements))
-        for clients in (full, part):
-            assert_table_matches_loop(problem, clients, base)
+        assert_table_matches_loop(problem, client_sets, base)
 
 
 @pytest.mark.parametrize("free", FREE_COUNTS)
@@ -241,15 +305,15 @@ def test_feasible_table_matches_loop_on_custom_oracles(free):
             problems.append(table_oracle(rng, n, 2, True))
         for problem in problems:
             base = base_leaving(problem.elements, n - base_size, rng)
-            for clients in (problem.clients[:0], problem.clients[:1], problem.clients):
-                assert_table_matches_loop(problem, frozenset(clients), base)
+            client_sets = [frozenset(problem.clients[:k]) for k in (0, 1, 3)]
+            assert_table_matches_loop(problem, client_sets, base)
 
 
 def test_feasible_table_holds_one_block_of_element_sets():
     problem = cardinality_problem(16, 1)
     tracemalloc.start()
     try:
-        table = feasible_table(problem, frozenset(problem.clients))
+        table = feasible_table(problem, [frozenset(problem.clients)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -204,6 +204,36 @@ def test_each_distinct_pair_is_priced_once(monkeypatch, law, builder):
     assert len(priced) == len(set(seen))
 
 
+def wide_laws(clients):
+    """Laws over 40 clients, so a run's (drawn, realized) key takes 80 bits,
+    two words.  Clients 24 on are realized only at key bits 64 and up, and
+    the first 24 never (independent law) or all together: realized sets
+    that differ in the second word alone are common."""
+    low, mid, high = (frozenset(clients[:24]), frozenset(clients[24:32]),
+                      frozenset(clients[32:]))
+    return {
+        "explicit": Explicit(((low, 0.2), (mid, 0.3), (high, 0.3), (frozenset(), 0.2))),
+        "bernoulli": IndependentBernoulli(tuple((j, 0.0 if k < 24 else 0.15)
+                                                for k, j in enumerate(clients))),
+        "partition": KPartition((low, mid, high)),
+    }
+
+
+@pytest.mark.parametrize("builder", ["boost", "ind_boost"])
+@pytest.mark.parametrize("law", ["explicit", "bernoulli", "partition"])
+def test_keys_wider_than_one_word_match_loop(law, builder):
+    clients = tuple(f"c{i}" for i in range(40))
+    problem = set_cover_problem(clients, {f"e{i}": (j,) for i, j in enumerate(clients)},
+                                {f"e{i}": float(1 + i % 3) for i in range(40)}, sigma=2.0)
+    dist = wide_laws(clients)[law]
+    b = builder_for(builder, problem)
+    if builder == "ind_boost":  # rare boosted draws keep the policies few
+        b = dataclasses.replace(b, marginals=tuple((j, 0.01) for j in clients))
+    draw, _ = b.draw_law(dist, 2.0)
+    assert len(draw.universe) + len(dist.universe) == 80
+    assert_same(problem, b, dist, 2.0, 13, 600)
+
+
 def test_empty_universe_matches_loop():
     problem = random_problem("set_cover", 3, 3, seed=0, sigma=2.0)
     dist = Explicit(((frozenset(), 1.0),))
