@@ -286,8 +286,8 @@ def exact_two_stage_opt(problem: ProblemInstance, dist: ScenarioDistribution,
     recourse cost from every F at once is a superset-min over its row, one
     element at a time for all rows together: best[F] = min(best[F], price +
     best[F + element]), so no cost cancels.  The winner's recourse in each
-    scenario, ``exact_opt(problem, S, base=first)``, is read from the same
-    row, so the oracle is called once per (element set, scenario).
+    scenario, its cheapest augmentation of the first stage, is read from the
+    same row, so the oracle is called once per (element set, scenario).
     """
     if sigma is None:
         sigma = problem.inflation

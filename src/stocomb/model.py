@@ -26,6 +26,7 @@ COST_TOL = 1e-9
 PROB_TOL = 1e-12
 CHUNK = 1 << 16  # variates drawn per batch when sampling many draws
 BLOCK = 1 << 12  # masks per block of a lattice table built block by block
+MASK_BITS = 64  # clients a uint64 served-client mask can hold
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,12 @@ class ProblemInstance:
     for ``S = {}``; both properties are assumed throughout and checked
     exhaustively by :func:`check_monotone_feasibility` on small instances.
 
-    ``served_table()``, set by the shipped kinds' builders, returns the
-    uint64 served-client table of an oracle that decomposes per client:
-    entry F (an element mask) has bit j set when F serves client j, and F
-    serves S exactly when it serves every client of S.  It must agree with
-    ``feasibility``.  A custom oracle has none, and :func:`client_optima`
-    then calls :func:`exact_opt`.
+    ``served``, set by the shipped kinds' builders, is the block function of
+    an oracle that decomposes per client: uint64 element masks F in, uint64
+    masks of the clients each F serves out, and F serves S exactly when it
+    serves every client of S.  It must agree with ``feasibility``.  Custom
+    oracles and instances past ``MASK_BITS`` clients have none, and
+    :func:`client_optima` then calls :func:`exact_opt`.
     """
 
     clients: tuple
@@ -59,9 +60,11 @@ class ProblemInstance:
     feasibility: Callable[[frozenset, frozenset], bool]
     kind: str = "custom"
     payload: Mapping[str, Any] = field(default_factory=dict)
-    served_table: Callable[[], np.ndarray] | None = None
+    served: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        if len(self.clients) > MASK_BITS:
+            object.__setattr__(self, "served", None)
         if len(set(self.clients)) != len(self.clients):
             raise ValueError("duplicate client ids")
         if len(set(self.elements)) != len(self.elements):
@@ -172,10 +175,9 @@ class IndependentBernoulli(ScenarioDistribution):
     marginals: tuple
 
     def __post_init__(self):
-        if isinstance(self.marginals, Mapping):
-            pairs = tuple(self.marginals.items())
-        else:
-            pairs = tuple((j, float(p)) for j, p in self.marginals)
+        items = (self.marginals.items() if isinstance(self.marginals, Mapping)
+                 else self.marginals)
+        pairs = tuple((j, float(p)) for j, p in items)
         object.__setattr__(self, "marginals", pairs)
         if len({j for j, _ in pairs}) != len(pairs):
             raise ValueError("duplicate client ids")
@@ -286,31 +288,29 @@ def first_decrease(values, tol: float):
     return first
 
 
-def feasible_table(problem: ProblemInstance, client_sets,
-                   base: frozenset = frozenset()) -> np.ndarray:
-    """Row r holds ``feasibility(base | F, client_sets[r])`` for every mask F
-    over the elements outside ``base`` (in ``problem.elements`` order): the
-    one feasibility table of the exhaustive oracles.
+def feasible_table(problem: ProblemInstance, client_sets) -> np.ndarray:
+    """Row r holds ``feasibility(F, client_sets[r])`` for every element mask
+    F (in ``problem.elements`` order): the one feasibility table of the
+    exhaustive oracles.
 
     The table is built in blocks of ``BLOCK`` masks.  The element sets of the
-    low free elements are built once by doubling; block h asks the oracle
-    about ``top | s`` for each of them, where ``top`` is ``base`` plus the
-    high free elements of h, or about the doubled sets themselves when
-    ``top`` is empty.  A block's element sets are built once and shared by
-    every row, and no more than two blocks of sets are held at once.  The
-    oracle is called once per (element set, client set), block by block and
-    row by row within a block, so each row's calls come in mask order; with
-    one row they are the calls of a per-mask loop.
+    low elements are built once by doubling; block h asks the oracle about
+    ``top | s`` for each of them, where ``top`` holds the high elements of h,
+    or about the doubled sets themselves when ``top`` is empty.  A block's
+    element sets are built once and shared by every row, and no more than
+    two blocks of sets are held at once.  The oracle is called once per
+    (element set, client set), block by block and row by row within a block,
+    so each row's calls come in mask order; with one row they are the calls
+    of a per-mask loop.
     """
-    free = tuple(e for e in problem.elements if e not in base)
     split = BLOCK.bit_length() - 1
-    low, high = free[:split], free[split:]
+    low, high = problem.elements[:split], problem.elements[split:]
     sets = [frozenset()]
     for e in low:
         sets += [s | {e} for s in sets]
-    table = np.empty((len(client_sets), 1 << len(free)), dtype=bool)
+    table = np.empty((len(client_sets), 1 << len(problem.elements)), dtype=bool)
     for h in range(1 << len(high)):
-        top = base.union(members(h, high))
+        top = frozenset(members(h, high))
         asked = list(map(top.union, sets)) if top else sets
         block = slice(h * len(sets), (h + 1) * len(sets))
         for row, clients in zip(table, client_sets):
@@ -320,6 +320,16 @@ def feasible_table(problem: ProblemInstance, client_sets,
     return table
 
 
+def served_table(problem: ProblemInstance) -> np.ndarray:
+    """``problem.served`` over every element mask 0 .. 2^|X| - 1, computed on
+    uint64 blocks of at most ``BLOCK`` masks so temporaries stay small."""
+    out = np.empty(1 << len(problem.elements), dtype=np.uint64)
+    for start in range(0, out.size, BLOCK):
+        stop = min(start + BLOCK, out.size)
+        out[start:stop] = problem.served(np.arange(start, stop, dtype=np.uint64))
+    return out
+
+
 def cheapest(costs, ok, tol: float) -> int:
     """The one tie-break: of the ``ok`` masks (at least one) within ``tol`` of
     their cheapest, the one with the lexicographically smallest index tuple."""
@@ -327,21 +337,19 @@ def cheapest(costs, ok, tol: float) -> int:
     return min(near.tolist(), key=lambda mask: members(mask, range(mask.bit_length())))
 
 
-def exact_opt(problem: ProblemInstance, clients: frozenset,
-              base: frozenset = frozenset()) -> Solution:
-    """Cheapest element set, on top of ``base``, serving ``clients``.
+def exact_opt(problem: ProblemInstance, clients: frozenset) -> Solution:
+    """Cheapest element set serving ``clients``.
 
-    Exhaustive search over all subsets of the non-base elements, with ties
-    broken by :func:`cheapest` so the oracle is deterministic.
+    Exhaustive search over all element subsets, with ties broken by
+    :func:`cheapest` so the oracle is deterministic.
     """
     clients = frozenset(clients)
-    base = frozenset(base)
-    free = tuple(e for e in problem.elements if e not in base)
-    if len(free) > caps.OPT_ELEMENTS:
-        raise CapExceeded(f"2^{len(free)} candidate sets exceed the search cap")
-    ok = feasible_table(problem, [clients], base)[0]
-    return _cheapest_solution(problem, clients, free, ok,
-                              lambda: _price_table(problem, free))
+    elements = problem.elements
+    if len(elements) > caps.OPT_ELEMENTS:
+        raise CapExceeded(f"2^{len(elements)} candidate sets exceed the search cap")
+    ok = feasible_table(problem, [clients])[0]
+    return _cheapest_solution(problem, clients, elements, ok,
+                              lambda: _price_table(problem, elements))
 
 
 def _price_table(problem: ProblemInstance, items: tuple) -> np.ndarray:
@@ -361,24 +369,21 @@ def _cheapest_solution(problem, clients, free, ok, prices) -> Solution:
     return Solution(frozenset(picked), problem.cost(picked))
 
 
-MASK_BITS = 64  # clients a uint64 served-client table can hold
-
-
 def client_optima(problem: ProblemInstance) -> Callable[[frozenset], Solution]:
     """``S -> exact_opt(problem, S)``, memoized, for every client set S.
 
-    With a served-client table (``problem.served_table``), every S is
-    priced from that one table: F serves S exactly when
-    ``served[F] & S == S``, so no oracle is called.  The value, its ties
-    and its exceptions are :func:`exact_opt`'s.  A problem without a table,
-    a client set outside ``problem.clients``, more than ``MASK_BITS``
-    clients or more than ``caps.OPT_ELEMENTS`` elements fall back to
-    :func:`exact_opt` itself.  Nothing is built before the first call.
+    With a block function (``problem.served``), every S is priced from one
+    :func:`served_table`: F serves S exactly when ``served[F] & S == S``, so
+    no oracle is called.  The value, its ties and its exceptions are
+    :func:`exact_opt`'s.  A problem without a block function, a client set
+    outside ``problem.clients`` or more than ``caps.OPT_ELEMENTS`` elements
+    fall back to :func:`exact_opt` itself.  Nothing is built before the
+    first call.
     """
     bit = {j: 1 << i for i, j in enumerate(problem.clients)}
-    tabled = (problem.served_table is not None and len(bit) <= MASK_BITS
+    tabled = (problem.served is not None
               and len(problem.elements) <= caps.OPT_ELEMENTS)
-    served = functools.cache(lambda: problem.served_table())
+    table = functools.cache(lambda: served_table(problem))
     prices = functools.cache(lambda: _price_table(problem, problem.elements))
 
     @functools.cache
@@ -387,7 +392,7 @@ def client_optima(problem: ProblemInstance) -> Callable[[frozenset], Solution]:
             return exact_opt(problem, clients)
         want = np.uint64(sum(bit[j] for j in clients))
         return _cheapest_solution(problem, clients, problem.elements,
-                                  served() & want == want, prices)
+                                  table() & want == want, prices)
 
     return lambda clients: opt(frozenset(clients))
 

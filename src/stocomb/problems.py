@@ -12,21 +12,21 @@ assignment).  A client is served when some facility element and a matching
 assignment element are both present, which makes the cost of a solution a
 plain sum of element prices.
 
-Beside its oracle, each builder gives the instance a served-client table
-(``ProblemInstance.served_table``) built with numpy from the payload: entry
-F has bit j set when element set F serves client j.  Every shipped oracle
-decomposes per client, so F serves S exactly when ``served[F] & S == S``.
-Set cover, vertex cover and facility location serve a client once F holds
-one of its patterns, so :func:`_pattern_kind` writes both for all three.
+Beside its oracle, each builder gives the instance its block function
+(``ProblemInstance.served``), written with numpy from the payload: bit j of
+``served(F)`` is set when element mask F serves client j.  Every shipped
+oracle decomposes per client, so F serves S exactly when it serves each
+client of S.  Set cover, vertex cover and facility location serve a client
+once F holds one of its patterns, so :func:`_pattern_kind` writes both.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .model import BLOCK, ProblemInstance
+from .model import ProblemInstance
 
 ONE = np.uint64(1)
 
@@ -49,24 +49,14 @@ def _union(masks: Mapping, items) -> int:
     return out
 
 
-def _by_block(n: int, served: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``served(masks)`` over every element mask 0 .. 2^n - 1, computed on
-    uint64 blocks of at most ``BLOCK`` masks so temporaries stay small."""
-    out = np.empty(1 << n, dtype=np.uint64)
-    for start in range(0, out.size, BLOCK):
-        stop = min(start + BLOCK, out.size)
-        out[start:stop] = served(np.arange(start, stop, dtype=np.uint64))
-    return out
-
-
 def _pattern_kind(clients: tuple, elements: tuple, patterns: Mapping):
-    """The feasibility oracle and served-table builder of a kind whose client
-    is served once F holds one of its patterns.
+    """The feasibility oracle and block function of a kind whose client is
+    served once F holds one of its patterns.
 
     ``patterns`` maps every id the oracle answers (each client, and any other
     id the kind lists) to tuples of element ids.  The one-element patterns of
     an id are read as one mask of elements any of which serves it, the longer
-    ones as masks F must hold whole.  Only ``clients`` get table bits.
+    ones as masks F must hold whole.  Only ``clients`` get served bits.
     """
     bit = {e: 1 << k for k, e in enumerate(elements)}
     any_of = {j: _union(bit, (p[0] for p in ps if len(p) == 1))
@@ -85,7 +75,7 @@ def _pattern_kind(clients: tuple, elements: tuple, patterns: Mapping):
                     return False
         return True
 
-    def serve(masks):
+    def served(masks):
         out = np.zeros_like(masks)
         for k, j in enumerate(clients):
             hit = masks & np.uint64(any_of[j]) != 0
@@ -94,7 +84,7 @@ def _pattern_kind(clients: tuple, elements: tuple, patterns: Mapping):
             out |= hit.astype(np.uint64) << np.uint64(k)
         return out
 
-    return feasible, lambda: _by_block(len(elements), serve)
+    return feasible, served
 
 
 def steiner_problem(vertices, edges: Mapping, costs: Mapping,
@@ -135,21 +125,18 @@ def steiner_problem(vertices, edges: Mapping, costs: Mapping,
             todo = rest
         return True
 
-    def served() -> np.ndarray:
-        # The vertices joined to the root: |V| - 1 relaxation passes over
-        # the edges reach every vertex that a path from the root reaches.
-        pos = {v: np.uint64(i) for i, v in enumerate(vertices)}
-        ends = [(np.uint64(k), pos[u], pos[v]) for k, (u, v) in enumerate(edges.values())]
+    # The vertices joined to the root: |V| - 1 relaxation passes over the
+    # edges reach every vertex that a path from the root reaches.
+    pos = {v: np.uint64(i) for i, v in enumerate(vertices)}
+    ends = [(np.uint64(k), pos[u], pos[v]) for k, (u, v) in enumerate(edges.values())]
 
-        def reach(masks):
-            has = [masks >> k & ONE for k, _, _ in ends]
-            out = np.full(masks.size, ONE << pos[root])
-            for _ in range(len(vertices) - 1):
-                for h, (_, u, v) in zip(has, ends):
-                    out |= h * ((out >> u & ONE) << v | (out >> v & ONE) << u)
-            return out
-
-        return _by_block(len(ends), reach)
+    def served(masks):
+        has = [masks >> k & ONE for k, _, _ in ends]
+        out = np.full(masks.size, ONE << pos[root])
+        for _ in range(len(vertices) - 1):
+            for h, (_, u, v) in zip(has, ends):
+                out |= h * ((out >> u & ONE) << v | (out >> v & ONE) << u)
+        return out
 
     return ProblemInstance(
         clients=vertices,
@@ -157,7 +144,7 @@ def steiner_problem(vertices, edges: Mapping, costs: Mapping,
         first_stage_cost=dict(costs),
         inflation=sigma,
         feasibility=feasible,
-        served_table=served,
+        served=served,
         kind="steiner",
         payload={"edges": edges, "root": root},
     )
@@ -180,7 +167,7 @@ def set_cover_problem(clients, sets: Mapping, costs: Mapping,
         first_stage_cost=dict(costs),
         inflation=sigma,
         feasibility=feasible,
-        served_table=served,
+        served=served,
         kind="set_cover",
         payload={"sets": sets},
     )
@@ -200,7 +187,7 @@ def vertex_cover_problem(vertices, edges: Mapping, costs: Mapping,
         first_stage_cost=dict(costs),
         inflation=sigma,
         feasibility=feasible,
-        served_table=served,
+        served=served,
         kind="vertex_cover",
         payload={"edges": edges},
     )
@@ -233,7 +220,7 @@ def ufl_problem(clients, facilities, open_costs: Mapping,
         first_stage_cost=costs,
         inflation=sigma,
         feasibility=feasible,
-        served_table=served,
+        served=served,
         kind="ufl",
         payload={"facilities": facilities, "assignments": assignments},
     )

@@ -236,15 +236,18 @@ def loop_check_monotone_feasibility(problem) -> CheckReport:
 # one oracle call per subset, and one exact optimum per (first stage,
 # scenario) pair, each with its own sequential tolerance tie-break.
 
-def loop_feasible_table(problem, clients, base=frozenset()) -> np.ndarray:
-    """One element set per mask, ``base`` plus the mask's free elements: the
-    generator ``model.feasible_table`` used before it built sets in blocks."""
-    free = tuple(e for e in problem.elements if e not in base)
-    return np.fromiter((problem.feasibility(base.union(members(mask, free)), clients)
-                        for mask in range(1 << len(free))), dtype=bool)
+def loop_feasible_table(problem, clients) -> np.ndarray:
+    """One element set per mask: the generator ``model.feasible_table`` used
+    before it built sets in blocks."""
+    return np.fromiter((problem.feasibility(frozenset(members(mask, problem.elements)),
+                                            clients)
+                        for mask in range(1 << len(problem.elements))), dtype=bool)
 
 
 def loop_exact_opt(problem, clients, base=frozenset()):
+    """The cheapest set of elements outside ``base`` that serves ``clients``
+    on top of ``base``: ``model.exact_opt``'s loop when ``base`` is empty,
+    and otherwise the reference for exact augmentation costs."""
     clients = frozenset(clients)
     base = frozenset(base)
     free = tuple(e for e in problem.elements if e not in base)
@@ -372,7 +375,7 @@ def loop_feasibility(problem):
 # -- The per-client-set sweeps -----------------------------------------------
 # ``check_subadditive``, ``check_fairness``, ``equal_split_shares`` and
 # ``empirical_alpha`` price every client set through ``model.client_optima``,
-# which reads one served-client table (``ProblemInstance.served_table``).
+# which reads one served-client table (``model.served_table``).
 # These are the loops they replaced, one ``exact_opt`` (one oracle table)
 # per client set, and the table they read written with one oracle call per
 # (element set, client): same reports, same exceptions.

@@ -19,7 +19,9 @@ from stocomb.boosting import (
 from stocomb.errors import CapExceeded, Infeasible
 from stocomb.fixtures import edge1, tri3
 from stocomb.generate import random_explicit_distribution, random_problem
-from stocomb.model import Explicit, IndependentBernoulli, exact_opt
+from stocomb.model import Explicit, IndependentBernoulli
+
+from conftest import loop_exact_opt
 from stocomb.problems import set_cover_problem
 from stocomb.rng import stream
 from stocomb.solvers import algorithm_for
@@ -231,14 +233,15 @@ class TestTwoStageOptimum:
     def test_tri3_against_independent_enumeration(self):
         problem = tri3(sigma=3.0)
         dist = Explicit(((frozenset({"1", "3"}), 0.5), (frozenset(), 0.5)))
-        # Oracle: enumerate first-stage edge sets; recourse via exact_opt.
+        # Oracle: enumerate first-stage edge sets; recourse via the
+        # per-subset exact optimum on top of each.
         best = None
         for r in range(4):
             for first in itertools.combinations(problem.elements, r):
                 first = frozenset(first)
                 value = problem.cost(first)
-                value += 3.0 * 0.5 * exact_opt(problem, frozenset({"1", "3"}),
-                                               base=first).cost
+                value += 3.0 * 0.5 * loop_exact_opt(problem, frozenset({"1", "3"}),
+                                                    base=first).cost
                 if best is None or value < best - 1e-12:
                     best = value
         opt = exact_two_stage_opt(problem, dist, 3.0)

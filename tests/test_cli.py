@@ -17,7 +17,7 @@ from stocomb.io import (
     load_instance,
     read_json,
 )
-from stocomb.model import check_monotone_feasibility
+from stocomb.model import IndependentBernoulli, check_monotone_feasibility
 from stocomb.setfun import check_monotone, check_submodular
 from stocomb.setfun import table as setfun_table
 
@@ -264,6 +264,25 @@ class TestGen:
         assert report["bound_satisfied"] is True
 
 
+    def test_gen_independent_feeds_run_indboost(self, tmp_path):
+        out = tmp_path / "ind.json"
+        assert main(["gen", "--kind", "set_cover", "--clients", "3",
+                     "--elements", "4", "--distribution", "independent",
+                     "--seed", "4", "--output", str(out)]) == 0
+        _, dist = load_instance(read_json(out))
+        assert isinstance(dist, IndependentBernoulli)
+        assert main(["run-indboost", "--instance", str(out), "--seed", "1",
+                     "--output", str(tmp_path / "r.json")]) == 0
+
+    def test_gen_without_distribution_is_refused_by_run_boost(self, tmp_path):
+        out = tmp_path / "none.json"
+        assert main(["gen", "--kind", "steiner", "--clients", "3",
+                     "--elements", "4", "--distribution", "none",
+                     "--seed", "4", "--output", str(out)]) == 0
+        assert "distribution" not in json.loads(out.read_text())
+        assert main(["run-boost", "--instance", str(out), "--seed", "1"]) == 2
+
+
 def test_gap_bound_violation_exit_code(tmp_path):
     # A supermodular table busts e/(e-1): kappa = 2 for an AND-shaped cost.
     inst = tmp_path / "and.json"
@@ -286,6 +305,30 @@ def test_csv_format(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "scenario,probability,recourse_cost"
     assert len(lines) == 3
+
+
+def test_gap_csv_lists_the_worst_distribution(tmp_path):
+    argv = ["gap", "--instance", str(INSTANCES / "gap2.json")]
+    csv, report = tmp_path / "gap.csv", tmp_path / "gap.json"
+    assert main(argv + ["--format", "csv", "--output", str(csv)]) == 0
+    assert main(argv + ["--output", str(report)]) == 0
+    lines = csv.read_text().splitlines()
+    assert lines == ["subset,probability", "a,0.5", "b,0.5"]
+    worst = json.loads(report.read_text())["worst_distribution"]
+    assert [f"{s},{p!r}" for s, p in worst.items()] == lines[1:]
+
+
+def test_check_csv_lists_the_scalar_fields(tmp_path):
+    argv = ["check", "--instance", str(INSTANCES / "tri3.json"),
+            "--suite", "subadditivity"]
+    csv, report = tmp_path / "check.csv", tmp_path / "check.json"
+    assert main(argv + ["--format", "csv", "--output", str(csv)]) == 0
+    assert main(argv + ["--output", str(report)]) == 0
+    fields = json.loads(report.read_text())
+    scalars = sorted(k for k, v in fields.items() if not isinstance(v, dict))
+    assert scalars == ["artifact_version", "command", "passed"]
+    assert csv.read_text().splitlines() == (
+        ["key,value"] + [f"{k},{fields[k]}" for k in scalars])
 
 
 def test_saa_trace_csv(tmp_path):

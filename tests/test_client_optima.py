@@ -1,13 +1,14 @@
 """The served-client table and the sweeps that price every client set from it.
 
-Each shipped kind's ``served_table`` must equal, bit for bit, the table
-written with one oracle call per (element set, client), and
-``model.client_optima`` must return what ``exact_opt`` returns (solution,
-ties and exceptions) for every client set.  The four sweeps routed through
-it must report what their per-client-set loops (``tests/conftest.py``)
-report; on custom oracles, which have no table, the oracle must see exactly
-the loops' calls.  Each shipped bitmask oracle must answer every (F, S) as
-the set oracle it replaced and as the served table.
+Each shipped kind's block function ``served``, read over every element mask
+by ``model.served_table``, must equal, bit for bit, the table written with
+one oracle call per (element set, client); past 64 clients no instance has
+one.  ``model.client_optima`` must return what ``exact_opt`` returns
+(solution, ties and exceptions) for every client set.  The four sweeps
+routed through it must report what their per-client-set loops
+(``tests/conftest.py``) report; on custom oracles, which have no table, the
+oracle must see exactly the loops' calls.  Each shipped bitmask oracle must
+answer every (F, S) as the set oracle it replaced and as the served table.
 """
 
 from dataclasses import replace
@@ -27,6 +28,7 @@ from stocomb.model import (
     client_sets,
     exact_opt,
     members,
+    served_table,
 )
 from stocomb.problems import (
     set_cover_problem,
@@ -130,7 +132,7 @@ def test_served_table_matches_the_oracle_on_random_instances(kind):
         for problem in (raw_problem(kind, seed),
                         random_problem(kind, 3 if kind == "ufl" else 5,
                                        2 if kind == "ufl" else 8, seed)):
-            table = problem.served_table()
+            table = served_table(problem)
             assert table.dtype == np.uint64
             assert np.array_equal(table, loop_served_table(problem)), (kind, seed)
 
@@ -138,12 +140,39 @@ def test_served_table_matches_the_oracle_on_random_instances(kind):
 @pytest.mark.parametrize("name", list(HAND_BUILT))
 def test_served_table_matches_the_oracle_on_hand_built_cases(name):
     problem = HAND_BUILT[name]
-    assert np.array_equal(problem.served_table(), loop_served_table(problem))
+    assert np.array_equal(served_table(problem), loop_served_table(problem))
 
 
 def test_served_table_reads_the_payload_not_the_oracle():
     problem = replace(cov3(), feasibility=None)
-    assert problem.served_table().tolist() == [0, 3, 6, 7, 4, 7, 6, 7]
+    assert served_table(problem).tolist() == [0, 3, 6, 7, 4, 7, 6, 7]
+
+
+def test_64_clients_fill_every_served_bit():
+    clients = tuple(f"c{j}" for j in range(64))
+    problem = set_cover_problem(clients, {"a": clients[:40], "b": clients[30:]},
+                                {"a": 1.0, "b": 1.0})
+    table = served_table(problem)
+    assert np.array_equal(table, loop_served_table(problem))
+    assert int(table[0b10]) == ((1 << 64) - 1) ^ ((1 << 30) - 1)
+
+
+def test_past_64_clients_there_is_no_block_function():
+    """A uint64 mask cannot hold client 64, so no table is built; the
+    optima of client sets that hold such clients are exact_opt's."""
+    clients = tuple(f"c{j}" for j in range(70))
+    sets = {"a": clients[:64], "b": clients[60:], "c": clients[::7], "d": clients[63:66]}
+    problem = set_cover_problem(clients, sets, {"a": 3.0, "b": 1.0, "c": 2.0, "d": 0.5})
+    assert problem.served is None
+    optimum = client_optima(problem)
+    high = [frozenset(clients[64:]), frozenset({"c65"}), frozenset({"c0", "c69"}),
+            frozenset(clients), frozenset({"c64", "c66"})]
+    for S in high:
+        assert outcome(optimum, S) == outcome(exact_opt, problem, S), S
+    assert optimum(clients[65:]) == Solution(frozenset({"b"}), 1.0)
+    vertices = tuple(f"v{i}" for i in range(65))
+    path = {f"e{i}": (vertices[i], vertices[i + 1]) for i in range(64)}
+    assert steiner_problem(vertices, path, dict.fromkeys(path, 1.0)).served is None
 
 
 # -- The bitmask oracles against the set oracles they replaced ------------------
@@ -152,7 +181,7 @@ def assert_oracle_agrees(problem):
     """On every (F, S) over the instance's ids, the shipped oracle answers as
     the set oracle it replaced and as the served table."""
     loop = loop_feasibility(problem)
-    served = problem.served_table().tolist()
+    served = served_table(problem).tolist()
     element_sets = [frozenset(members(f, problem.elements)) for f in range(len(served))]
     for s in range(1 << len(problem.clients)):
         S = frozenset(members(s, problem.clients))
@@ -194,7 +223,7 @@ def test_set_cover_answers_listed_non_client_ids():
             assert got == loop(F, S), (sorted(F), sorted(S))
             answers.add(got)
     assert answers == {True, False}
-    assert int(np.bitwise_or.reduce(problem.served_table())) == 0b11
+    assert int(np.bitwise_or.reduce(served_table(problem))) == 0b11
 
 
 # -- client_optima against exact_opt -------------------------------------------
@@ -253,10 +282,11 @@ def test_client_sets_outside_the_clients_fall_back_to_exact_opt():
 
 
 def test_client_optima_builds_one_table_on_first_call():
+    # tri3 has three elements, so its table is one block.
     built = []
     problem = tri3()
-    counted = replace(problem, served_table=lambda: built.append(1)
-                      or problem.served_table())
+    counted = replace(problem, served=lambda masks: built.append(1)
+                      or problem.served(masks))
     optimum = client_optima(counted)
     assert built == []
     for S in client_sets(problem, "client-optima") * 2:
@@ -268,7 +298,7 @@ def test_custom_problems_call_exact_opt():
     problem = ProblemInstance(("x", "y"), ("a", "b", "c"),
                               {"a": 1.0, "b": 2.0, "c": 0.5}, 1.0,
                               lambda F, S: len(F) >= len(S))
-    assert problem.served_table is None
+    assert problem.served is None
     assert_optima_agree(problem)
 
 
@@ -321,7 +351,7 @@ def recording(problem):
         calls.append((F, S))
         return problem.feasibility(F, S)
 
-    return replace(problem, feasibility=oracle, kind="custom", served_table=None,
+    return replace(problem, feasibility=oracle, kind="custom", served=None,
                    payload={}), calls
 
 
@@ -406,10 +436,10 @@ def test_custom_subadditivity_failures_are_the_loops(oracle, message):
 
 
 def test_sweeps_refuse_oversized_instances_before_building_a_table():
-    def forbidden():
+    def forbidden(masks):
         raise AssertionError("table built")
 
-    big = replace(random_problem("set_cover", 6, 4, 1), served_table=forbidden)
+    big = replace(random_problem("set_cover", 6, 4, 1), served=forbidden)
     for sweep in (check_subadditive, lambda p: check_fairness(equal_split_shares(p), p),
                   empirical_alpha):
         with pytest.raises(CapExceeded):

@@ -27,7 +27,7 @@ from stocomb.fixtures import gap2 as gap2_instance
 from stocomb.lp import OPTIMAL, ColumnMaster, LinearProgram, solve_lp
 from stocomb.rng import stream
 from stocomb.setfun import E_RATIO, cardinality, from_table, table, weighted_rank
-from stocomb.sharing import check_scheme, marginal_scheme
+from stocomb.sharing import OrderedCostShareScheme, check_scheme, marginal_scheme
 
 
 def lp_vertex_oracle(inst):
@@ -382,6 +382,14 @@ class TestSplit:
         assert report.worst_case_preserved
         assert report.independent_shrinks
 
+    def test_non_monotone_table_fails_the_report(self):
+        ground = ("a", "b")
+        inst = GapInstance(ground, from_table([0.0, 1.0, 1.0, 0.5], ground),
+                           {"a": 0.5, "b": 0.5})
+        report = check_split_invariants(inst, SplitMap({"a": 2}))
+        assert report.monotone is False
+        assert not report.ok
+
     def test_random_split_invariants(self):
         for seed in range(25):
             rng = stream(seed, "splits")
@@ -496,6 +504,26 @@ class TestGapBound:
         weak = type(report)(eta_hat=2.0, beta_hat=1.0, cross_monotone=True)
         with pytest.raises(UncertifiedScheme):
             verify_gap_bound(gap2_instance(), 1.0, 1.0, weak)
+
+    def test_uncertified_scheme_rejected(self):
+        inst = gap2_instance()
+        scheme = marginal_scheme(inst.f, inst.ground)
+        uncertified = OrderedCostShareScheme(chi=scheme.chi, eta=1.0, beta=1.0)
+        with pytest.raises(UncertifiedScheme, match="not certified"):
+            verify_gap_bound(inst, 1.0, 1.0, uncertified)
+
+    @pytest.mark.parametrize("eta, beta", [(2.0, 1.0), (1.0, 2.0)])
+    def test_scheme_with_weaker_factors_rejected(self, eta, beta):
+        inst = gap2_instance()
+        scheme = marginal_scheme(inst.f, inst.ground)
+        weaker = OrderedCostShareScheme(chi=scheme.chi, eta=eta, beta=beta,
+                                        certified=True)
+        with pytest.raises(UncertifiedScheme, match="weaker factors"):
+            verify_gap_bound(inst, 1.0, 1.0, weaker)
+
+    def test_unrecognized_certificate_rejected(self):
+        with pytest.raises(UncertifiedScheme, match="unrecognized certificate"):
+            verify_gap_bound(gap2_instance(), 1.0, 1.0, {"eta": 1.0, "beta": 1.0})
 
     def test_k_partition_extremality(self):
         # Uniform marginals 1/K whose attaining distribution is partition

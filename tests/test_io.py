@@ -7,6 +7,7 @@ from stocomb.errors import SchemaError
 from stocomb.fixtures import cov3, edge1, tri3
 from stocomb.generate import random_problem, random_stochastic_lp
 from stocomb.io import (
+    canonical_json,
     dump_distribution,
     dump_instance,
     dump_stochastic_lp,
@@ -22,6 +23,7 @@ from stocomb.model import (
     check_subadditive,
     client_optima,
     exact_opt,
+    served_table,
 )
 from stocomb.saa import h_exact
 
@@ -58,6 +60,14 @@ def test_distribution_round_trip(dist):
     assert type(clone) is type(dist)
     assert sorted(map(sorted, (s for s, _ in clone.support()))) == \
         sorted(map(sorted, (s for s, _ in dist.support())))
+
+
+def test_independent_marginals_dump_the_same_from_either_form():
+    pairs = IndependentBernoulli((("a", 1), ("b", 0)))
+    mapping = IndependentBernoulli({"a": 1, "b": 0})
+    assert mapping.marginals == (("a", 1.0), ("b", 0.0))
+    assert (canonical_json(dump_distribution(mapping))
+            == canonical_json(dump_distribution(pairs)))
 
 
 def test_steiner_root_survives_round_trip():
@@ -120,7 +130,7 @@ def test_set_cover_member_that_is_not_a_client_is_accepted():
     payload["problem"]["sets"]["sA"].append("ghost")
     problem, _ = load_instance(payload)
     assert problem.payload["sets"]["sA"] == {"1", "2", "ghost"}
-    assert (problem.served_table() == loop_served_table(problem)).all()
+    assert (served_table(problem) == loop_served_table(problem)).all()
     optimum = client_optima(problem)
     assert optimum({"1", "2"}) == exact_opt(problem, {"1", "2"})
     assert check_subadditive(problem).ok

@@ -10,11 +10,11 @@ on non-monotone custom oracles.
 ``model.exact_opt`` and ``boosting.exact_two_stage_opt`` read the oracle
 through ``model.feasible_table`` and break ties with ``model.cheapest``.
 Each must pick the loop's set with a bit-identical cost, or raise the
-loop's exception type, on every kind with and without a base, on an oracle
-that does not decompose per client, on all three distribution kinds with
-zero-probability and infeasible scenarios, on exact integer ties and on
-1e308 costs.  Only near-tie chains closer than ``COST_TOL`` may differ;
-the last test pins the rule there.
+loop's exception type, on every kind, on an oracle that does not decompose
+per client, on all three distribution kinds with zero-probability and
+infeasible scenarios, on exact integer ties and on 1e308 costs.  Only
+near-tie chains closer than ``COST_TOL`` may differ; the last test pins the
+rule there.
 
 ``model.feasible_table`` builds one row per client set over element sets
 built block by block; each row must be the per-mask generator's table for
@@ -242,7 +242,7 @@ def test_monotone_feasibility_tabulates_the_oracle_once():
 
 # -- feasible_table against the per-mask generator it replaced ----------------
 
-def recorded_table(build, problem, clients, base):
+def recorded_table(build, problem, clients):
     """``build``'s table and the (F, S) pairs it asked the oracle, in order."""
     calls = []
 
@@ -250,25 +250,24 @@ def recorded_table(build, problem, clients, base):
         calls.append((F, S))
         return problem.feasibility(F, S)
 
-    return build(replace(problem, feasibility=oracle), clients, base), calls
+    return build(replace(problem, feasibility=oracle), clients), calls
 
 
-def assert_table_matches_loop(problem, client_sets, base):
+def assert_table_matches_loop(problem, client_sets):
     """One table over distinct ``client_sets``: each row's bytes, and the
     calls asked with that row's client set, are the per-mask generator's
     on that client set alone."""
-    table, calls = recorded_table(feasible_table, problem, client_sets, base)
-    free = len(problem.elements) - len(base)
-    assert table.shape == (len(client_sets), 1 << free)
+    table, calls = recorded_table(feasible_table, problem, client_sets)
+    assert table.shape == (len(client_sets), 1 << len(problem.elements))
     assert len(calls) == table.size
     for row, clients in zip(table, client_sets):
-        want, want_calls = recorded_table(loop_feasible_table, problem, clients, base)
+        want, want_calls = recorded_table(loop_feasible_table, problem, clients)
         assert row.tobytes() == want.tobytes()
         assert [call for call in calls if call[1] == clients] == want_calls
 
 
-# Free-element counts on both sides of the 12-element block boundary.
-FREE_COUNTS = (0, 1, 12, 13, 14)
+# Element counts on both sides of the 12-element block boundary.
+ELEMENT_COUNTS = (0, 1, 12, 13, 14)
 
 # (clients, elements) generator arguments giving 14 elements; ufl: 6 clients
 # and 2 facilities.
@@ -276,37 +275,29 @@ TABLE_SIZES = {"steiner": (6, 14), "set_cover": (4, 14), "vertex_cover": (4, 14)
                "ufl": (6, 2)}
 
 
-def base_leaving(elements: tuple, free: int, rng) -> frozenset:
-    """A random base of all but ``free`` elements, spread through the order."""
-    picked = rng.choice(len(elements), len(elements) - free, replace=False)
-    return frozenset(elements[i] for i in picked)
-
-
 @pytest.mark.parametrize("kind", TABLE_SIZES)
 def test_feasible_table_matches_loop_on_shipped_kinds(kind):
     problem = random_problem(kind, *TABLE_SIZES[kind], seed=7)
-    rng = np.random.default_rng(7)
     client_sets = [frozenset(problem.clients[:1]), frozenset(problem.clients[::2]),
                    frozenset(problem.clients)]
-    for free in FREE_COUNTS:
-        base = base_leaving(problem.elements, free, rng)
-        assert (len(base) == 0) == (free == len(problem.elements))
-        assert_table_matches_loop(problem, client_sets, base)
+    for n in ELEMENT_COUNTS:
+        # The oracle answers any element subset, so a prefix of the
+        # elements is an instance on n elements.
+        prefix = replace(problem, elements=problem.elements[:n])
+        assert_table_matches_loop(prefix, client_sets)
 
 
-@pytest.mark.parametrize("free", FREE_COUNTS)
-def test_feasible_table_matches_loop_on_custom_oracles(free):
-    rng = np.random.default_rng(free)
-    for n, base_size in ((free, 0), (free + 2, 2)):
-        # The random oracle's own lookup is slow, so large tables ask only
-        # the cheap cardinality oracle.
-        problems = [cardinality_problem(n, 3)]
-        if n < 12:
-            problems.append(table_oracle(rng, n, 2, True))
-        for problem in problems:
-            base = base_leaving(problem.elements, n - base_size, rng)
-            client_sets = [frozenset(problem.clients[:k]) for k in (0, 1, 3)]
-            assert_table_matches_loop(problem, client_sets, base)
+@pytest.mark.parametrize("n", ELEMENT_COUNTS)
+def test_feasible_table_matches_loop_on_custom_oracles(n):
+    rng = np.random.default_rng(n)
+    # The random oracle's own lookup is slow, so large tables ask only the
+    # cheap cardinality oracle.
+    problems = [cardinality_problem(n, 3)]
+    if n < 12:
+        problems.append(table_oracle(rng, n, 2, True))
+    for problem in problems:
+        client_sets = [frozenset(problem.clients[:k]) for k in (0, 1, 3)]
+        assert_table_matches_loop(problem, client_sets)
 
 
 def test_feasible_table_holds_one_block_of_element_sets():
@@ -381,15 +372,13 @@ OPT_SIZES = {"steiner": (5, 8), "set_cover": (4, 8), "vertex_cover": (4, 8),
 @pytest.mark.parametrize("kind", OPT_SIZES)
 def test_exact_opt_matches_loop_on_every_kind(kind):
     problem = random_problem(kind, *OPT_SIZES[kind], seed=5)
-    elements = problem.elements
     verdicts = set()
     for variant in cost_variants(problem):
         for mask in range(1 << len(problem.clients)):
             S = frozenset(members(mask, problem.clients))
-            for base in (frozenset(), frozenset(elements[:1]), frozenset(elements[1::3])):
-                got = solved(exact_opt, variant, S, base)
-                assert got == solved(loop_exact_opt, variant, S, base), (S, base)
-                verdicts.add(got if isinstance(got, type) else "ok")
+            got = solved(exact_opt, variant, S)
+            assert got == solved(loop_exact_opt, variant, S), S
+            verdicts.add(got if isinstance(got, type) else "ok")
     assert verdicts == {"ok", NumericalFailure}
 
 
@@ -398,10 +387,9 @@ def test_exact_opt_matches_loop_on_a_cardinality_oracle():
     verdicts = set()
     for mask in range(1 << 8):
         S = frozenset(members(mask, problem.clients))
-        for base in (frozenset(), frozenset({"e0"}), frozenset({"e1", "e3"})):
-            got = solved(exact_opt, problem, S, base)
-            assert got == solved(loop_exact_opt, problem, S, base), (S, base)
-            verdicts.add(got if isinstance(got, type) else "ok")
+        got = solved(exact_opt, problem, S)
+        assert got == solved(loop_exact_opt, problem, S), S
+        verdicts.add(got if isinstance(got, type) else "ok")
     assert verdicts == {"ok", Infeasible}
 
 
@@ -462,11 +450,11 @@ def test_two_stage_opt_tabulates_the_oracle_once_per_scenario():
         # One table per scenario; the winner's recourse is read from it.
         assert calls <= (1 << 4) * (1 << 8)
         # Equal prices tie many recourse sets: each scenario's recourse cost
-        # is still exact_opt's on top of the chosen first stage.
+        # is still the exact optimum's on top of the chosen first stage.
         want = variant.cost(got.first_stage)
         for S, p in dist.support():
             if p != 0.0:
-                want += 1.5 * p * exact_opt(variant, S, base=got.first_stage).cost
+                want += 1.5 * p * loop_exact_opt(variant, S, base=got.first_stage).cost
         assert got.value.hex() == want.hex()
 
 

@@ -126,11 +126,6 @@ class TestExactOpt:
         assert sol.cost == expected
         assert sol.chosen == frozenset({"e12", "e23"})
 
-    def test_base_already_feasible(self, tri3_problem):
-        sol = exact_opt(tri3_problem, frozenset({"1", "3"}),
-                        base=frozenset({"e13"}))
-        assert sol.cost == 0.0 and sol.chosen == frozenset()
-
     def test_infeasible_raises(self):
         p = cov3()
         trimmed = ProblemInstance(

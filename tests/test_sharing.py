@@ -5,11 +5,13 @@ import math
 import pytest
 
 from conftest import powerset
+from stocomb import caps
 from stocomb.errors import NotMonotone, NotSubmodular
 from stocomb.fixtures import cov3, edge1, tri3
 from stocomb.model import exact_opt
 from stocomb.setfun import cardinality, from_json, random_coverage, weighted_rank
 from stocomb.sharing import (
+    EXHAUSTIVE_ORDERS,
     OrderedCostShareScheme,
     check_fairness,
     check_scheme,
@@ -157,6 +159,19 @@ class TestCheckScheme:
             assert report.eta_hat <= 1 + 1e-9
             assert report.beta_hat <= 1 + 1e-9
             assert report.cross_monotone
+
+    def test_sampled_orderings_of_the_full_ground_set(self):
+        # At the cap, the full ground set is too large for every ordering
+        # and gets SAMPLED_ORDERS seeded ones instead.
+        ground = tuple(f"g{i}" for i in range(caps.SCHEME_CLIENTS))
+        assert len(ground) > EXHAUSTIVE_ORDERS
+        f = from_json(random_coverage(ground, stream(3, "cov6")), ground)
+        scheme = marginal_scheme(f, ground)
+        report = check_scheme(scheme, f, ground)
+        assert report.eta_hat == pytest.approx(1.0, abs=1e-12)
+        assert report.beta_hat == pytest.approx(1.0, abs=1e-12)
+        assert report.cross_monotone
+        assert check_scheme(scheme, f, ground) == report
 
     def test_non_cross_monotone_scheme_detected(self):
         # Shares that grow with the set size violate cross-monotonicity.
