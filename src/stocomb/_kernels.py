@@ -32,7 +32,11 @@ nonnegative, and the number of surplus columns; otherwise it is ``None``.
 ``A`` with costs ``c`` to an optimal tableau and re-optimizes from its
 basis by phase 2 alone (added columns keep the basis primal feasible); it
 returns the same tuple, counting only its own pivots, and leaves the input
-tableau untouched.  Both run the one Bland pivot loop ``_bland``.
+tableau untouched.  Both run the one Bland pivot loop ``_bland``.  An
+artificial still basic after phase 1 sits at level zero in a row that no
+column below the artificials reaches; ``_drive_out`` pivots it out as
+soon as one does (after phase 1, and for each resume's new columns), so
+phase 2 never lifts it off zero.
 """
 
 from __future__ import annotations
@@ -113,6 +117,17 @@ def _read_off(status, tableau, pivots):
     return 0, x, duals, value, pivots, tableau
 
 
+def _drive_out(W, basis, art, tol):
+    """Pivot each basic artificial (at level zero) out on the first column
+    below ``art`` with a nonzero entry in its row.  A row that stays
+    artificial is zero in every such column, so phase 2 keeps it at zero."""
+    for i in (basis >= art).nonzero()[0]:
+        nonzero = np.flatnonzero(np.abs(W[i, :art]) > tol)
+        if nonzero.size:
+            _pivot(W, i, nonzero[0])
+            basis[i] = nonzero[0]
+
+
 def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0):
     m, n = A.shape
     surplus = m - eq
@@ -143,14 +158,7 @@ def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0):
         return _read_off(3, tableau, pivots)
     if -obj[rhs_col] > feas_tol:
         return _read_off(1, tableau, pivots)
-    # Pivot artificials out where a nonzero column allows it; rows that
-    # stay artificial are redundant and remain at level zero.
-    for i in range(m):
-        if basis[i] >= art:
-            nonzero = np.flatnonzero(np.abs(T[i, :art]) > tol)
-            if nonzero.size:
-                _pivot(T, i, nonzero[0])
-                basis[i] = nonzero[0]
+    _drive_out(W, basis, art, tol)
 
     # Install the phase-2 objective: rebuild reduced costs from c.
     obj[:] = 0.0
@@ -179,7 +187,10 @@ def simplex_resume(tableau, A, c, tol, pivot_limit):
     W = np.concatenate([W[:, :n], added, W[:, n:]], axis=1)
     basis = np.where(basis >= n, basis + k, basis)
     tableau = (W, basis, row_sign, surplus)
-    # Appending columns keeps the basis primal feasible, so phase 1 is skipped.
+    # Appending columns keeps the basis primal feasible, so phase 1 is
+    # skipped.  A row whose artificial stayed basic was zero in every old
+    # column; a new column may reach it, and is then pivoted in there.
+    _drive_out(W, basis, art + k, tol)
     status, pivots = _bland(W, basis, art + k, tol, 0, pivot_limit)
     return _read_off(status, tableau, pivots)
 

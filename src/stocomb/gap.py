@@ -103,6 +103,49 @@ def priced_columns(reduced: np.ndarray, value: float) -> np.ndarray:
     return new[np.argsort(reduced[new], kind="stable")[:PRICE_COLUMNS]]
 
 
+def systematic_segments(p) -> list:
+    """``(mask, length)`` of each segment of systematic sampling (Madow
+    1949) with marginals ``p``, in circle order.
+
+    Item i holds the arc [c_i, c_{i+1}) of a circle of length 1, where
+    c_i = p_0 + ... + p_{i-1}.  The cut points c_k mod 1 split the circle
+    into at most n + 1 segments, and each segment's mask holds the items
+    whose arc holds it (its midpoint).  A uniform point on the circle draws
+    each item with its marginal, so the lengths are a distribution over
+    the masks that meets ``p``.  The sum runs mod 1, so each arc misses
+    its marginal by at most two roundings below 1, and an arc of marginal
+    1 ends exactly where it starts.
+    """
+    laps, points = [0], [0.0]
+    lap, frac = 0, 0.0
+    for q in p:
+        if frac >= 1.0 - q:  # the arc passes 0: next lap
+            frac -= 1.0 - q
+            lap += 1
+        else:
+            frac += q
+        laps.append(lap)
+        points.append(frac)
+    cuts = sorted(set(points))  # cuts[0] == 0.0
+    m = len(cuts)
+    index = {x: k for k, x in enumerate(cuts)}
+    # Arc ends as segment indices on the unrolled circle; an arc of length
+    # 1 spans all m segments.
+    ends = [k * m + index[x] for k, x in zip(laps, points)]
+    masks = [0] * m
+    for i, (a, b) in enumerate(zip(ends, ends[1:])):
+        for j in range(a, min(b, a + m)):
+            masks[j % m] |= 1 << i
+    return list(zip(masks, [b - a for a, b in zip(cuts, cuts[1:] + [1.0])]))
+
+
+def start_columns(p) -> np.ndarray:
+    """The restricted master's first columns: the empty set, then the
+    distinct masks of :func:`systematic_segments` in circle order."""
+    masks = [mask for mask, _ in systematic_segments(p)]
+    return np.array(list(dict.fromkeys([0] + masks)))
+
+
 def worst_case_expectation(inst: GapInstance):
     """Optimal value and attaining distribution of the fixed-marginal LP.
 
@@ -110,9 +153,12 @@ def worst_case_expectation(inst: GapInstance):
     marginals match the instance: one column per subset, one equality row
     per item plus the total mass, passed to the simplex as equality rows.
     Solved by column generation (Gilmore & Gomory 1961).  The restricted
-    master starts from the comonotone chain, the nested prefixes of the
-    items sorted by decreasing marginal, which always carries a feasible
-    distribution.  Each round prices all 2^n subsets at once against the
+    master starts from :func:`start_columns`: the empty set and the support
+    of systematic sampling, which always carries a feasible distribution.
+    Systematic sampling spreads the items as far apart as the marginals
+    allow, so few rounds remain; the comonotone chain, for a submodular f,
+    would start at the least expectation the marginals allow (the Lovasz
+    extension).  Each round prices all 2^n subsets at once against the
     master's free-signed duals y (items) and y0 (mass), reduced cost
     -f(S) - (sum of y over S + y0) with the sums tabulated by doubling.  The
     subsets whose reduced cost is below ``-PRICE_TOL * max(1, |value|)``
@@ -129,8 +175,7 @@ def worst_case_expectation(inst: GapInstance):
         raise CapExceeded("ground set too large for the worst-case LP")
     values = inst._table
     p = inst.marginal_vector()
-    # The comonotone chain: nested prefixes by decreasing marginal.
-    cols = np.concatenate([[0], np.cumsum(1 << np.argsort(-p, kind="stable"))])
+    cols = start_columns(p.tolist())
     in_master = np.zeros(1 << n, dtype=bool)
 
     def rows(masks):

@@ -263,11 +263,16 @@ def members(mask: int, items: tuple) -> tuple:
 
 
 def subset_table(values, combine, empty) -> np.ndarray:
-    """Mask-indexed table of ``combine`` folded over each subset's values in
-    index order, from ``empty``; doubles t to concat(t, combine(t, v))."""
-    t = np.array([empty])
+    """Mask-indexed table of the ufunc ``combine`` folded over each subset's
+    values in index order, from ``empty``, in ``empty``'s dtype; each
+    doubling fills the upper half in place, combine(t[:h], v) into
+    t[h:2h]."""
+    t = np.empty(1 << len(values), dtype=np.asarray(empty).dtype)
+    t[0] = empty
+    h = 1
     for v in values:
-        t = np.concatenate([t, combine(t, v)])
+        combine(t[:h], v, out=t[h:2 * h])
+        h *= 2
     return t
 
 

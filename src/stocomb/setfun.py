@@ -19,6 +19,8 @@ from .model import first_decrease, members, subset_table
 MONO_TOL = 1e-9
 TABLE_ITEMS = 16  # most ground elements of an explicit ``table`` payload
 COVERAGE_UNIVERSE = 6  # universe items of a random coverage function
+WORD_ITEMS = 63  # covered items per int64 word of a coverage union table
+WORD = (1 << WORD_ITEMS) - 1
 
 
 def table(f, ground: tuple) -> np.ndarray:
@@ -75,15 +77,26 @@ def cardinality(ground: tuple) -> TableFunction:
 
 def coverage(cover: dict, weights: dict) -> TableFunction:
     """Weighted coverage: f(S) = total weight of the union of covered items,
-    summed in ``weights`` order; a table over the keys of ``cover``."""
+    summed in ``weights`` order; a table over the keys of ``cover``.
+
+    The covered items take bits in ``weights`` order, ``WORD_ITEMS`` to a
+    word.  For each word one table holds every subset's union of cover
+    masks, and each item's weight is added where its bit is set.
+    """
     ground = tuple(cover)
     if len(ground) > caps.SUPPORT_CLIENTS:
         raise CapExceeded(f"a table over {len(ground)} items exceeds the cap")
-    if not set().union(*map(set, cover.values())) <= weights.keys():
+    covered = set().union(*map(set, cover.values()))
+    if not covered <= weights.keys():
         raise ValueError("every covered item needs a weight")
+    items = [(u, w) for u, w in weights.items() if u in covered]
+    bit = {u: 1 << k for k, (u, _) in enumerate(items)}
+    masks = [sum(bit[u] for u in set(cover[g])) for g in ground]
     values = np.zeros(1 << len(ground))
-    for u, w in weights.items():
-        values += w * subset_table([u in cover[g] for g in ground], np.logical_or, False)
+    for start in range(0, len(items), WORD_ITEMS):
+        unions = subset_table([m >> start & WORD for m in masks], np.bitwise_or, 0)
+        for k, (_, w) in enumerate(items[start:start + WORD_ITEMS]):
+            np.add(values, w, out=values, where=(unions & 1 << k).astype(bool))
     return from_table(values, ground)
 
 

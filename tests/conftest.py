@@ -21,7 +21,7 @@ from stocomb.boosting import (
 )
 from stocomb.errors import DegenerateInstance, Infeasible, NotMonotone, NotSubmodular
 from stocomb.fixtures import cov3, edge1, tri3
-from stocomb.gap import PRICE_COLUMNS, PRICE_TOL
+from stocomb.gap import PRICE_COLUMNS, PRICE_TOL, start_columns
 from stocomb.generate import random_problem
 from stocomb.io import dump_instance
 from stocomb.lp import FEAS_TOL, OPTIMAL, ColumnMaster, LinearProgram, solve_lp
@@ -116,6 +116,27 @@ def loop_coverage(cover: dict, weights: dict):
         hit = set().union(*(cover[g] for g in subset))
         return float(sum(w for u, w in weights.items() if u in hit))
     return f
+
+
+def concat_subset_table(values, combine, empty) -> np.ndarray:
+    """The doubling ``model.subset_table`` replaced: t grows to
+    concat(t, combine(t, v)) for each value, from ``[empty]``."""
+    t = np.array([empty])
+    for v in values:
+        t = np.concatenate([t, combine(t, v)])
+    return t
+
+
+def item_loop_coverage(cover: dict, weights: dict) -> np.ndarray:
+    """The coverage table ``setfun.coverage`` replaced: in ``weights``
+    order, each universe item adds its weight times the table of subsets
+    that cover it."""
+    ground = tuple(cover)
+    values = np.zeros(1 << len(ground))
+    for u, w in weights.items():
+        values += w * concat_subset_table([u in cover[g] for g in ground],
+                                          np.logical_or, False)
+    return values
 
 
 def loop_weighted_rank(weights: dict, cap: float):
@@ -491,17 +512,29 @@ def loop_monte_carlo(problem, builder, dist, sigma, rng, runs) -> PolicyEvaluati
     return PolicyEvaluation(mean, "monte_carlo", half)
 
 
+# -- The comonotone chain ----------------------------------------------------
+# ``gap.worst_case_expectation`` starts its restricted master from the empty
+# set and the support of systematic sampling (``gap.start_columns``).  This
+# is the start it replaced: the nested prefixes of the items sorted by
+# decreasing marginal, which for a submodular f carry the least expectation
+# the marginals allow.
+
+def chain_columns(p):
+    return np.concatenate([[0], np.cumsum(1 << np.argsort(-np.asarray(p),
+                                                           kind="stable"))])
+
+
 # -- The cold column-generation loop ----------------------------------------
 # ``gap.worst_case_expectation`` re-optimizes its restricted master from the
 # last simplex basis after each pricing round (``lp.ColumnMaster``).  This is
 # the loop it replaced, which solves every round's master from scratch with
-# ``solve_lp``: same chain start, pricing and stop test.
+# ``solve_lp``: same start, pricing and stop test.
 
 def cold_worst_case(inst):
     n = len(inst.ground)
     values = inst._table
     p = inst.marginal_vector()
-    cols = np.concatenate([[0], np.cumsum(1 << np.argsort(-p, kind="stable"))])
+    cols = start_columns(p)
     in_master = np.zeros(1 << n, dtype=bool)
     rhs = np.append(p, 1.0)
     rhs = np.concatenate([rhs, -rhs])
@@ -698,7 +731,7 @@ def ge_simplex_resume(tableau, A, c, tol, pivot_limit):
 # ``gap.worst_case_expectation`` hands the simplex its n + 1 equality rows
 # as they are and prices threshold-first.  This is the loop it replaced,
 # which doubled each equality into a >= pair, read the duals as differences
-# and sorted the whole reduced-cost table.
+# and sorted the whole reduced-cost table: same start and stop test.
 
 def sort_first_pricing(reduced, value):
     new = np.argsort(reduced, kind="stable")[:PRICE_COLUMNS]
@@ -709,7 +742,7 @@ def doubled_worst_case(inst):
     n = len(inst.ground)
     values = inst._table
     p = inst.marginal_vector()
-    cols = np.concatenate([[0], np.cumsum(1 << np.argsort(-p, kind="stable"))])
+    cols = start_columns(p)
     in_master = np.zeros(1 << n, dtype=bool)
     rhs = np.append(p, 1.0)
     rhs = np.concatenate([rhs, -rhs])

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cold_worst_case, doubled_worst_case, sort_first_pricing
-from stocomb import _kernels, cli, gap
+from conftest import chain_columns, cold_worst_case, doubled_worst_case, sort_first_pricing
+from stocomb import _kernels, cli, gap, lp
 from stocomb.errors import CapExceeded, DegenerateInstance, UncertifiedScheme
 from stocomb.gap import (
     GapInstance,
@@ -18,6 +18,8 @@ from stocomb.gap import (
     priced_columns,
     split,
     split_scheme,
+    start_columns,
+    systematic_segments,
     verify_gap_bound,
     worst_case_expectation,
 )
@@ -198,6 +200,104 @@ class TestWorstCase:
             worst_case_expectation(big)
 
 
+def assert_segments(p):
+    """The segments of systematic sampling are a distribution over their
+    masks that meets the marginals within 1e-15; the start adds the empty
+    set and keeps at most n + 2 distinct masks."""
+    segments = systematic_segments(p)
+    assert all(length >= 0.0 for _, length in segments)
+    assert len(segments) <= len(p) + 1
+    assert math.fsum(length for _, length in segments) == pytest.approx(1.0, abs=1e-15)
+    for i, q in enumerate(p):
+        got = math.fsum(length for mask, length in segments if mask >> i & 1)
+        assert abs(got - q) <= 1e-15
+    cols = start_columns(p)
+    assert cols[0] == 0 and len(set(cols.tolist())) == cols.size <= len(p) + 2
+    assert set(cols.tolist()) == {0} | {mask for mask, _ in segments}
+
+
+def generated_instances(tmp_path, seed):
+    for n in range(9, 13):
+        path = tmp_path / f"gap_{n}.json"
+        assert cli.main(["gen", "--kind", "gap", "--clients", str(n),
+                         "--seed", str(seed), "--output", str(path)]) == 0
+        yield load_gap_instance(read_json(path))
+
+
+class TestSystematicStart:
+    def test_random_marginals_are_reproduced(self):
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            assert_segments(rng.uniform(0.0, 1.0, rng.integers(0, 13)).tolist())
+
+    def test_edge_cases(self):
+        assert systematic_segments([]) == [(0, 1.0)]
+        assert systematic_segments([0.0, 0.0]) == [(0, 1.0)]
+        assert systematic_segments([1.0]) == [(1, 1.0)]
+        assert systematic_segments([0.5, 0.5]) == [(1, 0.5), (2, 0.5)]
+        # Sum 1.5: the second arc wraps and meets the first on [0, 0.5).
+        assert systematic_segments([0.75, 0.75]) == [(3, 0.5), (1, 0.25), (2, 0.25)]
+        # A marginal of 1 holds the whole circle; 0 holds none of it.
+        assert systematic_segments([0.3, 1.0, 0.0]) == [(3, 0.3), (2, 0.7)]
+        np.testing.assert_array_equal(start_columns([0.5, 1.0]), [0, 3, 2])
+        np.testing.assert_array_equal(start_columns([]), [0])
+        np.testing.assert_array_equal(start_columns([1.0, 1.0]), [0, 3])
+        np.testing.assert_array_equal(start_columns([0.25] * 4), [0, 1, 2, 4, 8])
+        cases = [[], [0.0], [1.0], [0.4], [0.0] * 12, [1.0] * 12,
+                 [0.5] * 12, [0.25, 0.75, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4],
+                 [0.9, 0.8, 0.7, 0.95], [1.0, 0.0, 0.6, 1.0, 0.3],
+                 [1 / 3] * 9, [0.1] * 10, [1e-300, 0.5, 1 - 1e-16]]
+        for p in cases:
+            assert_segments(p)
+
+    def test_first_master_solve_is_optimal(self):
+        rng = np.random.default_rng(22)
+        for _ in range(1000):
+            n = int(rng.integers(1, 13))
+            p = rng.uniform(0.0, 1.0, n)
+            p[rng.random(n) < 0.1] = 0.0
+            p[rng.random(n) < 0.1] = 1.0
+            cols = start_columns(p.tolist())
+            A = np.vstack([(cols >> np.arange(n)[:, None]) & 1, np.ones(cols.size)])
+            master = ColumnMaster(A, np.append(p, 1.0), -rng.uniform(0, 2, cols.size),
+                                  n + 1)
+            assert master.result.status == OPTIMAL
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_never_more_work_than_the_chain(self, seed, tmp_path, monkeypatch):
+        """On generated instances the start makes no more master resumes
+        and pivots in total than the comonotone chain, and reaches the same
+        value."""
+        counted = {}
+        bland, resume = _kernels._bland, lp.simplex_resume
+
+        def counting_bland(*args):
+            status, pivots = bland(*args)
+            counted["pivots"] += pivots - args[4]
+            return status, pivots
+
+        def counting_resume(*args):
+            counted["resumes"] += 1
+            return resume(*args)
+
+        monkeypatch.setattr(_kernels, "_bland", counting_bland)
+        monkeypatch.setattr(lp, "simplex_resume", counting_resume)
+        instances = list(generated_instances(tmp_path, seed))
+
+        def run(start):
+            monkeypatch.setattr(gap, "start_columns", start)
+            counted.update(pivots=0, resumes=0)
+            values = [worst_case_expectation(inst)[0] for inst in instances]
+            return values, dict(counted)
+
+        ours, counts = run(start_columns)
+        chain, chain_counts = run(chain_columns)
+        for a, b in zip(ours, chain):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+        assert counts["resumes"] <= chain_counts["resumes"]
+        assert counts["pivots"] <= chain_counts["pivots"]
+
+
 def assert_matches_cold(inst):
     """The warm-started column generation against the cold loop: values
     within 1e-12 relative, and a distribution that attains its value."""
@@ -219,11 +319,8 @@ class TestWarmStartAgainstColdLoop:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_generated_instances(self, seed, tmp_path):
-        for n in range(9, 13):
-            path = tmp_path / f"gap_{n}.json"
-            assert cli.main(["gen", "--kind", "gap", "--clients", str(n),
-                             "--seed", str(seed), "--output", str(path)]) == 0
-            assert_matches_cold(load_gap_instance(read_json(path)))
+        for inst in generated_instances(tmp_path, seed):
+            assert_matches_cold(inst)
 
 
 def pivot_count(monkeypatch, solve, inst):

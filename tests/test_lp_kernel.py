@@ -278,6 +278,39 @@ class TestEqualityRows:
         assert res.value == pytest.approx(-2.0)
         assert res.duals == pytest.approx([-1.0])
 
+    def test_resume_keeps_rows_left_artificial_at_zero(self):
+        # The first column meets both rows alone, so one row's artificial
+        # stays basic at zero; the added column reaches that row with a
+        # negative entry and must not lift the artificial off zero.
+        master = ColumnMaster(np.array([[1.0], [1.0]]), np.ones(2), np.zeros(1), 2)
+        res = master.add_columns(np.array([[1.0], [-1.0]]), np.array([-1.0]))
+        assert res.status == OPTIMAL
+        assert res.value == pytest.approx(0.0)
+        assert_optimal_certificate(np.array([0.0, -1.0]), np.array([[1.0, 1.0], [1.0, -1.0]]),
+                                   np.ones(2), 2, res)
+
+    def test_resume_from_a_rank_one_start(self):
+        # Start from one feasible column A x / c x, which leaves every other
+        # equality row artificial, then add the original columns in chunks.
+        rng = np.random.default_rng(14)
+        for _ in range(150):
+            c, A, b, eq = equality_lp(rng)
+            x = np.round(rng.uniform(0, 1, c.size), 2)
+            A, b = A[:eq], A[:eq] @ x
+            master = ColumnMaster((A @ x)[:, None], b, np.array([c @ x]), eq)
+            assert master.result.status == OPTIMAL
+            split = 0
+            while split < c.size:
+                stop = int(rng.integers(split + 1, c.size + 1))
+                res = master.add_columns(A[:, split:stop], c[split:stop])
+                split = stop
+            full_c = np.append(c @ x, c)
+            full_A = np.hstack([(A @ x)[:, None], A])
+            cold = ColumnMaster(full_A, b, full_c, eq).result
+            assert res.status == cold.status == OPTIMAL
+            assert res.value == pytest.approx(cold.value, abs=1e-9)
+            assert_optimal_certificate(full_c, full_A, b, eq, res)
+
     def test_redundant_equality_rows(self):
         # The same equality three times: two rows stay artificial at zero.
         A = np.array([[1.0, 1.0]] * 3)

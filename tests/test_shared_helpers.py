@@ -5,13 +5,17 @@ its one product-measure table and ``subset_table`` its one doubling
 builder.  Each caller that used to carry its own loop must give
 bit-identical results, for ground sets of 0 to 8 items (0 to 20 for the
 product-measure table against its per-item loop) and for marginals that
-include 0 and 1.
+include 0 and 1.  ``subset_table`` fills one table in place and must
+match the concatenating doubling in bits and dtype, and the coverage
+table built from one union table per word must match the per-item loop.
 """
 
 import numpy as np
 import pytest
 
 from conftest import (
+    concat_subset_table,
+    item_loop_coverage,
     iter_bits,
     loop_bernoulli_weights,
     loop_boosted_draw_space,
@@ -24,7 +28,7 @@ from conftest import (
 from stocomb._kernels import bernoulli_weights
 from stocomb.boosting import IndBoostPolicyBuilder
 from stocomb.gap import GapInstance, SplitMap, split
-from stocomb.model import IndependentBernoulli, members
+from stocomb.model import IndependentBernoulli, members, subset_table
 from stocomb.rng import stream
 from stocomb.setfun import coverage, from_json, random_coverage, table, weighted_rank
 
@@ -111,3 +115,53 @@ def test_set_function_tables_match_loops(n):
                 SplitMap({g: 1 + k % 2 for k, g in enumerate(ground)}))
     projected = loop_table(lambda s: f(frozenset(c[0] for c in s)), new.ground)
     assert table(new.f, new.ground).tobytes() == projected.tobytes()
+
+
+def subset_table_calls(n: int) -> list:
+    """``(values, combine, empty)`` for every way the library calls
+    ``subset_table``: sums of Python floats, numpy floats and Python ints
+    from 0.0, unions of Python int bit masks from 0 or from a picked mask,
+    and ors of Python and numpy bools from False."""
+    rng = np.random.default_rng(300 + n)
+    floats = rng.uniform(-2.0, 2.0, n)
+    masks = [int(m) for m in rng.integers(0, 1 << 62, n)]
+    bools = rng.random(n) < 0.5
+    return [
+        (floats.tolist(), np.add, 0.0),
+        (floats, np.add, 0.0),
+        (list(floats), np.add, 0.0),
+        (np.ones(n), np.add, 0.0),
+        ([int(v) for v in rng.integers(0, 50, n)], np.add, 0.0),
+        (masks, np.bitwise_or, 0),
+        ([1 << i for i in range(n)], np.bitwise_or, (1 << 40) | 5),
+        (bools.tolist(), np.logical_or, False),
+        (list(bools), np.logical_or, False),
+    ]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_subset_table_matches_concatenation(n):
+    for values, combine, empty in subset_table_calls(n):
+        got = subset_table(values, combine, empty)
+        want = concat_subset_table(values, combine, empty)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape == (1 << n,)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("universe", [6, 63, 64, 130])
+@pytest.mark.parametrize("n", [0, 1, 5, 8])
+def test_coverage_union_table_matches_item_loop(n, universe):
+    rng = np.random.default_rng(1000 * universe + n)
+    ground = tuple(f"g{i}" for i in range(n))
+    items = [f"u{k}" for k in range(universe)]
+    cover = {g: rng.choice(items, size=int(rng.integers(0, universe + 1)),
+                           replace=False).tolist() for g in ground}
+    if ground:  # every word has covered items
+        cover[ground[-1]] = items[::2]
+    # Weights of either sign, in an order that is not the bit order, and
+    # some for items no ground element covers.
+    weights = {u: float(rng.uniform(-1.0, 2.0)) for u in rng.permutation(items).tolist()}
+    weights.update({f"extra{k}": float(k + 0.5) for k in range(3)})
+    got = coverage(cover, weights).values
+    assert got.tobytes() == item_loop_coverage(cover, weights).tobytes()
