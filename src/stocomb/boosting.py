@@ -1,9 +1,10 @@
 """Boosted-sampling policies and their exact / Monte-Carlo evaluation.
 
-Two policy families: the union-of-samples policy draws floor(sigma)
-scenarios, serves their union up front, and augments to each realized set;
-the independent variant boosts every client's marginal by sigma (clamped at
-one), serves the boosted draw, and augments per realized client.  Exact
+Both policy families read sigma, the inflation factor, from the problem.
+The union-of-samples policy draws floor(sigma) scenarios, serves their
+union up front, and augments to each realized set; the independent variant
+boosts every client's marginal by sigma (clamped at one), serves the
+boosted draw, and augments per realized client.  Exact
 evaluation integrates over both the algorithm's own sampling randomness and
 the scenario realization; the exhaustive two-stage optimum provides the
 denominator for the approximation-ratio checks.
@@ -73,13 +74,13 @@ class BoostPolicyBuilder:
     problem: ProblemInstance
     alg: ApproxAlgorithm
 
-    def draw_law(self, dist: ScenarioDistribution, sigma: float):
+    def draw_law(self, dist: ScenarioDistribution):
         """(law, rounds): a draw is the union of ``rounds`` samples of ``law``."""
-        return dist, _rounds(sigma)
+        return dist, _rounds(self.problem.inflation)
 
-    def draw_space(self, dist: ScenarioDistribution, sigma: float):
+    def draw_space(self, dist: ScenarioDistribution):
         """Distribution of the union of floor(sigma) independent samples."""
-        rounds = _rounds(sigma)
+        rounds = _rounds(self.problem.inflation)
         support = dist.support()
         # Any support of two or more outcomes passes the cap within
         # DRAWS.bit_length() rounds, so the exponent is clipped there and
@@ -121,16 +122,17 @@ class IndBoostPolicyBuilder:
     alg: ApproxAlgorithm
     marginals: tuple
 
-    def boosted(self, sigma: float) -> list[tuple]:
+    def boosted(self) -> list[tuple]:
+        sigma = self.problem.inflation
         return [(j, min(1.0, sigma * p)) for j, p in self.marginals]
 
-    def draw_law(self, dist, sigma: float):
+    def draw_law(self, dist):
         """(law, 1): a draw is one sample of the boosted product law."""
-        return IndependentBernoulli(self.boosted(sigma)), 1
+        return IndependentBernoulli(self.boosted()), 1
 
-    def draw_space(self, dist, sigma: float):
+    def draw_space(self, dist):
         """The boosted law's positive-weight support, in mask order."""
-        law, _ = self.draw_law(dist, sigma)
+        law, _ = self.draw_law(dist)
         if 2 ** law.width > caps.DRAWS:
             raise CapExceeded("boosted-draw space too large to enumerate")
         return [(drawn, w) for drawn, w in law.support() if w > 0.0]
@@ -153,40 +155,36 @@ class IndBoostPolicyBuilder:
 
 
 def boost_and_sample(problem: ProblemInstance, alg: ApproxAlgorithm,
-                     dist: ScenarioDistribution, rng,
-                     sigma: float | None = None) -> TwoStagePolicy:
+                     dist: ScenarioDistribution, rng) -> TwoStagePolicy:
     """One seeded run of the union-of-samples policy."""
-    if sigma is None:
-        sigma = problem.inflation
     builder = BoostPolicyBuilder(problem, alg)
-    law, rounds = builder.draw_law(dist, sigma)
+    law, rounds = builder.draw_law(dist)
     return builder.policy(law.sample(rng, rounds))
 
 
 def ind_boost(problem: ProblemInstance, alg: ApproxAlgorithm,
-              marginals, sigma: float, rng) -> TwoStagePolicy:
+              marginals, rng) -> TwoStagePolicy:
     """One seeded run of the independent boosting policy."""
     if isinstance(marginals, IndependentBernoulli):
         marginals = marginals.marginals
     builder = IndBoostPolicyBuilder(problem, alg, tuple(marginals))
-    law, rounds = builder.draw_law(None, sigma)
+    law, rounds = builder.draw_law(None)
     return builder.policy(law.sample(rng, rounds))
 
 
 def policy_cost(problem: ProblemInstance, policy: TwoStagePolicy,
-                realized: frozenset, sigma: float) -> float:
+                realized: frozenset) -> float:
     """First-stage cost plus inflated recourse cost for one realization."""
     patch = policy.recourse(realized)
     if not problem.feasibility(policy.first_stage | patch, realized):
         raise Infeasible(
             f"policy does not serve realization {sorted(map(str, realized))}")
-    return problem.cost(policy.first_stage) + sigma * problem.cost(patch)
+    return problem.cost(policy.first_stage) + problem.inflation * problem.cost(patch)
 
 
-def evaluate_policy(problem: ProblemInstance, builder, dist: ScenarioDistribution,
-                    sigma: float | None = None, mode: str = "exact",
+def evaluate_policy(builder, dist: ScenarioDistribution, mode: str = "exact",
                     rng=None, runs: int = 10_000) -> PolicyEvaluation:
-    """Expected two-stage cost of the builder's policy family.
+    """Expected two-stage cost of the builder's policy family on its problem.
 
     Exact mode enumerates the builder's own draw space against the scenario
     support.  Monte-Carlo mode replays ``runs`` (at least 2) independent
@@ -196,36 +194,34 @@ def evaluate_policy(problem: ProblemInstance, builder, dist: ScenarioDistributio
     run's draw and then its realization, so every seeded stream gives the
     values of one-run-at-a-time sampling, bit for bit.
     """
-    if sigma is None:
-        sigma = problem.inflation
+    problem = builder.problem
     if mode == "exact":
         support = dist.support()
         total = 0.0
-        for drawn, p_draw in builder.draw_space(dist, sigma):
+        for drawn, p_draw in builder.draw_space(dist):
             policy = builder.policy(drawn)
             for realized, p_real in support:
                 if p_real == 0.0:
                     continue
-                total += p_draw * p_real * policy_cost(problem, policy, realized, sigma)
+                total += p_draw * p_real * policy_cost(problem, policy, realized)
         return PolicyEvaluation(total, "exact")
     if mode != "monte_carlo":
         raise ValueError(f"unknown evaluation mode {mode!r}")
     if runs < 2:
         raise ValueError(f"monte_carlo mode needs at least 2 runs, not {runs}")
-    law, rounds = builder.draw_law(dist, sigma)
+    law, rounds = builder.draw_law(dist)
     draws = runs * max(1, rounds)
     if draws > caps.DRAWS:
         raise CapExceeded(f"{draws} Monte-Carlo sampling draws exceed {caps.DRAWS}")
     if rng is None:
         raise ValueError("monte_carlo mode needs a random generator")
-    costs = _monte_carlo_costs(problem, builder, law, rounds, dist, sigma, rng, runs)
+    costs = _monte_carlo_costs(builder, law, rounds, dist, rng, runs)
     mean = float(costs.mean())
     half = 2.5758293035489004 * float(costs.std(ddof=1)) / math.sqrt(runs)
     return PolicyEvaluation(mean, "monte_carlo", half)
 
 
-def _monte_carlo_costs(problem, builder, law, rounds, dist, sigma, rng,
-                       runs) -> np.ndarray:
+def _monte_carlo_costs(builder, law, rounds, dist, rng, runs) -> np.ndarray:
     """Each run's cost, pricing every distinct (drawn, realized) pair once.
 
     A run reads ``rounds`` draws of ``law`` and then one of ``dist``.  Its
@@ -269,14 +265,14 @@ def _monte_carlo_costs(problem, builder, law, rounds, dist, sigma, rng,
                 if d not in policies:
                     policies[d] = builder.policy(d)
                 r = frozenset(itertools.compress(dist.universe, realized[t]))
-                prices[key] = policy_cost(problem, policies[d], r, sigma)
+                prices[key] = policy_cost(builder.problem, policies[d], r)
             batch_prices[u] = prices[key]
         costs[start:start + k] = batch_prices[inverse]
     return costs
 
 
-def exact_two_stage_opt(problem: ProblemInstance, dist: ScenarioDistribution,
-                        sigma: float | None = None) -> TwoStageOptimum:
+def exact_two_stage_opt(problem: ProblemInstance,
+                        dist: ScenarioDistribution) -> TwoStageOptimum:
     """Exhaustive two-stage optimum.
 
     Minimizes first-stage cost plus sigma times the expected exact
@@ -289,8 +285,7 @@ def exact_two_stage_opt(problem: ProblemInstance, dist: ScenarioDistribution,
     scenario, its cheapest augmentation of the first stage, is read from the
     same row, so the oracle is called once per (element set, scenario).
     """
-    if sigma is None:
-        sigma = problem.inflation
+    sigma = problem.inflation
     support = dist.support()
     if (1 << len(problem.elements)) * max(len(support), 1) > caps.TWO_STAGE:
         raise CapExceeded("two-stage search space exceeds the cap")

@@ -8,19 +8,21 @@ suites).  Reports are canonical JSON; rerunning a command with the same seed
 and inputs reproduces the report byte for byte, so wall-clock time goes to
 stderr rather than into the file.
 
-Exit codes: 0 success, 1 a check or bound failed, 2 schema error,
-3 enumeration cap exceeded, 4 solver failure (infeasible, unbounded,
-numerical, or a degenerate gap instance), 5 refused to overwrite an
-existing output.
+Exit codes: 0 success, 1 a check or bound failed, 2 schema error (an
+unreadable input included), 3 enumeration cap exceeded, 4 solver failure
+(infeasible, unbounded, numerical, or a degenerate gap instance), 5 an
+output exists or cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import math
 import sys
 import time
+from io import StringIO
 from pathlib import Path
 
 from . import __version__
@@ -92,25 +94,29 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(canonical_json(report))
 
 
+def _csv(rows) -> str:
+    """CSV text of ``rows``, one line each, a field quoted where it holds a
+    comma, a quote or a line break."""
+    out = StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def _csv_view(report: dict) -> str:
     """Tabular rendering of the report's record table, where one exists."""
-    lines = []
     if "records" in report:
-        lines.append("scenario,probability,recourse_cost")
-        for rec in report["records"]:
-            lines.append(f"{'|'.join(rec['scenario'])},{rec['probability']!r},"
-                         f"{rec['recourse_cost']!r}")
+        rows = [("scenario", "probability", "recourse_cost")]
+        rows += [("|".join(rec["scenario"]), rec["probability"], rec["recourse_cost"])
+                 for rec in report["records"]]
     elif "worst_distribution" in report:
-        lines.append("subset,probability")
-        for subset, p in report["worst_distribution"].items():
-            lines.append(f"{subset.replace(',', '|')},{p!r}")
+        rows = [("subset", "probability")]
+        rows += [(subset.replace(",", "|"), p)
+                 for subset, p in report["worst_distribution"].items()]
     else:
-        lines.append("key,value")
-        for key in sorted(report):
-            value = report[key]
-            if isinstance(value, (int, float, str, bool)):
-                lines.append(f"{key},{value}")
-    return "\n".join(lines) + "\n"
+        rows = [("key", "value")]
+        rows += [(key, report[key]) for key in sorted(report)
+                 if isinstance(report[key], (int, float, str, bool))]
+    return _csv(rows)
 
 
 def _config_echo(args, fields) -> dict:
@@ -173,8 +179,8 @@ def cmd_solve_det(args) -> int:
     return EXIT_OK
 
 
-def _boost_report(args, problem, dist, builder, seeded_policy, command: str) -> dict:
-    sigma = problem.inflation
+def _boost_report(args, dist, builder, seeded_policy, command: str) -> dict:
+    problem = builder.problem
     support = dist.support()
     records = []
     for realized, p in sorted(support, key=lambda kv: sorted(map(str, kv[0]))):
@@ -185,10 +191,9 @@ def _boost_report(args, problem, dist, builder, seeded_policy, command: str) -> 
             "recourse": sorted(map(str, patch)),
             "recourse_cost": float(problem.cost(patch)),
         })
-    evaluation = evaluate_policy(
-        problem, builder, dist, sigma=sigma, mode=args.mode,
-        rng=stream(args.seed, f"{command}-eval"), runs=args.runs)
-    optimum = exact_two_stage_opt(problem, dist, sigma)
+    evaluation = evaluate_policy(builder, dist, args.mode,
+                                 stream(args.seed, f"{command}-eval"), args.runs)
+    optimum = exact_two_stage_opt(problem, dist)
     ratio = (evaluation.expected_cost / optimum.value
              if optimum.value > 1e-12 else 1.0)
     report = {
@@ -217,7 +222,7 @@ def cmd_run_boost(args) -> int:
     policy = boost_and_sample(problem, alg, dist,
                               stream(args.seed, "boost-draws"))
     builder = BoostPolicyBuilder(problem, alg)
-    _emit(_boost_report(args, problem, dist, builder, policy, "run-boost"), args)
+    _emit(_boost_report(args, dist, builder, policy, "run-boost"), args)
     return EXIT_OK
 
 
@@ -226,10 +231,9 @@ def cmd_run_indboost(args) -> int:
     if not isinstance(dist, IndependentBernoulli):
         raise SchemaError("run-indboost needs an independent distribution")
     alg = algorithm_for(problem)
-    policy = ind_boost(problem, alg, dist, problem.inflation,
-                       stream(args.seed, "indboost-draws"))
+    policy = ind_boost(problem, alg, dist, stream(args.seed, "indboost-draws"))
     builder = IndBoostPolicyBuilder(problem, alg, dist.marginals)
-    _emit(_boost_report(args, problem, dist, builder, policy, "run-indboost"), args)
+    _emit(_boost_report(args, dist, builder, policy, "run-indboost"), args)
     return EXIT_OK
 
 
@@ -237,8 +241,7 @@ def cmd_run_saa(args) -> int:
     instance = load_stochastic_lp(read_json(args.instance))
     rng = stream(args.seed, "saa-sample")
     sampled = build_sample_average(instance, args.samples, rng)
-    result = minimize(sampled, tolerance=args.tolerance,
-                      keep_trace=args.trace is not None)
+    result = minimize(sampled, tolerance=args.tolerance)
     true_value = h_exact(instance, result.x)
     opt_value, opt_x = solve_deterministic_equivalent(instance)
     report = {
@@ -257,9 +260,8 @@ def cmd_run_saa(args) -> int:
         "artifact_version": __version__,
     }
     if args.trace:
-        lines = ["iteration,value,lower_bound"]
-        lines += [f"{t},{v!r},{lb!r}" for t, v, lb in result.trace]
-        write_text(args.trace, "\n".join(lines) + "\n", overwrite=args.overwrite)
+        write_text(args.trace, _csv([("iteration", "value", "lower_bound"),
+                                     *result.trace]), overwrite=args.overwrite)
     _emit(report, args)
     return EXIT_OK
 
@@ -431,7 +433,7 @@ def main(argv=None) -> int:
     except (Infeasible, Unbounded, NumericalFailure, DegenerateInstance) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except FileExistsError as exc:
+    except OSError as exc:  # reading maps its own failures to SchemaError
         print(str(exc), file=sys.stderr)
         return EXIT_OUTPUT
     except StocombError as exc:

@@ -252,22 +252,35 @@ def canonical_json(obj) -> str:
 
 
 def read_json(path) -> dict:
+    """The JSON document at ``path``; a file that cannot be read, is not
+    UTF-8 or is not JSON is a :class:`SchemaError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def write_text(path, text: str, overwrite: bool = False):
-    """Write ``text`` to ``path``; refuse (``FileExistsError``) to replace an
-    existing file unless ``overwrite`` is set.  Every report, CSV view and
-    trace the CLI writes goes through here."""
+    """Write ``text`` to ``path``, making its directory.  Unless
+    ``overwrite`` is set the file is created exclusively, so an existing
+    file is refused (``FileExistsError``), never replaced.  Any other
+    failure is an ``OSError`` whose message names ``path``.  Every report,
+    CSV view and trace the CLI writes goes through here."""
     path = Path(path)
-    if path.exists() and not overwrite:
-        raise FileExistsError(f"{path} exists; pass --overwrite to replace it")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w" if overwrite else "x", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        if isinstance(exc, FileExistsError) and exc.filename == str(path):
+            raise FileExistsError(
+                f"{path} exists; pass --overwrite to replace it") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(path, obj, overwrite: bool = False):

@@ -73,7 +73,7 @@ class LPResult:
 
 
 def max_pivots(m: int, n: int) -> int:
-    """Default pivot limit of an LP with ``m`` rows and ``n`` columns."""
+    """Pivot limit of an LP with ``m`` rows and ``n`` columns."""
     return 200 + 50 * (m + n)
 
 
@@ -92,27 +92,23 @@ def _result(status, x, duals, value) -> LPResult:
     return LPResult(OPTIMAL, x, value, duals)
 
 
-def solve_prepared(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                   pivot_limit: int | None = None):
+def solve_prepared(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Low-level entry: arrays in, ``(status, x, duals, value)`` out.
 
     Used directly by hot loops that rebuild only the right-hand side between
     solves.  Raises :class:`NumericalFailure` on pivot-limit exhaustion.
     """
-    if pivot_limit is None:
-        pivot_limit = max_pivots(*A.shape)
     status, x, duals, value, _pivots, _tableau = _checked(simplex_kernel(
         np.ascontiguousarray(A, dtype=np.float64),
         np.ascontiguousarray(b, dtype=np.float64),
         np.ascontiguousarray(c, dtype=np.float64),
-        PIVOT_TOL, FEAS_TOL, pivot_limit))
+        PIVOT_TOL, FEAS_TOL, max_pivots(*A.shape)))
     return status, x, duals, value
 
 
-def solve_lp(lp: LinearProgram, pivot_limit: int | None = None) -> LPResult:
+def solve_lp(lp: LinearProgram) -> LPResult:
     """Solve ``lp``; at OPTIMAL the result satisfies strong duality."""
-    status, x, duals, value = solve_prepared(lp.constraints, lp.rhs,
-                                             lp.objective, pivot_limit)
+    status, x, duals, value = solve_prepared(lp.constraints, lp.rhs, lp.objective)
     return _result(status, x, duals, value)
 
 

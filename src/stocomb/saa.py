@@ -35,6 +35,8 @@ from .lp import (
 )
 from .model import PROB_TOL
 CUT_TOL = 1e-9  # relative slack before a recourse value violates its cut
+MAX_ITERATIONS = 10_000  # cutting-plane rounds before minimize gives up
+OMEGA_TOL = 1e-7  # absolute slack of the relaxed subgradient inequality
 
 
 @dataclass(frozen=True)
@@ -215,20 +217,17 @@ def _evaluate(instance, x, weights):
     return total, parts
 
 
-def h_exact(instance: StochasticLPInstance, x, weights=None) -> float:
-    """First-stage cost plus the weighted sum of exact recourse values."""
-    x = np.asarray(x, dtype=float)
-    if weights is None:
-        weights = instance.probabilities()
-    return _evaluate(instance, x, weights)[0]
+def h_exact(instance: StochasticLPInstance, x) -> float:
+    """First-stage cost plus the probability-weighted exact recourse values."""
+    return _evaluate(instance, np.asarray(x, dtype=float), instance.probabilities())[0]
 
 
-def subgradient_at(instance: StochasticLPInstance, x, weights=None) -> np.ndarray:
-    """Dual-formula subgradient: first-stage prices minus the weighted
-    pullback of the recourse duals through each technology matrix."""
+def subgradient_at(instance: StochasticLPInstance, x) -> np.ndarray:
+    """Dual-formula subgradient: first-stage prices minus the
+    probability-weighted pullback of the recourse duals through each
+    technology matrix."""
     x = np.asarray(x, dtype=float)
-    if weights is None:
-        weights = instance.probabilities()
+    weights = instance.probabilities()
     d = instance.first_stage_cost.astype(float).copy()
     for i, _, duals in _evaluate(instance, x, weights)[1]:
         d -= weights[i] * (instance.scenarios[i].technology.T @ duals)
@@ -283,9 +282,7 @@ class MinimizeResult:
     trace: tuple = field(repr=False, default=())
 
 
-def minimize(instance: StochasticLPInstance, tolerance: float = 1e-6,
-             max_iterations: int = 10_000,
-             keep_trace: bool = False) -> MinimizeResult:
+def minimize(instance: StochasticLPInstance, tolerance: float = 1e-6) -> MinimizeResult:
     """Multi-cut L-shaped (cutting-plane) minimization over the box polytope.
 
     Each iteration evaluates every weighted scenario's recourse LP at the
@@ -308,13 +305,11 @@ def minimize(instance: StochasticLPInstance, tolerance: float = 1e-6,
     ones re-optimize from the last basis (:class:`ColumnMaster`); its row
     duals are -theta and z.  The run is ``converged`` once the best value is
     within ``tolerance`` of the bound, or once no cut is violated (the master
-    is exact at its own minimizer); else it stops after ``max_iterations``
-    (at least 1) with the best point evaluated, starting from the box
-    midpoint.  The trace rows are (iteration, value at the iteration's
+    is exact at its own minimizer); else it stops after ``MAX_ITERATIONS``
+    with the best point evaluated, starting from the box midpoint.  The
+    trace has one row per iteration: (iteration, value at the iteration's
     point, lower bound after the iteration's cuts).
     """
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
     poly = instance.polytope
     weights = instance.probabilities()
     m = poly.dim
@@ -330,7 +325,7 @@ def minimize(instance: StochasticLPInstance, tolerance: float = 1e-6,
     x = 0.5 * (poly.lower + poly.upper)
     best_x, best_value = x, math.inf
     trace = []
-    for t in range(1, max_iterations + 1):
+    for t in range(1, MAX_ITERATIONS + 1):
         value, parts = _evaluate(instance, x, weights)
         if value < best_value:
             best_x, best_value = x, value
@@ -370,8 +365,7 @@ def minimize(instance: StochasticLPInstance, tolerance: float = 1e-6,
                          np.where(poly.upper - x <= FEAS_TOL, poly.upper, x))
             theta = -res.duals[:k]
         converged = best_value - lower <= tolerance or (not cut_of and t > 1)
-        if keep_trace:
-            trace.append((t, float(value), float(lower)))
+        trace.append((t, float(value), float(lower)))
         if converged:
             break
     return MinimizeResult(best_x, best_value, converged, t, tuple(trace))
@@ -415,8 +409,9 @@ def extended_grid(spec: GridSpec, polytope: Polytope) -> np.ndarray:
 
 
 def check_omega_subgradient(h_oracle, x, d, omega: float, polytope: Polytope,
-                            trials: int, rng, tol: float = 1e-7):
-    """Sample the box and test the relaxed subgradient inequality.
+                            trials: int, rng):
+    """Sample the box and test the relaxed subgradient inequality, with an
+    absolute slack of ``OMEGA_TOL``.
 
     Returns ``(True, None)`` or ``(False, witness_point)``.
     """
@@ -425,7 +420,7 @@ def check_omega_subgradient(h_oracle, x, d, omega: float, polytope: Polytope,
     hx = h_oracle(x)
     for _ in range(trials):
         y = rng.uniform(polytope.lower, polytope.upper)
-        if h_oracle(y) - hx < d @ (y - x) - omega * hx - tol:
+        if h_oracle(y) - hx < d @ (y - x) - omega * hx - OMEGA_TOL:
             return False, y
     return True, None
 

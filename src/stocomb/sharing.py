@@ -17,7 +17,14 @@ from typing import Callable
 
 from . import caps
 from .errors import CapExceeded
-from .model import CheckReport, ProblemInstance, client_optima, client_sets, members
+from .model import (
+    COST_TOL,
+    CheckReport,
+    ProblemInstance,
+    client_optima,
+    client_sets,
+    members,
+)
 from .model import exact_opt  # noqa: F401 - kept importable: tracers patch it here by name
 from .rng import stream
 from .setfun import check_monotone, check_submodular
@@ -53,14 +60,14 @@ def total_share(xi: CostShareFunction, subset: frozenset) -> float:
     return sum(xi(subset, j) for j in subset)
 
 
-def check_fairness(xi: CostShareFunction, problem: ProblemInstance,
-                   tol: float = 1e-9) -> CheckReport:
-    """Verify sum of shares <= exact optimum cost for every client subset."""
+def check_fairness(xi: CostShareFunction, problem: ProblemInstance) -> CheckReport:
+    """Verify sum of shares <= exact optimum cost (within ``COST_TOL``) for
+    every client subset."""
     subsets = client_sets(problem, "cost-share")
     optimum = client_optima(problem)
     for S in subsets:
         opt = optimum(S)
-        if total_share(xi, S) > opt.cost + tol:
+        if total_share(xi, S) > opt.cost + COST_TOL:
             return CheckReport(
                 False, f"shares for {sorted(map(str, S))} exceed the optimum")
     return CheckReport(True)
@@ -182,8 +189,7 @@ def _orderings(subset_tuple: tuple, rng):
 
 def check_scheme(scheme, f, ground: tuple, *,
                  order_universe=None,
-                 cross_pair_filter=None,
-                 tol: float = 1e-9) -> SchemeReport:
+                 cross_pair_filter=None) -> SchemeReport:
     """Measure eta-hat, beta-hat, and cross-monotonicity of ``scheme``.
 
     By default every ordering of every subset up to ``EXHAUSTIVE_ORDERS``
@@ -191,7 +197,8 @@ def check_scheme(scheme, f, ground: tuple, *,
     orderings.  ``order_universe`` may supply global orderings of the ground
     set instead, in which case each subset inherits its induced orderings;
     ``cross_pair_filter(S, T)`` can restrict which nested pairs the
-    cross-monotonicity sweep visits.
+    cross-monotonicity sweep visits.  Costs and shares within ``COST_TOL``
+    of zero count as zero, and so do share increases within it.
     """
     if len(ground) > caps.SCHEME_CLIENTS:
         raise CapExceeded("ground set too large for the scheme sweep")
@@ -223,14 +230,14 @@ def check_scheme(scheme, f, ground: tuple, *,
             for l, i in enumerate(order, start=1):
                 prefix += chi(i, frozenset(order[:l]), order[:l])
             full = sum(chi(i, S, order) for i in order)
-            if fS <= tol:
-                if prefix > tol:
+            if fS <= COST_TOL:
+                if prefix > COST_TOL:
                     eta_hat = math.inf
                     witness = witness or f"positive prefix sum on zero-cost set {sub}"
             else:
                 eta_hat = max(eta_hat, prefix / fS)
-            if full <= tol:
-                if fS > tol:
+            if full <= COST_TOL:
+                if fS > COST_TOL:
                     beta_hat = math.inf
                     witness = witness or f"zero total share on {sub} with positive cost"
             else:
@@ -247,7 +254,7 @@ def check_scheme(scheme, f, ground: tuple, *,
                         continue
                     order_S = tuple(x for x in order_T if x in S)
                     for i in order_S:
-                        if chi(i, S, order_S) < chi(i, T, order_T) - tol:
+                        if chi(i, S, order_S) < chi(i, T, order_T) - COST_TOL:
                             cross_ok = False
                             witness = witness or (
                                 f"share of {i!r} grows from {sorted(map(str, S))} "

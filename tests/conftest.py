@@ -17,7 +17,6 @@ from stocomb.boosting import (
     IndBoostPolicyBuilder,
     PolicyEvaluation,
     TwoStageOptimum,
-    policy_cost,
 )
 from stocomb.errors import DegenerateInstance, Infeasible, NotMonotone, NotSubmodular
 from stocomb.fixtures import cov3, edge1, tri3
@@ -491,7 +490,8 @@ def loop_sample(dist, rng) -> frozenset:
 
 def loop_sample_draw(builder, dist, sigma, rng) -> frozenset:
     if isinstance(builder, IndBoostPolicyBuilder):
-        return frozenset(j for j, p in builder.boosted(sigma) if rng.random() < p)
+        return frozenset(j for j, p in builder.marginals
+                         if rng.random() < min(1.0, sigma * p))
     drawn = frozenset()
     for _ in range(int(math.floor(sigma))):
         drawn |= loop_sample(dist, rng)
@@ -505,8 +505,13 @@ def loop_monte_carlo(problem, builder, dist, sigma, rng, runs) -> PolicyEvaluati
         drawn = loop_sample_draw(builder, dist, sigma, rng)
         if drawn not in policies:
             policies[drawn] = builder.policy(drawn)
+        policy = policies[drawn]
         realized = loop_sample(dist, rng)
-        costs[t] = policy_cost(problem, policies[drawn], realized, sigma)
+        patch = policy.recourse(realized)  # boosting.policy_cost, sigma explicit
+        if not problem.feasibility(policy.first_stage | patch, realized):
+            raise Infeasible(
+                f"policy does not serve realization {sorted(map(str, realized))}")
+        costs[t] = problem.cost(policy.first_stage) + sigma * problem.cost(patch)
     mean = float(costs.mean())
     half = 2.5758293035489004 * float(costs.std(ddof=1)) / math.sqrt(runs)
     return PolicyEvaluation(mean, "monte_carlo", half)

@@ -95,8 +95,8 @@ def test_criterion_01_boost_and_sample_guarantee():
     problem, dist = edge1(q=0.5, sigma=2.0)
     alg = algorithm_for(problem)
     builder = BoostPolicyBuilder(problem, alg)
-    ev = evaluate_policy(problem, builder, dist, sigma=2.0, mode="exact")
-    optimum = exact_two_stage_opt(problem, dist, 2.0)
+    ev = evaluate_policy(builder, dist, mode="exact")
+    optimum = exact_two_stage_opt(problem, dist)
     if abs(ev.expected_cost - 1.0) > 1e-12:
         violations.append(f"EDGE1 expected cost {ev.expected_cost} != 1.0")
     if abs(optimum.value - 1.0) > 1e-12:
@@ -114,8 +114,8 @@ def test_criterion_01_boost_and_sample_guarantee():
         alpha = empirical_alpha(problem, alg)
         beta = measure_strictness(equal_split_shares(problem), alg, problem)
         builder = BoostPolicyBuilder(problem, alg)
-        ev = evaluate_policy(problem, builder, dist, sigma=sigma, mode="exact")
-        optimum = exact_two_stage_opt(problem, dist, sigma)
+        ev = evaluate_policy(builder, dist, mode="exact")
+        optimum = exact_two_stage_opt(problem, dist)
         if ev.expected_cost > (alpha + beta) * optimum.value + 1e-9:
             violations.append(
                 f"seed {seed} ({kind}): {ev.expected_cost} > "
@@ -140,8 +140,8 @@ def test_criterion_02_ind_boost_guarantee():
         alpha = empirical_alpha(problem, alg)
         beta = measure_unistrictness(equal_split_shares(problem), alg, problem)
         builder = IndBoostPolicyBuilder(problem, alg, dist.marginals)
-        ev = evaluate_policy(problem, builder, dist, sigma=sigma, mode="exact")
-        optimum = exact_two_stage_opt(problem, dist, sigma)
+        ev = evaluate_policy(builder, dist, mode="exact")
+        optimum = exact_two_stage_opt(problem, dist)
         if ev.expected_cost > (alpha + beta) * optimum.value + 1e-9:
             violations.append(
                 f"seed {seed} ({kind}): {ev.expected_cost} > "

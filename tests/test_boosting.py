@@ -1,6 +1,7 @@
 """Two-stage policies: exact hand values, enumeration oracles, feasibility."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,9 +51,9 @@ class TestBoostAndSample:
         problem, _ = edge1()
         alg = algorithm_for(problem)
         dist = Explicit(((frozenset({"j"}), 1.0),))
-        policy = boost_and_sample(problem, alg, dist, stream(1, "b"), sigma=2.0)
+        policy = boost_and_sample(problem, alg, dist, stream(1, "b"))
         assert policy.first_stage == frozenset({"e"})
-        assert policy_cost(problem, policy, frozenset({"j"}), 2.0) == pytest.approx(1.0)
+        assert policy_cost(problem, policy, frozenset({"j"})) == pytest.approx(1.0)
 
     def test_edge1_exact_expected_cost(self):
         # Independent oracle: enumerate the four equally likely draw pairs
@@ -70,7 +71,7 @@ class TestBoostAndSample:
         assert expected == pytest.approx(1.0)
 
         builder = BoostPolicyBuilder(problem, alg)
-        ev = evaluate_policy(problem, builder, dist, sigma=2.0, mode="exact")
+        ev = evaluate_policy(builder, dist, mode="exact")
         assert ev.expected_cost == pytest.approx(expected, abs=1e-12)
 
     def test_draw_space_cap_is_exact(self, monkeypatch):
@@ -78,23 +79,26 @@ class TestBoostAndSample:
         # refused (a floating-point log comparison reads 3 log 10 > log 1000).
         monkeypatch.setattr(caps, "DRAWS", 1000)
         problem, _ = edge1()
-        builder = BoostPolicyBuilder(problem, algorithm_for(problem))
+
+        def builder(sigma):
+            at_sigma = replace(problem, inflation=sigma)
+            return BoostPolicyBuilder(at_sigma, algorithm_for(at_sigma))
+
         ten = Explicit(tuple((frozenset({"j"}) if k else frozenset(), 0.1)
                              for k in range(10)))
-        assert len(builder.draw_space(ten, 3.0)) == 2
+        assert len(builder(3.0).draw_space(ten)) == 2
         with pytest.raises(CapExceeded):
-            builder.draw_space(ten, 4.0)
+            builder(4.0).draw_space(ten)
         one = Explicit(((frozenset({"j"}), 1.0),))
-        assert builder.draw_space(one, 1000.0) == [(frozenset({"j"}), 1.0)]
+        assert builder(1000.0).draw_space(one) == [(frozenset({"j"}), 1.0)]
 
     def test_monte_carlo_mode_brackets_exact(self):
         problem, dist = edge1(q=0.5, sigma=2.0)
         builder = BoostPolicyBuilder(problem, algorithm_for(problem))
         hits = 0
         for seed in range(100):
-            ev = evaluate_policy(problem, builder, dist, sigma=2.0,
-                                 mode="monte_carlo", rng=stream(seed, "mc"),
-                                 runs=10_000)
+            ev = evaluate_policy(builder, dist, mode="monte_carlo",
+                                 rng=stream(seed, "mc"), runs=10_000)
             if abs(ev.expected_cost - 1.0) <= ev.ci_halfwidth:
                 hits += 1
         assert hits >= 99
@@ -104,9 +108,9 @@ class TestBoostAndSample:
         problem, dist = edge1(q=0.5, sigma=2.5)
         alg = algorithm_for(problem)
         builder = BoostPolicyBuilder(problem, alg)
-        space = dict(builder.draw_space(dist, 2.5))
+        space = dict(builder.draw_space(dist))
         assert space[frozenset({"j"})] == pytest.approx(0.75)  # two rounds
-        ev = evaluate_policy(problem, builder, dist, sigma=2.5, mode="exact")
+        ev = evaluate_policy(builder, dist, mode="exact")
         # P(drawn) * 1 + P(not drawn) * q * sigma
         assert ev.expected_cost == pytest.approx(0.75 + 0.25 * 0.5 * 2.5)
 
@@ -115,17 +119,17 @@ class TestBoostAndSample:
         alg = algorithm_for(problem)
         dist = Explicit(((frozenset({"j"}), 1.0),))
         builder = BoostPolicyBuilder(problem, alg)
-        ev = evaluate_policy(problem, builder, dist, sigma=2.0, mode="exact")
-        policy = boost_and_sample(problem, alg, dist, stream(2, "b"), sigma=2.0)
+        ev = evaluate_policy(builder, dist, mode="exact")
+        policy = boost_and_sample(problem, alg, dist, stream(2, "b"))
         assert ev.expected_cost == pytest.approx(
-            policy_cost(problem, policy, frozenset({"j"}), 2.0))
+            policy_cost(problem, policy, frozenset({"j"})))
 
 
 class TestIndBoost:
     def test_zero_marginals(self):
         problem, _ = edge1()
         alg = algorithm_for(problem)
-        policy = ind_boost(problem, alg, (("j", 0.0),), 2.0, stream(0, "i"))
+        policy = ind_boost(problem, alg, (("j", 0.0),), stream(0, "i"))
         assert policy.first_stage == frozenset()
 
     def test_clamped_boost_always_serves(self):
@@ -134,9 +138,9 @@ class TestIndBoost:
         alg = algorithm_for(problem)
         builder = IndBoostPolicyBuilder(problem, alg, (("j", 0.5),))
         dist = IndependentBernoulli((("j", 0.5),))
-        ev = evaluate_policy(problem, builder, dist, sigma=2.0, mode="exact")
+        ev = evaluate_policy(builder, dist, mode="exact")
         assert ev.expected_cost == pytest.approx(1.0)
-        assert builder.draw_space(dist, 2.0) == [(frozenset({"j"}), 1.0)]
+        assert builder.draw_space(dist) == [(frozenset({"j"}), 1.0)]
 
     def test_two_client_exact_enumeration(self):
         # Oracle: enumerate the 4 boost outcomes x 4 realizations directly.
@@ -162,7 +166,7 @@ class TestIndBoost:
 
         builder = IndBoostPolicyBuilder(problem, alg, marginals)
         dist = IndependentBernoulli(marginals)
-        ev = evaluate_policy(problem, builder, dist, sigma=2.0, mode="exact")
+        ev = evaluate_policy(builder, dist, mode="exact")
         assert ev.expected_cost == pytest.approx(expected, abs=1e-12)
 
     def test_policy_feasible_on_every_support_set(self):
@@ -172,8 +176,7 @@ class TestIndBoost:
                 problem = random_problem(kind, *sizes, seed=seed, sigma=2.0)
                 alg = algorithm_for(problem)
                 marginals = tuple((j, 0.3) for j in problem.clients)
-                policy = ind_boost(problem, alg, marginals, 2.0,
-                                   stream(seed, "feas"))
+                policy = ind_boost(problem, alg, marginals, stream(seed, "feas"))
                 for realized, _p in IndependentBernoulli(marginals).support():
                     patch = policy.recourse(realized)
                     assert problem.feasibility(policy.first_stage | patch,
@@ -185,7 +188,7 @@ def test_infeasible_policy_is_reported():
     broken = TwoStagePolicy(first_stage=frozenset(),
                             recourse=lambda realized: frozenset())
     with pytest.raises(Infeasible):
-        policy_cost(problem, broken, frozenset({"j"}), 2.0)
+        policy_cost(problem, broken, frozenset({"j"}))
 
 
 class TestPartitionDistribution:
@@ -196,7 +199,7 @@ class TestPartitionDistribution:
         alg = algorithm_for(problem)
         dist = KPartition((frozenset({"j1"}), frozenset({"j2"})))
         builder = BoostPolicyBuilder(problem, alg)
-        ev = evaluate_policy(problem, builder, dist, sigma=2.0, mode="exact")
+        ev = evaluate_policy(builder, dist, mode="exact")
         # Oracle over the 4 equally likely (d1, d2) block pairs and 2
         # realizations: first stage covers the union, recourse covers the
         # realized singleton when missed.
@@ -210,7 +213,7 @@ class TestPartitionDistribution:
                     expected += (len(union) + 2.0 * miss) / 8.0
         assert ev.expected_cost == pytest.approx(expected, abs=1e-12)
         # every first-stage choice ties at 2.0 here; ties go to the empty set
-        opt = exact_two_stage_opt(problem, dist, 2.0)
+        opt = exact_two_stage_opt(problem, dist)
         assert opt.value == pytest.approx(2.0)
         assert opt.first_stage == frozenset()
 
@@ -219,7 +222,7 @@ class TestTwoStageOptimum:
     def test_point_mass_on_empty(self):
         problem, _ = edge1()
         dist = Explicit(((frozenset(), 1.0),))
-        opt = exact_two_stage_opt(problem, dist, 2.0)
+        opt = exact_two_stage_opt(problem, dist)
         assert opt.value == 0.0 and opt.first_stage == frozenset()
 
     def test_edge1_closed_form(self):
@@ -227,7 +230,7 @@ class TestTwoStageOptimum:
         problem, _ = edge1()
         for q in (0.2, 0.5, 0.9):
             dist = Explicit(((frozenset({"j"}), q), (frozenset(), 1 - q)))
-            opt = exact_two_stage_opt(problem, dist, 2.0)
+            opt = exact_two_stage_opt(problem, dist)
             assert opt.value == pytest.approx(min(1.0, 2.0 * q))
 
     def test_tri3_against_independent_enumeration(self):
@@ -244,14 +247,14 @@ class TestTwoStageOptimum:
                                                     base=first).cost
                 if best is None or value < best - 1e-12:
                     best = value
-        opt = exact_two_stage_opt(problem, dist, 3.0)
+        opt = exact_two_stage_opt(problem, dist)
         assert opt.value == pytest.approx(best)
 
     def test_cap_guard(self):
         problem, _ = edge1()
         big = IndependentBernoulli(tuple((f"x{i}", 0.5) for i in range(21)))
         with pytest.raises(CapExceeded):
-            exact_two_stage_opt(problem, big, 2.0)
+            exact_two_stage_opt(problem, big)
 
 
 class TestProcessEquivalence:
@@ -303,7 +306,7 @@ class TestProcessEquivalence:
         # The enumerated draw space is the marginal of the direct law.
         problem, dist = edge1(q=0.5, sigma=2.0)
         builder = BoostPolicyBuilder(problem, algorithm_for(problem))
-        space = dict(builder.draw_space(dist, 2.0))
+        space = dict(builder.draw_space(dist))
         direct = self.law_direct(list(dist.outcomes), 2)
         marginal = {}
         for (union, _s), p in direct.items():

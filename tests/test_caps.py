@@ -52,10 +52,10 @@ class ForbiddenValues(dict):
     values = items = forbidden
 
 
-def problem(n_clients, n_elements):
+def problem(n_clients, n_elements, sigma=1.0):
     clients = tuple(f"c{i}" for i in range(n_clients))
     elements = tuple(f"e{i}" for i in range(n_elements))
-    return ProblemInstance(clients, elements, {e: 1.0 for e in elements}, 1.0,
+    return ProblemInstance(clients, elements, {e: 1.0 for e in elements}, sigma,
                            forbidden)
 
 
@@ -104,19 +104,21 @@ def subadd_elements(monkeypatch):
 
 def draws(monkeypatch):
     two = Explicit(((frozenset(), 0.5), (frozenset({"c0"}), 0.5)))
-    builder = BoostPolicyBuilder(problem(1, 1), None)
+
+    def builder(sigma):
+        return BoostPolicyBuilder(problem(1, 1, sigma), None)
+
     # 2 ** DRAWS.bit_length() is the first power of two above DRAWS.
-    yield lambda: builder.draw_space(two, float(caps.DRAWS.bit_length()))
-    yield lambda: builder.draw_law(ForbiddenDistribution(), caps.DRAWS + 1.0)
+    yield lambda: builder(float(caps.DRAWS.bit_length())).draw_space(two)
+    yield lambda: builder(caps.DRAWS + 1.0).draw_law(ForbiddenDistribution())
     # Monte-Carlo evaluation: runs x floor(sigma) draws.
     for sigma, runs in ((1.0, caps.DRAWS + 1), (2.0, caps.DRAWS // 2 + 1)):
         yield lambda sigma=sigma, runs=runs: evaluate_policy(
-            problem(1, 1), builder, ForbiddenDistribution(), sigma,
-            "monte_carlo", forbidden, runs)
+            builder(sigma), ForbiddenDistribution(), "monte_carlo", forbidden, runs)
     monkeypatch.setattr(model, "bernoulli_weights", forbidden)
     marginals = tuple((j, 0.5) for j in items(caps.DRAWS.bit_length()))
     yield lambda: IndBoostPolicyBuilder(problem(1, 1), None,
-                                        marginals).draw_space(None, 1.0)
+                                        marginals).draw_space(None)
 
 
 def two_stage(monkeypatch):

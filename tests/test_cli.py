@@ -1,5 +1,6 @@
 """CLI harness: golden reports, reproducibility, generators, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -307,6 +308,30 @@ def test_csv_format(tmp_path):
     assert len(lines) == 3
 
 
+def test_csv_fields_are_quoted(tmp_path):
+    # A client id holding a comma stays one field when read back.
+    inst = tmp_path / "comma.json"
+    inst.write_text(json.dumps({
+        "clients": ["a,b", "c"],
+        "elements": [{"id": "e1", "cost": 1.0}, {"id": "e2", "cost": 2.0}],
+        "sigma": 2.0,
+        "problem": {"kind": "set_cover", "sets": {"e1": ["a,b"], "e2": ["c"]}},
+        "distribution": {"kind": "explicit", "outcomes": [
+            {"subset": ["a,b"], "prob": 0.5}, {"subset": ["a,b", "c"], "prob": 0.5}]},
+    }))
+    argv = ["run-boost", "--instance", str(inst), "--seed", "1"]
+    out, report = tmp_path / "records.csv", tmp_path / "report.json"
+    assert main(argv + ["--format", "csv", "--output", str(out)]) == 0
+    assert main(argv + ["--output", str(report)]) == 0
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    records = json.loads(report.read_text())["records"]
+    assert rows == [["scenario", "probability", "recourse_cost"]] + [
+        ["|".join(r["scenario"]), repr(r["probability"]), repr(r["recourse_cost"])]
+        for r in records]
+    assert rows[1][0] == "a,b"
+
+
 def test_gap_csv_lists_the_worst_distribution(tmp_path):
     argv = ["gap", "--instance", str(INSTANCES / "gap2.json")]
     csv, report = tmp_path / "gap.csv", tmp_path / "gap.json"
@@ -342,3 +367,11 @@ def test_saa_trace_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1"
     float(first[1]), float(first[2])  # parses as numbers
+
+
+def test_readme_quick_tour_runs(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = text.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md quick tour", "exec"), {})
+    assert capsys.readouterr().out == "1.0 1.0\n"

@@ -279,3 +279,38 @@ def test_set_function_reports_ignore_the_hash_seed(kind, tmp_path):
         assert proc.returncode in (0, 1), proc.stderr.decode()
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+def path_case(case: str, tmp_path) -> tuple:
+    """(argv, exit code, path the message names) of one unreadable input or
+    unwritable output.  A permission-denied file is no case here: root
+    reads and writes it anyway."""
+    gap = ["gap", "--instance", str(INSTANCES / "gap2.json")]
+    if case == "missing_instance":
+        path = tmp_path / "missing.json"
+        return ["gap", "--instance", str(path)], 2, path
+    if case == "directory_instance":
+        return ["gap", "--instance", str(tmp_path)], 2, tmp_path
+    if case == "not_utf8_instance":
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"ground": ["é"]}'.encode("latin-1"))
+        return ["gap", "--instance", str(path)], 2, path
+    if case == "directory_output":
+        return gap + ["--output", str(tmp_path), "--overwrite"], 5, tmp_path
+    if case == "directory_trace":
+        return (["run-saa", "--instance", str(INSTANCES / "saa_ufl.json"),
+                 "--samples", "5", "--seed", "1", "--trace", str(tmp_path),
+                 "--overwrite"], 5, tmp_path)
+    afile = tmp_path / "afile"  # a regular file where a directory belongs
+    afile.write_text("")
+    return gap + ["--output", str(afile / "x.json")], 5, afile / "x.json"
+
+
+@pytest.mark.parametrize("case", ["missing_instance", "directory_instance",
+                                  "not_utf8_instance", "directory_output",
+                                  "directory_trace", "file_as_output_directory"])
+def test_unreadable_inputs_and_unwritable_outputs(case, tmp_path, capsys):
+    argv, expected, path = path_case(case, tmp_path)
+    assert main(argv) == expected  # an escaping exception fails here
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(path) in err[0], err

@@ -417,10 +417,13 @@ def two_stage_problems():
 @pytest.mark.parametrize("problem", two_stage_problems(),
                          ids=lambda p: f"{p.kind}-{len(p.clients)}x{len(p.elements)}")
 def test_two_stage_opt_matches_loop(problem, sigma):
+    if sigma is not None:
+        problem = replace(problem, inflation=sigma)
     for variant in cost_variants(problem):
         for dist in distributions(problem.clients, len(problem.elements)):
-            got = solved(exact_two_stage_opt, variant, dist, sigma)
-            assert got == solved(loop_exact_two_stage_opt, variant, dist, sigma), dist
+            got = solved(exact_two_stage_opt, variant, dist)
+            want = solved(loop_exact_two_stage_opt, variant, dist, variant.inflation)
+            assert got == want, dist
 
 
 def test_two_stage_opt_matches_loop_on_a_cardinality_oracle():
@@ -428,8 +431,9 @@ def test_two_stage_opt_matches_loop_on_a_cardinality_oracle():
     verdicts = set()
     for dist in distributions(problem.clients, 1):
         for sigma in (1.0, 2.5):
-            got = solved(exact_two_stage_opt, problem, dist, sigma)
-            assert got == solved(loop_exact_two_stage_opt, problem, dist, sigma), dist
+            at_sigma = replace(problem, inflation=sigma)
+            got = solved(exact_two_stage_opt, at_sigma, dist)
+            assert got == solved(loop_exact_two_stage_opt, at_sigma, dist, sigma), dist
             verdicts.add(got if isinstance(got, type) else "ok")
     assert verdicts == {"ok", Infeasible}
 
@@ -444,9 +448,9 @@ def test_two_stage_opt_tabulates_the_oracle_once_per_scenario():
             calls += 1
             return problem.feasibility(F, S)
 
-        variant = replace(problem, first_stage_cost=costs)
+        variant = replace(problem, first_stage_cost=costs, inflation=1.5)
         dist = random_marginals(problem.clients, 4)
-        got = exact_two_stage_opt(replace(variant, feasibility=counting), dist, 1.5)
+        got = exact_two_stage_opt(replace(variant, feasibility=counting), dist)
         # One table per scenario; the winner's recourse is read from it.
         assert calls <= (1 << 4) * (1 << 8)
         # Equal prices tie many recourse sets: each scenario's recourse cost

@@ -68,7 +68,7 @@ class TestSampling:
         problem = cov3()
         with pytest.raises(ValueError, match="duplicate client ids"):
             ind_boost(problem, algorithm_for(problem),
-                      (("1", 0.5), ("1", 0.5)), 2.0, stream(0, "dup"))
+                      (("1", 0.5), ("1", 0.5)), stream(0, "dup"))
 
 
 class TestSupport:

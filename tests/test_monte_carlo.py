@@ -55,7 +55,8 @@ def builder_for(name, problem, alg=None):
 
 def assert_same(problem, builder, dist, sigma, seed, runs):
     rng, oracle_rng = stream(seed, "mc"), stream(seed, "mc")
-    got = evaluate_policy(problem, builder, dist, sigma, "monte_carlo", rng, runs)
+    assert builder.problem is problem and problem.inflation == sigma
+    got = evaluate_policy(builder, dist, "monte_carlo", rng, runs)
     want = loop_monte_carlo(problem, builder, dist, sigma, oracle_rng, runs)
     assert got.expected_cost.hex() == want.expected_cost.hex()
     assert got.ci_halfwidth.hex() == want.ci_halfwidth.hex()
@@ -113,7 +114,7 @@ def test_every_law_reads_only_floats(law, rounds):
     # leave the generator where one (rounds, width) float array leaves it.
     problem = random_problem("set_cover", 5, 6, seed=1, sigma=2.0)
     if law == "boosted":
-        dist, _ = builder_for("ind_boost", problem).draw_law(None, 2.0)
+        dist, _ = builder_for("ind_boost", problem).draw_law(None)
     else:
         dist = laws(problem.clients)[law]
     rng, floats = stream(rounds, "f"), stream(rounds, "f")
@@ -127,10 +128,10 @@ def test_every_law_reads_only_floats(law, rounds):
 def test_scalar_draw_is_the_loop_draw(builder, law):
     problem = random_problem("set_cover", 5, 6, seed=1, sigma=2.0)
     dist = laws(problem.clients)[law]
-    b = builder_for(builder, problem)
     rng, oracle_rng = stream(1, "d"), stream(1, "d")
     for sigma in SIGMAS:
-        law, rounds = b.draw_law(dist, sigma)
+        b = builder_for(builder, dataclasses.replace(problem, inflation=sigma))
+        law, rounds = b.draw_law(dist)
         assert ([law.sample(rng, rounds) for _ in range(50)]
                 == [loop_sample_draw(b, dist, sigma, oracle_rng) for _ in range(50)])
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -183,9 +184,9 @@ def test_each_distinct_pair_is_priced_once(monkeypatch, law, builder):
     monkeypatch.setattr(boosting, "CHUNK", 50)
     priced = []
 
-    def counting(problem, policy, realized, sigma):
+    def counting(problem, policy, realized):
         priced.append(realized)
-        return policy_cost(problem, policy, realized, sigma)
+        return policy_cost(problem, policy, realized)
 
     monkeypatch.setattr(boosting, "policy_cost", counting)
     problem = random_problem("set_cover", 5, 6, seed=2, sigma=2.0)
@@ -195,12 +196,12 @@ def test_each_distinct_pair_is_priced_once(monkeypatch, law, builder):
     oracle_rng = stream(7, "once")
     seen = [(loop_sample_draw(b, dist, 2.0, oracle_rng), loop_sample(dist, oracle_rng))
             for _ in range(runs)]
-    draw, rounds = b.draw_law(dist, 2.0)
+    draw, rounds = b.draw_law(dist)
     per_batch = 50 // (rounds * draw.width + dist.width)
     per_batch_pricing = sum(len(set(seen[i:i + per_batch]))
                             for i in range(0, runs, per_batch))
     assert per_batch_pricing > 2 * len(set(seen))
-    evaluate_policy(problem, b, dist, 2.0, "monte_carlo", stream(7, "once"), runs)
+    evaluate_policy(b, dist, "monte_carlo", stream(7, "once"), runs)
     assert len(priced) == len(set(seen))
 
 
@@ -229,7 +230,7 @@ def test_keys_wider_than_one_word_match_loop(law, builder):
     b = builder_for(builder, problem)
     if builder == "ind_boost":  # rare boosted draws keep the policies few
         b = dataclasses.replace(b, marginals=tuple((j, 0.01) for j in clients))
-    draw, _ = b.draw_law(dist, 2.0)
+    draw, _ = b.draw_law(dist)
     assert len(draw.universe) + len(dist.universe) == 80
     assert_same(problem, b, dist, 2.0, 13, 600)
 
@@ -240,14 +241,14 @@ def test_empty_universe_matches_loop():
     assert_same(problem, builder_for("boost", problem), dist, 2.0, 0, 500)
 
 
-def failing_problem():
+def failing_problem(sigma):
     """Set cover whose augmentation never serves client c3 or c4, and whose
     solver refuses any draw holding c1 and c2 together."""
     problem = set_cover_problem(
         clients=("c0", "c1", "c2", "c3", "c4"),
         sets={f"e{i}": (f"c{i}",) for i in range(5)},
         costs={f"e{i}": 1.0 for i in range(5)},
-        sigma=2.0,
+        sigma=sigma,
     )
     alg = algorithm_for(problem)
 
@@ -267,14 +268,14 @@ def failing_problem():
 @pytest.mark.parametrize("sigma", [1.0, 3.0])
 def test_first_failure_is_the_loops(monkeypatch, law, builder, sigma):
     monkeypatch.setattr(boosting, "CHUNK", 64)
-    problem, alg = failing_problem()
+    problem, alg = failing_problem(sigma)
     dist = laws(problem.clients)[law]
     b = builder_for(builder, problem, alg)
     for seed in range(4):
         with pytest.raises(Exception) as want:
             loop_monte_carlo(problem, b, dist, sigma, stream(seed, "f"), 400)
         with pytest.raises(Exception) as got:
-            evaluate_policy(problem, b, dist, sigma, "monte_carlo", stream(seed, "f"), 400)
+            evaluate_policy(b, dist, "monte_carlo", stream(seed, "f"), 400)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
@@ -285,21 +286,19 @@ def test_fewer_than_two_runs_are_refused_before_drawing(runs):
     rng = stream(0, "r")
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match="at least 2 runs"):
-        evaluate_policy(problem, builder_for("boost", problem), dist, 2.0,
-                        "monte_carlo", rng, runs)
+        evaluate_policy(builder_for("boost", problem), dist, "monte_carlo", rng, runs)
     assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("sigma, runs", [(1.0, caps.DRAWS + 1), (3.0, caps.DRAWS // 3 + 1),
                                          (caps.DRAWS + 1.0, 2)])
 def test_cap_is_refused_before_drawing(sigma, runs):
-    problem = random_problem("set_cover", 3, 3, seed=0, sigma=2.0)
+    problem = random_problem("set_cover", 3, 3, seed=0, sigma=sigma)
     dist = laws(problem.clients)["explicit"]
     rng = stream(0, "r")
     before = rng.bit_generator.state
     with pytest.raises(CapExceeded):
-        evaluate_policy(problem, builder_for("boost", problem), dist, sigma,
-                        "monte_carlo", rng, runs)
+        evaluate_policy(builder_for("boost", problem), dist, "monte_carlo", rng, runs)
     assert rng.bit_generator.state == before
 
 
@@ -316,7 +315,7 @@ def test_batches_bound_memory():
     assert runs <= caps.DRAWS
     tracemalloc.start()
     try:
-        ev = evaluate_policy(problem, builder, dist, 1.0, "monte_carlo", stream(0, "m"), runs)
+        ev = evaluate_policy(builder, dist, "monte_carlo", stream(0, "m"), runs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -28,7 +28,7 @@ from conftest import (
 from stocomb._kernels import bernoulli_weights
 from stocomb.boosting import IndBoostPolicyBuilder
 from stocomb.gap import GapInstance, SplitMap, split
-from stocomb.model import IndependentBernoulli, members, subset_table
+from stocomb.model import IndependentBernoulli, ProblemInstance, members, subset_table
 from stocomb.rng import stream
 from stocomb.setfun import coverage, from_json, random_coverage, table, weighted_rank
 
@@ -79,10 +79,12 @@ def test_bernoulli_weights_match_item_loop(n):
 def test_boosted_draw_space_matches_loop(n):
     clients = tuple(f"c{i}" for i in range(n))
     for probs in marginal_vectors(n):
-        builder = IndBoostPolicyBuilder(None, None, tuple(zip(clients, probs)))
         for sigma in (1.0, 1.7, 3.0):
-            got = builder.draw_space(None, sigma)
-            assert got == loop_boosted_draw_space(builder.boosted(sigma))
+            problem = ProblemInstance(clients, (), {}, sigma, None)
+            builder = IndBoostPolicyBuilder(problem, None, tuple(zip(clients, probs)))
+            got = builder.draw_space(None)
+            boosted = [(j, min(1.0, sigma * p)) for j, p in zip(clients, probs)]
+            assert got == loop_boosted_draw_space(boosted)
             assert all(type(p) is float for _, p in got)
 
 
