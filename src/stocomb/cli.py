@@ -6,7 +6,10 @@ Monte-Carlo evaluation), ``run-saa`` (sample-average pipeline with optional
 iteration trace), ``gap`` (correlation-gap report), and ``check`` (property
 suites).  Reports are canonical JSON; rerunning a command with the same seed
 and inputs reproduces the report byte for byte, so wall-clock time goes to
-stderr rather than into the file.
+stderr rather than into the file.  Each ``cmd_*`` returns its report and
+exit code; ``main`` stamps the report with ``command``, ``config`` (the
+arguments its subparser's ``echo`` default names) and ``artifact_version``,
+and writes it.  ``gen`` writes its instance unstamped.
 
 Exit codes: 0 success, 1 a check or bound failed, 2 schema error (an
 unreadable input included), 3 enumeration cap exceeded, 4 solver failure
@@ -81,14 +84,14 @@ EXIT_OUTPUT = 5
 
 
 def _emit(report: dict, args) -> None:
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         text = _csv_view(report)
-        if getattr(args, "output", None):
+        if args.output:
             write_text(args.output, text, overwrite=args.overwrite)
         else:
             sys.stdout.write(text)
         return
-    if getattr(args, "output", None):
+    if args.output:
         write_json(args.output, report, overwrite=args.overwrite)
     else:
         sys.stdout.write(canonical_json(report))
@@ -122,7 +125,7 @@ def _csv_view(report: dict) -> str:
 def _config_echo(args, fields) -> dict:
     out = {}
     for k in fields:
-        v = getattr(args, k, None)
+        v = getattr(args, k)
         if v is None:
             continue
         if k == "instance":
@@ -131,7 +134,7 @@ def _config_echo(args, fields) -> dict:
     return out
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple:
     if args.kind == "gap":
         if not 1 <= args.clients <= TABLE_ITEMS:
             raise SchemaError(f"gap instances take 1 to {TABLE_ITEMS} items, "
@@ -148,11 +151,10 @@ def cmd_gen(args) -> int:
         else:
             dist = None
         payload = dump_instance(problem, dist)
-    _emit(payload, args)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_solve_det(args) -> int:
+def cmd_solve_det(args) -> tuple:
     problem, _ = load_instance(read_json(args.instance))
     clients = (frozenset(args.clients.split(","))
                if args.clients else frozenset(problem.clients))
@@ -162,24 +164,20 @@ def cmd_solve_det(args) -> int:
     alg = algorithm_for(problem)
     sol = alg.solve(problem, clients)
     report = {
-        "command": "solve-det",
-        "config": _config_echo(args, ("instance", "clients")),
         "kind": problem.kind,
         "served": sorted(map(str, clients)),
         "chosen": sorted(map(str, sol.chosen)),
         "cost": float(sol.cost),
         "feasible": bool(problem.feasibility(sol.chosen, clients)),
-        "artifact_version": __version__,
     }
     if args.exact:
         opt = exact_opt(problem, clients)
         report["exact_cost"] = float(opt.cost)
         report["ratio"] = float(sol.cost / opt.cost) if opt.cost > 0 else 1.0
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _boost_report(args, dist, builder, seeded_policy, command: str) -> dict:
+def _boost_report(args, dist, builder, seeded_policy) -> dict:
     problem = builder.problem
     support = dist.support()
     records = []
@@ -192,13 +190,11 @@ def _boost_report(args, dist, builder, seeded_policy, command: str) -> dict:
             "recourse_cost": float(problem.cost(patch)),
         })
     evaluation = evaluate_policy(builder, dist, args.mode,
-                                 stream(args.seed, f"{command}-eval"), args.runs)
+                                 stream(args.seed, f"{args.command}-eval"), args.runs)
     optimum = exact_two_stage_opt(problem, dist)
     ratio = (evaluation.expected_cost / optimum.value
              if optimum.value > 1e-12 else 1.0)
     report = {
-        "command": command,
-        "config": _config_echo(args, ("instance", "seed", "mode", "runs")),
         "seed": args.seed,
         "first_stage": sorted(map(str, seeded_policy.first_stage)),
         "records": records,
@@ -207,14 +203,13 @@ def _boost_report(args, dist, builder, seeded_policy, command: str) -> dict:
         "optimal_first_stage": sorted(map(str, optimum.first_stage)),
         "ratio": float(ratio),
         "mode": evaluation.mode,
-        "artifact_version": __version__,
     }
     if evaluation.ci_halfwidth is not None:
         report["ci_halfwidth"] = float(evaluation.ci_halfwidth)
     return report
 
 
-def cmd_run_boost(args) -> int:
+def cmd_run_boost(args) -> tuple:
     problem, dist = load_instance(read_json(args.instance))
     if dist is None:
         raise SchemaError("run-boost needs a distribution in the instance file")
@@ -222,22 +217,20 @@ def cmd_run_boost(args) -> int:
     policy = boost_and_sample(problem, alg, dist,
                               stream(args.seed, "boost-draws"))
     builder = BoostPolicyBuilder(problem, alg)
-    _emit(_boost_report(args, dist, builder, policy, "run-boost"), args)
-    return EXIT_OK
+    return _boost_report(args, dist, builder, policy), EXIT_OK
 
 
-def cmd_run_indboost(args) -> int:
+def cmd_run_indboost(args) -> tuple:
     problem, dist = load_instance(read_json(args.instance))
     if not isinstance(dist, IndependentBernoulli):
         raise SchemaError("run-indboost needs an independent distribution")
     alg = algorithm_for(problem)
     policy = ind_boost(problem, alg, dist, stream(args.seed, "indboost-draws"))
     builder = IndBoostPolicyBuilder(problem, alg, dist.marginals)
-    _emit(_boost_report(args, dist, builder, policy, "run-indboost"), args)
-    return EXIT_OK
+    return _boost_report(args, dist, builder, policy), EXIT_OK
 
 
-def cmd_run_saa(args) -> int:
+def cmd_run_saa(args) -> tuple:
     instance = load_stochastic_lp(read_json(args.instance))
     rng = stream(args.seed, "saa-sample")
     sampled = build_sample_average(instance, args.samples, rng)
@@ -245,8 +238,6 @@ def cmd_run_saa(args) -> int:
     true_value = h_exact(instance, result.x)
     opt_value, opt_x = solve_deterministic_equivalent(instance)
     report = {
-        "command": "run-saa",
-        "config": _config_echo(args, ("instance", "seed", "samples", "tolerance")),
         "seed": args.seed,
         "empirical_weights": [float(b.probability) for b in sampled.scenarios],
         "solution": [float(v) for v in result.x],
@@ -257,29 +248,24 @@ def cmd_run_saa(args) -> int:
         "excess_over_optimum": float(true_value - opt_value),
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
-        "artifact_version": __version__,
     }
     if args.trace:
         write_text(args.trace, _csv([("iteration", "value", "lower_bound"),
                                      *result.trace]), overwrite=args.overwrite)
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_gap(args) -> int:
+def cmd_gap(args) -> tuple:
     inst = load_gap_instance(read_json(args.instance))
     report_data = correlation_gap(inst, eta=args.eta, beta=args.beta)
     satisfied = report_data.kappa <= report_data.bound + 1e-6
     report = {
-        "command": "gap",
-        "config": _config_echo(args, ("instance", "eta", "beta")),
         "ground": list(inst.ground),
         "worst_case": float(report_data.worst_case),
         "independent": float(report_data.independent),
         "kappa": float(report_data.kappa),
         "bound": float(report_data.bound),
         "bound_satisfied": bool(satisfied),
-        "artifact_version": __version__,
     }
     if len(inst.ground) <= 8:
         report["worst_distribution"] = {
@@ -287,11 +273,10 @@ def cmd_gap(args) -> int:
             for s, p in sorted(report_data.worst_distribution.items(),
                                key=lambda kv: ",".join(sorted(map(str, kv[0]))))
         }
-    _emit(report, args)
-    return EXIT_OK if satisfied else EXIT_CHECK_FAILED
+    return report, EXIT_OK if satisfied else EXIT_CHECK_FAILED
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple:
     problem, _ = load_instance(read_json(args.instance))
     if args.suite == "solver":
         alg = algorithm_for(problem)
@@ -304,21 +289,12 @@ def cmd_check(args) -> int:
             rep = check_subadditive(problem)
         elif args.suite == "monotone-feasibility":
             rep = check_monotone_feasibility(problem)
-        elif args.suite == "fairness":
-            rep = check_fairness(equal_split_shares(problem), problem)
         else:
-            raise SchemaError(f"unknown suite {args.suite!r}")
+            rep = check_fairness(equal_split_shares(problem), problem)
         result = {"ok": rep.ok, "failure": rep.failure}
     passed = result["ok"]
-    report = {
-        "command": "check",
-        "config": _config_echo(args, ("instance", "suite")),
-        "results": {args.suite: result},
-        "passed": bool(passed),
-        "artifact_version": __version__,
-    }
-    _emit(report, args)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    report = {"results": {args.suite: result}, "passed": bool(passed)}
+    return report, EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _at_least(minimum: int):
@@ -374,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distribution",
                    choices=("explicit", "independent", "none"), default="explicit")
     common(p, needs_seed=True)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, echo=None)
 
     p = sub.add_parser("solve-det", help="run the deterministic solver")
     p.add_argument("--instance", required=True)
@@ -382,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="also run the exhaustive optimizer and report the ratio")
     common(p, needs_seed=False)
-    p.set_defaults(func=cmd_solve_det)
+    p.set_defaults(func=cmd_solve_det, echo=("instance", "clients"))
 
     for name, fn in (("run-boost", cmd_run_boost), ("run-indboost", cmd_run_indboost)):
         p = sub.add_parser(name, help=f"evaluate the {name[4:]} policy")
@@ -391,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--runs", type=_at_least(2), default=10_000,
                        help="replications in monte_carlo mode (at least 2)")
         common(p, needs_seed=True)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, echo=("instance", "seed", "mode", "runs"))
 
     p = sub.add_parser("run-saa", help="sample-average pipeline on a stochastic LP")
     p.add_argument("--instance", required=True)
@@ -399,14 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=_finite_above(0.0, strict=False), default=1e-6)
     p.add_argument("--trace", help="write the per-iteration CSV trace here")
     common(p, needs_seed=True)
-    p.set_defaults(func=cmd_run_saa)
+    p.set_defaults(func=cmd_run_saa,
+                   echo=("instance", "seed", "samples", "tolerance"))
 
     p = sub.add_parser("gap", help="correlation-gap report for a gap instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--eta", type=_finite_above(0.0, strict=True), default=1.0)
     p.add_argument("--beta", type=_finite_above(0.0, strict=True), default=1.0)
     common(p, needs_seed=False)
-    p.set_defaults(func=cmd_gap)
+    p.set_defaults(func=cmd_gap, echo=("instance", "eta", "beta"))
 
     p = sub.add_parser("check", help="run a property suite on an instance")
     p.add_argument("--instance", required=True)
@@ -414,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("subadditivity", "monotone-feasibility",
                             "solver", "fairness"))
     common(p, needs_seed=False)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, echo=("instance", "suite"))
 
     return parser
 
@@ -423,7 +400,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        code = args.func(args)
+        report, code = args.func(args)
+        if args.echo is not None:
+            report.update(command=args.command, config=_config_echo(args, args.echo),
+                          artifact_version=__version__)
+        _emit(report, args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -41,18 +42,20 @@ from .setfun import from_json as setfun_from_json
 
 
 def _schema_checked(what: str):
-    """Loader decorator: data the model constructors reject (a ``ValueError``,
-    such as probabilities that do not sum to 1 or a number that is not
-    finite) or a payload of the wrong shape (such as ``null``, a number, a
-    string or a list where an object belongs) is reported as a
-    :class:`SchemaError`."""
+    """Loader decorator: a missing field (a ``KeyError``), data the model
+    constructors reject (a ``ValueError``, such as probabilities that do not
+    sum to 1 or a number that is not finite) or a payload of the wrong shape
+    (such as ``null``, a number, a string or a list where an object belongs)
+    is reported as a :class:`SchemaError`."""
 
     def decorate(load):
         @functools.wraps(load)
         def checked(payload):
             try:
                 return load(payload)
-            except (TypeError, KeyError, ValueError, AttributeError) as exc:
+            except KeyError as exc:
+                raise SchemaError(f"missing field {exc} in {what}") from exc
+            except (TypeError, ValueError, AttributeError) as exc:
                 raise SchemaError(f"malformed {what}: {exc}") from exc
 
         return checked
@@ -60,24 +63,15 @@ def _schema_checked(what: str):
     return decorate
 
 
-def _require(payload: dict, key: str, where: str):
-    if key not in payload:
-        raise SchemaError(f"missing field {key!r} in {where}")
-    return payload[key]
-
-
+@_schema_checked("distribution")
 def load_distribution(payload: dict) -> ScenarioDistribution:
-    kind = _require(payload, "kind", "distribution")
+    kind = payload["kind"]
     if kind == "explicit":
-        outcomes = _require(payload, "outcomes", "distribution")
-        return Explicit(tuple((frozenset(o["subset"]), float(o["prob"]))
-                              for o in outcomes))
+        return Explicit(tuple((o["subset"], o["prob"]) for o in payload["outcomes"]))
     if kind == "independent":
-        marg = _require(payload, "marginals", "distribution")
-        return IndependentBernoulli(tuple((j, float(p)) for j, p in marg.items()))
+        return IndependentBernoulli(tuple(payload["marginals"].items()))
     if kind == "k_partition":
-        blocks = _require(payload, "blocks", "distribution")
-        return KPartition(tuple(frozenset(b) for b in blocks))
+        return KPartition(payload["blocks"])
     raise SchemaError(f"unknown distribution kind {kind!r}")
 
 
@@ -96,32 +90,33 @@ def dump_distribution(dist: ScenarioDistribution) -> dict:
 @_schema_checked("instance")
 def load_instance(payload: dict):
     """Parse a client-element instance; returns (problem, distribution|None)."""
-    clients = tuple(_require(payload, "clients", "instance"))
-    elements = _require(payload, "elements", "instance")
-    costs = {e["id"]: float(e["cost"]) for e in elements}
-    order = tuple(e["id"] for e in elements)
-    sigma = float(_require(payload, "sigma", "instance"))
-    problem = _require(payload, "problem", "instance")
-    kind = _require(problem, "kind", "problem")
+    clients = payload["clients"]
+    order = tuple(e["id"] for e in payload["elements"])
+    costs = {e["id"]: float(e["cost"]) for e in payload["elements"]}
+    if len(costs) < len(order):
+        repeated = sorted({str(e) for e in order if order.count(e) > 1})
+        raise SchemaError(f"repeated element ids: {repeated}")
+    sigma = float(payload["sigma"])
+    problem = payload["problem"]
+    kind = problem["kind"]
 
     if kind == "steiner":
-        edges = {e: tuple(uv) for e, uv in _require(problem, "edges", "problem").items()}
+        edges = problem["edges"]
         _check_ids(order, edges, "edges")
         inst = steiner_problem(clients, {e: edges[e] for e in order}, costs,
                                sigma, root=problem.get("root"))
     elif kind == "set_cover":
-        sets = {e: tuple(m) for e, m in _require(problem, "sets", "problem").items()}
+        sets = problem["sets"]
         _check_ids(order, sets, "sets")
         inst = set_cover_problem(clients, {e: sets[e] for e in order}, costs, sigma)
     elif kind == "vertex_cover":
-        edges = {c: tuple(uv) for c, uv in _require(problem, "edges", "problem").items()}
+        edges = problem["edges"]
         if set(edges) != set(clients):
             raise SchemaError("vertex-cover edges must be keyed by client ids")
         inst = vertex_cover_problem(order, edges, costs, sigma)
     elif kind == "ufl":
-        facilities = tuple(_require(problem, "facilities", "problem"))
-        assigns = {a: tuple(p) for a, p in
-                   _require(problem, "assignments", "problem").items()}
+        facilities = problem["facilities"]
+        assigns = problem["assignments"]
         if set(order) != set(facilities) | set(assigns):
             raise SchemaError(
                 "element ids must be exactly the facilities plus assignments")
@@ -181,34 +176,23 @@ def dump_instance(problem: ProblemInstance,
 
 @_schema_checked("stochastic LP")
 def load_stochastic_lp(payload: dict) -> StochasticLPInstance:
-    w = np.asarray(_require(payload, "first_stage_cost", "lp instance"),
-                   dtype=float)
-    poly_payload = _require(payload, "polytope", "lp instance")
+    w = np.asarray(payload["first_stage_cost"], dtype=float)
+    poly_payload = payload["polytope"]
     if "rows" in poly_payload or "row_rhs" in poly_payload:
         raise SchemaError("the polytope is a box: rows and row_rhs are not supported")
-    poly = Polytope(
-        lower=np.asarray(poly_payload.get("lower", np.zeros(w.size)), dtype=float),
-        upper=np.asarray(poly_payload.get("upper", np.ones(w.size)), dtype=float),
-    )
-    blocks = []
-    for blk in _require(payload, "scenarios", "lp instance"):
-        k = len(blk["requirement"])
-        aux = np.asarray(blk.get("aux_cost", []), dtype=float)
-        if aux.size:
-            coupling = np.asarray(blk["coupling"], dtype=float).reshape(k, -1)
-        else:
-            coupling = np.zeros((k, 0))
-        blocks.append(ScenarioBlock(
-            probability=float(blk["probability"]),
-            recourse_cost=np.asarray(blk["recourse_cost"], dtype=float),
-            aux_cost=aux,
-            coupling=coupling,
-            technology=np.asarray(blk["technology"], dtype=float),
-            requirement=np.asarray(blk["requirement"], dtype=float),
-        ))
+    poly = Polytope(lower=poly_payload.get("lower", np.zeros(w.size)),
+                    upper=poly_payload.get("upper", np.ones(w.size)))
+    blocks = tuple(ScenarioBlock(
+        probability=float(blk["probability"]),
+        recourse_cost=blk["recourse_cost"],
+        aux_cost=blk.get("aux_cost", []),
+        coupling=blk.get("coupling", []),
+        technology=blk["technology"],
+        requirement=blk["requirement"],
+    ) for blk in payload["scenarios"])
     if not blocks:
         raise SchemaError("no scenarios: their probabilities sum to 0, not 1")
-    return StochasticLPInstance(w, poly, tuple(blocks))
+    return StochasticLPInstance(w, poly, blocks)
 
 
 def dump_stochastic_lp(instance: StochasticLPInstance) -> dict:
@@ -235,10 +219,9 @@ def dump_stochastic_lp(instance: StochasticLPInstance) -> dict:
 
 @_schema_checked("gap instance")
 def load_gap_instance(payload: dict) -> GapInstance:
-    ground = tuple(_require(payload, "ground", "gap instance"))
-    marginals = {i: float(_require(payload, "marginals", "gap instance")[str(i)])
-                 for i in ground}
-    f = setfun_from_json(_require(payload, "set_function", "gap instance"), ground)
+    ground = tuple(payload["ground"])
+    marginals = {i: float(payload["marginals"][str(i)]) for i in ground}
+    f = setfun_from_json(payload["set_function"], ground)
     return GapInstance(ground, f, marginals)
 
 
@@ -251,18 +234,31 @@ def canonical_json(obj) -> str:
         raise NumericalFailure(f"report value out of range: {exc}") from exc
 
 
+# A JSON escape of a UTF-16 surrogate: only text holding one can decode to
+# a string that no UTF-8 writer accepts.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def read_json(path) -> dict:
     """The JSON document at ``path``; a file that cannot be read, is not
-    UTF-8 or is not JSON is a :class:`SchemaError`."""
+    UTF-8 or is not JSON, or a string holding an unpaired surrogate escape
+    (such as ``"\\ud800"``), is a :class:`SchemaError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeEncodeError as exc:
+        lone = exc.object[exc.start:exc.end]
+        raise SchemaError(f"{path}: unpaired surrogate escape {lone!r}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
+    return doc
 
 
 def write_text(path, text: str, overwrite: bool = False):

@@ -207,6 +207,8 @@ def ufl_problem(clients, facilities, open_costs: Mapping,
     for a, (i, j) in assignments.items():
         if i not in facilities:
             raise ValueError(f"assignment {a!r} names {i!r}, which is not a facility")
+        if j not in clients:
+            raise ValueError(f"assignment {a!r} names {j!r}, which is not a client")
     elements = facilities + tuple(assignments)
     patterns: dict = {j: [] for j in clients}
     for a, (i, j) in assignments.items():

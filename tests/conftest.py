@@ -858,7 +858,8 @@ def substituted(payload, path, value):
 
 # -- Instance files whose ids name nothing ------------------------------------
 
-MALFORMED_IDS = ("steiner_endpoint", "vertex_cover_endpoint", "ufl_facility")
+MALFORMED_IDS = ("steiner_endpoint", "vertex_cover_endpoint", "ufl_facility",
+                 "ufl_client")
 
 
 def malformed_ids(case: str) -> dict:
@@ -871,7 +872,8 @@ def malformed_ids(case: str) -> dict:
         payload["problem"]["edges"]["g0"][1] = "ghost"
     else:
         payload = dump_instance(random_problem("ufl", 2, 2, seed=1))
-        payload["problem"]["assignments"]["f0~c0"][0] = "ghost"
+        end = 0 if case == "ufl_facility" else 1
+        payload["problem"]["assignments"]["f0~c0"][end] = "ghost"
     return payload
 
 

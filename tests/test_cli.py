@@ -168,21 +168,41 @@ def _edit_explicit_prob(d):
     d["distribution"]["outcomes"][0]["prob"] = 0.4
 
 
+# cov3.json's clients are 1, 2, 3 and its elements sA, sB, sC.
 MALFORMED = {
-    "probabilities-sum-0.9": ("run-boost", "edge1.json", _edit_explicit_prob),
+    "probabilities-sum-0.9": ("run-boost", "edge1.json", _edit_explicit_prob,
+                              "probabilities sum to 0.9"),
     "marginal-1.5": ("run-indboost", "edge1_independent.json",
-                     lambda d: d["distribution"]["marginals"].update(j=1.5)),
-    "sigma-0.5": ("solve-det", "edge1.json", lambda d: d.update(sigma=0.5)),
+                     lambda d: d["distribution"]["marginals"].update(j=1.5),
+                     "outside [0, 1]"),
+    "sigma-0.5": ("solve-det", "edge1.json", lambda d: d.update(sigma=0.5),
+                  "inflation factor"),
     "negative-cost": ("solve-det", "edge1.json",
-                      lambda d: d["elements"][0].update(cost=-1.0)),
+                      lambda d: d["elements"][0].update(cost=-1.0), "cost of element"),
     "gap-marginal-1.5": ("gap", "gap2.json",
-                         lambda d: d["marginals"].update(a=1.5)),
+                         lambda d: d["marginals"].update(a=1.5), "outside [0, 1]"),
+    "unknown-problem-kind": ("solve-det", "cov3.json",
+                             lambda d: d["problem"].update(kind="knapsack"),
+                             "unknown problem kind 'knapsack'"),
+    "vertex-cover-edges-not-clients": (
+        "solve-det", "cov3.json",
+        lambda d: d.update(problem={"kind": "vertex_cover", "edges": {
+            "1": ["sA", "sB"], "2": ["sB", "sC"], "4": ["sA", "sC"]}}),
+        "keyed by client ids"),
+    "ufl-elements-not-facilities-plus-assignments": (
+        "solve-det", "cov3.json",
+        lambda d: d.update(problem={"kind": "ufl", "facilities": ["sA"],
+                                    "assignments": {"sB": ["sA", "1"]}}),
+        "exactly the facilities plus assignments"),
+    "missing-problem-sets": ("solve-det", "cov3.json",
+                             lambda d: d["problem"].pop("sets"),
+                             "missing field 'sets'"),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_input_exit_2(case, tmp_path, capsys):
-    command, source, edit = MALFORMED[case]
+    command, source, edit, message = MALFORMED[case]
     payload = json.loads((INSTANCES / source).read_text())
     edit(payload)
     bad = tmp_path / "bad.json"
@@ -191,7 +211,8 @@ def test_malformed_input_exit_2(case, tmp_path, capsys):
     if command.startswith("run-"):
         argv += ["--seed", "1"]
     assert main(argv) == 2
-    assert "schema error" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("schema error: ") and message in err[0], err
 
 
 def test_indboost_requires_independent_distribution():

@@ -17,8 +17,14 @@ from pathlib import Path
 import pytest
 
 from stocomb.cli import main
-from stocomb.generate import random_stochastic_lp
-from stocomb.io import dump_stochastic_lp, load_gap_instance, read_json, write_json
+from stocomb.generate import random_problem, random_stochastic_lp
+from stocomb.io import (
+    dump_instance,
+    dump_stochastic_lp,
+    load_gap_instance,
+    read_json,
+    write_json,
+)
 from stocomb.lp import MAX_CONSTRAINTS
 from stocomb.setfun import TABLE_ITEMS
 
@@ -180,6 +186,33 @@ def test_set_cover_member_that_is_not_a_client_exits_0(command, tmp_path, capsys
     assert exit_code(command[:1] + ["--instance", str(inst)] + command[1:], capsys) == 0
 
 
+@pytest.mark.parametrize("kind", ["steiner", "ufl", "set_cover", "vertex_cover"])
+def test_repeated_element_id_exits_2(kind, tmp_path, capsys):
+    payload = dump_instance(random_problem(kind, 3, 2 if kind == "ufl" else 4, seed=1))
+    first = payload["elements"][0]["id"]
+    payload["elements"].append({"id": first, "cost": 50.0})
+    inst = tmp_path / "inst.json"
+    write_json(inst, payload)
+    assert main(["solve-det", "--instance", str(inst), "--exact"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"schema error: repeated element ids: [{first!r}]"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_escaped_surrogate_pair_loads_and_renders(fmt, tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text((INSTANCES / "edge1.json").read_text()
+                    .replace('"j"', '"\\ud83d\\ude00"'))
+    out = tmp_path / "report"
+    assert main(["run-boost", "--instance", str(inst), "--seed", "1",
+                 "--format", fmt, "--output", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    if fmt == "json":
+        assert json.loads(text)["records"][1]["scenario"] == ["\U0001F600"]
+    else:
+        assert "\U0001F600,0.5," in text
+
+
 def test_stochastic_lp_without_scenarios_exits_2(tmp_path, capsys):
     payload = json.loads((INSTANCES / "saa_ufl.json").read_text())
     payload["scenarios"] = []
@@ -295,6 +328,13 @@ def path_case(case: str, tmp_path) -> tuple:
         path = tmp_path / "latin1.json"
         path.write_bytes('{"ground": ["é"]}'.encode("latin-1"))
         return ["gap", "--instance", str(path)], 2, path
+    if case == "unpaired_surrogate_instance":
+        # No UTF-8 writer takes the decoded id, so no view could print it.
+        path = tmp_path / "surrogate.json"
+        path.write_text((INSTANCES / "edge1.json").read_text()
+                        .replace('"j"', '"\\ud800"'))
+        return (["run-boost", "--instance", str(path), "--seed", "1",
+                 "--format", "csv"], 2, path)
     if case == "directory_output":
         return gap + ["--output", str(tmp_path), "--overwrite"], 5, tmp_path
     if case == "directory_trace":
@@ -307,8 +347,9 @@ def path_case(case: str, tmp_path) -> tuple:
 
 
 @pytest.mark.parametrize("case", ["missing_instance", "directory_instance",
-                                  "not_utf8_instance", "directory_output",
-                                  "directory_trace", "file_as_output_directory"])
+                                  "not_utf8_instance", "unpaired_surrogate_instance",
+                                  "directory_output", "directory_trace",
+                                  "file_as_output_directory"])
 def test_unreadable_inputs_and_unwritable_outputs(case, tmp_path, capsys):
     argv, expected, path = path_case(case, tmp_path)
     assert main(argv) == expected  # an escaping exception fails here

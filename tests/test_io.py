@@ -121,7 +121,7 @@ def test_gap_instance_loading():
 
 @pytest.mark.parametrize("case", MALFORMED_IDS)
 def test_ids_that_name_nothing_raise_schema_error(case):
-    with pytest.raises(SchemaError, match="ghost"):
+    with pytest.raises(SchemaError, match="'ghost', which is not a"):
         load_instance(malformed_ids(case))
 
 

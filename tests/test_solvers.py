@@ -58,6 +58,21 @@ class TestSteiner:
         with pytest.raises(Disconnected):
             steiner_solve(p, frozenset({"a", "c"}))
 
+    def test_cycle_in_path_union_is_cut_and_pruned(self):
+        # The shortest paths v0->v6 and v0->v9 close the cycle
+        # v2-v3-v7-v9-v4: the MST step drops e11, which leaves v7 and then
+        # v3 as non-terminal leaves, so pruning removes e7 and then e3.
+        ends = [("v0", "v1", 0), ("v1", "v2", 2), ("v1", "v5", 2), ("v2", "v3", 0),
+                ("v2", "v4", 1), ("v2", "v5", 0), ("v2", "v7", 2), ("v3", "v7", 0),
+                ("v4", "v9", 0), ("v5", "v6", 2), ("v7", "v8", 2), ("v7", "v9", 1)]
+        p = steiner_problem([f"v{k}" for k in range(10)],
+                            {f"e{k}": (u, v) for k, (u, v, _) in enumerate(ends)},
+                            {f"e{k}": float(c) for k, (_, _, c) in enumerate(ends)},
+                            root="v0")
+        sol = steiner_solve(p, frozenset({"v0", "v6", "v9"}))
+        assert sol.chosen == {"e0", "e1", "e4", "e5", "e8", "e9"}
+        assert sol.cost == 5.0
+
     def test_output_is_a_tree(self):
         for seed in range(30):
             p = random_problem("steiner", 5, 7, seed)
