@@ -59,12 +59,34 @@ class TwoStageOptimum:
     first_stage: frozenset
 
 
-def _rounds(sigma: float) -> int:
-    """floor(sigma) sampling rounds; more than ``caps.DRAWS`` are refused."""
-    if not sigma < caps.DRAWS + 1:
-        raise CapExceeded(f"sigma {sigma!r} asks for more than {caps.DRAWS} "
-                          "sampling rounds")
-    return int(math.floor(sigma))
+def union_law(law: ScenarioDistribution, rounds: int) -> list[tuple]:
+    """The positive-weight law of the union of ``rounds`` independent draws
+    of ``law`` by OR-convolution, law(U | S) += law(U) p(S) once per round,
+    in first-reached order.  With s outcomes listed over n clients, round k
+    passes over a table of at most min(s^(k-1), 2^n, 2^s - 1) unions at a
+    cost of s each; more than ``caps.DRAWS`` in all is refused before
+    ``support`` is read."""
+    s = law.support_size
+    work, table = 0, 1
+    for k in range(rounds):
+        work += s * table
+        if work > caps.DRAWS:
+            break
+        grown = min(table * s, 1 << len(law.universe), (1 << s) - 1)
+        if grown == table:  # every later round costs as much as this one
+            work += (rounds - k - 1) * s * table
+            break
+        table = grown
+    if work > caps.DRAWS:
+        raise CapExceeded(f"the union of {rounds} draws of {s} outcomes is too large")
+    support = law.support()
+    out = {frozenset(): 1.0}
+    for _ in range(rounds):
+        prev, out = out, {}
+        for union, w in prev.items():
+            for drawn, q in support:
+                out[union | drawn] = out.get(union | drawn, 0.0) + w * q
+    return [(union, w) for union, w in out.items() if w > 0.0]
 
 
 @dataclass(frozen=True)
@@ -75,30 +97,13 @@ class BoostPolicyBuilder:
     alg: ApproxAlgorithm
 
     def draw_law(self, dist: ScenarioDistribution):
-        """(law, rounds): a draw is the union of ``rounds`` samples of ``law``."""
-        return dist, _rounds(self.problem.inflation)
-
-    def draw_space(self, dist: ScenarioDistribution):
-        """Distribution of the union of floor(sigma) independent samples."""
-        rounds = _rounds(self.problem.inflation)
-        support = dist.support()
-        # Any support of two or more outcomes passes the cap within
-        # DRAWS.bit_length() rounds, so the exponent is clipped there and
-        # the size is compared exactly without building a huge integer.
-        exponent = min(max(rounds, 1), caps.DRAWS.bit_length())
-        if len(support) ** exponent > caps.DRAWS:
-            raise CapExceeded("sampling-draw space too large to enumerate")
-        law: dict = {}
-        for combo in itertools.product(support, repeat=rounds):
-            union: frozenset = frozenset()
-            p = 1.0
-            for s, q in combo:
-                union |= s
-                p *= q
-            law[union] = law.get(union, 0.0) + p
-        if not law:
-            law[frozenset()] = 1.0
-        return sorted(law.items(), key=lambda kv: sorted(map(str, kv[0])))
+        """(law, rounds): a draw is the union of ``rounds`` samples of ``law``,
+        floor(sigma) of them; more than ``caps.DRAWS`` are refused."""
+        sigma = self.problem.inflation
+        if not sigma < caps.DRAWS + 1:
+            raise CapExceeded(f"sigma {sigma!r} asks for more than {caps.DRAWS} "
+                              "sampling rounds")
+        return dist, int(math.floor(sigma))
 
     def policy(self, drawn: frozenset) -> TwoStagePolicy:
         first = self.alg.solve(self.problem, drawn).chosen
@@ -122,20 +127,11 @@ class IndBoostPolicyBuilder:
     alg: ApproxAlgorithm
     marginals: tuple
 
-    def boosted(self) -> list[tuple]:
-        sigma = self.problem.inflation
-        return [(j, min(1.0, sigma * p)) for j, p in self.marginals]
-
     def draw_law(self, dist):
         """(law, 1): a draw is one sample of the boosted product law."""
-        return IndependentBernoulli(self.boosted()), 1
-
-    def draw_space(self, dist):
-        """The boosted law's positive-weight support, in mask order."""
-        law, _ = self.draw_law(dist)
-        if 2 ** law.width > caps.DRAWS:
-            raise CapExceeded("boosted-draw space too large to enumerate")
-        return [(drawn, w) for drawn, w in law.support() if w > 0.0]
+        sigma = self.problem.inflation
+        return IndependentBernoulli(
+            [(j, min(1.0, sigma * p)) for j, p in self.marginals]), 1
 
     def policy(self, drawn: frozenset) -> TwoStagePolicy:
         first = self.alg.solve(self.problem, drawn).chosen
@@ -186,23 +182,23 @@ def evaluate_policy(builder, dist: ScenarioDistribution, mode: str = "exact",
                     rng=None, runs: int = 10_000) -> PolicyEvaluation:
     """Expected two-stage cost of the builder's policy family on its problem.
 
-    Exact mode enumerates the builder's own draw space against the scenario
-    support.  Monte-Carlo mode replays ``runs`` (at least 2) independent
-    (draw, realization) pairs and reports a 99% confidence halfwidth; it
-    refuses more than ``caps.DRAWS`` sampling draws in all before drawing
-    any.  It draws in batches that read ``rng`` in per-run order, each
-    run's draw and then its realization, so every seeded stream gives the
-    values of one-run-at-a-time sampling, bit for bit.
+    Exact mode pairs the :func:`union_law` of the builder's ``draw_law``,
+    each positive-weight draw once, with the scenario support.  Monte-Carlo
+    mode replays ``runs`` (at least 2) independent (draw, realization)
+    pairs and reports a 99% confidence halfwidth; it refuses more than
+    ``caps.DRAWS`` sampling draws in all before drawing any.  It draws in
+    batches that read ``rng`` in per-run order, each run's draw and then its
+    realization, so every seeded stream gives the values of
+    one-run-at-a-time sampling, bit for bit.
     """
     problem = builder.problem
     if mode == "exact":
-        support = dist.support()
+        draws = union_law(*builder.draw_law(dist))
+        support = [(realized, p) for realized, p in dist.support() if p != 0.0]
         total = 0.0
-        for drawn, p_draw in builder.draw_space(dist):
+        for drawn, p_draw in draws:
             policy = builder.policy(drawn)
             for realized, p_real in support:
-                if p_real == 0.0:
-                    continue
                 total += p_draw * p_real * policy_cost(problem, policy, realized)
         return PolicyEvaluation(total, "exact")
     if mode != "monte_carlo":

@@ -10,7 +10,7 @@ OPT_ELEMENTS = 24        # 2^|X| subsets in the exact optimizer
 SUPPORT_CLIENTS = 20     # 2^|V| subsets when enumerating a product distribution
 SUBADD_CLIENTS = 5       # clients in the subadditivity, monotonicity, solver and cost-share sweeps
 SUBADD_ELEMENTS = 12     # elements in those sweeps
-DRAWS = 10 ** 6          # sampling rounds, and draw-space size in exact policy evaluation
+DRAWS = 10 ** 6          # sampling rounds, and union_law's convolution work in exact policy evaluation
 TWO_STAGE = 10 ** 6      # 2^|X| * support size in the two-stage optimum search
 SCHEME_CLIENTS = 6       # ground-set size for the scheme checker
 MARGINAL_SCHEME = 10     # ground-set size for the marginal-scheme certification

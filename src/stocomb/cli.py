@@ -179,6 +179,8 @@ def cmd_solve_det(args) -> tuple:
 
 def _boost_report(args, dist, builder, seeded_policy) -> dict:
     problem = builder.problem
+    evaluation = evaluate_policy(builder, dist, args.mode,
+                                 stream(args.seed, f"{args.command}-eval"), args.runs)
     support = dist.support()
     records = []
     for realized, p in sorted(support, key=lambda kv: sorted(map(str, kv[0]))):
@@ -189,8 +191,6 @@ def _boost_report(args, dist, builder, seeded_policy) -> dict:
             "recourse": sorted(map(str, patch)),
             "recourse_cost": float(problem.cost(patch)),
         })
-    evaluation = evaluate_policy(builder, dist, args.mode,
-                                 stream(args.seed, f"{args.command}-eval"), args.runs)
     optimum = exact_two_stage_opt(problem, dist)
     ratio = (evaluation.expected_cost / optimum.value
              if optimum.value > 1e-12 else 1.0)

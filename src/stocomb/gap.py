@@ -82,11 +82,8 @@ class SplitMap:
                 raise ValueError(f"copy count for {i!r} must be a positive integer")
 
     def ground_of(self, inst: GapInstance) -> tuple:
-        out = []
-        for i in inst.ground:
-            for k in range(1, self.copies.get(i, 1) + 1):
-                out.append((i, k))
-        return tuple(out)
+        return tuple((i, k) for i in inst.ground
+                     for k in range(1, self.copies.get(i, 1) + 1))
 
 
 def priced_columns(reduced: np.ndarray, value: float) -> np.ndarray:
@@ -254,17 +251,12 @@ def split_scheme(scheme: OrderedCostShareScheme,
             raise ValueError(f"{copy!r} is not in the served set")
         if frozenset(order) != frozenset(subset):
             raise ValueError("order must enumerate exactly the served set")
-        reps = {}
-        rep_order = []
+        reps: dict = {}  # each original's first copy, in order
         for c in order:
-            orig = c[0]
-            if orig not in reps:
-                reps[orig] = c
-                rep_order.append(orig)
+            reps.setdefault(c[0], c)
         if reps[copy[0]] != copy:
             return 0.0
-        projected = frozenset(rep_order)
-        return base_chi(copy[0], projected, tuple(rep_order))
+        return base_chi(copy[0], frozenset(reps), tuple(reps))
 
     return OrderedCostShareScheme(chi=chi, eta=scheme.eta, beta=scheme.beta,
                                   certified=scheme.certified)

@@ -185,8 +185,10 @@ def load_stochastic_lp(payload: dict) -> StochasticLPInstance:
     blocks = tuple(ScenarioBlock(
         probability=float(blk["probability"]),
         recourse_cost=blk["recourse_cost"],
-        aux_cost=blk.get("aux_cost", []),
-        coupling=blk.get("coupling", []),
+        # Both or neither: each reads the other's key, so either one alone
+        # is a missing field.
+        aux_cost=blk["aux_cost"] if "coupling" in blk else [],
+        coupling=blk["coupling"] if "aux_cost" in blk else [],
         technology=blk["technology"],
         requirement=blk["requirement"],
     ) for blk in payload["scenarios"])
@@ -197,24 +199,14 @@ def load_stochastic_lp(payload: dict) -> StochasticLPInstance:
 
 def dump_stochastic_lp(instance: StochasticLPInstance) -> dict:
     poly = instance.polytope
-    out: dict = {
+    arrays = ("recourse_cost", "aux_cost", "coupling", "technology", "requirement")
+    return {
         "first_stage_cost": instance.first_stage_cost.tolist(),
-        "polytope": {
-            "lower": poly.lower.tolist(),
-            "upper": poly.upper.tolist(),
-        },
-        "scenarios": [],
+        "polytope": {"lower": poly.lower.tolist(), "upper": poly.upper.tolist()},
+        "scenarios": [{"probability": blk.probability,
+                       **{name: getattr(blk, name).tolist() for name in arrays}}
+                      for blk in instance.scenarios],
     }
-    for blk in instance.scenarios:
-        out["scenarios"].append({
-            "probability": blk.probability,
-            "recourse_cost": blk.recourse_cost.tolist(),
-            "aux_cost": blk.aux_cost.tolist(),
-            "coupling": blk.coupling.tolist(),
-            "technology": blk.technology.tolist(),
-            "requirement": blk.requirement.tolist(),
-        })
-    return out
 
 
 @_schema_checked("gap instance")

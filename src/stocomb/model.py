@@ -131,6 +131,11 @@ class ScenarioDistribution:
         """All (subset, probability) pairs of the distribution."""
         raise NotImplementedError
 
+    @property
+    def support_size(self) -> int:
+        """How many pairs ``support`` lists, counted without listing them."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Explicit(ScenarioDistribution):
@@ -166,6 +171,10 @@ class Explicit(ScenarioDistribution):
 
     def support(self):
         return list(self.outcomes)
+
+    @property
+    def support_size(self) -> int:
+        return len(self.outcomes)
 
 
 @dataclass(frozen=True)
@@ -211,6 +220,10 @@ class IndependentBernoulli(ScenarioDistribution):
         return [(frozenset(members(mask, self.universe)), float(w))
                 for mask, w in enumerate(weights)]
 
+    @property
+    def support_size(self) -> int:
+        return 1 << self.width
+
 
 @dataclass(frozen=True)
 class KPartition(ScenarioDistribution):
@@ -247,6 +260,10 @@ class KPartition(ScenarioDistribution):
     def support(self):
         w = 1.0 / len(self.blocks)
         return [(b, w) for b in self.blocks]
+
+    @property
+    def support_size(self) -> int:
+        return len(self.blocks)
 
 
 def members(mask: int, items: tuple) -> tuple:

@@ -39,6 +39,14 @@ MAX_ITERATIONS = 10_000  # cutting-plane rounds before minimize gives up
 OMEGA_TOL = 1e-7  # absolute slack of the relaxed subgradient inequality
 
 
+def _vector(value, what: str) -> np.ndarray:
+    """``value`` as a float vector; a number or a nested list is refused."""
+    v = np.asarray(value, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"{what} must be a list of numbers")
+    return v
+
+
 @dataclass(frozen=True)
 class ScenarioBlock:
     """One scenario: probability, recourse prices, and its constraint block.
@@ -61,8 +69,7 @@ class ScenarioBlock:
 
     def __post_init__(self):
         for name in ("recourse_cost", "aux_cost", "requirement"):
-            object.__setattr__(self, name, np.atleast_1d(
-                np.asarray(getattr(self, name), dtype=float)))
+            object.__setattr__(self, name, _vector(getattr(self, name), name))
         k = self.requirement.size
         m = self.recourse_cost.size
         n = self.aux_cost.size
@@ -95,8 +102,8 @@ class Polytope:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lo = _vector(self.lower, "lower")
+        hi = _vector(self.upper, "upper")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape:
@@ -126,7 +133,7 @@ class StochasticLPInstance:
     scenarios: tuple
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.first_stage_cost, dtype=float))
+        w = _vector(self.first_stage_cost, "first_stage_cost")
         object.__setattr__(self, "first_stage_cost", w)
         if not np.isfinite(w).all():
             raise ValueError("first-stage costs must be finite")

@@ -85,10 +85,8 @@ def check_support(xi: CostShareFunction, problem: ProblemInstance) -> bool:
 def _strictness(xi, alg, problem, singletons_only):
     subsets = client_sets(problem, "cost-share")
     solved = {S: alg.solve(problem, S) for S in subsets}
-    if singletons_only:
-        additions = [frozenset({j}) for j in problem.clients]
-    else:
-        additions = subsets
+    additions = ([frozenset({j}) for j in problem.clients] if singletons_only
+                 else subsets)
     worst = 0.0
     for S in subsets:
         base = solved[S].chosen
@@ -208,12 +206,8 @@ def check_scheme(scheme, f, ground: tuple, *,
 
     def orders_of(subset_tuple):
         if order_universe is not None:
-            induced = []
-            for glob in order_universe:
-                order = tuple(x for x in glob if x in subset_tuple)
-                if order not in induced:
-                    induced.append(order)
-            return induced
+            return list(dict.fromkeys(tuple(x for x in glob if x in subset_tuple)
+                                      for glob in order_universe))
         return list(_orderings(subset_tuple, rng))
 
     eta_hat = 0.0

@@ -185,6 +185,21 @@ def loop_boosted_draw_space(boosted: list) -> list:
     return out
 
 
+def loop_union_draw_space(law, rounds: int) -> dict:
+    """Weight of the union of ``rounds`` draws of ``law``, zero weights
+    included, by walking every ordered tuple of its outcomes: the
+    enumeration that ``boosting.union_law`` replaced."""
+    out: dict = {}
+    for combo in itertools.product(law.support(), repeat=rounds):
+        union: frozenset = frozenset()
+        p = 1.0
+        for s, q in combo:
+            union |= s
+            p *= q
+        out[union] = out.get(union, 0.0) + p
+    return out
+
+
 # -- The per-subset loops of the exhaustive property checks -------------------
 # ``setfun.check_monotone`` and ``model.check_monotone_feasibility`` share the
 # one lattice-monotonicity helper ``model.first_decrease``, and

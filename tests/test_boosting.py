@@ -16,13 +16,14 @@ from stocomb.boosting import (
     exact_two_stage_opt,
     ind_boost,
     policy_cost,
+    union_law,
 )
 from stocomb.errors import CapExceeded, Infeasible
 from stocomb.fixtures import edge1, tri3
 from stocomb.generate import random_explicit_distribution, random_problem
-from stocomb.model import Explicit, IndependentBernoulli
+from stocomb.model import Explicit, IndependentBernoulli, KPartition, members
 
-from conftest import loop_exact_opt
+from conftest import loop_exact_opt, loop_union_draw_space
 from stocomb.problems import set_cover_problem
 from stocomb.rng import stream
 from stocomb.solvers import algorithm_for
@@ -75,22 +76,48 @@ class TestBoostAndSample:
         assert ev.expected_cost == pytest.approx(expected, abs=1e-12)
 
     def test_draw_space_cap_is_exact(self, monkeypatch):
-        # 10 outcomes over 3 rounds are exactly the cap: enumerated, not
-        # refused (a floating-point log comparison reads 3 log 10 > log 1000).
+        # Round k of s outcomes over V costs s min(s^(k-1), 2^|V|, 2^s - 1),
+        # compared in integers: eight outcomes over one client reach the
+        # cap of 1000 exactly at 63 rounds, 8 + 62 * 16.
         monkeypatch.setattr(caps, "DRAWS", 1000)
         problem, _ = edge1()
 
-        def builder(sigma):
+        def law(sigma, dist):
             at_sigma = replace(problem, inflation=sigma)
-            return BoostPolicyBuilder(at_sigma, algorithm_for(at_sigma))
+            builder = BoostPolicyBuilder(at_sigma, algorithm_for(at_sigma))
+            return union_law(*builder.draw_law(dist))
 
-        ten = Explicit(tuple((frozenset({"j"}) if k else frozenset(), 0.1)
-                             for k in range(10)))
-        assert len(builder(3.0).draw_space(ten)) == 2
+        eight = Explicit(tuple((frozenset({"j"}) if k else frozenset(), 0.125)
+                               for k in range(8)))
+        assert len(law(63.0, eight)) == 2
         with pytest.raises(CapExceeded):
-            builder(4.0).draw_space(ten)
+            law(64.0, eight)
+        # One outcome costs one per round: 1000 rounds are the cap.
         one = Explicit(((frozenset({"j"}), 1.0),))
-        assert builder(1000.0).draw_space(one) == [(frozenset({"j"}), 1.0)]
+        assert law(1000.0, one) == [(frozenset({"j"}), 1.0)]
+        with pytest.raises(CapExceeded):
+            union_law(one, 1001)
+        # Two outcomes over three clients reach at most 2^2 - 1 unions, not
+        # 2^3: 2 + 4 + 166 * 6 = 1002 is over, 2 + 4 + 165 * 6 = 996 is not.
+        two = Explicit(((frozenset("ab"), 0.5), (frozenset("c"), 0.5)))
+        assert len(union_law(two, 167)) == 3
+        with pytest.raises(CapExceeded):
+            union_law(two, 168)
+        # The table after one round holds at most s unions: ten singletons
+        # over ten clients cost 10 + 10 * 10 at two rounds and 10 + 100 +
+        # 1000 at three, although 2^10 - 1 unions could be reached.
+        singletons = Explicit(tuple((frozenset({f"c{k}"}), 0.1) for k in range(10)))
+        assert len(union_law(singletons, 2)) == 10 + 45
+        with pytest.raises(CapExceeded):
+            union_law(singletons, 3)
+
+    def test_twenty_singletons_over_twenty_clients_are_two_rounds_inside_the_cap(self):
+        # 20 + 20 * 20 steps, as many as the 20^2 draw tuples once listed.
+        law = Explicit(tuple((frozenset({f"c{k}"}), 0.05) for k in range(20)))
+        unions = dict(union_law(law, 2))
+        assert len(unions) == 20 + 190
+        assert unions[frozenset({"c0"})] == pytest.approx(0.05 ** 2)
+        assert unions[frozenset({"c0", "c1"})] == pytest.approx(2 * 0.05 ** 2)
 
     def test_monte_carlo_mode_brackets_exact(self):
         problem, dist = edge1(q=0.5, sigma=2.0)
@@ -108,7 +135,7 @@ class TestBoostAndSample:
         problem, dist = edge1(q=0.5, sigma=2.5)
         alg = algorithm_for(problem)
         builder = BoostPolicyBuilder(problem, alg)
-        space = dict(builder.draw_space(dist))
+        space = dict(union_law(*builder.draw_law(dist)))
         assert space[frozenset({"j"})] == pytest.approx(0.75)  # two rounds
         ev = evaluate_policy(builder, dist, mode="exact")
         # P(drawn) * 1 + P(not drawn) * q * sigma
@@ -140,7 +167,7 @@ class TestIndBoost:
         dist = IndependentBernoulli((("j", 0.5),))
         ev = evaluate_policy(builder, dist, mode="exact")
         assert ev.expected_cost == pytest.approx(1.0)
-        assert builder.draw_space(dist) == [(frozenset({"j"}), 1.0)]
+        assert union_law(*builder.draw_law(dist)) == [(frozenset({"j"}), 1.0)]
 
     def test_two_client_exact_enumeration(self):
         # Oracle: enumerate the 4 boost outcomes x 4 realizations directly.
@@ -306,7 +333,7 @@ class TestProcessEquivalence:
         # The enumerated draw space is the marginal of the direct law.
         problem, dist = edge1(q=0.5, sigma=2.0)
         builder = BoostPolicyBuilder(problem, algorithm_for(problem))
-        space = dict(builder.draw_space(dist))
+        space = dict(union_law(*builder.draw_law(dist)))
         direct = self.law_direct(list(dist.outcomes), 2)
         marginal = {}
         for (union, _s), p in direct.items():
@@ -314,3 +341,59 @@ class TestProcessEquivalence:
         assert set(space) == set(marginal)
         for key in space:
             assert space[key] == pytest.approx(marginal[key], abs=1e-12)
+
+
+def seeded_laws(seed: int):
+    """An explicit law (repeated outcomes and zero weights allowed), a
+    k-partition (empty blocks allowed) and a product law with marginals 0
+    and 1 mixed in, all from one seed."""
+    rng = np.random.default_rng(seed)
+    clients = ("a", "b", "c", "d")
+    masks = rng.integers(16, size=int(rng.integers(1, 4)))
+    weights = rng.uniform(0.1, 1.0, masks.size) * (rng.random(masks.size) > 0.2)
+    weights[0] += 0.1
+    yield Explicit(tuple((frozenset(members(int(m), clients)), float(w))
+                         for m, w in zip(masks, weights / weights.sum())))
+    labels = rng.integers(int(rng.integers(1, 4)), size=len(clients))
+    yield KPartition(tuple(frozenset(c for c, b in zip(clients, labels) if b == k)
+                           for k in range(labels.max() + 1 + seed % 2)))
+    yield IndependentBernoulli(tuple(
+        (j, float(rng.choice([0.0, 1.0, rng.uniform()])))
+        for j in clients[:1 + seed % 2]))
+
+
+class TestUnionLaw:
+    """The OR-convolution against the enumeration of every draw tuple."""
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0, 2.5, 3.0, 5.0, 8.0])
+    def test_matches_the_enumeration(self, sigma):
+        rounds = int(sigma)
+        for seed in range(8):
+            for law in seeded_laws(seed):
+                want = {u: w for u, w in loop_union_draw_space(law, rounds).items()
+                        if w > 0.0}
+                got = dict(union_law(law, rounds))
+                assert set(got) == set(want)
+                for union, w in got.items():
+                    assert w == pytest.approx(want[union], rel=0, abs=1e-12)
+                outcomes = [s for s, _ in law.support()]
+                if rounds <= 2 and len(set(outcomes)) == len(outcomes):
+                    assert got == want  # the same products, summed in order
+
+    def test_support_size_is_what_support_lists(self):
+        for seed in range(8):
+            for law in seeded_laws(seed):
+                assert law.support_size == len(law.support())
+
+    def test_a_draw_of_weight_zero_is_never_built(self):
+        # The only set covers c0, so a policy for the draw {c1} would be
+        # infeasible; that draw has weight 0 and is left out.
+        problem = set_cover_problem(clients=("c0", "c1"), sets={"s0": ("c0",)},
+                                    costs={"s0": 1.0}, sigma=2.0)
+        dist = Explicit(((frozenset(), 0.5), (frozenset({"c0"}), 0.5),
+                         (frozenset({"c1"}), 0.0)))
+        builder = BoostPolicyBuilder(problem, algorithm_for(problem))
+        assert union_law(*builder.draw_law(dist)) == [
+            (frozenset(), 0.25), (frozenset({"c0"}), 0.75)]
+        # 0.25 * 0.5 * (0 + 2 * 1) for the empty draw, 0.75 * 1 for {c0}.
+        assert evaluate_policy(builder, dist).expected_cost == 1.0

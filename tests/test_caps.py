@@ -6,6 +6,8 @@ expects :class:`CapExceeded`.
 """
 
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,10 @@ def forbidden(*args, **kwargs):
 
 class ForbiddenDistribution(ScenarioDistribution):
     sample = staticmethod(forbidden)
+    support = forbidden
+
+
+class ForbiddenOutcomes(Explicit):
     support = forbidden
 
 
@@ -103,22 +109,24 @@ def subadd_elements(monkeypatch):
 
 
 def draws(monkeypatch):
-    two = Explicit(((frozenset(), 0.5), (frozenset({"c0"}), 0.5)))
+    two = ForbiddenOutcomes(((frozenset(), 0.5), (frozenset({"c0"}), 0.5)))
 
     def builder(sigma):
         return BoostPolicyBuilder(problem(1, 1, sigma), None)
 
-    # 2 ** DRAWS.bit_length() is the first power of two above DRAWS.
-    yield lambda: builder(float(caps.DRAWS.bit_length())).draw_space(two)
+    # Two outcomes over one client: the union law costs 2 + 4 (rounds - 1),
+    # refused in exact evaluation before the scenario support is listed.
+    yield lambda: evaluate_policy(builder(caps.DRAWS // 4 + 1.0), two, "exact")
     yield lambda: builder(caps.DRAWS + 1.0).draw_law(ForbiddenDistribution())
     # Monte-Carlo evaluation: runs x floor(sigma) draws.
     for sigma, runs in ((1.0, caps.DRAWS + 1), (2.0, caps.DRAWS // 2 + 1)):
         yield lambda sigma=sigma, runs=runs: evaluate_policy(
             builder(sigma), ForbiddenDistribution(), "monte_carlo", forbidden, runs)
     monkeypatch.setattr(model, "bernoulli_weights", forbidden)
+    # One round of a product law costs its 2^n outcomes.
     marginals = tuple((j, 0.5) for j in items(caps.DRAWS.bit_length()))
-    yield lambda: IndBoostPolicyBuilder(problem(1, 1), None,
-                                        marginals).draw_space(None)
+    yield lambda: evaluate_policy(IndBoostPolicyBuilder(problem(1, 1), None, marginals),
+                                  ForbiddenDistribution(), "exact")
 
 
 def two_stage(monkeypatch):
@@ -173,10 +181,26 @@ CASES = {
 }
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def cap_constants() -> dict:
+    return {name: value for name, value in vars(caps).items()
+            if name.isupper() and isinstance(value, int)}
+
+
 def test_every_cap_has_a_case():
-    constants = {name for name, value in vars(caps).items()
-                 if name.isupper() and isinstance(value, int)}
-    assert constants == set(CASES)
+    assert set(cap_constants()) == set(CASES)
+
+
+def test_the_readme_cap_table_lists_every_cap_and_its_value():
+    # Rows read "| `NAME` | 24 |" or "| `NAME` | 10^6 |".
+    text = README.read_text(encoding="utf-8")
+    table = text.split("### Enumeration caps", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (\d+)(?:\^(\d+))? \|", table, re.M)
+    listed = {name: int(base) ** int(power or 1) for name, base, power in rows}
+    assert len(listed) == len(rows)
+    assert listed == cap_constants()
 
 
 @pytest.mark.parametrize("name", list(CASES))

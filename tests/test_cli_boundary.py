@@ -223,6 +223,37 @@ def test_stochastic_lp_without_scenarios_exits_2(tmp_path, capsys):
     assert "no scenarios" in capsys.readouterr().err
 
 
+VECTOR_FIELDS = [("first_stage_cost",), ("polytope", "lower"), ("polytope", "upper"),
+                 ("scenarios", 2, "recourse_cost"), ("scenarios", 2, "aux_cost"),
+                 ("scenarios", 2, "requirement")]
+
+
+@pytest.mark.parametrize("number", [2, -1])
+@pytest.mark.parametrize("path", VECTOR_FIELDS, ids=lambda p: ".".join(map(str, p)))
+def test_number_for_a_stochastic_lp_vector_exits_2(path, number, tmp_path, capsys):
+    payload = json.loads((INSTANCES / "saa_ufl.json").read_text())
+    inst = tmp_path / "inst.json"
+    write_json(inst, substituted(payload, path, number))
+    assert main(["run-saa", "--instance", str(inst), "--samples", "50",
+                 "--seed", "1"]) == 2
+    assert "must be a list of numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("present, missing", [("aux_cost", "coupling"),
+                                              ("coupling", "aux_cost")])
+def test_auxiliary_field_without_its_partner_is_named(present, missing, tmp_path,
+                                                       capsys):
+    payload = json.loads((INSTANCES / "saa_ufl.json").read_text())
+    del payload["scenarios"][0][missing]
+    assert present in payload["scenarios"][0]
+    inst = tmp_path / "inst.json"
+    write_json(inst, payload)
+    assert main(["run-saa", "--instance", str(inst), "--samples", "50",
+                 "--seed", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"schema error: missing field {missing!r} in stochastic LP"]
+
+
 def test_oversized_deterministic_equivalent_exits_3(tmp_path, capsys):
     inst = random_stochastic_lp(3, 200, seed=5)
     assert sum(b.requirement.size for b in inst.scenarios) > MAX_CONSTRAINTS

@@ -26,7 +26,7 @@ from conftest import (
     mask_subset,
 )
 from stocomb._kernels import bernoulli_weights
-from stocomb.boosting import IndBoostPolicyBuilder
+from stocomb.boosting import IndBoostPolicyBuilder, union_law
 from stocomb.gap import GapInstance, SplitMap, split
 from stocomb.model import IndependentBernoulli, ProblemInstance, members, subset_table
 from stocomb.rng import stream
@@ -82,7 +82,7 @@ def test_boosted_draw_space_matches_loop(n):
         for sigma in (1.0, 1.7, 3.0):
             problem = ProblemInstance(clients, (), {}, sigma, None)
             builder = IndBoostPolicyBuilder(problem, None, tuple(zip(clients, probs)))
-            got = builder.draw_space(None)
+            got = union_law(*builder.draw_law(None))
             boosted = [(j, min(1.0, sigma * p)) for j, p in zip(clients, probs)]
             assert got == loop_boosted_draw_space(boosted)
             assert all(type(p) is float for _, p in got)
