@@ -60,7 +60,6 @@ from .problems import (
     vertex_cover_problem,
 )
 from .saa import (
-    GridSpec,
     Polytope,
     ScenarioBlock,
     StochasticLPInstance,
@@ -68,7 +67,6 @@ from .saa import (
     build_sample_average,
     check_omega_subgradient,
     encode_ufl,
-    extended_grid,
     h_exact,
     minimize,
     recourse_value,

@@ -3,7 +3,8 @@
 Every exhaustive oracle checks its input size against one of these
 constants and raises :class:`stocomb.errors.CapExceeded` above it, before
 it enumerates anything.  The values keep each oracle in the seconds range
-on a laptop.
+on a laptop.  The sample-average pipeline enumerates nothing: its LPs are
+bounded by the dense size of :mod:`stocomb.lp`.
 """
 
 OPT_ELEMENTS = 24        # 2^|X| subsets in the exact optimizer
@@ -15,5 +16,3 @@ TWO_STAGE = 10 ** 6      # 2^|X| * support size in the two-stage optimum search
 SCHEME_CLIENTS = 6       # ground-set size for the scheme checker
 MARGINAL_SCHEME = 10     # ground-set size for the marginal-scheme certification
 GAP_CLIENTS = 12         # ground-set size for the worst-case distribution LP
-GRID_DIM = 3             # dimension of the validation grids
-GRID_POINTS = 10 ** 6    # extended-grid size

@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import caps
 from .errors import CapExceeded, Infeasible, NumericalFailure, Unbounded
 from .lp import (
     FEAS_TOL,
@@ -44,6 +43,16 @@ def _vector(value, what: str) -> np.ndarray:
     v = np.asarray(value, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{what} must be a list of numbers")
+    return v
+
+
+def _matrix(value, rows: int, cols: int, what: str) -> np.ndarray:
+    """``value`` as a rows x cols float matrix; ``[]`` is the empty one."""
+    v = np.asarray(value, dtype=float)
+    if v.size == 0 and rows * cols == 0:
+        return v.reshape(rows, cols)
+    if v.shape != (rows, cols):
+        raise ValueError(f"{what} must be {rows} rows of {cols} numbers")
     return v
 
 
@@ -73,8 +82,8 @@ class ScenarioBlock:
         k = self.requirement.size
         m = self.recourse_cost.size
         n = self.aux_cost.size
-        tech = np.asarray(self.technology, dtype=float).reshape(k, m)
-        coup = np.asarray(self.coupling, dtype=float).reshape(k, n)
+        tech = _matrix(self.technology, k, m, "technology")
+        coup = _matrix(self.coupling, k, n, "coupling")
         object.__setattr__(self, "technology", tech)
         object.__setattr__(self, "coupling", coup)
         for name in ("recourse_cost", "aux_cost", "coupling", "technology",
@@ -166,38 +175,6 @@ class StochasticLPInstance:
         return self.price_ratio() * float(np.linalg.norm(self.first_stage_cost))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Parameters of the extended grid and the derived level count.
-
-    ``levels`` is the dyadic depth ceil(log2(2 K R / epsilon)) and ``omega``
-    the per-level subgradient slack gamma / (8 levels).
-    """
-
-    epsilon: float
-    gamma: float
-    lipschitz: float
-    radius: float
-
-    def __post_init__(self):
-        if not (0 < self.gamma <= 1):
-            raise ValueError("gamma must lie in (0, 1]")
-        if min(self.epsilon, self.lipschitz, self.radius) <= 0:
-            raise ValueError("epsilon, lipschitz, and radius must be positive")
-
-    @property
-    def levels(self) -> int:
-        return max(1, math.ceil(math.log2(
-            2.0 * self.lipschitz * self.radius / self.epsilon)))
-
-    @property
-    def omega(self) -> float:
-        return self.gamma / (8.0 * self.levels)
-
-    def spacing(self, m: int) -> float:
-        return self.epsilon / (self.lipschitz * self.levels * math.sqrt(m))
-
-
 def recourse_value(instance: StochasticLPInstance, index: int, x):
     """Optimal recourse cost and dual vector for one scenario at x."""
     block = instance.scenarios[index]
@@ -245,25 +222,24 @@ def sample_size(m: int, price_ratio: float, lipschitz: float, radius: float,
                 epsilon: float, delta: float, gamma: float) -> int:
     """Sample count sufficient for the high-probability guarantee.
 
-    Derived from the dyadic level count, the per-level slack, and a grid
-    union bound; astronomically conservative by design and exercised here
-    only as a formula.
+    Derived from the dyadic level count ceil(log2(2 K R / epsilon)), the
+    per-level subgradient slack omega = gamma / (8 levels), and a union
+    bound over the extended grid of spacing epsilon / (K levels sqrt(m));
+    astronomically conservative by design and exercised here only as a
+    formula.
     """
-    return math.ceil(sample_size_raw(m, price_ratio, lipschitz, radius,
-                                     epsilon, delta, gamma))
-
-
-def sample_size_raw(m: int, price_ratio: float, lipschitz: float, radius: float,
-                    epsilon: float, delta: float, gamma: float) -> float:
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
-    spec = GridSpec(epsilon=epsilon, gamma=gamma,
-                    lipschitz=lipschitz, radius=radius)
-    levels = spec.levels
-    omega = spec.omega
-    grid_bound = levels * (2.0 * radius / spec.spacing(m)) ** (2 * m)
+    if not (0 < gamma <= 1):
+        raise ValueError("gamma must lie in (0, 1]")
+    if min(epsilon, lipschitz, radius) <= 0:
+        raise ValueError("epsilon, lipschitz, and radius must be positive")
+    levels = max(1, math.ceil(math.log2(2.0 * lipschitz * radius / epsilon)))
+    omega = gamma / (8.0 * levels)
+    spacing = epsilon / (lipschitz * levels * math.sqrt(m))
+    grid_bound = levels * (2.0 * radius / spacing) ** (2 * m)
     lead = 4.0 * (1.0 + price_ratio) ** 2 / (3.0 * omega ** 2)
-    return lead * math.log(2.0 * m * grid_bound / delta)
+    return math.ceil(lead * math.log(2.0 * m * grid_bound / delta))
 
 
 def build_sample_average(instance: StochasticLPInstance, n_samples: int,
@@ -378,58 +354,22 @@ def minimize(instance: StochasticLPInstance, tolerance: float = 1e-6) -> Minimiz
     return MinimizeResult(best_x, best_value, converged, t, tuple(trace))
 
 
-def base_grid(spec: GridSpec, polytope: Polytope) -> np.ndarray:
-    """Lattice of spacing epsilon/(K * levels * sqrt(m)) inside the box."""
-    m = polytope.dim
-    if m > caps.GRID_DIM:
-        raise CapExceeded(f"grids are validation-scale: m <= {caps.GRID_DIM}")
-    spacing = spec.spacing(m)
-    axes = []
-    for i in range(m):
-        lo = math.ceil(polytope.lower[i] / spacing - 1e-12)
-        hi = math.floor(polytope.upper[i] / spacing + 1e-12)
-        axes.append(np.arange(lo, hi + 1) * spacing)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1) if m else np.zeros((0, 0))
+def check_omega_subgradient(instance: StochasticLPInstance, x, d, omega: float):
+    """Exact test of the relaxed subgradient inequality
 
+        h(y) - h(x) >= d . (y - x) - omega h(x)   for every y in the box.
 
-def extended_grid(spec: GridSpec, polytope: Polytope) -> np.ndarray:
-    """Base lattice inside the box, extended by dyadic interpolation.
-
-    For every ordered pair of base points the points x + 2^-i (y - x) for
-    i = 1..levels are appended.  The total point count is capped.
+    h(y) - d . y is the objective with first-stage prices c - d, so its
+    minimum over the box is one deterministic-equivalent LP, whose minimizer
+    is the witness.  Returns ``(slack, witness)``: that minimum minus
+    h(x) - d . x - omega h(x).  d passes when the slack is at least
+    ``-OMEGA_TOL``; a failing witness violates the inequality.
     """
-    base = base_grid(spec, polytope)
-    nbase = base.shape[0]
-    total = nbase + nbase * nbase * 2 * spec.levels
-    if total > caps.GRID_POINTS:
-        raise CapExceeded(f"extended grid would hold about {total} points")
-    points = [base]
-    fractions = [2.0 ** -(i + 1) for i in range(spec.levels)]
-    for frac in fractions:
-        for a in range(nbase):
-            diff = base - base[a]
-            points.append(base[a] + frac * diff)
-            points.append(base - frac * diff)
-    stacked = np.vstack(points)
-    return np.unique(np.round(stacked, 12), axis=0)
-
-
-def check_omega_subgradient(h_oracle, x, d, omega: float, polytope: Polytope,
-                            trials: int, rng):
-    """Sample the box and test the relaxed subgradient inequality, with an
-    absolute slack of ``OMEGA_TOL``.
-
-    Returns ``(True, None)`` or ``(False, witness_point)``.
-    """
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    hx = h_oracle(x)
-    for _ in range(trials):
-        y = rng.uniform(polytope.lower, polytope.upper)
-        if h_oracle(y) - hx < d @ (y - x) - omega * hx - OMEGA_TOL:
-            return False, y
-    return True, None
+    x, d = np.asarray(x, dtype=float), np.asarray(d, dtype=float)
+    hx = h_exact(instance, x)
+    low, witness = solve_deterministic_equivalent(
+        replace(instance, first_stage_cost=instance.first_stage_cost - d))
+    return low - (hx - d @ x - omega * hx), witness
 
 
 # -- Facility-location encoding and the deterministic equivalent -------------

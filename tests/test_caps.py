@@ -5,7 +5,6 @@ with the oracles the enumeration would call replaced by ``forbidden``, and
 expects :class:`CapExceeded`.
 """
 
-import itertools
 import re
 from pathlib import Path
 
@@ -29,7 +28,6 @@ from stocomb.model import (
     check_subadditive,
     exact_opt,
 )
-from stocomb.saa import GridSpec, Polytope, base_grid, extended_grid, unit_box
 from stocomb.sharing import (
     check_fairness,
     check_scheme,
@@ -153,19 +151,6 @@ def gap_clients(monkeypatch):
         SplitMap({small[0]: 2}))
 
 
-def grid_dim(monkeypatch):
-    spec = GridSpec(epsilon=0.5, gamma=1.0, lipschitz=1.0, radius=1.0)
-    yield lambda: base_grid(spec, unit_box(caps.GRID_DIM + 1))
-
-
-def grid_points(monkeypatch):
-    # One level and unit spacing: n base points extend to n + 2 n^2 points.
-    spec = GridSpec(epsilon=1.0, gamma=1.0, lipschitz=1.0, radius=0.5)
-    assert (spec.levels, spec.spacing(1)) == (1, 1.0)
-    n = next(n for n in itertools.count(1) if n + 2 * n * n > caps.GRID_POINTS)
-    yield lambda: extended_grid(spec, Polytope([0.0], [n - 1.0]))
-
-
 CASES = {
     "OPT_ELEMENTS": opt_elements,
     "SUPPORT_CLIENTS": support_clients,
@@ -176,8 +161,6 @@ CASES = {
     "SCHEME_CLIENTS": scheme_clients,
     "MARGINAL_SCHEME": marginal_scheme_cap,
     "GAP_CLIENTS": gap_clients,
-    "GRID_DIM": grid_dim,
-    "GRID_POINTS": grid_points,
 }
 
 

@@ -1,8 +1,10 @@
 """CLI harness: golden reports, reproducibility, generators, exit codes."""
 
 import csv
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -396,3 +398,14 @@ def test_readme_quick_tour_runs(capsys):
     code = tour.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md quick tour", "exec"), {})
     assert capsys.readouterr().out == "1.0 1.0\n"
+
+
+def test_readme_library_references_resolve():
+    # Every backticked `stocomb.<module>` or `stocomb.<module>.<name>` names
+    # a module of the package and, where a name follows, one of its attributes.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    refs = set(re.findall(r"`stocomb\.(\w+)(?:\.(\w+))?", text))
+    assert refs
+    for module, name in sorted(refs):
+        mod = importlib.import_module(f"stocomb.{module}")
+        assert not name or hasattr(mod, name), f"stocomb.{module}.{name}"

@@ -254,6 +254,26 @@ def test_auxiliary_field_without_its_partner_is_named(present, missing, tmp_path
     assert err == [f"schema error: missing field {missing!r} in stochastic LP"]
 
 
+@pytest.mark.parametrize("form", ["transposed", "flat"])
+@pytest.mark.parametrize("field", ["technology", "coupling"])
+def test_stochastic_lp_matrix_of_another_shape_exits_2(field, form, tmp_path,
+                                                       capsys):
+    # Scenario 0's matrices are 3 x 2; the same six numbers in another
+    # shape would read as another model.
+    payload = json.loads((INSTANCES / "saa_ufl.json").read_text())
+    matrix = payload["scenarios"][0][field]
+    assert [len(row) for row in matrix] == [2, 2, 2]
+    payload["scenarios"][0][field] = (
+        [list(col) for col in zip(*matrix)] if form == "transposed"
+        else [v for row in matrix for v in row])
+    inst = tmp_path / "inst.json"
+    write_json(inst, payload)
+    assert main(["run-saa", "--instance", str(inst), "--samples", "50",
+                 "--seed", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"schema error: malformed stochastic LP: {field} must be 3 rows of 2 numbers"]
+
+
 def test_oversized_deterministic_equivalent_exits_3(tmp_path, capsys):
     inst = random_stochastic_lp(3, 200, seed=5)
     assert sum(b.requirement.size for b in inst.scenarios) > MAX_CONSTRAINTS

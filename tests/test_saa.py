@@ -1,4 +1,4 @@
-"""Sample-average pipeline: recourse values, subgradients, grids, guarantees."""
+"""Sample-average pipeline: recourse values, subgradients, guarantees."""
 
 import itertools
 import json
@@ -11,7 +11,7 @@ import pytest
 from conftest import cold_master_minimize, loop_encode_ufl
 from stocomb import saa
 from stocomb.cli import main
-from stocomb.errors import CapExceeded, Infeasible, SchemaError
+from stocomb.errors import Infeasible, SchemaError
 from stocomb.generate import random_stochastic_lp
 from stocomb.io import load_stochastic_lp
 from stocomb.lp import ColumnMaster
@@ -19,21 +19,17 @@ from stocomb.model import exact_opt
 from stocomb.problems import ufl_problem
 from stocomb.rng import stream
 from stocomb.saa import (
-    GridSpec,
     Polytope,
     ScenarioBlock,
     StochasticLPInstance,
     TwoStageUFL,
-    base_grid,
     build_sample_average,
     check_omega_subgradient,
     encode_ufl,
-    extended_grid,
     h_exact,
     minimize,
     recourse_value,
     sample_size,
-    sample_size_raw,
     solve_deterministic_equivalent,
     subgradient_at,
     unit_box,
@@ -154,10 +150,9 @@ class TestSubgradient:
             rng = stream(seed, "pairs")
             for _ in range(100):
                 x = rng.uniform(0, 1, 2)
-                y = rng.uniform(0, 1, 2)
-                d = subgradient_at(inst, x)
-                assert (h_exact(inst, y) - h_exact(inst, x)
-                        >= d @ (y - x) - 1e-7)
+                slack, _ = check_omega_subgradient(inst, x, subgradient_at(inst, x),
+                                                   0.0)
+                assert slack >= -1e-7
 
     def test_norm_bound(self):
         for seed in range(10):
@@ -208,12 +203,21 @@ class TestSampleSize:
         n2 = sample_size(2, 2.0, 1.0, 1.0, 0.1, 0.05, 0.2)
         assert n2 >= n1
 
+    @pytest.mark.parametrize("delta, gamma, epsilon", [
+        (0.0, 0.2, 0.1), (1.0, 0.2, 0.1), (0.1, 0.0, 0.1), (0.1, 1.5, 0.1),
+        (0.1, 0.2, 0.0)])
+    def test_out_of_range_parameters_are_refused(self, delta, gamma, epsilon):
+        with pytest.raises(ValueError):
+            sample_size(2, 2.0, 1.0, 1.0, epsilon, delta, gamma)
+
     def test_lambda_doubling_identity(self):
+        # The count scales by r = ((1 + 2 lam) / (1 + lam))^2 before its
+        # ceiling, so the two ceilings leave at most r + 1 between them.
         lam = 2.0
-        a = sample_size_raw(2, lam, 1.0, 1.0, 0.1, 0.1, 0.2)
-        b = sample_size_raw(2, 2 * lam, 1.0, 1.0, 0.1, 0.1, 0.2)
-        assert b / a == pytest.approx(((1 + 2 * lam) / (1 + lam)) ** 2,
-                                      rel=1e-12)
+        a = sample_size(2, lam, 1.0, 1.0, 0.1, 0.1, 0.2)
+        b = sample_size(2, 2 * lam, 1.0, 1.0, 0.1, 0.1, 0.2)
+        r = ((1 + 2 * lam) / (1 + lam)) ** 2
+        assert abs(b - r * a) <= r + 1
 
 
 class TestSampleAverage:
@@ -386,53 +390,14 @@ class TestMinimize:
         assert res.value == h_exact(inst, res.x)
 
 
-class TestGrid:
-    def test_base_lattice_matches_spec_spacing(self):
-        spec = GridSpec(epsilon=0.5, gamma=1.0, lipschitz=1.0, radius=0.5)
-        assert spec.levels == 1
-        assert spec.spacing(1) == pytest.approx(0.5)
-        points = base_grid(spec, unit_box(1)).ravel()
-        assert points == pytest.approx([0.0, 0.5, 1.0])
-
-    def test_covering_radius(self):
-        spec = GridSpec(epsilon=0.4, gamma=0.5, lipschitz=1.0, radius=1.0)
-        poly = unit_box(2)
-        points = base_grid(spec, poly)
-        rng = stream(5, "cover")
-        target = spec.epsilon / (spec.lipschitz * spec.levels)
-        for _ in range(1000):
-            x = rng.uniform(0, 1, 2)
-            nearest = np.min(np.linalg.norm(points - x, axis=1))
-            assert nearest <= target + 1e-12
-
-    def test_extended_count_within_bound(self):
-        # Radius must actually contain the box for the count bound to apply.
-        poly = unit_box(1)
-        for eps in (1.0, 0.5):
-            spec = GridSpec(epsilon=eps, gamma=1.0, lipschitz=1.0, radius=1.0)
-            grid = extended_grid(spec, poly)
-            spacing = spec.spacing(1)
-            bound = spec.levels * (2 * spec.radius / spacing) ** (2 * 1)
-            assert len(grid) <= bound
-            base = base_grid(spec, poly)
-            assert {round(v, 9) for v in base.ravel()} <= \
-                {round(v, 9) for v in grid.ravel()}
-
-    def test_dimension_cap(self):
-        spec = GridSpec(epsilon=0.5, gamma=1.0, lipschitz=1.0, radius=1.0)
-        with pytest.raises(CapExceeded):
-            extended_grid(spec, unit_box(4))
-
-
 class TestOmegaSubgradient:
     def test_exact_subgradient_passes(self):
         inst = random_stochastic_lp(2, 3, 17)
         x = np.array([0.5, 0.5])
-        d = subgradient_at(inst, x)
-        ok, witness = check_omega_subgradient(
-            lambda y: h_exact(inst, y), x, d, 0.0, inst.polytope,
-            trials=200, rng=stream(0, "omega"))
-        assert ok and witness is None
+        slack, witness = check_omega_subgradient(inst, x, subgradient_at(inst, x),
+                                                 0.0)
+        assert slack >= -saa.OMEGA_TOL
+        assert inst.polytope.contains(witness)
 
     def test_downward_perturbation_stays_valid(self):
         # Shrinking the subgradient by at most omega * first-stage prices
@@ -442,19 +407,36 @@ class TestOmegaSubgradient:
         omega = 0.05
         d = subgradient_at(inst, x)
         d_hat = d - omega * inst.first_stage_cost  # lower edge of the band
-        ok, _ = check_omega_subgradient(
-            lambda y: h_exact(inst, y), x, d_hat, omega, inst.polytope,
-            trials=200, rng=stream(1, "omega"))
-        assert ok
+        slack, _ = check_omega_subgradient(inst, x, d_hat, omega)
+        assert slack >= -saa.OMEGA_TOL
 
     def test_inflated_vector_fails_with_witness(self):
         inst = one_dim_instance(price=2.0)  # strictly decreasing objective
         x = np.array([0.5])
         bad = subgradient_at(inst, x) + 1.5
-        ok, witness = check_omega_subgradient(
-            lambda y: h_exact(inst, y), x, bad, 0.0, inst.polytope,
-            trials=500, rng=stream(2, "omega"))
-        assert not ok and witness is not None
+        slack, y = check_omega_subgradient(inst, x, bad, 0.0)
+        assert slack < -saa.OMEGA_TOL
+        assert inst.polytope.contains(y)
+        hx = h_exact(inst, x)
+        assert h_exact(inst, y) - hx < bad @ (y - x) - saa.OMEGA_TOL
+        # The slack is the witness's own gap in the inequality.
+        assert slack == pytest.approx(h_exact(inst, y) - hx - bad @ (y - x),
+                                      abs=1e-12)
+
+    def test_sampled_subgradients_are_omega_subgradients(self):
+        # The sampled problem's subgradient at N = 320 against the exact
+        # check at omega = 0.05: 10 random points on each of three 2 x 50
+        # instances, and at least 27 of the 30 must pass.
+        passed = 0
+        for seed in range(3):
+            inst = random_stochastic_lp(2, 50, seed)
+            rng = stream(seed, "omega-sampled")
+            for _ in range(10):
+                x = rng.uniform(0, 1, 2)
+                d = subgradient_at(build_sample_average(inst, 320, rng), x)
+                slack, _ = check_omega_subgradient(inst, x, d, 0.05)
+                passed += slack >= -saa.OMEGA_TOL
+        assert passed >= 27
 
 
 def arrays(inst):
