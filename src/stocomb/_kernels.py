@@ -3,7 +3,8 @@
 The dense simplex kernel below carries the sample-average pipeline (every
 cutting-plane iteration solves one small recourse LP per scenario and one
 master LP) and the restricted masters of the correlation-gap column
-generation, which it re-optimizes from the last basis as columns arrive.
+generation, which it starts from a known feasible basis and re-optimizes
+from the last basis as columns arrive.
 ``bernoulli_weights`` is the library's one product-measure table:
 independent-Bernoulli supports, independent boosting draws and the
 independent expectation of the correlation gap all read it.
@@ -32,7 +33,17 @@ nonnegative, and the number of surplus columns; otherwise it is ``None``.
 ``A`` with costs ``c`` to an optimal tableau and re-optimizes from its
 basis by phase 2 alone (added columns keep the basis primal feasible); it
 returns the same tuple, counting only its own pivots, and leaves the input
-tableau untouched.  Both run the one Bland pivot loop ``_bland``.  An
+tableau untouched.
+
+``simplex_from_basis(A, b, c, basis, tol, pivot_limit, eq=0)`` solves the
+same LP by phase 2 alone from a known feasible basis, one structural or
+surplus column per row (a crash basis, Bixby 1992): one linear solve
+turns the cold solve's first tableau into B^-1 times it, so the layout,
+the artificial block holding B^-1 and the result tuple are those of
+``simplex_kernel``.  It returns ``None`` instead when the basis is
+singular, leaves a non-finite entry, misses the identity on its own
+columns by more than ``tol`` or has a negative level; the caller then
+solves cold.  All three run the one Bland pivot loop ``_bland``.  An
 artificial still basic after phase 1 sits at level zero in a row that no
 column below the artificials reaches; ``_drive_out`` pivots it out as
 soon as one does (after phase 1, and for each resume's new columns), so
@@ -128,27 +139,45 @@ def _drive_out(W, basis, art, tol):
             basis[i] = nonzero[0]
 
 
-def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0):
+def _tableau(A, b, eq):
+    """``(W, row_sign, surplus)`` of the LP: the constraint rows
+    [row_sign A | surplus | I | row_sign b] over a zero reduced-cost row."""
     m, n = A.shape
     surplus = m - eq
     art = n + surplus  # first artificial column
-    ncols = art + m  # structural + surplus + artificial
-    rhs_col = ncols
-
-    W = np.zeros((m + 1, ncols + 1))
-    T, obj = W[:-1], W[-1]
-    basis = np.arange(art, ncols, dtype=np.int64)
+    W = np.zeros((m + 1, art + m + 1))
+    T = W[:-1]
     row_sign = np.where(b >= 0.0, 1.0, -1.0)
     T[:, :n] = row_sign.reshape(m, 1) * A
     np.fill_diagonal(T[eq:, n:], -row_sign[eq:])  # surplus block
     np.fill_diagonal(T[:, art:], 1.0)  # artificial block
-    T[:, rhs_col] = row_sign * b
+    T[:, -1] = row_sign * b
+    return W, row_sign, surplus
+
+
+def _install_objective(W, basis, c):
+    """Set the reduced-cost row to the phase-2 objective ``c`` priced out
+    against the basic rows."""
+    obj = W[-1]
+    obj[:] = 0.0
+    obj[:c.size] = c
+    for i in range(basis.size):
+        bi = basis[i]
+        if bi < c.size and c[bi] != 0.0:
+            obj -= c[bi] * W[i]
+
+
+def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0):
+    m, n = A.shape
+    W, row_sign, surplus = _tableau(A, b, eq)
+    art = n + surplus
+    basis = np.arange(art, art + m, dtype=np.int64)
+    obj = W[-1]
 
     # Phase 1 minimizes the artificial sum; with every artificial basic the
     # reduced-cost row starts as c1 minus the column sums.
-    colsum = T.sum(axis=0)
-    obj[:] = -colsum
-    obj[art:ncols] += 1.0
+    obj[:] = -W[:-1].sum(axis=0)
+    obj[art:-1] += 1.0
     tableau = (W, basis, row_sign, surplus)
 
     # Artificials never enter.  The phase-1 objective is bounded below by 0,
@@ -156,19 +185,45 @@ def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0):
     status, pivots = _bland(W, basis, art, tol, 0, pivot_limit)
     if status != 0:
         return _read_off(3, tableau, pivots)
-    if -obj[rhs_col] > feas_tol:
+    if -obj[-1] > feas_tol:
         return _read_off(1, tableau, pivots)
     _drive_out(W, basis, art, tol)
 
-    # Install the phase-2 objective: rebuild reduced costs from c.
-    obj[:] = 0.0
-    obj[:n] = c
-    for i in range(m):
-        bi = basis[i]
-        if bi < n and c[bi] != 0.0:
-            obj -= c[bi] * T[i]
+    _install_objective(W, basis, c)
     status, pivots = _bland(W, basis, art, tol, pivots, pivot_limit)
     return _read_off(status, tableau, pivots)
+
+
+def simplex_from_basis(A, b, c, basis, tol, pivot_limit, eq=0):
+    """Solve the LP of :func:`simplex_kernel` by phase 2 alone from
+    ``basis``, one structural or surplus column per row.
+
+    The tableau is B^-1 times the cold solve's first tableau, from one
+    linear solve, so its artificial block holds B^-1 as the cold solve's
+    does.  Returns ``None`` when the basis is not a usable start: an index
+    outside the structural and surplus columns, a singular or non-square
+    B, a non-finite entry, basic columns more than ``tol`` from the
+    identity, or a negative basic level.
+    """
+    m, n = A.shape
+    art = n + m - eq  # first artificial column
+    basis = np.array(basis, dtype=np.int64)
+    if ((basis < 0) | (basis >= art)).any():
+        return None
+    W, row_sign, surplus = _tableau(A, b, eq)
+    T = W[:-1]
+    try:
+        T[:] = np.linalg.solve(T[:, basis], T)
+    except np.linalg.LinAlgError:
+        return None
+    unit = np.eye(m)
+    if not (np.isfinite(T).all() and (np.abs(T[:, basis] - unit) <= tol).all()
+            and (T[:, -1] >= 0.0).all()):
+        return None
+    T[:, basis] = unit
+    _install_objective(W, basis, c)
+    status, pivots = _bland(W, basis, art, tol, 0, pivot_limit)
+    return _read_off(status, (W, basis, row_sign, surplus), pivots)
 
 
 def simplex_resume(tableau, A, c, tol, pivot_limit):

@@ -396,8 +396,8 @@ class TwoStageUFL:
         object.__setattr__(self, "second_open_cost",
                            np.asarray(self.second_open_cost, dtype=float))
         object.__setattr__(self, "service_cost",
-                           np.asarray(self.service_cost, dtype=float).reshape(
-                               len(self.facilities), len(self.clients)))
+                           _matrix(self.service_cost, len(self.facilities),
+                                   len(self.clients), "service_cost"))
         object.__setattr__(self, "scenarios",
                            tuple((frozenset(s), float(p)) for s, p in self.scenarios))
 

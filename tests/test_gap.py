@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stocomb.gap import (
     priced_columns,
     split,
     split_scheme,
+    start_basis,
     start_columns,
     systematic_segments,
     verify_gap_bound,
@@ -30,6 +32,8 @@ from stocomb.lp import OPTIMAL, ColumnMaster, LinearProgram, solve_lp
 from stocomb.rng import stream
 from stocomb.setfun import E_RATIO, cardinality, from_table, table, weighted_rank
 from stocomb.sharing import OrderedCostShareScheme, check_scheme, marginal_scheme
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def lp_vertex_oracle(inst):
@@ -224,6 +228,15 @@ def generated_instances(tmp_path, seed):
         yield load_gap_instance(read_json(path))
 
 
+def counted_cold_solves(monkeypatch):
+    """A list that gains an entry at each call of ``lp.simplex_kernel``."""
+    cold = []
+    kernel = lp.simplex_kernel
+    monkeypatch.setattr(lp, "simplex_kernel",
+                        lambda *args: cold.append(1) or kernel(*args))
+    return cold
+
+
 class TestSystematicStart:
     def test_random_marginals_are_reproduced(self):
         rng = np.random.default_rng(21)
@@ -250,7 +263,8 @@ class TestSystematicStart:
         for p in cases:
             assert_segments(p)
 
-    def test_first_master_solve_is_optimal(self):
+    def test_first_master_solve_is_optimal(self, monkeypatch):
+        cold = counted_cold_solves(monkeypatch)
         rng = np.random.default_rng(22)
         for _ in range(1000):
             n = int(rng.integers(1, 13))
@@ -260,8 +274,11 @@ class TestSystematicStart:
             cols = start_columns(p.tolist())
             A = np.vstack([(cols >> np.arange(n)[:, None]) & 1, np.ones(cols.size)])
             master = ColumnMaster(A, np.append(p, 1.0), -rng.uniform(0, 2, cols.size),
-                                  n + 1)
+                                  n + 1, start_basis(cols, n))
             assert master.result.status == OPTIMAL
+        # Both starts occur: from the segment basis, and phase 1 when there
+        # is no usable basis.
+        assert len(cold) >= 100 and 1000 - len(cold) >= 100
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_never_more_work_than_the_chain(self, seed, tmp_path, monkeypatch):
@@ -296,6 +313,53 @@ class TestSystematicStart:
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
         assert counts["resumes"] <= chain_counts["resumes"]
         assert counts["pivots"] <= chain_counts["pivots"]
+
+
+class TestStartBasis:
+    def test_generated_instances_skip_phase_1(self, tmp_path, monkeypatch):
+        """Every generated master of seeds 1-3 starts from the segment
+        basis, never reaching the cold kernel, with the same values and
+        at most 45% of the pivots of the phase-1 start in total (99 of 244
+        when this test was written)."""
+        instances = []
+        for seed in (1, 2, 3):
+            (tmp_path / str(seed)).mkdir()
+            instances += generated_instances(tmp_path / str(seed), seed)
+        cold = counted_cold_solves(monkeypatch)
+
+        def solve(instances):
+            return [worst_case_expectation(inst)[0] for inst in instances]
+
+        ours, pivots = pivot_count(monkeypatch, solve, instances)
+        assert not cold
+        monkeypatch.setattr(lp, "simplex_from_basis", lambda *args: None)
+        phase1, phase1_pivots = pivot_count(monkeypatch, solve, instances)
+        assert len(cold) == len(instances)
+        for a, b in zip(ours, phase1):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+        assert pivots <= 0.45 * phase1_pivots
+
+    def test_gap2_solves_cold(self, monkeypatch):
+        """gap2's two segments cannot span its three rows: phase 1 runs."""
+        inst = load_gap_instance(read_json(INSTANCES / "gap2.json"))
+        assert start_basis(start_columns([0.5, 0.5]), 2) is None
+        cold = counted_cold_solves(monkeypatch)
+        worst, _ = worst_case_expectation(inst)
+        assert len(cold) == 1
+        assert worst == pytest.approx(1.0, abs=1e-9)
+
+    def test_the_basis_is_the_segments(self):
+        p = [0.3, 0.6, 0.9, 0.7]
+        cols = start_columns(p)
+        np.testing.assert_array_equal(cols, [0, 13, 14, 6, 10, 12])
+        assert cols[start_basis(cols, 4)].tolist() == \
+            [mask for mask, _ in systematic_segments(p)]
+        # The comonotone chain has n + 1 columns: no basis.
+        assert start_basis(chain_columns(p), 4) is None
+        # Four segments for five rows.
+        assert start_basis(start_columns([0.25] * 4), 4) is None
+        # Three segments, but the empty set is one of them.
+        assert start_basis(start_columns([0.2, 0.3]), 2) is None
 
 
 def assert_matches_cold(inst):

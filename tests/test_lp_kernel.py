@@ -33,6 +33,7 @@ from stocomb.lp import (
     PIVOT_TOL,
     ColumnMaster,
     LinearProgram,
+    LPResult,
     max_pivots,
     solve_lp,
 )
@@ -318,3 +319,106 @@ class TestEqualityRows:
         assert res.status == OPTIMAL
         assert res.value == pytest.approx(1.0)
         assert_optimal_certificate(np.array([1.0, 2.0]), A, np.ones(3), 3, res)
+
+
+# -- Starting from a known basis ------------------------------------------------
+
+def cold(A, b, c, eq):
+    return _kernels.simplex_kernel(A, b, c, PIVOT_TOL, FEAS_TOL, max_pivots(*A.shape), eq)
+
+
+def from_basis(A, b, c, basis, eq):
+    return _kernels.simplex_from_basis(A, b, c, basis, PIVOT_TOL, max_pivots(*A.shape), eq)
+
+
+def phase1_basis(A, b, eq):
+    """The basis phase 1 ends at: with zero costs phase 2 makes no pivot."""
+    return cold(A, b, np.zeros(A.shape[1]), eq)[5][1]
+
+
+def master_key(master):
+    """A master's status, pivots, result and tableau, arrays as bytes."""
+    res = master.result
+    parts = (res.primal, res.duals, res.value, *(master._tableau or ()))
+    return (res.status, master.pivots,
+            *(None if v is None else np.asarray(v).tobytes() for v in parts))
+
+
+def assert_relative(value, reference):
+    assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
+
+
+class TestFromBasis:
+    def test_phase1_basis_matches_the_cold_solve(self):
+        """From the basis phase 1 ends at, phase 2 alone reaches the cold
+        optimum; resuming with more columns matches the widened LP's."""
+        rng = np.random.default_rng(15)
+        started = 0
+        for trial in range(300):
+            c, A, b, eq = equality_lp(rng)
+            m, n = A.shape
+            basis = phase1_basis(A, b, eq)
+            if (basis >= n + m - eq).any():
+                continue  # a row left artificial: no basis of A's columns
+            out = from_basis(A, b, c, basis, eq)
+            ref = cold(A, b, c, eq)
+            assert out is not None, trial
+            assert out[0] == ref[0] == 0
+            assert_relative(out[3], ref[3])
+            assert_optimal_certificate(c, A, b, eq, LPResult(OPTIMAL, out[1], out[3], out[2]))
+
+            master = ColumnMaster(A, b, c, eq, basis)  # takes the same path
+            assert master.result.primal.tobytes() == out[1].tobytes()
+            assert master.pivots == out[4]
+            k = int(rng.integers(1, 4))
+            extra = np.round(rng.uniform(-1, 1, (m, k)), 2)
+            extra_c = np.round(rng.uniform(0.1, 2, k), 2)
+            res = master.add_columns(extra, extra_c)
+            wide_c, wide_A = np.append(c, extra_c), np.hstack([A, extra])
+            wide = cold(wide_A, b, wide_c, eq)
+            assert res.status == OPTIMAL and wide[0] == 0
+            assert_relative(res.value, wide[3])
+            assert_optimal_certificate(wide_c, wide_A, b, eq, res)
+            started += 1
+        assert started > 250
+
+    def test_rejected_bases_solve_cold_bit_identically(self):
+        """A singular basis or one with a negative level is refused, and
+        the master then solves exactly as without a basis."""
+        rng = np.random.default_rng(16)
+        singular = negative = 0
+        for _ in range(600):
+            c, A, b, eq = equality_lp(rng)
+            m, n = A.shape
+            columns = np.hstack([A, -np.eye(m)[:, eq:]])  # structural, surplus
+            basis = rng.choice(columns.shape[1], m, replace=bool(rng.random() < 0.3))
+            B = columns[:, basis]
+            if np.linalg.matrix_rank(B) < m:
+                singular += 1
+            elif np.linalg.solve(B, b).min() < -1e-9:
+                negative += 1
+            else:
+                continue
+            assert from_basis(A, b, c, basis, eq) is None
+            assert master_key(ColumnMaster(A, b, c, eq, basis)) == \
+                master_key(ColumnMaster(A, b, c, eq))
+        assert singular > 60 and negative > 200
+
+    def test_rejected_by_hand(self):
+        hilbert = 1.0 / (np.arange(8)[:, None] + np.arange(8) + 1.0)
+        cases = [
+            # B^-1 B misses the identity by more than the pivot tolerance.
+            (hilbert, hilbert @ np.ones(8), np.ones(8), list(range(8)), 8),
+            # The level 1e300 / 1e-300 overflows.
+            (np.array([[1e-300]]), np.array([1e300]), np.ones(1), [0], 1),
+            # An artificial column, a wrong length, a negative index.
+            (np.eye(2), np.ones(2), np.ones(2), [0, 3], 2),
+            (np.eye(2), np.ones(2), np.ones(2), [0], 2),
+            (np.eye(2), np.ones(2), np.ones(2), [0, -1], 2),
+        ]
+        for A, b, c, basis, eq in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert from_basis(A, b, c, basis, eq) is None
+                assert master_key(ColumnMaster(A, b, c, eq, basis)) == \
+                    master_key(ColumnMaster(A, b, c, eq))

@@ -507,6 +507,14 @@ class TestUflEncoding:
                 scenarios=scenarios)
             assert arrays(encode_ufl(data)) == arrays(loop_encode_ufl(data)), trial
 
+    @pytest.mark.parametrize("service_cost", [[[1, 2, 3], [4, 5, 6]], [1, 2, 3, 4, 5, 6]],
+                             ids=["transposed", "flat"])
+    def test_service_cost_of_the_wrong_shape_is_refused(self, service_cost):
+        with pytest.raises(ValueError, match="service_cost must be 3 rows of 2 numbers"):
+            TwoStageUFL(facilities=("f0", "f1", "f2"), clients=("a", "b"),
+                        open_cost=[1.0] * 3, second_open_cost=[1.0] * 3,
+                        service_cost=service_cost, scenarios=())
+
 
 class TestConcentration:
     def test_sample_mean_interval_coverage(self):
