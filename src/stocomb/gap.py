@@ -45,6 +45,8 @@ class GapInstance:
     def __post_init__(self):
         object.__setattr__(self, "ground", tuple(self.ground))
         object.__setattr__(self, "marginals", dict(self.marginals))
+        if len(set(self.ground)) != len(self.ground):
+            raise ValueError("duplicate ground items")
         for i in self.ground:
             p = self.marginals[i]
             if not 0.0 <= p <= 1.0:

@@ -67,11 +67,12 @@ def _schema_checked(what: str):
 def load_distribution(payload: dict) -> ScenarioDistribution:
     kind = payload["kind"]
     if kind == "explicit":
-        return Explicit(tuple((o["subset"], o["prob"]) for o in payload["outcomes"]))
+        return Explicit(tuple((_ids(o["subset"], "subset"), o["prob"])
+                              for o in payload["outcomes"]))
     if kind == "independent":
         return IndependentBernoulli(tuple(payload["marginals"].items()))
     if kind == "k_partition":
-        return KPartition(payload["blocks"])
+        return KPartition([_ids(b, "block") for b in _ids(payload["blocks"], "blocks")])
     raise SchemaError(f"unknown distribution kind {kind!r}")
 
 
@@ -90,7 +91,7 @@ def dump_distribution(dist: ScenarioDistribution) -> dict:
 @_schema_checked("instance")
 def load_instance(payload: dict):
     """Parse a client-element instance; returns (problem, distribution|None)."""
-    clients = payload["clients"]
+    clients = _ids(payload["clients"], "clients")
     order = tuple(e["id"] for e in payload["elements"])
     costs = {e["id"]: float(e["cost"]) for e in payload["elements"]}
     if len(costs) < len(order):
@@ -99,6 +100,10 @@ def load_instance(payload: dict):
     sigma = float(payload["sigma"])
     problem = payload["problem"]
     kind = problem["kind"]
+
+    field = {"set_cover": "sets", "ufl": "assignments"}.get(kind, "edges")
+    for key, ids in problem.get(field, {}).items():
+        _ids(ids, f"{field}[{key!r}]")
 
     if kind == "steiner":
         edges = problem["edges"]
@@ -115,7 +120,7 @@ def load_instance(payload: dict):
             raise SchemaError("vertex-cover edges must be keyed by client ids")
         inst = vertex_cover_problem(order, edges, costs, sigma)
     elif kind == "ufl":
-        facilities = problem["facilities"]
+        facilities = _ids(problem["facilities"], "facilities")
         assigns = problem["assignments"]
         if set(order) != set(facilities) | set(assigns):
             raise SchemaError(
@@ -132,6 +137,13 @@ def load_instance(payload: dict):
         dist = load_distribution(payload["distribution"])
         _check_distribution_clients(dist, set(inst.clients))
     return inst, dist
+
+
+def _ids(value, what: str) -> list:
+    """``value`` if it is a list; a string would read as its characters."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list of ids, not {type(value).__name__}")
+    return value
 
 
 def _check_distribution_clients(dist: ScenarioDistribution, clients: set):
@@ -211,7 +223,7 @@ def dump_stochastic_lp(instance: StochasticLPInstance) -> dict:
 
 @_schema_checked("gap instance")
 def load_gap_instance(payload: dict) -> GapInstance:
-    ground = tuple(payload["ground"])
+    ground = tuple(_ids(payload["ground"], "ground"))
     marginals = {i: float(payload["marginals"][str(i)]) for i in ground}
     f = setfun_from_json(payload["set_function"], ground)
     return GapInstance(ground, f, marginals)

@@ -49,8 +49,9 @@ class ProblemInstance:
     an oracle that decomposes per client: uint64 element masks F in, uint64
     masks of the clients each F serves out, and F serves S exactly when it
     serves every client of S.  It must agree with ``feasibility``.  Custom
-    oracles and instances past ``MASK_BITS`` clients have none, and
-    :func:`client_optima` then calls :func:`exact_opt`.
+    oracles and instances past ``MASK_BITS`` clients have none.  The served
+    and price tables over every element mask are built on first use and kept
+    on the instance; a :func:`dataclasses.replace` copy starts without them.
     """
 
     clients: tuple
@@ -82,6 +83,14 @@ class ProblemInstance:
             return math.fsum(self.first_stage_cost[e] for e in subset)
         except OverflowError as exc:
             raise NumericalFailure("element costs sum past the float range") from exc
+
+    @functools.cached_property
+    def _served_table(self) -> np.ndarray:
+        return served_table(self)
+
+    @functools.cached_property
+    def _prices(self) -> np.ndarray:
+        return _price_table(self, self.elements)
 
     def element_index(self) -> dict:
         return {e: i for i, e in enumerate(self.elements)}
@@ -360,18 +369,23 @@ def cheapest(costs, ok, tol: float) -> int:
 
 
 def exact_opt(problem: ProblemInstance, clients: frozenset) -> Solution:
-    """Cheapest element set serving ``clients``.
-
-    Exhaustive search over all element subsets, with ties broken by
-    :func:`cheapest` so the oracle is deterministic.
+    """Cheapest element set serving ``clients``, by exhaustive search with
+    ties broken by :func:`cheapest`.  F serves them when the served table
+    holds all their bits at F, if the problem has one and they are its
+    clients; otherwise ``feasibility`` is asked once per element set F.
     """
     clients = frozenset(clients)
     elements = problem.elements
     if len(elements) > caps.OPT_ELEMENTS:
         raise CapExceeded(f"2^{len(elements)} candidate sets exceed the search cap")
-    ok = feasible_table(problem, [clients])[0]
+    bits = [1 << i for i, j in enumerate(problem.clients) if j in clients]
+    if problem.served is not None and len(bits) == len(clients):
+        want = np.uint64(sum(bits))
+        ok = problem._served_table & want == want
+    else:
+        ok = feasible_table(problem, [clients])[0]
     return _cheapest_solution(problem, clients, elements, ok,
-                              lambda: _price_table(problem, elements))
+                              lambda: problem._prices)
 
 
 def _price_table(problem: ProblemInstance, items: tuple) -> np.ndarray:
@@ -382,41 +396,12 @@ def _price_table(problem: ProblemInstance, items: tuple) -> np.ndarray:
 def _cheapest_solution(problem, clients, free, ok, prices) -> Solution:
     """The cheapest ``ok`` mask over ``free``, priced by ``prices()`` once the
     costs are known to sum inside the float range: the tail of
-    :func:`exact_opt`, of :func:`client_optima` and of the two-stage
-    optimum's recourse."""
+    :func:`exact_opt` and of the two-stage optimum's recourse."""
     if not ok.any():
         raise Infeasible(f"no element subset serves {sorted(map(str, clients))}")
     problem.cost(free)  # largest sum, feasible if any is: NumericalFailure on overflow
     picked = members(cheapest(prices(), ok, COST_TOL), free)
     return Solution(frozenset(picked), problem.cost(picked))
-
-
-def client_optima(problem: ProblemInstance) -> Callable[[frozenset], Solution]:
-    """``S -> exact_opt(problem, S)``, memoized, for every client set S.
-
-    With a block function (``problem.served``), every S is priced from one
-    :func:`served_table`: F serves S exactly when ``served[F] & S == S``, so
-    no oracle is called.  The value, its ties and its exceptions are
-    :func:`exact_opt`'s.  A problem without a block function, a client set
-    outside ``problem.clients`` or more than ``caps.OPT_ELEMENTS`` elements
-    fall back to :func:`exact_opt` itself.  Nothing is built before the
-    first call.
-    """
-    bit = {j: 1 << i for i, j in enumerate(problem.clients)}
-    tabled = (problem.served is not None
-              and len(problem.elements) <= caps.OPT_ELEMENTS)
-    table = functools.cache(lambda: served_table(problem))
-    prices = functools.cache(lambda: _price_table(problem, problem.elements))
-
-    @functools.cache
-    def opt(clients: frozenset) -> Solution:
-        if not (tabled and clients <= bit.keys()):
-            return exact_opt(problem, clients)
-        want = np.uint64(sum(bit[j] for j in clients))
-        return _cheapest_solution(problem, clients, problem.elements,
-                                  table() & want == want, prices)
-
-    return lambda clients: opt(frozenset(clients))
 
 
 @dataclass(frozen=True)
@@ -448,8 +433,7 @@ def check_subadditive(problem: ProblemInstance) -> CheckReport:
     first failing ordered pair always has S at or before T.
     """
     subsets = client_sets(problem, "subadditivity")
-    optimum = client_optima(problem)
-    opt = {S: optimum(S) for S in subsets}
+    opt = {S: exact_opt(problem, S) for S in subsets}
     for i, S in enumerate(subsets):
         for T in subsets[i:]:
             union = S | T

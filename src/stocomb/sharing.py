@@ -10,6 +10,7 @@ summability and budget-balance ratios and verifies cross-monotonicity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,11 +22,10 @@ from .model import (
     COST_TOL,
     CheckReport,
     ProblemInstance,
-    client_optima,
     client_sets,
+    exact_opt,
     members,
 )
-from .model import exact_opt  # noqa: F401 - kept importable: tracers patch it here by name
 from .rng import stream
 from .setfun import check_monotone, check_submodular
 from .solvers import ApproxAlgorithm
@@ -63,10 +63,8 @@ def total_share(xi: CostShareFunction, subset: frozenset) -> float:
 def check_fairness(xi: CostShareFunction, problem: ProblemInstance) -> CheckReport:
     """Verify sum of shares <= exact optimum cost (within ``COST_TOL``) for
     every client subset."""
-    subsets = client_sets(problem, "cost-share")
-    optimum = client_optima(problem)
-    for S in subsets:
-        opt = optimum(S)
+    for S in client_sets(problem, "cost-share"):
+        opt = exact_opt(problem, S)
         if total_share(xi, S) > opt.cost + COST_TOL:
             return CheckReport(
                 False, f"shares for {sorted(map(str, S))} exceed the optimum")
@@ -121,14 +119,15 @@ def measure_unistrictness(xi: CostShareFunction, alg: ApproxAlgorithm,
 
 
 def equal_split_shares(problem: ProblemInstance) -> CostShareFunction:
-    """Exact optimum split evenly over the served clients."""
-    optimum = client_optima(problem)
+    """Exact optimum split evenly over the served clients; each served set's
+    optimum is computed once, as ``total_share`` asks for it per member."""
+    optimum = functools.cache(lambda subset: exact_opt(problem, subset).cost)
 
     def xi(subset: frozenset, j) -> float:
         subset = frozenset(subset)
         if j not in subset:
             return 0.0
-        return optimum(subset).cost / len(subset)
+        return optimum(subset) / len(subset)
 
     return xi
 

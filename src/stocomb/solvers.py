@@ -16,7 +16,7 @@ from functools import partial
 from typing import Callable
 
 from .errors import Disconnected, Infeasible
-from .model import ProblemInstance, Solution, client_optima, client_sets
+from .model import ProblemInstance, Solution, client_sets, exact_opt
 from .setfun import harmonic
 
 
@@ -297,10 +297,9 @@ def empirical_alpha(problem: ProblemInstance, alg: ApproxAlgorithm | None = None
     subsets = client_sets(problem, "solver")
     if alg is None:
         alg = algorithm_for(problem)
-    optimum = client_optima(problem)
     worst = 1.0
     for S in subsets:
-        opt = optimum(S)
+        opt = exact_opt(problem, S)
         got = alg.solve(problem, S)
         if opt.cost <= 1e-12:
             if got.cost > 1e-12:

@@ -265,9 +265,10 @@ def loop_check_monotone_feasibility(problem) -> CheckReport:
 
 
 # -- The exhaustive optimizers' per-subset loops ------------------------------
-# ``model.exact_opt`` and ``boosting.exact_two_stage_opt`` tabulate
-# feasibility once (``model.feasible_table``), price the lattice with numpy
-# and break ties with ``model.cheapest``.  These are the loops they replaced:
+# ``model.exact_opt`` reads the served-client table, or tabulates
+# feasibility once (``model.feasible_table``) for a problem without one;
+# ``boosting.exact_two_stage_opt`` tabulates feasibility once.  Both price
+# the lattice with numpy and break ties with ``model.cheapest``.  These are the loops they replaced:
 # one oracle call per subset, and one exact optimum per (first stage,
 # scenario) pair, each with its own sequential tolerance tie-break.
 
@@ -409,11 +410,11 @@ def loop_feasibility(problem):
 
 # -- The per-client-set sweeps -----------------------------------------------
 # ``check_subadditive``, ``check_fairness``, ``equal_split_shares`` and
-# ``empirical_alpha`` price every client set through ``model.client_optima``,
-# which reads one served-client table (``model.served_table``).
-# These are the loops they replaced, one ``exact_opt`` (one oracle table)
-# per client set, and the table they read written with one oracle call per
-# (element set, client): same reports, same exceptions.
+# ``empirical_alpha`` price every client set with ``model.exact_opt``, which
+# reads the problem's one served-client table (``model.served_table``).
+# These are their plain loops, which call ``exact_opt`` wherever they need an
+# optimum, and the table written with one oracle call per (element set,
+# client): same reports, same exceptions.
 
 def loop_served_table(problem) -> np.ndarray:
     """Bit j of entry F is ``feasibility(F, {j})``."""

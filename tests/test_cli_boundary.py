@@ -198,6 +198,61 @@ def test_repeated_element_id_exits_2(kind, tmp_path, capsys):
     assert err == [f"schema error: repeated element ids: [{first!r}]"]
 
 
+# One-client instances with one-character ids, so that a string of ids
+# would read as a list of them.
+VERTEX_COVER = {"clients": ["e"], "sigma": 1.0,
+                "elements": [{"id": "a", "cost": 1.0}, {"id": "d", "cost": 2.0}],
+                "problem": {"kind": "vertex_cover", "edges": {"e": ["d", "a"]}}}
+UFL = {"clients": ["a"], "sigma": 1.0,
+       "elements": [{"id": "f", "cost": 1.0}, {"id": "x", "cost": 0.5}],
+       "problem": {"kind": "ufl", "facilities": ["f"],
+                   "assignments": {"x": ["f", "a"]}}}
+# (instance, path, string, field named in the error)
+STRING_IDS = {
+    "clients": ("cov3.json", ("clients",), "123", "clients"),
+    "set_cover_set": ("cov3.json", ("problem", "sets", "sA"), "12", "sets['sA']"),
+    "steiner_edge": ("tri3.json", ("problem", "edges", "e12"), "12", "edges['e12']"),
+    "vertex_cover_edge": (VERTEX_COVER, ("problem", "edges", "e"), "da", "edges['e']"),
+    "ufl_facilities": (UFL, ("problem", "facilities"), "f", "facilities"),
+    "ufl_assignment": (UFL, ("problem", "assignments", "x"), "fa", "assignments['x']"),
+    "explicit_subset": ("edge1.json", ("distribution", "outcomes", 0, "subset"), "j",
+                        "subset"),
+    "partition_block": ("edge1.json", ("distribution",),
+                        {"kind": "k_partition", "blocks": ["j"]}, "block"),
+    "gap_ground": ("gap2.json", ("ground",), "ab", "ground"),
+}
+
+
+def run_payload(command, payload, tmp_path, capsys):
+    """(exit code, stderr lines) of ``command`` on ``payload``."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(payload))
+    code = main(command[:1] + ["--instance", str(inst)] + command[1:])
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("case", list(STRING_IDS))
+def test_string_where_a_list_of_ids_belongs_exits_2(case, tmp_path, capsys):
+    source, path, value, what = STRING_IDS[case]
+    if isinstance(source, str):
+        payload, command = json.loads((INSTANCES / source).read_text()), COMMANDS[source]
+    else:
+        payload, command = source, ["solve-det", "--exact"]
+    assert run_payload(command, payload, tmp_path, capsys)[0] == 0
+    code, err = run_payload(command, substituted(payload, path, value), tmp_path,
+                            capsys)
+    assert code == 2
+    assert err == [f"schema error: {what} must be a list of ids, not str"]
+
+
+def test_repeated_gap_ground_item_exits_2(tmp_path, capsys):
+    payload = json.loads((INSTANCES / "gap2.json").read_text())
+    payload["ground"] = ["a", "a"]
+    code, err = run_payload(["gap"], payload, tmp_path, capsys)
+    assert code == 2
+    assert err == ["schema error: malformed gap instance: duplicate ground items"]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_escaped_surrogate_pair_loads_and_renders(fmt, tmp_path, capsys):
     inst = tmp_path / "inst.json"

@@ -1,14 +1,16 @@
-"""The served-client table and the sweeps that price every client set from it.
+"""The served-client table and the optima of client sets priced from it.
 
 Each shipped kind's block function ``served``, read over every element mask
 by ``model.served_table``, must equal, bit for bit, the table written with
 one oracle call per (element set, client); past 64 clients no instance has
-one.  ``model.client_optima`` must return what ``exact_opt`` returns
-(solution, ties and exceptions) for every client set.  The four sweeps
-routed through it must report what their per-client-set loops
-(``tests/conftest.py``) report; on custom oracles, which have no table, the
-oracle must see exactly the loops' calls.  Each shipped bitmask oracle must
-answer every (F, S) as the set oracle it replaced and as the served table.
+one.  ``model.exact_opt`` reads that table, built once per problem, for
+client sets among the problem's clients, and must return what the per-mask
+loop ``loop_exact_opt`` and its own oracle path return (solution, ties and
+exceptions) for every client set.  The four sweeps that call it must report
+what their per-client-set loops (``tests/conftest.py``) report; on custom
+oracles, which have no table, the oracle must see exactly the loops' calls.
+Each shipped bitmask oracle must answer every (F, S) as the set oracle it
+replaced and as the served table.
 """
 
 from dataclasses import replace
@@ -24,7 +26,6 @@ from stocomb.model import (
     ProblemInstance,
     Solution,
     check_subadditive,
-    client_optima,
     client_sets,
     exact_opt,
     members,
@@ -44,6 +45,7 @@ from conftest import (
     loop_check_subadditive,
     loop_empirical_alpha,
     loop_equal_split_shares,
+    loop_exact_opt,
     loop_feasibility,
     loop_served_table,
     loop_set_cover_feasible,
@@ -158,18 +160,17 @@ def test_64_clients_fill_every_served_bit():
 
 
 def test_past_64_clients_there_is_no_block_function():
-    """A uint64 mask cannot hold client 64, so no table is built; the
-    optima of client sets that hold such clients are exact_opt's."""
+    """A uint64 mask cannot hold client 64, so no table is built, and
+    exact_opt asks the oracle."""
     clients = tuple(f"c{j}" for j in range(70))
     sets = {"a": clients[:64], "b": clients[60:], "c": clients[::7], "d": clients[63:66]}
     problem = set_cover_problem(clients, sets, {"a": 3.0, "b": 1.0, "c": 2.0, "d": 0.5})
     assert problem.served is None
-    optimum = client_optima(problem)
     high = [frozenset(clients[64:]), frozenset({"c65"}), frozenset({"c0", "c69"}),
             frozenset(clients), frozenset({"c64", "c66"})]
     for S in high:
-        assert outcome(optimum, S) == outcome(exact_opt, problem, S), S
-    assert optimum(clients[65:]) == Solution(frozenset({"b"}), 1.0)
+        assert outcome(exact_opt, problem, S) == outcome(loop_exact_opt, problem, S), S
+    assert exact_opt(problem, clients[65:]) == Solution(frozenset({"b"}), 1.0)
     vertices = tuple(f"v{i}" for i in range(65))
     path = {f"e{i}": (vertices[i], vertices[i + 1]) for i in range(64)}
     assert steiner_problem(vertices, path, dict.fromkeys(path, 1.0)).served is None
@@ -226,12 +227,18 @@ def test_set_cover_answers_listed_non_client_ids():
     assert int(np.bitwise_or.reduce(served_table(problem))) == 0b11
 
 
-# -- client_optima against exact_opt -------------------------------------------
+# -- exact_opt against its loop and its oracle path ----------------------------
 
-def assert_optima_agree(problem, extra=()):
-    optimum = client_optima(problem)
+def assert_optima_agree(problem, extra=(), loop=True):
+    """exact_opt on every client set (and on ``extra``) is the outcome of its
+    oracle path (no block function) and, unless ``loop`` is false, the
+    per-mask loop's outcome."""
+    oracle_only = replace(problem, served=None)
     for S in client_sets(problem, "client-optima") + list(extra):
-        assert outcome(optimum, S) == outcome(exact_opt, problem, S), S
+        got = outcome(exact_opt, problem, S)
+        assert got == outcome(exact_opt, oracle_only, S), S
+        if loop:
+            assert got == outcome(loop_exact_opt, problem, S), S
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -256,16 +263,21 @@ def test_client_optima_ties_and_tolerance_steps(kind):
         problem = random_problem(kind, 3 if kind == "ufl" else 4,
                                  2 if kind == "ufl" else 6, seed)
         assert_optima_agree(repriced(problem, lambda k: 1.0))
-        assert_optima_agree(repriced(problem, lambda k: 1.0 + (k % 3) * COST_TOL))
-        assert_optima_agree(repriced(problem, lambda k: 1.0 - (k % 2) * COST_TOL))
+        # Chains of near ties one COST_TOL apart are where the loop's
+        # sequential tie-break and ``model.cheapest`` part ways
+        # (tests/test_lattice_checks.py pins the rule), so these steps are
+        # checked against exact_opt's oracle path.
+        assert_optima_agree(repriced(problem, lambda k: 1.0 + (k % 3) * COST_TOL),
+                            loop=False)
+        assert_optima_agree(repriced(problem, lambda k: 1.0 - (k % 2) * COST_TOL),
+                            loop=False)
 
 
 def test_client_optima_infeasible_message_is_exact_opts():
     problem = HAND_BUILT["uncoverable_client"]
-    optimum = client_optima(problem)
     with pytest.raises(Infeasible, match=r"no element subset serves \['a', 'c'\]"):
-        optimum({"a", "c"})
-    assert optimum({"a", "b"}) == exact_opt(problem, {"a", "b"})
+        exact_opt(problem, {"a", "c"})
+    assert exact_opt(problem, {"a", "b"}) == loop_exact_opt(problem, {"a", "b"})
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -273,24 +285,58 @@ def test_client_optima_overflowing_costs_fail_like_exact_opt(kind):
     problem = repriced(random_problem(kind, 3, 3, 1), lambda k: 1e308)
     assert_optima_agree(problem)
     with pytest.raises(NumericalFailure):
-        client_optima(problem)(frozenset())
+        exact_opt(problem, frozenset())
+
+
+def counting_oracle(problem):
+    """``problem`` with its oracle wrapped to log its calls, served table kept."""
+    calls = []
+
+    def oracle(F, S):
+        calls.append(S)
+        return problem.feasibility(F, S)
+
+    return replace(problem, feasibility=oracle), calls
 
 
 def test_client_sets_outside_the_clients_fall_back_to_exact_opt():
-    problem = cov3()
-    assert_optima_agree(problem, extra=[{"ghost"}, {"1", "ghost"}])
+    assert_optima_agree(cov3(), extra=[{"ghost"}, {"1", "ghost"}])
+    # x is no client, but a set lists it, so the oracle answers for it.
+    problem = HAND_BUILT["non_client_set_members"]
+    assert_optima_agree(problem, extra=[{"x"}, {"a", "x"}, {"y", "b"}])
+    counted, calls = counting_oracle(problem)
+    for S in client_sets(problem, "client-optima"):
+        exact_opt(counted, S)
+    assert calls == []
+    exact_opt(counted, {"a", "x"})
+    assert calls == [{"a", "x"}] * (1 << len(problem.elements))
+
+
+def served_counter(problem):
+    """``problem`` with its block function wrapped to log each call; tri3
+    and cov3 have three elements, so one table is one call."""
+    built = []
+    counted = replace(problem, served=lambda masks: built.append(1)
+                      or problem.served(masks))
+    return counted, built
 
 
 def test_client_optima_builds_one_table_on_first_call():
-    # tri3 has three elements, so its table is one block.
-    built = []
-    problem = tri3()
-    counted = replace(problem, served=lambda masks: built.append(1)
-                      or problem.served(masks))
-    optimum = client_optima(counted)
+    counted, built = served_counter(tri3())
     assert built == []
-    for S in client_sets(problem, "client-optima") * 2:
-        optimum(S)
+    for S in client_sets(counted, "client-optima") * 2:
+        exact_opt(counted, S)
+    assert built == [1]
+    # A copy starts without the table.
+    exact_opt(replace(counted, inflation=2.0), frozenset())
+    assert built == [1, 1]
+
+
+def test_a_fairness_check_builds_one_served_table():
+    counted, built = served_counter(cov3())
+    xi = equal_split_shares(counted)
+    assert built == []
+    assert check_fairness(xi, counted).ok
     assert built == [1]
 
 
@@ -300,6 +346,9 @@ def test_custom_problems_call_exact_opt():
                               lambda F, S: len(F) >= len(S))
     assert problem.served is None
     assert_optima_agree(problem)
+    counted, calls = counting_oracle(problem)
+    exact_opt(counted, {"x"})
+    assert calls == [{"x"}] * (1 << len(problem.elements))
 
 
 # -- The sweeps against their per-client-set loops -----------------------------

@@ -4,7 +4,7 @@ A name imported but never read is flagged unless its line carries
 ``# noqa: F401``, the marker for a name kept importable on purpose (a module
 attribute a tracer patches by name).  The package ``__init__`` imports to
 re-export, so it is not checked.  The marked imports are pinned to the
-tracer's three, so a new marker cannot hide a dead import.  Standard library
+tracer's two, so a new marker cannot hide a dead import.  Standard library
 only: ``ast``.
 """
 
@@ -17,8 +17,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "stocomb"
 MARKER = "# noqa: F401"
 
 # The names imported only so that ``perfbench/tracing.py`` can patch them.
-TRACER_PINS = [("boosting.py", "exact_opt"), ("gap.py", "solve_lp"),
-               ("sharing.py", "exact_opt")]
+TRACER_PINS = [("boosting.py", "exact_opt"), ("gap.py", "solve_lp")]
 
 
 def imports(tree) -> list:

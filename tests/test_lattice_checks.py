@@ -7,8 +7,10 @@ loop's verdict, exception type and message, on tables whose differences
 land exactly on the tolerance as well as on every shipped problem kind and
 on non-monotone custom oracles.
 
-``model.exact_opt`` and ``boosting.exact_two_stage_opt`` read the oracle
-through ``model.feasible_table`` and break ties with ``model.cheapest``.
+``model.exact_opt`` reads the served-client table, or the oracle through
+``model.feasible_table`` when the problem has no table, and
+``boosting.exact_two_stage_opt`` reads the oracle through
+``model.feasible_table``; both break ties with ``model.cheapest``.
 Each must pick the loop's set with a bit-identical cost, or raise the
 loop's exception type, on every kind, on an oracle that does not decompose
 per client, on all three distribution kinds with zero-probability and
