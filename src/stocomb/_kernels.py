@@ -11,7 +11,8 @@ independent expectation of the correlation gap all read it.
 
 Kernel conventions
 ------------------
-``simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0)`` solves
+``simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0, basis=None)``
+solves
 
     min c.x   subject to   A[:eq] x = b[:eq],  A[eq:] x >= b[eq:],  x >= 0
 
@@ -28,6 +29,13 @@ optimality ``tableau`` is ``(W, basis, row_sign, surplus)``: the
 constraint rows stacked over the reduced-cost row, the basic column of
 each row, the sign each row was multiplied by to make its right-hand side
 nonnegative, and the number of surplus columns; otherwise it is ``None``.
+``basis``, one structural or surplus column per row, is an optional
+feasible start (a crash basis, Bixby 1992): one linear solve turns the
+first tableau into B^-1 times it, keeping the layout and the artificial
+block's B^-1, and phase 2 runs alone.  A basis with another index, a
+singular or non-square B, a non-finite entry, basic columns more than
+``tol`` from the identity or a negative level is refused, and the solve
+runs phase 1 exactly as without one.
 
 ``simplex_resume(tableau, A, c, tol, pivot_limit)`` appends the columns
 ``A`` with costs ``c`` to an optimal tableau and re-optimizes from its
@@ -35,19 +43,11 @@ basis by phase 2 alone (added columns keep the basis primal feasible); it
 returns the same tuple, counting only its own pivots, and leaves the input
 tableau untouched.
 
-``simplex_from_basis(A, b, c, basis, tol, pivot_limit, eq=0)`` solves the
-same LP by phase 2 alone from a known feasible basis, one structural or
-surplus column per row (a crash basis, Bixby 1992): one linear solve
-turns the cold solve's first tableau into B^-1 times it, so the layout,
-the artificial block holding B^-1 and the result tuple are those of
-``simplex_kernel``.  It returns ``None`` instead when the basis is
-singular, leaves a non-finite entry, misses the identity on its own
-columns by more than ``tol`` or has a negative level; the caller then
-solves cold.  All three run the one Bland pivot loop ``_bland``.  An
-artificial still basic after phase 1 sits at level zero in a row that no
-column below the artificials reaches; ``_drive_out`` pivots it out as
-soon as one does (after phase 1, and for each resume's new columns), so
-phase 2 never lifts it off zero.
+Both run the one Bland pivot loop ``_bland``.  An artificial still basic
+after phase 1 sits at level zero in a row that no column below the
+artificials reaches; ``_drive_out`` pivots it out as soon as one does
+(after phase 1, and for each resume's new columns), so phase 2 never
+lifts it off zero.
 """
 
 from __future__ import annotations
@@ -167,62 +167,57 @@ def _install_objective(W, basis, c):
             obj -= c[bi] * W[i]
 
 
-def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0):
-    m, n = A.shape
-    W, row_sign, surplus = _tableau(A, b, eq)
-    art = n + surplus
-    basis = np.arange(art, art + m, dtype=np.int64)
-    obj = W[-1]
-
-    # Phase 1 minimizes the artificial sum; with every artificial basic the
-    # reduced-cost row starts as c1 minus the column sums.
-    obj[:] = -W[:-1].sum(axis=0)
-    obj[art:-1] += 1.0
-    tableau = (W, basis, row_sign, surplus)
-
-    # Artificials never enter.  The phase-1 objective is bounded below by 0,
-    # so an unbounded ray there cannot happen; it is reported as a failure.
-    status, pivots = _bland(W, basis, art, tol, 0, pivot_limit)
-    if status != 0:
-        return _read_off(3, tableau, pivots)
-    if -obj[-1] > feas_tol:
-        return _read_off(1, tableau, pivots)
-    _drive_out(W, basis, art, tol)
-
-    _install_objective(W, basis, c)
-    status, pivots = _bland(W, basis, art, tol, pivots, pivot_limit)
-    return _read_off(status, tableau, pivots)
-
-
-def simplex_from_basis(A, b, c, basis, tol, pivot_limit, eq=0):
-    """Solve the LP of :func:`simplex_kernel` by phase 2 alone from
-    ``basis``, one structural or surplus column per row.
-
-    The tableau is B^-1 times the cold solve's first tableau, from one
-    linear solve, so its artificial block holds B^-1 as the cold solve's
-    does.  Returns ``None`` when the basis is not a usable start: an index
-    outside the structural and surplus columns, a singular or non-square
-    B, a non-finite entry, basic columns more than ``tol`` from the
-    identity, or a negative basic level.
-    """
-    m, n = A.shape
-    art = n + m - eq  # first artificial column
+def _install_basis(W, basis, art, tol):
+    """Install ``basis`` in the first tableau ``W``, whose constraint rows
+    become B^-1 times themselves, and return it as an index array; return
+    ``None``, leaving ``W`` untouched, for an index at or past ``art`` or a
+    basis the module docstring's rules refuse."""
     basis = np.array(basis, dtype=np.int64)
     if ((basis < 0) | (basis >= art)).any():
         return None
-    W, row_sign, surplus = _tableau(A, b, eq)
     T = W[:-1]
     try:
-        T[:] = np.linalg.solve(T[:, basis], T)
+        solved = np.linalg.solve(T[:, basis], T)
     except np.linalg.LinAlgError:
         return None
-    unit = np.eye(m)
-    if not (np.isfinite(T).all() and (np.abs(T[:, basis] - unit) <= tol).all()
-            and (T[:, -1] >= 0.0).all()):
+    unit = np.eye(T.shape[0])
+    if not (np.isfinite(solved).all()
+            and (np.abs(solved[:, basis] - unit) <= tol).all()
+            and (solved[:, -1] >= 0.0).all()):
         return None
+    T[:] = solved
     T[:, basis] = unit
+    return basis
+
+
+def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0, basis=None):
+    m, n = A.shape
+    W, row_sign, surplus = _tableau(A, b, eq)
+    art = n + surplus
+    if basis is not None:
+        basis = _install_basis(W, basis, art, tol)
+    pivots = 0
+    if basis is None:
+        basis = np.arange(art, art + m, dtype=np.int64)
+        obj = W[-1]
+
+        # Phase 1 minimizes the artificial sum; with every artificial basic
+        # the reduced-cost row starts as c1 minus the column sums.
+        obj[:] = -W[:-1].sum(axis=0)
+        obj[art:-1] += 1.0
+        tableau = (W, basis, row_sign, surplus)
+
+        # Artificials never enter.  The phase-1 objective is bounded below
+        # by 0, so an unbounded ray cannot happen; it is reported as failure.
+        status, pivots = _bland(W, basis, art, tol, 0, pivot_limit)
+        if status != 0:
+            return _read_off(3, tableau, pivots)
+        if -obj[-1] > feas_tol:
+            return _read_off(1, tableau, pivots)
+        _drive_out(W, basis, art, tol)
+
     _install_objective(W, basis, c)
-    status, pivots = _bland(W, basis, art, tol, 0, pivot_limit)
+    status, pivots = _bland(W, basis, art, tol, pivots, pivot_limit)
     return _read_off(status, (W, basis, row_sign, surplus), pivots)
 
 

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by every stocomb module."""
+"""Exception hierarchy shared by every stocomb module, and the check
+that a JSON value is a list of ids."""
 
 
 class StocombError(Exception):
@@ -43,3 +44,11 @@ class UncertifiedScheme(StocombError):
 
 class SchemaError(StocombError):
     """An instance file does not match the documented JSON schema."""
+
+
+def list_of_ids(value, what: str) -> list:
+    """``value`` if it is a list; a string would read as its characters and
+    an object as its keys."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list of ids, not {type(value).__name__}")
+    return value

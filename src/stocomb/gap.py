@@ -145,21 +145,6 @@ def start_columns(p) -> np.ndarray:
     return np.array(list(dict.fromkeys([0] + masks)))
 
 
-def start_basis(cols, n):
-    """Positions of the n + 1 columns after the empty set when ``cols``
-    has n + 2 columns, else ``None``.
-
-    For :func:`start_columns` that count means n + 1 distinct nonempty
-    segments of systematic sampling.  Their lengths solve the master's
-    n + 1 equality rows, so when the masks are independent they are a
-    feasible basis whose levels are the lengths, and the first solve skips
-    phase 1.  With fewer columns (the empty set is itself a segment, two
-    segments share a mask, or there are fewer segments) there is no such
-    basis.
-    """
-    return list(range(1, n + 2)) if cols.size == n + 2 else None
-
-
 def worst_case_expectation(inst: GapInstance):
     """Optimal value and attaining distribution of the fixed-marginal LP.
 
@@ -172,10 +157,11 @@ def worst_case_expectation(inst: GapInstance):
     Systematic sampling spreads the items as far apart as the marginals
     allow, so few rounds remain; the comonotone chain, for a submodular f,
     would start at the least expectation the marginals allow (the Lovasz
-    extension).  When the support is n + 1 independent nonempty masks
-    (:func:`start_basis`), the first solve starts at that basis, whose
-    levels are the segment lengths, and runs phase 2 alone (Bixby 1992);
-    otherwise it runs phase 1 from the artificial basis.  Each round
+    extension).  The first solve is offered the columns after the empty
+    set as its basis; when they are n + 1 independent nonempty masks their
+    levels are the segment lengths, and it runs phase 2 alone (Bixby
+    1992); otherwise the kernel refuses the basis and runs phase 1 from
+    the artificial basis.  Each round
     prices all 2^n subsets at once against the master's free-signed duals
     y (items) and y0 (mass), reduced cost
     -f(S) - (sum of y over S + y0) with the sums tabulated by doubling.  The
@@ -200,8 +186,12 @@ def worst_case_expectation(inst: GapInstance):
         """Equality rows: item marginals, then total mass."""
         return np.vstack([(masks >> np.arange(n)[:, None]) & 1, np.ones(masks.size)])
 
+    # Positions 1..n+1 are the nonempty segments.  With fewer than n + 2
+    # columns (the empty set is a segment, two segments share a mask, or
+    # there are fewer) the kernel refuses the basis by its index check, and
+    # with dependent masks by its singular solve; both run phase 1.
     master = ColumnMaster(rows(cols), np.append(p, 1.0), -values[cols], n + 1,
-                          start_basis(cols, n))
+                          list(range(1, n + 2)))
     while True:
         in_master[cols] = True
         res = master.result

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalFailure, SchemaError
+from .errors import NumericalFailure, SchemaError, list_of_ids
 from .gap import GapInstance
 from .model import (
     Explicit,
@@ -67,12 +67,13 @@ def _schema_checked(what: str):
 def load_distribution(payload: dict) -> ScenarioDistribution:
     kind = payload["kind"]
     if kind == "explicit":
-        return Explicit(tuple((_ids(o["subset"], "subset"), o["prob"])
+        return Explicit(tuple((list_of_ids(o["subset"], "subset"), o["prob"])
                               for o in payload["outcomes"]))
     if kind == "independent":
         return IndependentBernoulli(tuple(payload["marginals"].items()))
     if kind == "k_partition":
-        return KPartition([_ids(b, "block") for b in _ids(payload["blocks"], "blocks")])
+        return KPartition([list_of_ids(b, "block")
+                           for b in list_of_ids(payload["blocks"], "blocks")])
     raise SchemaError(f"unknown distribution kind {kind!r}")
 
 
@@ -91,7 +92,7 @@ def dump_distribution(dist: ScenarioDistribution) -> dict:
 @_schema_checked("instance")
 def load_instance(payload: dict):
     """Parse a client-element instance; returns (problem, distribution|None)."""
-    clients = _ids(payload["clients"], "clients")
+    clients = list_of_ids(payload["clients"], "clients")
     order = tuple(e["id"] for e in payload["elements"])
     costs = {e["id"]: float(e["cost"]) for e in payload["elements"]}
     if len(costs) < len(order):
@@ -103,7 +104,7 @@ def load_instance(payload: dict):
 
     field = {"set_cover": "sets", "ufl": "assignments"}.get(kind, "edges")
     for key, ids in problem.get(field, {}).items():
-        _ids(ids, f"{field}[{key!r}]")
+        list_of_ids(ids, f"{field}[{key!r}]")
 
     if kind == "steiner":
         edges = problem["edges"]
@@ -120,7 +121,7 @@ def load_instance(payload: dict):
             raise SchemaError("vertex-cover edges must be keyed by client ids")
         inst = vertex_cover_problem(order, edges, costs, sigma)
     elif kind == "ufl":
-        facilities = _ids(problem["facilities"], "facilities")
+        facilities = list_of_ids(problem["facilities"], "facilities")
         assigns = problem["assignments"]
         if set(order) != set(facilities) | set(assigns):
             raise SchemaError(
@@ -137,13 +138,6 @@ def load_instance(payload: dict):
         dist = load_distribution(payload["distribution"])
         _check_distribution_clients(dist, set(inst.clients))
     return inst, dist
-
-
-def _ids(value, what: str) -> list:
-    """``value`` if it is a list; a string would read as its characters."""
-    if not isinstance(value, list):
-        raise SchemaError(f"{what} must be a list of ids, not {type(value).__name__}")
-    return value
 
 
 def _check_distribution_clients(dist: ScenarioDistribution, clients: set):
@@ -223,7 +217,7 @@ def dump_stochastic_lp(instance: StochasticLPInstance) -> dict:
 
 @_schema_checked("gap instance")
 def load_gap_instance(payload: dict) -> GapInstance:
-    ground = tuple(_ids(payload["ground"], "ground"))
+    ground = tuple(list_of_ids(payload["ground"], "ground"))
     marginals = {i: float(payload["marginals"][str(i)]) for i in ground}
     f = setfun_from_json(payload["set_function"], ground)
     return GapInstance(ground, f, marginals)

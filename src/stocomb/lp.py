@@ -13,8 +13,9 @@ code in :mod:`stocomb._kernels`.
 gains columns (the correlation-gap master; the L-shaped master's dual,
 a column per cut) is re-optimized from its last basis rather than solved
 again; its leading rows may be equalities, which the kernel takes
-natively, and its first solve may start from a known feasible basis
-instead of phase 1.  Every solve, cold or resumed, stops at the pivot limit
+natively.  Every first solve is one kernel call, which starts from a
+feasible basis when it is given a usable one and runs phase 1 otherwise.
+Every solve, cold or resumed, stops at the pivot limit
 ``max_pivots`` of its own (possibly widened) shape and raises
 :class:`NumericalFailure` there.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import simplex_from_basis, simplex_kernel, simplex_resume
+from ._kernels import simplex_kernel, simplex_resume
 from .errors import NumericalFailure
 
 OPTIMAL = "optimal"
@@ -124,9 +125,10 @@ class ColumnMaster:
     Only an optimal master takes more columns.
 
     ``basis``, one column index per row, is a feasible basis to start
-    from: phase 2 then runs alone.  A basis the kernel refuses (singular,
-    or with a negative level) is ignored, and the master is solved cold
-    exactly as without one.
+    from, handed to the one kernel call of the first solve: phase 2 then
+    runs alone.  A basis the kernel refuses (an index past the columns,
+    singular, or with a negative level) is ignored, and the master is
+    solved cold exactly as without one.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -134,13 +136,8 @@ class ColumnMaster:
         A = np.ascontiguousarray(A, dtype=np.float64)
         b = np.ascontiguousarray(b, dtype=np.float64)
         c = np.ascontiguousarray(c, dtype=np.float64)
-        limit = max_pivots(*A.shape)
-        out = None
-        if basis is not None:
-            out = simplex_from_basis(A, b, c, basis, PIVOT_TOL, limit, eq)
-        if out is None:
-            out = simplex_kernel(A, b, c, PIVOT_TOL, FEAS_TOL, limit, eq)
-        self._set(out)
+        self._set(simplex_kernel(A, b, c, PIVOT_TOL, FEAS_TOL,
+                                 max_pivots(*A.shape), eq, basis))
 
     def _set(self, out):
         status, x, duals, value, self.pivots, self._tableau = _checked(out)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import caps
-from .errors import CapExceeded, NotMonotone, NotSubmodular, SchemaError
+from .errors import CapExceeded, NotMonotone, NotSubmodular, SchemaError, list_of_ids
 from .model import first_decrease, members, subset_table
 
 MONO_TOL = 1e-9
@@ -164,7 +164,8 @@ def from_json(payload: dict, ground: tuple):
         if kind == "cardinality":
             return cardinality(ground)
         if kind == "coverage":
-            return coverage({g: payload["cover"][str(g)] for g in ground},
+            return coverage({g: list_of_ids(payload["cover"][str(g)], f"cover of {g!r}")
+                             for g in ground},
                             {u: _finite(w, "coverage weight")
                              for u, w in payload["weights"].items()})
         if kind == "weighted_rank":

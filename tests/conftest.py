@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from stocomb import _kernels
 from stocomb.boosting import (
     IndBoostPolicyBuilder,
     PolicyEvaluation,
@@ -634,6 +635,24 @@ def cold_master_minimize(instance, tolerance=1e-6, max_iterations=10_000):
         if converged:
             break
     return best_x, best_value, converged, t, lower
+
+
+# -- Which start the simplex kernel ran ----------------------------------------
+
+def installed_bases(monkeypatch):
+    """A list that gains, for each basis offered to the simplex kernel, the
+    result of ``_kernels._install_basis``: the basis it installed (phase 2
+    alone), or ``None`` when it refused it (phase 1)."""
+    installed = []
+    install = _kernels._install_basis
+
+    def recording(*args):
+        out = install(*args)
+        installed.append(out)
+        return out
+
+    monkeypatch.setattr(_kernels, "_install_basis", recording)
+    return installed
 
 
 # -- The simplex kernel before native equality rows ---------------------------

@@ -245,6 +245,21 @@ def test_string_where_a_list_of_ids_belongs_exits_2(case, tmp_path, capsys):
     assert err == [f"schema error: {what} must be a list of ids, not str"]
 
 
+@pytest.mark.parametrize("cover", ["uv", {"u": 1}], ids=["str", "dict"])
+def test_coverage_cover_that_is_not_a_list_exits_2(cover, tmp_path, capsys):
+    """A cover entry must list its universe items: a string would read as
+    its characters and an object as its keys."""
+    payload = json.loads((INSTANCES / "gap2.json").read_text())
+    payload["set_function"] = {"kind": "coverage", "cover": {"a": ["u", "v"], "b": ["u"]},
+                               "weights": {"u": 1, "v": 1}}
+    assert run_payload(["gap"], payload, tmp_path, capsys)[0] == 0
+    payload["set_function"]["cover"]["a"] = cover
+    code, err = run_payload(["gap"], payload, tmp_path, capsys)
+    assert code == 2
+    assert err == [f"schema error: cover of 'a' must be a list of ids, "
+                   f"not {type(cover).__name__}"]
+
+
 def test_repeated_gap_ground_item_exits_2(tmp_path, capsys):
     payload = json.loads((INSTANCES / "gap2.json").read_text())
     payload["ground"] = ["a", "a"]

@@ -7,7 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import chain_columns, cold_worst_case, doubled_worst_case, sort_first_pricing
+from conftest import (
+    chain_columns,
+    cold_worst_case,
+    doubled_worst_case,
+    installed_bases,
+    sort_first_pricing,
+)
 from stocomb import _kernels, cli, gap, lp
 from stocomb.errors import CapExceeded, DegenerateInstance, UncertifiedScheme
 from stocomb.gap import (
@@ -19,7 +25,6 @@ from stocomb.gap import (
     priced_columns,
     split,
     split_scheme,
-    start_basis,
     start_columns,
     systematic_segments,
     verify_gap_bound,
@@ -228,15 +233,6 @@ def generated_instances(tmp_path, seed):
         yield load_gap_instance(read_json(path))
 
 
-def counted_cold_solves(monkeypatch):
-    """A list that gains an entry at each call of ``lp.simplex_kernel``."""
-    cold = []
-    kernel = lp.simplex_kernel
-    monkeypatch.setattr(lp, "simplex_kernel",
-                        lambda *args: cold.append(1) or kernel(*args))
-    return cold
-
-
 class TestSystematicStart:
     def test_random_marginals_are_reproduced(self):
         rng = np.random.default_rng(21)
@@ -264,7 +260,7 @@ class TestSystematicStart:
             assert_segments(p)
 
     def test_first_master_solve_is_optimal(self, monkeypatch):
-        cold = counted_cold_solves(monkeypatch)
+        installed = installed_bases(monkeypatch)
         rng = np.random.default_rng(22)
         for _ in range(1000):
             n = int(rng.integers(1, 13))
@@ -274,11 +270,13 @@ class TestSystematicStart:
             cols = start_columns(p.tolist())
             A = np.vstack([(cols >> np.arange(n)[:, None]) & 1, np.ones(cols.size)])
             master = ColumnMaster(A, np.append(p, 1.0), -rng.uniform(0, 2, cols.size),
-                                  n + 1, start_basis(cols, n))
+                                  n + 1, list(range(1, n + 2)))
             assert master.result.status == OPTIMAL
-        # Both starts occur: from the segment basis, and phase 1 when there
-        # is no usable basis.
-        assert len(cold) >= 100 and 1000 - len(cold) >= 100
+        # Both starts occur: from the segment basis, and phase 1 when the
+        # kernel refuses it.
+        refused = sum(basis is None for basis in installed)
+        assert len(installed) == 1000
+        assert refused >= 100 and 1000 - refused >= 100
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_never_more_work_than_the_chain(self, seed, tmp_path, monkeypatch):
@@ -318,48 +316,62 @@ class TestSystematicStart:
 class TestStartBasis:
     def test_generated_instances_skip_phase_1(self, tmp_path, monkeypatch):
         """Every generated master of seeds 1-3 starts from the segment
-        basis, never reaching the cold kernel, with the same values and
-        at most 45% of the pivots of the phase-1 start in total (99 of 244
-        when this test was written)."""
+        basis, never running phase 1, with the same values and at most 45%
+        of the pivots of the phase-1 start in total (99 of 244 when this
+        test was written)."""
         instances = []
         for seed in (1, 2, 3):
             (tmp_path / str(seed)).mkdir()
             instances += generated_instances(tmp_path / str(seed), seed)
-        cold = counted_cold_solves(monkeypatch)
 
         def solve(instances):
             return [worst_case_expectation(inst)[0] for inst in instances]
 
+        installed = installed_bases(monkeypatch)
         ours, pivots = pivot_count(monkeypatch, solve, instances)
-        assert not cold
-        monkeypatch.setattr(lp, "simplex_from_basis", lambda *args: None)
+        assert len(installed) == len(instances)
+        assert all(basis is not None for basis in installed)
+        monkeypatch.setattr(_kernels, "_install_basis", lambda *args: None)
         phase1, phase1_pivots = pivot_count(monkeypatch, solve, instances)
-        assert len(cold) == len(instances)
         for a, b in zip(ours, phase1):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
         assert pivots <= 0.45 * phase1_pivots
 
     def test_gap2_solves_cold(self, monkeypatch):
-        """gap2's two segments cannot span its three rows: phase 1 runs."""
+        """gap2's two segments cannot span its three rows: the kernel
+        refuses the offered basis and phase 1 runs."""
         inst = load_gap_instance(read_json(INSTANCES / "gap2.json"))
-        assert start_basis(start_columns([0.5, 0.5]), 2) is None
-        cold = counted_cold_solves(monkeypatch)
+        np.testing.assert_array_equal(start_columns([0.5, 0.5]), [0, 1, 2])
+        installed = installed_bases(monkeypatch)
         worst, _ = worst_case_expectation(inst)
-        assert len(cold) == 1
+        assert installed == [None]
         assert worst == pytest.approx(1.0, abs=1e-9)
 
-    def test_the_basis_is_the_segments(self):
+    def test_the_basis_is_the_segments(self, monkeypatch):
         p = [0.3, 0.6, 0.9, 0.7]
         cols = start_columns(p)
         np.testing.assert_array_equal(cols, [0, 13, 14, 6, 10, 12])
-        assert cols[start_basis(cols, 4)].tolist() == \
-            [mask for mask, _ in systematic_segments(p)]
+        assert cols[1:].tolist() == [mask for mask, _ in systematic_segments(p)]
+
+        installed = installed_bases(monkeypatch)
+
+        def installed_for(p, cols):
+            """The kernel's install results for a master offered, as in
+            worst_case_expectation, the positions after the empty set."""
+            n = len(p)
+            installed.clear()
+            A = np.vstack([(cols >> np.arange(n)[:, None]) & 1, np.ones(cols.size)])
+            ColumnMaster(A, np.append(p, 1.0), np.zeros(cols.size), n + 1,
+                         list(range(1, n + 2)))
+            return list(installed)
+
+        assert [v.tolist() for v in installed_for(p, cols)] == [[1, 2, 3, 4, 5]]
         # The comonotone chain has n + 1 columns: no basis.
-        assert start_basis(chain_columns(p), 4) is None
+        assert installed_for(p, chain_columns(p)) == [None]
         # Four segments for five rows.
-        assert start_basis(start_columns([0.25] * 4), 4) is None
+        assert installed_for([0.25] * 4, start_columns([0.25] * 4)) == [None]
         # Three segments, but the empty set is one of them.
-        assert start_basis(start_columns([0.2, 0.3]), 2) is None
+        assert installed_for([0.2, 0.3], start_columns([0.2, 0.3])) == [None]
 
 
 def assert_matches_cold(inst):

@@ -19,6 +19,7 @@ from conftest import (
     equality_pair_lp,
     ge_simplex_kernel,
     ge_simplex_resume,
+    installed_bases,
     numeric_paths,
     substituted,
     vertex_oracle_lp,
@@ -179,7 +180,8 @@ class TestNoEqualityRowsBitIdentical:
             code, warned = recorded(cli)
             return code, warned, capsys.readouterr().out, calls
 
-        def reference(A, b, c, tol, feas_tol, pivot_limit, eq=0):
+        def reference(A, b, c, tol, feas_tol, pivot_limit, eq=0, basis=None):
+            assert basis is None  # no saa LP offers a start basis
             if eq:
                 return _kernels.simplex_kernel(A, b, c, tol, feas_tol,
                                                pivot_limit, eq)
@@ -327,8 +329,15 @@ def cold(A, b, c, eq):
     return _kernels.simplex_kernel(A, b, c, PIVOT_TOL, FEAS_TOL, max_pivots(*A.shape), eq)
 
 
-def from_basis(A, b, c, basis, eq):
-    return _kernels.simplex_from_basis(A, b, c, basis, PIVOT_TOL, max_pivots(*A.shape), eq)
+def warm(A, b, c, basis, eq):
+    return _kernels.simplex_kernel(A, b, c, PIVOT_TOL, FEAS_TOL, max_pivots(*A.shape),
+                                   eq, basis)
+
+
+def full_key(out):
+    """A kernel result with its tableau, arrays as bytes."""
+    parts = (*out[1:4], *(out[5] or ()))
+    return (out[0], out[4], *(np.asarray(v).tobytes() for v in parts))
 
 
 def phase1_basis(A, b, eq):
@@ -349,9 +358,10 @@ def assert_relative(value, reference):
 
 
 class TestFromBasis:
-    def test_phase1_basis_matches_the_cold_solve(self):
+    def test_phase1_basis_matches_the_cold_solve(self, monkeypatch):
         """From the basis phase 1 ends at, phase 2 alone reaches the cold
         optimum; resuming with more columns matches the widened LP's."""
+        installed = installed_bases(monkeypatch)
         rng = np.random.default_rng(15)
         started = 0
         for trial in range(300):
@@ -360,14 +370,15 @@ class TestFromBasis:
             basis = phase1_basis(A, b, eq)
             if (basis >= n + m - eq).any():
                 continue  # a row left artificial: no basis of A's columns
-            out = from_basis(A, b, c, basis, eq)
+            out = warm(A, b, c, basis, eq)
+            assert installed.pop() is not None, trial
             ref = cold(A, b, c, eq)
-            assert out is not None, trial
             assert out[0] == ref[0] == 0
             assert_relative(out[3], ref[3])
             assert_optimal_certificate(c, A, b, eq, LPResult(OPTIMAL, out[1], out[3], out[2]))
 
             master = ColumnMaster(A, b, c, eq, basis)  # takes the same path
+            assert installed.pop() is not None
             assert master.result.primal.tobytes() == out[1].tobytes()
             assert master.pivots == out[4]
             k = int(rng.integers(1, 4))
@@ -381,10 +392,13 @@ class TestFromBasis:
             assert_optimal_certificate(wide_c, wide_A, b, eq, res)
             started += 1
         assert started > 250
+        assert not installed  # cold solves offer no basis
 
-    def test_rejected_bases_solve_cold_bit_identically(self):
+    def test_rejected_bases_solve_cold_bit_identically(self, monkeypatch):
         """A singular basis or one with a negative level is refused, and
-        the master then solves exactly as without a basis."""
+        the kernel and the master then solve exactly as without a basis,
+        tableau included."""
+        installed = installed_bases(monkeypatch)
         rng = np.random.default_rng(16)
         singular = negative = 0
         for _ in range(600):
@@ -399,12 +413,15 @@ class TestFromBasis:
                 negative += 1
             else:
                 continue
-            assert from_basis(A, b, c, basis, eq) is None
+            assert full_key(warm(A, b, c, basis, eq)) == full_key(cold(A, b, c, eq))
             assert master_key(ColumnMaster(A, b, c, eq, basis)) == \
                 master_key(ColumnMaster(A, b, c, eq))
+            assert installed == [None, None]
+            installed.clear()
         assert singular > 60 and negative > 200
 
-    def test_rejected_by_hand(self):
+    def test_rejected_by_hand(self, monkeypatch):
+        installed = installed_bases(monkeypatch)
         hilbert = 1.0 / (np.arange(8)[:, None] + np.arange(8) + 1.0)
         cases = [
             # B^-1 B misses the identity by more than the pivot tolerance.
@@ -419,6 +436,22 @@ class TestFromBasis:
         for A, b, c, basis, eq in cases:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                assert from_basis(A, b, c, basis, eq) is None
+                assert full_key(warm(A, b, c, basis, eq)) == full_key(cold(A, b, c, eq))
                 assert master_key(ColumnMaster(A, b, c, eq, basis)) == \
                     master_key(ColumnMaster(A, b, c, eq))
+            assert installed == [None, None]
+            installed.clear()
+
+    def test_one_kernel_call_per_master(self, monkeypatch):
+        """A master's first solve is one call of ``lp.simplex_kernel``,
+        with an accepted, a refused or no basis."""
+        calls = []
+        kernel = lp.simplex_kernel
+        monkeypatch.setattr(lp, "simplex_kernel",
+                            lambda *args: calls.append(args[7]) or kernel(*args))
+        installed = installed_bases(monkeypatch)
+        A, b, c = np.eye(2), np.ones(2), np.ones(2)
+        for basis in ([0, 1], [0, 0], None):
+            ColumnMaster(A, b, c, 2, basis)
+        assert calls == [[0, 1], [0, 0], None]
+        assert [None if v is None else v.tolist() for v in installed] == [[0, 1], None]
