@@ -2,9 +2,9 @@
 
 The dense simplex kernel below carries the sample-average pipeline (every
 cutting-plane iteration solves one small recourse LP per scenario and one
-master LP) and the restricted masters of the correlation-gap column
-generation, which it starts from a known feasible basis and re-optimizes
-from the last basis as columns arrive.
+master LP) and the first solve of the correlation-gap LP, which it starts
+from a known feasible basis; ``_pivot`` also runs that LP's revised
+simplex pivots, so every pivot of the library goes through it.
 ``bernoulli_weights`` is the library's one product-measure table:
 independent-Bernoulli supports, independent boosting draws and the
 independent expectation of the correlation gap all read it.

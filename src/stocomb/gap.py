@@ -17,10 +17,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import caps
+from . import _kernels, caps
 from ._kernels import bernoulli_weights
-from .errors import CapExceeded, DegenerateInstance, NotMonotone, UncertifiedScheme
-from .lp import OPTIMAL, ColumnMaster
+from .errors import (CapExceeded, DegenerateInstance, NotMonotone,
+                     NumericalFailure, UncertifiedScheme)
+from .lp import OPTIMAL, PIVOT_TOL, ColumnMaster, max_pivots
 # ``solve_lp`` is not called here; it stays a module attribute because
 # perfbench/tracing.py patches ``gap.solve_lp`` by name.
 from .lp import solve_lp  # noqa: F401
@@ -28,10 +29,9 @@ from .model import members, subset_table
 from .setfun import E_RATIO, check_monotone, from_table, table
 from .sharing import OrderedCostShareScheme, SchemeReport
 
-GAP_TOL = 1e-9
-SPLIT_TOL = 1e-7      # worst-case values a split must preserve
-PRICE_TOL = 1e-9      # relative reduced-cost tolerance of the pricing step
-PRICE_COLUMNS = 8     # most negative columns added per pricing round
+GAP_TOL = 1e-9        # scheme factors; and independent shrinkage, per max|f|
+SPLIT_TOL = 1e-7      # worst-case values a split must preserve, per max|f|
+PRICE_TOL = 1e-9      # reduced-cost tolerance of the pricing step, per max|f|
 
 
 @dataclass(frozen=True)
@@ -88,20 +88,6 @@ class SplitMap:
                      for k in range(1, self.copies.get(i, 1) + 1))
 
 
-def priced_columns(reduced: np.ndarray, value: float) -> np.ndarray:
-    """The columns that join the master: those with reduced cost below
-    ``-PRICE_TOL * max(1, |value|)``, the ``PRICE_COLUMNS`` most negative
-    first, ties in index order."""
-    new = np.flatnonzero(reduced < -PRICE_TOL * max(1.0, abs(value)))
-    if new.size > PRICE_COLUMNS:
-        # Only candidates up to the PRICE_COLUMNS-th smallest reduced cost,
-        # ties included, can be among the first PRICE_COLUMNS.
-        candidates = reduced[new]
-        kth = np.partition(candidates, PRICE_COLUMNS - 1)[PRICE_COLUMNS - 1]
-        new = new[candidates <= kth]
-    return new[np.argsort(reduced[new], kind="stable")[:PRICE_COLUMNS]]
-
-
 def systematic_segments(p) -> list:
     """``(mask, length)`` of each segment of systematic sampling (Madow
     1949) with marginals ``p``, in circle order.
@@ -150,29 +136,24 @@ def worst_case_expectation(inst: GapInstance):
 
     Maximizes the expectation of f over all subset distributions whose item
     marginals match the instance: one column per subset, one equality row
-    per item plus the total mass, passed to the simplex as equality rows.
-    Solved by column generation (Gilmore & Gomory 1961).  The restricted
-    master starts from :func:`start_columns`: the empty set and the support
-    of systematic sampling, which always carries a feasible distribution.
-    Systematic sampling spreads the items as far apart as the marginals
-    allow, so few rounds remain; the comonotone chain, for a submodular f,
-    would start at the least expectation the marginals allow (the Lovasz
-    extension).  The first solve is offered the columns after the empty
-    set as its basis; when they are n + 1 independent nonempty masks their
-    levels are the segment lengths, and it runs phase 2 alone (Bixby
-    1992); otherwise the kernel refuses the basis and runs phase 1 from
-    the artificial basis.  Each round
-    prices all 2^n subsets at once against the master's free-signed duals
-    y (items) and y0 (mass), reduced cost
-    -f(S) - (sum of y over S + y0) with the sums tabulated by doubling.  The
-    subsets whose reduced cost is below ``-PRICE_TOL * max(1, |value|)``
-    are sorted, stably, by reduced cost and the first ``PRICE_COLUMNS``
-    join the master (:func:`priced_columns`).  The loop stops when there is
-    none: the duals are then feasible for the full LP, so the master's
-    value is its optimum.  Adding columns keeps the master's basis primal
-    feasible, so each round re-optimizes it from the last basis (phase 2 of
-    the simplex alone, :class:`~stocomb.lp.ColumnMaster`) instead of solving
-    it from scratch.
+    per item plus the total mass.  A first solve over :func:`start_columns`
+    (the empty set and the support of systematic sampling, a feasible
+    distribution that spreads the items as far apart as the marginals
+    allow) is offered the segments as its basis: the kernel runs phase 2
+    alone from it (Bixby 1992), or phase 1 when it refuses it.
+
+    From that optimal basis a revised simplex (Dantzig & Orchard-Hays 1954)
+    solves the LP over all 2^n subsets, keeping only B^-1 and the basic
+    levels.  Each pivot prices every subset against the duals y = c_B B^-1,
+    reduced cost -f(S) - (sum of y over S + y0), y0 the mass row's, with the
+    sums tabulated by doubling; it stops when none is below
+    ``-PRICE_TOL * max|f|``.  The most negative subset enters, or right
+    after a degenerate pivot the first eligible one (Bland): a cycle has
+    only degenerate pivots, hence Bland's choices, so it cannot occur.  The
+    least ratio leaves, ties within 1e-12 to the smallest basic mask, but a
+    basic artificial (at level zero, ranked as mask -1 - k) that the column
+    reaches leaves first; artificials never enter.  The mass row makes the
+    basic entries of B^-1 a sum to 1, so some row always leaves.
     """
     n = len(inst.ground)
     if n > caps.GAP_CLIENTS:
@@ -180,36 +161,45 @@ def worst_case_expectation(inst: GapInstance):
     values = inst._table
     p = inst.marginal_vector()
     cols = start_columns(p.tolist())
-    in_master = np.zeros(1 << n, dtype=bool)
-
-    def rows(masks):
-        """Equality rows: item marginals, then total mass."""
-        return np.vstack([(masks >> np.arange(n)[:, None]) & 1, np.ones(masks.size)])
-
-    # Positions 1..n+1 are the nonempty segments.  With fewer than n + 2
-    # columns (the empty set is a segment, two segments share a mask, or
-    # there are fewer) the kernel refuses the basis by its index check, and
-    # with dependent masks by its singular solve; both run phase 1.
-    master = ColumnMaster(rows(cols), np.append(p, 1.0), -values[cols], n + 1,
-                          list(range(1, n + 2)))
-    while True:
-        in_master[cols] = True
-        res = master.result
-        if res.status != OPTIMAL:
-            raise DegenerateInstance(f"worst-case LP ended {res.status}")
-        y = res.duals
+    items = np.arange(n)
+    # The nonempty segments sit at positions 1..n+1; with fewer columns or
+    # dependent masks the kernel refuses them as a basis and runs phase 1.
+    master = ColumnMaster(np.vstack([(cols >> items[:, None]) & 1, np.ones(cols.size)]),
+                          np.append(p, 1.0), -values[cols], n + 1, range(1, n + 2))
+    if master.result.status != OPTIMAL:
+        raise DegenerateInstance(f"worst-case LP ended {master.result.status}")
+    basis, inverse, level = master.optimal_basis()
+    # Each row's basic mask and cost; artificial k, the master's column
+    # cols.size + k, ranks as mask -1 - k and costs 0.
+    masks = np.append(cols, -1 - np.arange(n + 1))[basis]
+    costs = np.append(-values[cols], np.zeros(n + 1))[basis]
+    # [B^-1 | x_B | B^-1 a_q]: one pivot updates B^-1 and the levels.
+    R = np.hstack([inverse, level[:, None], np.empty((n + 1, 1))])
+    tol = PRICE_TOL * np.abs(values).max()
+    degenerate = False
+    for _ in range(max_pivots(n + 1, 1 << n) + 1):
+        y = costs @ R[:, :n + 1]
         reduced = -values - (subset_table(y[:n], np.add, 0.0) + y[n])
-        # The master already prices its own columns; skipping them makes
-        # every round add new ones, so the loop ends within 2^n columns.
-        reduced[in_master] = np.inf
-        new = priced_columns(reduced, res.value)
-        if new.size == 0:
+        eligible = np.flatnonzero(reduced < -tol)
+        if not eligible.size:
             break
-        cols = np.concatenate([cols, new])
-        master.add_columns(rows(new), -values[new])
+        q = eligible[0] if degenerate else reduced.argmin()
+        R[:, -1] = d = R[:, :n + 1] @ np.append((q >> items) & 1, 1.0)
+        reach = (masks < 0) & (np.abs(d) > PIVOT_TOL)
+        rows = np.flatnonzero(reach | (d > PIVOT_TOL))
+        ratios = np.where(reach[rows], 0.0, R[rows, n + 1] / d[rows])
+        best = ratios.min()
+        tie = rows[ratios <= best + 1e-12]
+        r = tie[masks[tie].argmin()]
+        _kernels._pivot(R, r, n + 2)
+        masks[r], costs[r] = q, -values[q]
+        degenerate = best <= 1e-12
+    else:
+        raise NumericalFailure("worst-case LP hit the pivot limit")
+    level = R[:, n + 1]
     dist = {frozenset(members(int(mask), inst.ground)): float(a)
-            for mask, a in sorted(zip(cols, res.primal)) if a > 1e-12}
-    return -res.value, dist
+            for mask, a in sorted(zip(masks, level)) if mask >= 0 and a > 1e-12}
+    return -float(costs @ level), dist
 
 
 def independent_expectation(inst: GapInstance) -> float:
@@ -224,7 +214,7 @@ def correlation_gap(inst: GapInstance, eta: float = 1.0,
     """Worst-case over independent expectation, with the claimed bound."""
     worst, dist = worst_case_expectation(inst)
     indep = independent_expectation(inst)
-    if indep <= 1e-12:
+    if indep <= 1e-12 * np.abs(inst._table).max():
         raise DegenerateInstance("independent expectation is zero; ratio undefined")
     return GapReport(
         worst_case=worst,
@@ -291,8 +281,9 @@ class SplitReport:
 
 
 def check_split_invariants(inst: GapInstance, split_map: SplitMap) -> SplitReport:
-    """Monotonicity transfer, worst-case preservation (within ``SPLIT_TOL``),
-    independent shrinkage."""
+    """Monotonicity transfer, worst-case preservation (within ``SPLIT_TOL``)
+    and independent shrinkage (within ``GAP_TOL``), both tolerances relative
+    to max|f|."""
     if len(split_map.ground_of(inst)) > caps.GAP_CLIENTS:
         raise CapExceeded("split instance too large for the worst-case LP")
     new = split(inst, split_map)
@@ -305,10 +296,11 @@ def check_split_invariants(inst: GapInstance, split_map: SplitMap) -> SplitRepor
     worst_new, _ = worst_case_expectation(new)
     ind_old = independent_expectation(inst)
     ind_new = independent_expectation(new)
+    scale = np.abs(inst._table).max()
     return SplitReport(
         monotone=monotone,
-        worst_case_preserved=abs(worst_old - worst_new) <= SPLIT_TOL,
-        independent_shrinks=ind_new <= ind_old + GAP_TOL,
+        worst_case_preserved=abs(worst_old - worst_new) <= SPLIT_TOL * scale,
+        independent_shrinks=ind_new <= ind_old + GAP_TOL * scale,
         original_worst=worst_old,
         split_worst=worst_new,
         original_independent=ind_old,

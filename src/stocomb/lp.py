@@ -9,12 +9,12 @@ deterministic equivalents, within ``MAX_VARIABLES`` columns and
 code in :mod:`stocomb._kernels`.
 
 ``solve_lp`` and ``solve_prepared`` solve from scratch.  A
-:class:`ColumnMaster` keeps its optimal tableau, so a master that only
-gains columns (the correlation-gap master; the L-shaped master's dual,
-a column per cut) is re-optimized from its last basis rather than solved
-again; its leading rows may be equalities, which the kernel takes
-natively.  Every first solve is one kernel call, which starts from a
-feasible basis when it is given a usable one and runs phase 1 otherwise.
+:class:`ColumnMaster` keeps its optimal tableau: the L-shaped master's
+dual, which gains a column per cut, is re-optimized from its last basis,
+and the correlation-gap LP continues from its optimal basis and B^-1.
+Its leading rows may be equalities, which the kernel takes natively.
+Every first solve is one kernel call, which starts from a feasible
+basis when it is given a usable one and runs phase 1 otherwise.
 Every solve, cold or resumed, stops at the pivot limit
 ``max_pivots`` of its own (possibly widened) shape and raises
 :class:`NumericalFailure` there.
@@ -142,6 +142,14 @@ class ColumnMaster:
     def _set(self, out):
         status, x, duals, value, self.pivots, self._tableau = _checked(out)
         self.result = _result(status, x, duals, value)
+
+    def optimal_basis(self):
+        """Fresh copies of the optimal basis (artificial k, e_k signed as b_k,
+        at ``columns + surplus + k``), its B^-1 and the basic levels."""
+        if self._tableau is None:
+            raise ValueError(f"a {self.result.status} master has no basis")
+        W, basis, row_sign, _surplus = self._tableau
+        return basis.copy(), W[:-1, -1 - row_sign.size:-1] * row_sign, W[:-1, -1].copy()
 
     def add_columns(self, A: np.ndarray, c: np.ndarray) -> LPResult:
         """Append the columns ``A`` with costs ``c`` and re-optimize from

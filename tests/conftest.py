@@ -21,7 +21,7 @@ from stocomb.boosting import (
 )
 from stocomb.errors import DegenerateInstance, Infeasible, NotMonotone, NotSubmodular
 from stocomb.fixtures import cov3, edge1, tri3
-from stocomb.gap import PRICE_COLUMNS, PRICE_TOL, start_columns
+from stocomb.gap import PRICE_TOL, start_columns
 from stocomb.generate import random_problem
 from stocomb.io import dump_instance
 from stocomb.lp import FEAS_TOL, OPTIMAL, ColumnMaster, LinearProgram, solve_lp
@@ -547,10 +547,13 @@ def chain_columns(p):
 
 
 # -- The cold column-generation loop ----------------------------------------
-# ``gap.worst_case_expectation`` re-optimizes its restricted master from the
-# last simplex basis after each pricing round (``lp.ColumnMaster``).  This is
-# the loop it replaced, which solves every round's master from scratch with
-# ``solve_lp``: same start, pricing and stop test.
+# ``gap.worst_case_expectation`` runs one revised simplex over all 2^n
+# subsets from its first master's optimal basis.  Before it, a restricted
+# master gained up to ``PRICE_COLUMNS`` of the most negative subsets per
+# pricing round.  This loop solves every round's master from scratch with
+# ``solve_lp``: same start, with the reduced-cost test floored at 1.
+
+PRICE_COLUMNS = 8  # most negative columns added per pricing round
 
 def cold_worst_case(inst):
     n = len(inst.ground)
@@ -769,9 +772,10 @@ def ge_simplex_resume(tableau, A, c, tol, pivot_limit):
 
 # -- The doubled-row correlation-gap master ------------------------------------
 # ``gap.worst_case_expectation`` hands the simplex its n + 1 equality rows
-# as they are and prices threshold-first.  This is the loop it replaced,
-# which doubled each equality into a >= pair, read the duals as differences
-# and sorted the whole reduced-cost table: same start and stop test.
+# as they are.  This column-generation loop doubles each equality into a
+# >= pair, reads the duals as differences and sorts the whole reduced-cost
+# table, re-optimizing one ``lp.ColumnMaster`` per round: same start and
+# stop test as the cold loop.
 
 def sort_first_pricing(reduced, value):
     new = np.argsort(reduced, kind="stable")[:PRICE_COLUMNS]

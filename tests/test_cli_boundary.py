@@ -364,6 +364,19 @@ def test_zero_independent_expectation_exits_4(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_gap_at_a_small_cost_scale_exits_0(tmp_path, capsys):
+    """The zero test on the independent expectation is relative to the
+    largest cost: gap2 with costs of 1e-13 has gap2's kappa."""
+    payload = json.loads((INSTANCES / "gap2.json").read_text())
+    function = payload["set_function"]
+    function["cap"] *= 1e-13
+    function["weights"] = {i: w * 1e-13 for i, w in function["weights"].items()}
+    out = tmp_path / "report.json"
+    assert run_payload(["gap", "--output", str(out)], payload, tmp_path, capsys)[0] == 0
+    golden = read_json(ROOT / "tests" / "golden" / "gap_gap2.json")
+    assert read_json(out)["kappa"] == golden["kappa"]
+
+
 def test_gen_gap_refuses_unloadable_sizes(tmp_path, capsys):
     out = tmp_path / "gap.json"
     assert exit_code(["gen", "--kind", "gap", "--clients", str(TABLE_ITEMS + 1),

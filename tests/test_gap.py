@@ -12,17 +12,20 @@ from conftest import (
     cold_worst_case,
     doubled_worst_case,
     installed_bases,
-    sort_first_pricing,
 )
 from stocomb import _kernels, cli, gap, lp
-from stocomb.errors import CapExceeded, DegenerateInstance, UncertifiedScheme
+from stocomb.errors import (
+    CapExceeded,
+    DegenerateInstance,
+    NumericalFailure,
+    UncertifiedScheme,
+)
 from stocomb.gap import (
     GapInstance,
     SplitMap,
     check_split_invariants,
     correlation_gap,
     independent_expectation,
-    priced_columns,
     split,
     split_scheme,
     start_columns,
@@ -101,6 +104,12 @@ def table_instance(n, seed, kind):
                        base.marginals)
 
 
+def scaled(inst, factor):
+    """``inst`` with every value of f multiplied by ``factor``."""
+    return GapInstance(inst.ground, from_table(inst._table * factor, inst.ground),
+                       inst.marginals)
+
+
 def assert_distribution(inst, worst, dist):
     """dist meets the marginals, has total mass 1 and attains worst."""
     assert all(p > 0 for p in dist.values())
@@ -166,26 +175,53 @@ class TestWorstCase:
             assert_distribution(inst, worst, dist)
 
     def test_master_stays_a_small_part_of_the_subset_table(self, monkeypatch):
-        # Wrong duals can still end at the optimum by adding every subset;
-        # pricing must reach it with a small fraction of the 4096 columns.
-        masters = []
-
-        class Spy(ColumnMaster):
-            def __init__(self, *args):
-                super().__init__(*args)
-                masters.append(self)
-
-        monkeypatch.setattr(gap, "ColumnMaster", Spy)
+        # Wrong duals can still end at the optimum by entering every subset;
+        # pricing must reach it with a small fraction of the 4096 columns,
+        # one entering column per pivot.
         for kind in ("coverage", "uniform"):
-            worst_case_expectation(table_instance(12, 312, kind))
-        assert len(masters) == 2
-        assert max(m.result.primal.size for m in masters) <= 256
+            _, pivots = pivot_count(monkeypatch, worst_case_expectation,
+                                    table_instance(12, 312, kind))
+            assert pivots <= 256
 
     def test_degenerate_instances_match_dense_lp(self):
         for inst in degenerate_instances():
             worst, dist = worst_case_expectation(inst)
             assert worst == pytest.approx(dense_worst_case(inst), abs=1e-9)
             assert_distribution(inst, worst, dist)
+
+    def test_degenerate_instances_take_both_rare_branches(self, monkeypatch):
+        """Drive-outs of basic artificials and Bland choices after degenerate
+        pivots both occur on the degenerate family, and every value still
+        matches the dense LP."""
+        counts = {"bland": 0, "drive_out": 0}
+        degenerate = [False]
+        pivot = _kernels._pivot
+
+        def spy(R, r, q):
+            n = R.shape[0] - 1
+            if q == R.shape[1] - 1:  # a revised pivot on [B^-1 | x_B | B^-1 a]
+                # Artificial k is basic in row r exactly when column k of
+                # B^-1 is the unit vector e_r.
+                unit = np.eye(n + 1)[r]
+                drive_out = any((R[:, k] == unit).all() for k in range(n))
+                counts["drive_out"] += drive_out
+                counts["bland"] += degenerate[0]
+                degenerate[0] = bool(drive_out or R[r, n + 1] <= 1e-12 * R[r, -1])
+            pivot(R, r, q)
+
+        monkeypatch.setattr(_kernels, "_pivot", spy)
+        for inst in degenerate_instances():
+            degenerate[0] = False
+            worst, dist = worst_case_expectation(inst)
+            assert worst == pytest.approx(dense_worst_case(inst), abs=1e-9)
+            assert_distribution(inst, worst, dist)
+        assert counts["bland"] > 0 and counts["drive_out"] > 0, counts
+
+    def test_pivot_limit_raises(self, monkeypatch):
+        inst = table_instance(12, 312, "uniform")  # 53 pivots
+        monkeypatch.setattr(gap, "max_pivots", lambda m, n: 10)
+        with pytest.raises(NumericalFailure, match="pivot limit"):
+            worst_case_expectation(inst)
 
     def test_matches_highs(self):
         optimize = pytest.importorskip("scipy.optimize")
@@ -280,37 +316,25 @@ class TestSystematicStart:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_never_more_work_than_the_chain(self, seed, tmp_path, monkeypatch):
-        """On generated instances the start makes no more master resumes
-        and pivots in total than the comonotone chain, and reaches the same
-        value."""
-        counted = {}
-        bland, resume = _kernels._bland, lp.simplex_resume
+        """On generated instances the start makes no more pivots in total
+        than the comonotone chain, and reaches the same value; neither
+        resumes a master."""
+        def no_resume(*args):
+            raise AssertionError("the gap LP resumed a master")
 
-        def counting_bland(*args):
-            status, pivots = bland(*args)
-            counted["pivots"] += pivots - args[4]
-            return status, pivots
-
-        def counting_resume(*args):
-            counted["resumes"] += 1
-            return resume(*args)
-
-        monkeypatch.setattr(_kernels, "_bland", counting_bland)
-        monkeypatch.setattr(lp, "simplex_resume", counting_resume)
+        monkeypatch.setattr(lp, "simplex_resume", no_resume)
         instances = list(generated_instances(tmp_path, seed))
 
         def run(start):
             monkeypatch.setattr(gap, "start_columns", start)
-            counted.update(pivots=0, resumes=0)
-            values = [worst_case_expectation(inst)[0] for inst in instances]
-            return values, dict(counted)
+            return pivot_count(monkeypatch, lambda instances: [
+                worst_case_expectation(inst)[0] for inst in instances], instances)
 
-        ours, counts = run(start_columns)
-        chain, chain_counts = run(chain_columns)
+        ours, pivots = run(start_columns)
+        chain, chain_pivots = run(chain_columns)
         for a, b in zip(ours, chain):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
-        assert counts["resumes"] <= chain_counts["resumes"]
-        assert counts["pivots"] <= chain_counts["pivots"]
+        assert pivots <= chain_pivots
 
 
 class TestStartBasis:
@@ -400,19 +424,19 @@ class TestWarmStartAgainstColdLoop:
 
 
 def pivot_count(monkeypatch, solve, inst):
-    """``solve(inst)`` and the pivots of its cold solves and resumes,
-    counted at the one Bland loop."""
+    """``solve(inst)`` and its pivots, counted at ``_kernels._pivot``, which
+    every pivot of the library goes through: the kernel's and the gap LP's
+    revised ones."""
     counted = [0]
-    bland = _kernels._bland
+    pivot = _kernels._pivot
 
     def counting(*args):
-        status, pivots = bland(*args)
-        counted[0] += pivots - args[4]
-        return status, pivots
+        counted[0] += 1
+        pivot(*args)
 
-    monkeypatch.setattr(_kernels, "_bland", counting)
+    monkeypatch.setattr(_kernels, "_pivot", counting)
     out = solve(inst)
-    monkeypatch.setattr(_kernels, "_bland", bland)
+    monkeypatch.setattr(_kernels, "_pivot", pivot)
     return out, counted[0]
 
 
@@ -442,28 +466,6 @@ class TestEqualityRowsAgainstDoubledRows:
     def test_degenerate_instances(self, monkeypatch):
         for inst in degenerate_instances():
             assert_matches_doubled(monkeypatch, inst)
-
-    def test_pricing_picks_the_sorted_columns(self):
-        rng = np.random.default_rng(13)
-        inf = np.inf
-        vectors = [
-            np.array([0.0, 1.0, inf, 2.0]),  # no negative entry
-            np.full(5, inf),
-            np.array([-1.0, -1.0, -2.0, -1.0, 0.0, -2.0] * 3),  # ties
-            np.array([-inf, -1.0, inf, -inf, -3.0, np.nan, -0.0, 0.0]),
-            np.array([-1e-9, -1e-10, -2e-9, 1e-9]),  # near the threshold
-            np.array([np.nan, -1.0, np.nan]),
-        ]
-        for size in (3, 8, 9, 40, 4096):
-            vec = np.round(rng.uniform(-2, 1, size), 1)
-            vec[rng.integers(0, size, size // 3)] = inf
-            vec[rng.integers(0, size, size // 5)] = -inf
-            vectors.append(vec)
-        for vec in vectors:
-            for value in (0.0, -0.5, 3.0, -1e9):
-                got = priced_columns(vec, value)
-                np.testing.assert_array_equal(got, sort_first_pricing(vec, value))
-                assert got.dtype == np.intp
 
 
 class TestIndependent:
@@ -604,6 +606,39 @@ class TestSplit:
                 assert mass == pytest.approx(new.marginals[c], abs=1e-8)
             value = sum(p * new.f(s) for s, p in alpha_new.items())
             assert value == pytest.approx(worst_old, abs=1e-8)
+
+
+class TestPowerOfTwoScaling:
+    """Multiplying f by 2^k is exact in binary floating point, so the gap
+    pipeline must scale its expectations by 2^k and keep kappa; an absolute
+    tolerance anywhere on the way breaks this at small or large k."""
+
+    @pytest.mark.parametrize("k", [-40, -20, 20, 40])
+    def test_gap_pipeline_scales_exactly(self, k):
+        factor = 2.0 ** k
+        for n in range(3, 11):
+            for seed in range(10):
+                inst = random_gap_instance(n, seed)
+                base = correlation_gap(inst)
+                report = correlation_gap(scaled(inst, factor))
+                assert abs(report.kappa - base.kappa) <= 1e-12 * base.kappa
+                assert abs(report.worst_case / factor - base.worst_case) <= \
+                    1e-12 * base.worst_case
+                assert abs(report.independent / factor - base.independent) <= \
+                    1e-12 * base.independent
+                split_map = SplitMap({inst.ground[0]: 2, inst.ground[-1]: 2})
+                assert check_split_invariants(scaled(inst, factor), split_map).ok
+
+    def test_split_invariants_hold_at_large_scale(self):
+        # With absolute tolerances, rounding of worst-case values near 2^40
+        # failed about half of these correct splits.
+        for k in (30, 40):
+            for n in range(2, 6):
+                for seed in range(10):
+                    inst = scaled(random_gap_instance(n, seed), 2.0 ** k)
+                    split_map = SplitMap({inst.ground[0]: 2, inst.ground[-1]: 3})
+                    report = check_split_invariants(inst, split_map)
+                    assert report.ok, (k, n, seed, report)
 
 
 class TestSplitScheme:
