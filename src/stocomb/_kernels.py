@@ -1,18 +1,16 @@
 """Hot numeric kernels, written in vectorized numpy.
 
-The dense simplex kernel below carries the sample-average pipeline (every
+The dense simplex kernel below carries the sample-average pipeline: every
 cutting-plane iteration solves one small recourse LP per scenario and one
-master LP) and the first solve of the correlation-gap LP, which it starts
-from a known feasible basis; ``_pivot`` also runs that LP's revised
-simplex pivots, so every pivot of the library goes through it.
+master LP.  ``_pivot`` also runs the correlation-gap LP's revised simplex
+pivots, so every pivot of the library goes through it.
 ``bernoulli_weights`` is the library's one product-measure table:
 independent-Bernoulli supports, independent boosting draws and the
 independent expectation of the correlation gap all read it.
 
 Kernel conventions
 ------------------
-``simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0, basis=None)``
-solves
+``simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0)`` solves
 
     min c.x   subject to   A[:eq] x = b[:eq],  A[eq:] x >= b[eq:],  x >= 0
 
@@ -29,13 +27,6 @@ optimality ``tableau`` is ``(W, basis, row_sign, surplus)``: the
 constraint rows stacked over the reduced-cost row, the basic column of
 each row, the sign each row was multiplied by to make its right-hand side
 nonnegative, and the number of surplus columns; otherwise it is ``None``.
-``basis``, one structural or surplus column per row, is an optional
-feasible start (a crash basis, Bixby 1992): one linear solve turns the
-first tableau into B^-1 times it, keeping the layout and the artificial
-block's B^-1, and phase 2 runs alone.  A basis with another index, a
-singular or non-square B, a non-finite entry, basic columns more than
-``tol`` from the identity or a negative level is refused, and the solve
-runs phase 1 exactly as without one.
 
 ``simplex_resume(tableau, A, c, tol, pivot_limit)`` appends the columns
 ``A`` with costs ``c`` to an optimal tableau and re-optimizes from its
@@ -167,58 +158,31 @@ def _install_objective(W, basis, c):
             obj -= c[bi] * W[i]
 
 
-def _install_basis(W, basis, art, tol):
-    """Install ``basis`` in the first tableau ``W``, whose constraint rows
-    become B^-1 times themselves, and return it as an index array; return
-    ``None``, leaving ``W`` untouched, for an index at or past ``art`` or a
-    basis the module docstring's rules refuse."""
-    basis = np.array(basis, dtype=np.int64)
-    if ((basis < 0) | (basis >= art)).any():
-        return None
-    T = W[:-1]
-    try:
-        solved = np.linalg.solve(T[:, basis], T)
-    except np.linalg.LinAlgError:
-        return None
-    unit = np.eye(T.shape[0])
-    if not (np.isfinite(solved).all()
-            and (np.abs(solved[:, basis] - unit) <= tol).all()
-            and (solved[:, -1] >= 0.0).all()):
-        return None
-    T[:] = solved
-    T[:, basis] = unit
-    return basis
-
-
-def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0, basis=None):
+def simplex_kernel(A, b, c, tol, feas_tol, pivot_limit, eq=0):
     m, n = A.shape
     W, row_sign, surplus = _tableau(A, b, eq)
     art = n + surplus
-    if basis is not None:
-        basis = _install_basis(W, basis, art, tol)
-    pivots = 0
-    if basis is None:
-        basis = np.arange(art, art + m, dtype=np.int64)
-        obj = W[-1]
+    basis = np.arange(art, art + m, dtype=np.int64)
+    obj = W[-1]
 
-        # Phase 1 minimizes the artificial sum; with every artificial basic
-        # the reduced-cost row starts as c1 minus the column sums.
-        obj[:] = -W[:-1].sum(axis=0)
-        obj[art:-1] += 1.0
-        tableau = (W, basis, row_sign, surplus)
+    # Phase 1 minimizes the artificial sum; with every artificial basic the
+    # reduced-cost row starts as c1 minus the column sums.
+    obj[:] = -W[:-1].sum(axis=0)
+    obj[art:-1] += 1.0
+    tableau = (W, basis, row_sign, surplus)
 
-        # Artificials never enter.  The phase-1 objective is bounded below
-        # by 0, so an unbounded ray cannot happen; it is reported as failure.
-        status, pivots = _bland(W, basis, art, tol, 0, pivot_limit)
-        if status != 0:
-            return _read_off(3, tableau, pivots)
-        if -obj[-1] > feas_tol:
-            return _read_off(1, tableau, pivots)
-        _drive_out(W, basis, art, tol)
+    # Artificials never enter.  The phase-1 objective is bounded below by 0,
+    # so an unbounded ray cannot happen; it is reported as failure.
+    status, pivots = _bland(W, basis, art, tol, 0, pivot_limit)
+    if status != 0:
+        return _read_off(3, tableau, pivots)
+    if -obj[-1] > feas_tol:
+        return _read_off(1, tableau, pivots)
+    _drive_out(W, basis, art, tol)
 
     _install_objective(W, basis, c)
     status, pivots = _bland(W, basis, art, tol, pivots, pivot_limit)
-    return _read_off(status, (W, basis, row_sign, surplus), pivots)
+    return _read_off(status, tableau, pivots)
 
 
 def simplex_resume(tableau, A, c, tol, pivot_limit):

@@ -46,7 +46,7 @@ from .errors import (
     StocombError,
     Unbounded,
 )
-from .gap import correlation_gap
+from .gap import BOUND_SLACK, correlation_gap
 from .generate import (
     random_explicit_distribution,
     random_gap_payload,
@@ -258,7 +258,7 @@ def cmd_run_saa(args) -> tuple:
 def cmd_gap(args) -> tuple:
     inst = load_gap_instance(read_json(args.instance))
     report_data = correlation_gap(inst, eta=args.eta, beta=args.beta)
-    satisfied = report_data.kappa <= report_data.bound + 1e-6
+    satisfied = report_data.kappa <= report_data.bound + BOUND_SLACK
     report = {
         "ground": list(inst.ground),
         "worst_case": float(report_data.worst_case),

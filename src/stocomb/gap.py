@@ -2,8 +2,9 @@
 
 Fixing per-item marginals, the worst-case expectation is the optimum of an
 LP over all distributions with those marginals (one variable per subset),
-solved by column generation over the subset table; the correlation gap is
-its ratio to the expectation under the independent product measure.  The
+solved by one revised simplex that prices the whole subset table at every
+pivot, from the systematic-sampling basis; the correlation gap is its
+ratio to the expectation under the independent product measure.  The
 split operation, which clones items into equal-marginal copies, preserves
 the worst case and can only shrink the independent side, and cost-sharing
 schemes transfer to split instances by paying only the earliest copy.
@@ -21,7 +22,7 @@ from . import _kernels, caps
 from ._kernels import bernoulli_weights
 from .errors import (CapExceeded, DegenerateInstance, NotMonotone,
                      NumericalFailure, UncertifiedScheme)
-from .lp import OPTIMAL, PIVOT_TOL, ColumnMaster, max_pivots
+from .lp import PIVOT_TOL, max_pivots
 # ``solve_lp`` is not called here; it stays a module attribute because
 # perfbench/tracing.py patches ``gap.solve_lp`` by name.
 from .lp import solve_lp  # noqa: F401
@@ -32,6 +33,7 @@ from .sharing import OrderedCostShareScheme, SchemeReport
 GAP_TOL = 1e-9        # scheme factors; and independent shrinkage, per max|f|
 SPLIT_TOL = 1e-7      # worst-case values a split must preserve, per max|f|
 PRICE_TOL = 1e-9      # reduced-cost tolerance of the pricing step, per max|f|
+BOUND_SLACK = 1e-6    # kappa may exceed the claimed bound by this much
 
 
 @dataclass(frozen=True)
@@ -124,11 +126,30 @@ def systematic_segments(p) -> list:
     return list(zip(masks, [b - a for a, b in zip(cuts, cuts[1:] + [1.0])]))
 
 
-def start_columns(p) -> np.ndarray:
-    """The restricted master's first columns: the empty set, then the
-    distinct masks of :func:`systematic_segments` in circle order."""
-    masks = [mask for mask, _ in systematic_segments(p)]
-    return np.array(list(dict.fromkeys([0] + masks)))
+def systematic_basis(p):
+    """``(masks, B, level)``: the worst-case LP's start basis for marginals
+    ``p``, over the n item rows and then the mass row.
+
+    The columns of B are the k segments of :func:`systematic_segments` at
+    their lengths, then the artificial e_r, at level zero, of each of the
+    n + 1 - k item rows r that is no r_j, where r_j (j >= 1) is the least
+    item whose arc ends at cut j.  ``masks`` holds each column's subset,
+    and -1 - r for e_r.  B is nonsingular: ordered by r_j, the differences
+    seg_j - seg_{j-1} are triangular, with -1 at row r_j (an item ends at
+    one cut, and one that starts at cut j follows one that ends there),
+    and segment 0 holds the mass row.
+    """
+    segments = systematic_segments(p)
+    n, k = len(p), len(segments)
+    seg = [mask for mask, _ in segments]
+    ends = [a & ~b for a, b in zip(seg, seg[1:])]
+    cut_rows = {(e & -e).bit_length() - 1 for e in ends}
+    art = [r for r in range(n) if r not in cut_rows]
+    # e_r is column 1 << r without the mass row's 1.
+    cols = np.array(seg + [1 << r for r in art])
+    B = np.vstack([(cols >> np.arange(n)[:, None]) & 1, np.arange(n + 1) < k])
+    level = np.array([length for _, length in segments] + [0.0] * len(art))
+    return np.array(seg + [-1 - r for r in art]), B, level
 
 
 def worst_case_expectation(inst: GapInstance):
@@ -136,45 +157,34 @@ def worst_case_expectation(inst: GapInstance):
 
     Maximizes the expectation of f over all subset distributions whose item
     marginals match the instance: one column per subset, one equality row
-    per item plus the total mass.  A first solve over :func:`start_columns`
-    (the empty set and the support of systematic sampling, a feasible
-    distribution that spreads the items as far apart as the marginals
-    allow) is offered the segments as its basis: the kernel runs phase 2
-    alone from it (Bixby 1992), or phase 1 when it refuses it.
+    per item plus the total mass.  A revised simplex (Dantzig & Orchard-Hays
+    1954) solves it over all 2^n subsets, keeping only B^-1 and the basic
+    levels.  It starts at a crash basis (Bixby 1992),
+    :func:`systematic_basis`: the segments of systematic sampling, a
+    feasible distribution that spreads the items as far apart as the
+    marginals allow, completed by artificials at level zero.
 
-    From that optimal basis a revised simplex (Dantzig & Orchard-Hays 1954)
-    solves the LP over all 2^n subsets, keeping only B^-1 and the basic
-    levels.  Each pivot prices every subset against the duals y = c_B B^-1,
+    Each pivot prices every subset against the duals y = c_B B^-1,
     reduced cost -f(S) - (sum of y over S + y0), y0 the mass row's, with the
     sums tabulated by doubling; it stops when none is below
     ``-PRICE_TOL * max|f|``.  The most negative subset enters, or right
     after a degenerate pivot the first eligible one (Bland): a cycle has
     only degenerate pivots, hence Bland's choices, so it cannot occur.  The
     least ratio leaves, ties within 1e-12 to the smallest basic mask, but a
-    basic artificial (at level zero, ranked as mask -1 - k) that the column
-    reaches leaves first; artificials never enter.  The mass row makes the
-    basic entries of B^-1 a sum to 1, so some row always leaves.
+    basic artificial (at level zero, ranked as mask -1 - r for row r) that
+    the column reaches leaves first; artificials never enter.  The mass row
+    makes the basic entries of B^-1 a sum to 1, so some row always leaves.
     """
     n = len(inst.ground)
     if n > caps.GAP_CLIENTS:
         raise CapExceeded("ground set too large for the worst-case LP")
     values = inst._table
     p = inst.marginal_vector()
-    cols = start_columns(p.tolist())
+    masks, B, level = systematic_basis(p.tolist())
     items = np.arange(n)
-    # The nonempty segments sit at positions 1..n+1; with fewer columns or
-    # dependent masks the kernel refuses them as a basis and runs phase 1.
-    master = ColumnMaster(np.vstack([(cols >> items[:, None]) & 1, np.ones(cols.size)]),
-                          np.append(p, 1.0), -values[cols], n + 1, range(1, n + 2))
-    if master.result.status != OPTIMAL:
-        raise DegenerateInstance(f"worst-case LP ended {master.result.status}")
-    basis, inverse, level = master.optimal_basis()
-    # Each row's basic mask and cost; artificial k, the master's column
-    # cols.size + k, ranks as mask -1 - k and costs 0.
-    masks = np.append(cols, -1 - np.arange(n + 1))[basis]
-    costs = np.append(-values[cols], np.zeros(n + 1))[basis]
+    costs = np.where(masks < 0, 0.0, -values[masks])  # artificials cost 0
     # [B^-1 | x_B | B^-1 a_q]: one pivot updates B^-1 and the levels.
-    R = np.hstack([inverse, level[:, None], np.empty((n + 1, 1))])
+    R = np.hstack([np.linalg.inv(B), level[:, None], np.empty((n + 1, 1))])
     tol = PRICE_TOL * np.abs(values).max()
     degenerate = False
     for _ in range(max_pivots(n + 1, 1 << n) + 1):
@@ -331,4 +341,4 @@ def verify_gap_bound(inst: GapInstance, eta: float, beta: float,
     else:
         raise UncertifiedScheme(f"unrecognized certificate {certificate!r}")
     report = correlation_gap(inst, eta=eta, beta=beta)
-    return report.kappa <= report.bound + 1e-6
+    return report.kappa <= report.bound + BOUND_SLACK

@@ -3,21 +3,18 @@
 Problems are stated as ``min c.y`` subject to ``A y >= b`` with ``y >= 0``;
 a bound on a variable is one more row.  Two-phase primal simplex with
 Bland's rule guarantees termination.  The LPs this library solves are
-small (cutting-plane and column-generation masters, recourse LPs and
-deterministic equivalents, within ``MAX_VARIABLES`` columns and
-``MAX_CONSTRAINTS`` rows); the tableau kernel is the vectorized numpy
-code in :mod:`stocomb._kernels`.
+small (the cutting-plane master, recourse LPs and deterministic
+equivalents, within ``MAX_VARIABLES`` columns and ``MAX_CONSTRAINTS``
+rows); the tableau kernel is the vectorized numpy code in
+:mod:`stocomb._kernels`.
 
 ``solve_lp`` and ``solve_prepared`` solve from scratch.  A
 :class:`ColumnMaster` keeps its optimal tableau: the L-shaped master's
-dual, which gains a column per cut, is re-optimized from its last basis,
-and the correlation-gap LP continues from its optimal basis and B^-1.
+dual, which gains a column per cut, is re-optimized from its last basis.
 Its leading rows may be equalities, which the kernel takes natively.
-Every first solve is one kernel call, which starts from a feasible
-basis when it is given a usable one and runs phase 1 otherwise.
-Every solve, cold or resumed, stops at the pivot limit
-``max_pivots`` of its own (possibly widened) shape and raises
-:class:`NumericalFailure` there.
+Every first solve is one kernel call from phase 1.  Every solve, cold or
+resumed, stops at the pivot limit ``max_pivots`` of its own (possibly
+widened) shape and raises :class:`NumericalFailure` there.
 """
 
 from __future__ import annotations
@@ -123,33 +120,19 @@ class ColumnMaster:
     order they were added, and ``pivots`` the pivot count of the last cold
     solve or resume.  The duals of the equality rows have either sign.
     Only an optimal master takes more columns.
-
-    ``basis``, one column index per row, is a feasible basis to start
-    from, handed to the one kernel call of the first solve: phase 2 then
-    runs alone.  A basis the kernel refuses (an index past the columns,
-    singular, or with a negative level) is ignored, and the master is
-    solved cold exactly as without one.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 eq: int = 0, basis=None):
+                 eq: int = 0):
         A = np.ascontiguousarray(A, dtype=np.float64)
         b = np.ascontiguousarray(b, dtype=np.float64)
         c = np.ascontiguousarray(c, dtype=np.float64)
         self._set(simplex_kernel(A, b, c, PIVOT_TOL, FEAS_TOL,
-                                 max_pivots(*A.shape), eq, basis))
+                                 max_pivots(*A.shape), eq))
 
     def _set(self, out):
         status, x, duals, value, self.pivots, self._tableau = _checked(out)
         self.result = _result(status, x, duals, value)
-
-    def optimal_basis(self):
-        """Fresh copies of the optimal basis (artificial k, e_k signed as b_k,
-        at ``columns + surplus + k``), its B^-1 and the basic levels."""
-        if self._tableau is None:
-            raise ValueError(f"a {self.result.status} master has no basis")
-        W, basis, row_sign, _surplus = self._tableau
-        return basis.copy(), W[:-1, -1 - row_sign.size:-1] * row_sign, W[:-1, -1].copy()
 
     def add_columns(self, A: np.ndarray, c: np.ndarray) -> LPResult:
         """Append the columns ``A`` with costs ``c`` and re-optimize from

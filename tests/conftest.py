@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from stocomb import _kernels
 from stocomb.boosting import (
     IndBoostPolicyBuilder,
     PolicyEvaluation,
@@ -21,7 +20,7 @@ from stocomb.boosting import (
 )
 from stocomb.errors import DegenerateInstance, Infeasible, NotMonotone, NotSubmodular
 from stocomb.fixtures import cov3, edge1, tri3
-from stocomb.gap import PRICE_TOL, start_columns
+from stocomb.gap import PRICE_TOL, systematic_segments
 from stocomb.generate import random_problem
 from stocomb.io import dump_instance
 from stocomb.lp import FEAS_TOL, OPTIMAL, ColumnMaster, LinearProgram, solve_lp
@@ -535,23 +534,36 @@ def loop_monte_carlo(problem, builder, dist, sigma, rng, runs) -> PolicyEvaluati
 
 
 # -- The comonotone chain ----------------------------------------------------
-# ``gap.worst_case_expectation`` starts its restricted master from the empty
-# set and the support of systematic sampling (``gap.start_columns``).  This
-# is the start it replaced: the nested prefixes of the items sorted by
-# decreasing marginal, which for a submodular f carry the least expectation
-# the marginals allow.
+# ``gap.worst_case_expectation`` starts from the segments of systematic
+# sampling (``gap.systematic_basis``).  This is the start they replaced: the
+# nested prefixes of the items sorted by decreasing marginal, which for a
+# submodular f carry the least expectation the marginals allow.
 
-def chain_columns(p):
-    return np.concatenate([[0], np.cumsum(1 << np.argsort(-np.asarray(p),
-                                                           kind="stable"))])
+def chain_basis(p):
+    """``(masks, B, level)`` of the chain, as ``gap.systematic_basis``
+    returns them: n + 1 prefixes, the empty set first, and no artificial."""
+    p = np.asarray(p, dtype=float)
+    order = np.argsort(-p, kind="stable")
+    masks = np.concatenate([[0], np.cumsum(1 << order)])
+    B = np.vstack([(masks >> np.arange(p.size)[:, None]) & 1, np.ones(masks.size)])
+    q = np.concatenate([[1.0], p[order], [0.0]])
+    return masks, B, q[:-1] - q[1:]
 
 
 # -- The cold column-generation loop ----------------------------------------
 # ``gap.worst_case_expectation`` runs one revised simplex over all 2^n
-# subsets from its first master's optimal basis.  Before it, a restricted
-# master gained up to ``PRICE_COLUMNS`` of the most negative subsets per
-# pricing round.  This loop solves every round's master from scratch with
-# ``solve_lp``: same start, with the reduced-cost test floored at 1.
+# subsets from the systematic-sampling basis.  Before it, a restricted
+# master over the empty set and the segment masks gained up to
+# ``PRICE_COLUMNS`` of the most negative subsets per pricing round.  This
+# loop solves every round's master from scratch with ``solve_lp``: same
+# start, with the reduced-cost test floored at 1.
+
+def segment_columns(p):
+    """The restricted master's first columns: the empty set, then the
+    distinct segment masks of systematic sampling in circle order."""
+    masks = [mask for mask, _ in systematic_segments(p)]
+    return np.array(list(dict.fromkeys([0] + masks)))
+
 
 PRICE_COLUMNS = 8  # most negative columns added per pricing round
 
@@ -559,7 +571,7 @@ def cold_worst_case(inst):
     n = len(inst.ground)
     values = inst._table
     p = inst.marginal_vector()
-    cols = start_columns(p)
+    cols = segment_columns(p)
     in_master = np.zeros(1 << n, dtype=bool)
     rhs = np.append(p, 1.0)
     rhs = np.concatenate([rhs, -rhs])
@@ -638,24 +650,6 @@ def cold_master_minimize(instance, tolerance=1e-6, max_iterations=10_000):
         if converged:
             break
     return best_x, best_value, converged, t, lower
-
-
-# -- Which start the simplex kernel ran ----------------------------------------
-
-def installed_bases(monkeypatch):
-    """A list that gains, for each basis offered to the simplex kernel, the
-    result of ``_kernels._install_basis``: the basis it installed (phase 2
-    alone), or ``None`` when it refused it (phase 1)."""
-    installed = []
-    install = _kernels._install_basis
-
-    def recording(*args):
-        out = install(*args)
-        installed.append(out)
-        return out
-
-    monkeypatch.setattr(_kernels, "_install_basis", recording)
-    return installed
 
 
 # -- The simplex kernel before native equality rows ---------------------------
@@ -786,7 +780,7 @@ def doubled_worst_case(inst):
     n = len(inst.ground)
     values = inst._table
     p = inst.marginal_vector()
-    cols = start_columns(p)
+    cols = segment_columns(p)
     in_master = np.zeros(1 << n, dtype=bool)
     rhs = np.append(p, 1.0)
     rhs = np.concatenate([rhs, -rhs])

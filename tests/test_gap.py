@@ -7,12 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (
-    chain_columns,
-    cold_worst_case,
-    doubled_worst_case,
-    installed_bases,
-)
+from conftest import chain_basis, cold_worst_case, doubled_worst_case
 from stocomb import _kernels, cli, gap, lp
 from stocomb.errors import (
     CapExceeded,
@@ -28,7 +23,7 @@ from stocomb.gap import (
     independent_expectation,
     split,
     split_scheme,
-    start_columns,
+    systematic_basis,
     systematic_segments,
     verify_gap_bound,
     worst_case_expectation,
@@ -36,7 +31,7 @@ from stocomb.gap import (
 from stocomb.generate import random_gap_instance
 from stocomb.io import load_gap_instance, read_json
 from stocomb.fixtures import gap2 as gap2_instance
-from stocomb.lp import OPTIMAL, ColumnMaster, LinearProgram, solve_lp
+from stocomb.lp import OPTIMAL, LinearProgram, solve_lp
 from stocomb.rng import stream
 from stocomb.setfun import E_RATIO, cardinality, from_table, table, weighted_rank
 from stocomb.sharing import OrderedCostShareScheme, check_scheme, marginal_scheme
@@ -247,18 +242,28 @@ class TestWorstCase:
 
 def assert_segments(p):
     """The segments of systematic sampling are a distribution over their
-    masks that meets the marginals within 1e-15; the start adds the empty
-    set and keeps at most n + 2 distinct masks."""
+    masks that meets the marginals within 1e-15, and the start basis is
+    nonsingular, holds the k segments at their lengths and n + 1 - k
+    artificials at zero, and reproduces (p, 1) within 1e-15."""
+    n = len(p)
     segments = systematic_segments(p)
     assert all(length >= 0.0 for _, length in segments)
-    assert len(segments) <= len(p) + 1
+    assert len(segments) <= n + 1
     assert math.fsum(length for _, length in segments) == pytest.approx(1.0, abs=1e-15)
     for i, q in enumerate(p):
         got = math.fsum(length for mask, length in segments if mask >> i & 1)
         assert abs(got - q) <= 1e-15
-    cols = start_columns(p)
-    assert cols[0] == 0 and len(set(cols.tolist())) == cols.size <= len(p) + 2
-    assert set(cols.tolist()) == {0} | {mask for mask, _ in segments}
+    masks, B, level = systematic_basis(p)
+    k = len(segments)
+    assert B.shape == (n + 1, n + 1)
+    # B is a 0/1 matrix, so it is nonsingular exactly when |det B| >= 1.
+    assert abs(np.linalg.det(B)) >= 0.5
+    assert masks[:k].tolist() == [mask for mask, _ in segments]
+    assert level[:k].tolist() == [length for _, length in segments]
+    artificials = -1 - masks[k:]
+    assert artificials.size == n + 1 - k and (level[k:] == 0.0).all()
+    np.testing.assert_array_equal(B[:, k:], np.eye(n + 1)[:, artificials])
+    assert np.abs(B @ level - np.append(p, 1.0)).max() <= 1e-15
 
 
 def generated_instances(tmp_path, seed):
@@ -284,10 +289,6 @@ class TestSystematicStart:
         assert systematic_segments([0.75, 0.75]) == [(3, 0.5), (1, 0.25), (2, 0.25)]
         # A marginal of 1 holds the whole circle; 0 holds none of it.
         assert systematic_segments([0.3, 1.0, 0.0]) == [(3, 0.3), (2, 0.7)]
-        np.testing.assert_array_equal(start_columns([0.5, 1.0]), [0, 3, 2])
-        np.testing.assert_array_equal(start_columns([]), [0])
-        np.testing.assert_array_equal(start_columns([1.0, 1.0]), [0, 3])
-        np.testing.assert_array_equal(start_columns([0.25] * 4), [0, 1, 2, 4, 8])
         cases = [[], [0.0], [1.0], [0.4], [0.0] * 12, [1.0] * 12,
                  [0.5] * 12, [0.25, 0.75, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4],
                  [0.9, 0.8, 0.7, 0.95], [1.0, 0.0, 0.6, 1.0, 0.3],
@@ -295,107 +296,104 @@ class TestSystematicStart:
         for p in cases:
             assert_segments(p)
 
-    def test_first_master_solve_is_optimal(self, monkeypatch):
-        installed = installed_bases(monkeypatch)
+    def test_start_basis_on_degenerate_marginals(self):
+        """20,000 marginal vectors of 0-12 items, each entry a zero, a one,
+        an eighth, a third or uniform: every start basis is nonsingular,
+        adds n + 1 - k artificials at zero to its k segments, and
+        reproduces (p, 1) within 1e-15, coinciding cuts and all."""
         rng = np.random.default_rng(22)
-        for _ in range(1000):
-            n = int(rng.integers(1, 13))
-            p = rng.uniform(0.0, 1.0, n)
-            p[rng.random(n) < 0.1] = 0.0
-            p[rng.random(n) < 0.1] = 1.0
-            cols = start_columns(p.tolist())
-            A = np.vstack([(cols >> np.arange(n)[:, None]) & 1, np.ones(cols.size)])
-            master = ColumnMaster(A, np.append(p, 1.0), -rng.uniform(0, 2, cols.size),
-                                  n + 1, list(range(1, n + 2)))
-            assert master.result.status == OPTIMAL
-        # Both starts occur: from the segment basis, and phase 1 when the
-        # kernel refuses it.
-        refused = sum(basis is None for basis in installed)
-        assert len(installed) == 1000
-        assert refused >= 100 and 1000 - refused >= 100
+        grid = np.array([0.0, 1.0, *(np.arange(1, 8) / 8), 1 / 3, 2 / 3])
+        sizes = rng.integers(0, 13, 20_000)
+        entries = np.where(rng.random(sizes.sum()) < 0.5,
+                           rng.choice(grid, sizes.sum()), rng.uniform(0.0, 1.0, sizes.sum()))
+        starts = {n: [] for n in range(13)}
+        for p in np.split(entries, np.cumsum(sizes)[:-1]):
+            p = p.tolist()
+            starts[len(p)].append((p, len(systematic_segments(p)), *systematic_basis(p)))
+        for n, found in starts.items():
+            p, k, masks, B, level = (np.array(v) for v in zip(*found))
+            # B is a 0/1 matrix, so it is nonsingular exactly when |det B| >= 1.
+            assert (np.abs(np.linalg.det(B)) >= 0.5).all()
+            # The k segments come first; the n + 1 - k others are artificial.
+            artificial = np.arange(n + 1) >= k[:, None]
+            assert ((masks < 0) == artificial).all() and (level[artificial] == 0.0).all()
+            reached = np.einsum("vij,vj->vi", B, level)
+            assert np.abs(reached - np.hstack([p, np.ones((len(p), 1))])).max() <= 1e-15
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_never_more_work_than_the_chain(self, seed, tmp_path, monkeypatch):
-        """On generated instances the start makes no more pivots in total
-        than the comonotone chain, and reaches the same value; neither
-        resumes a master."""
-        def no_resume(*args):
-            raise AssertionError("the gap LP resumed a master")
-
-        monkeypatch.setattr(lp, "simplex_resume", no_resume)
+        """On generated instances the segment start makes no more pivots in
+        total than a start from the comonotone chain, and reaches the same
+        values."""
         instances = list(generated_instances(tmp_path, seed))
 
-        def run(start):
-            monkeypatch.setattr(gap, "start_columns", start)
+        def run():
             return pivot_count(monkeypatch, lambda instances: [
                 worst_case_expectation(inst)[0] for inst in instances], instances)
 
-        ours, pivots = run(start_columns)
-        chain, chain_pivots = run(chain_columns)
+        ours, pivots = run()
+        monkeypatch.setattr(gap, "systematic_basis", chain_basis)
+        chain, chain_pivots = run()
         for a, b in zip(ours, chain):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
         assert pivots <= chain_pivots
 
 
 class TestStartBasis:
+    def test_no_tableau_entry(self, monkeypatch, tmp_path):
+        """The gap LP runs its revised simplex alone: it never calls the
+        tableau kernel or its resume."""
+        def refuse(*args):
+            raise AssertionError("the gap LP called the tableau kernel")
+
+        monkeypatch.setattr(lp, "simplex_kernel", refuse)
+        monkeypatch.setattr(lp, "simplex_resume", refuse)
+        monkeypatch.setattr(_kernels, "simplex_kernel", refuse)
+        monkeypatch.setattr(_kernels, "simplex_resume", refuse)
+        for inst in [gap2_instance(), *degenerate_instances(),
+                     *generated_instances(tmp_path, 1)]:
+            worst_case_expectation(inst)
+
     def test_generated_instances_skip_phase_1(self, tmp_path, monkeypatch):
-        """Every generated master of seeds 1-3 starts from the segment
-        basis, never running phase 1, with the same values and at most 45%
-        of the pivots of the phase-1 start in total (99 of 244 when this
-        test was written)."""
+        """The generated instances of seeds 1-3 take at most 39 pivots in
+        total from the segment basis (counted at ``_kernels._pivot``; the
+        kernel's first solve and the revised simplex it fed took 39 too),
+        and match the cold loop."""
         instances = []
         for seed in (1, 2, 3):
             (tmp_path / str(seed)).mkdir()
             instances += generated_instances(tmp_path / str(seed), seed)
+        assert len(instances) == 12
+        ours, pivots = pivot_count(monkeypatch, lambda instances: [
+            worst_case_expectation(inst)[0] for inst in instances], instances)
+        for inst, worst in zip(instances, ours):
+            cold, _ = cold_worst_case(inst)
+            assert abs(worst - cold) <= 1e-12 * max(1.0, abs(cold))
+        assert pivots <= 39
 
-        def solve(instances):
-            return [worst_case_expectation(inst)[0] for inst in instances]
-
-        installed = installed_bases(monkeypatch)
-        ours, pivots = pivot_count(monkeypatch, solve, instances)
-        assert len(installed) == len(instances)
-        assert all(basis is not None for basis in installed)
-        monkeypatch.setattr(_kernels, "_install_basis", lambda *args: None)
-        phase1, phase1_pivots = pivot_count(monkeypatch, solve, instances)
-        for a, b in zip(ours, phase1):
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
-        assert pivots <= 0.45 * phase1_pivots
-
-    def test_gap2_solves_cold(self, monkeypatch):
-        """gap2's two segments cannot span its three rows: the kernel
-        refuses the offered basis and phase 1 runs."""
-        inst = load_gap_instance(read_json(INSTANCES / "gap2.json"))
-        np.testing.assert_array_equal(start_columns([0.5, 0.5]), [0, 1, 2])
-        installed = installed_bases(monkeypatch)
-        worst, _ = worst_case_expectation(inst)
-        assert installed == [None]
+    def test_gap2_needs_no_phase_1(self):
+        """gap2's two segments leave item row 1 to an artificial at zero,
+        and that start is already optimal, with value 1."""
+        masks, B, level = systematic_basis([0.5, 0.5])
+        assert masks.tolist() == [1, 2, -2]
+        np.testing.assert_array_equal(B, [[1, 0, 0], [0, 1, 1], [1, 1, 0]])
+        assert level.tolist() == [0.5, 0.5, 0.0]
+        worst, _ = worst_case_expectation(load_gap_instance(read_json(INSTANCES / "gap2.json")))
         assert worst == pytest.approx(1.0, abs=1e-9)
 
-    def test_the_basis_is_the_segments(self, monkeypatch):
+    def test_the_basis_is_the_segments(self):
         p = [0.3, 0.6, 0.9, 0.7]
-        cols = start_columns(p)
-        np.testing.assert_array_equal(cols, [0, 13, 14, 6, 10, 12])
-        assert cols[1:].tolist() == [mask for mask, _ in systematic_segments(p)]
-
-        installed = installed_bases(monkeypatch)
-
-        def installed_for(p, cols):
-            """The kernel's install results for a master offered, as in
-            worst_case_expectation, the positions after the empty set."""
-            n = len(p)
-            installed.clear()
-            A = np.vstack([(cols >> np.arange(n)[:, None]) & 1, np.ones(cols.size)])
-            ColumnMaster(A, np.append(p, 1.0), np.zeros(cols.size), n + 1,
-                         list(range(1, n + 2)))
-            return list(installed)
-
-        assert [v.tolist() for v in installed_for(p, cols)] == [[1, 2, 3, 4, 5]]
-        # The comonotone chain has n + 1 columns: no basis.
-        assert installed_for(p, chain_columns(p)) == [None]
-        # Four segments for five rows.
-        assert installed_for([0.25] * 4, start_columns([0.25] * 4)) == [None]
-        # Three segments, but the empty set is one of them.
-        assert installed_for([0.2, 0.3], start_columns([0.2, 0.3])) == [None]
+        masks, _, level = systematic_basis(p)
+        # Five segments for five rows: no artificial.
+        assert masks.tolist() == [mask for mask, _ in systematic_segments(p)] \
+            == [13, 14, 6, 10, 12]
+        assert level.tolist() == [length for _, length in systematic_segments(p)]
+        # Four segments for five rows; r_j is the item ending at cut j.
+        assert systematic_basis([0.25] * 4)[0].tolist() == [1, 2, 4, 8, -4]
+        # A marginal of 1 or 0 ends at no cut: both rows are artificial.
+        assert systematic_basis([0.3, 1.0, 0.0])[0].tolist() == [3, 2, -2, -3]
+        # One segment, the empty set: every item row is artificial.
+        assert systematic_basis([0.0, 0.0])[0].tolist() == [0, -1, -2]
 
 
 def assert_matches_cold(inst):

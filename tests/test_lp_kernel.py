@@ -19,7 +19,6 @@ from conftest import (
     equality_pair_lp,
     ge_simplex_kernel,
     ge_simplex_resume,
-    installed_bases,
     numeric_paths,
     substituted,
     vertex_oracle_lp,
@@ -34,7 +33,6 @@ from stocomb.lp import (
     PIVOT_TOL,
     ColumnMaster,
     LinearProgram,
-    LPResult,
     max_pivots,
     solve_lp,
 )
@@ -180,8 +178,7 @@ class TestNoEqualityRowsBitIdentical:
             code, warned = recorded(cli)
             return code, warned, capsys.readouterr().out, calls
 
-        def reference(A, b, c, tol, feas_tol, pivot_limit, eq=0, basis=None):
-            assert basis is None  # no saa LP offers a start basis
+        def reference(A, b, c, tol, feas_tol, pivot_limit, eq=0):
             if eq:
                 return _kernels.simplex_kernel(A, b, c, tol, feas_tol,
                                                pivot_limit, eq)
@@ -321,137 +318,3 @@ class TestEqualityRows:
         assert res.status == OPTIMAL
         assert res.value == pytest.approx(1.0)
         assert_optimal_certificate(np.array([1.0, 2.0]), A, np.ones(3), 3, res)
-
-
-# -- Starting from a known basis ------------------------------------------------
-
-def cold(A, b, c, eq):
-    return _kernels.simplex_kernel(A, b, c, PIVOT_TOL, FEAS_TOL, max_pivots(*A.shape), eq)
-
-
-def warm(A, b, c, basis, eq):
-    return _kernels.simplex_kernel(A, b, c, PIVOT_TOL, FEAS_TOL, max_pivots(*A.shape),
-                                   eq, basis)
-
-
-def full_key(out):
-    """A kernel result with its tableau, arrays as bytes."""
-    parts = (*out[1:4], *(out[5] or ()))
-    return (out[0], out[4], *(np.asarray(v).tobytes() for v in parts))
-
-
-def phase1_basis(A, b, eq):
-    """The basis phase 1 ends at: with zero costs phase 2 makes no pivot."""
-    return cold(A, b, np.zeros(A.shape[1]), eq)[5][1]
-
-
-def master_key(master):
-    """A master's status, pivots, result and tableau, arrays as bytes."""
-    res = master.result
-    parts = (res.primal, res.duals, res.value, *(master._tableau or ()))
-    return (res.status, master.pivots,
-            *(None if v is None else np.asarray(v).tobytes() for v in parts))
-
-
-def assert_relative(value, reference):
-    assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
-
-
-class TestFromBasis:
-    def test_phase1_basis_matches_the_cold_solve(self, monkeypatch):
-        """From the basis phase 1 ends at, phase 2 alone reaches the cold
-        optimum; resuming with more columns matches the widened LP's."""
-        installed = installed_bases(monkeypatch)
-        rng = np.random.default_rng(15)
-        started = 0
-        for trial in range(300):
-            c, A, b, eq = equality_lp(rng)
-            m, n = A.shape
-            basis = phase1_basis(A, b, eq)
-            if (basis >= n + m - eq).any():
-                continue  # a row left artificial: no basis of A's columns
-            out = warm(A, b, c, basis, eq)
-            assert installed.pop() is not None, trial
-            ref = cold(A, b, c, eq)
-            assert out[0] == ref[0] == 0
-            assert_relative(out[3], ref[3])
-            assert_optimal_certificate(c, A, b, eq, LPResult(OPTIMAL, out[1], out[3], out[2]))
-
-            master = ColumnMaster(A, b, c, eq, basis)  # takes the same path
-            assert installed.pop() is not None
-            assert master.result.primal.tobytes() == out[1].tobytes()
-            assert master.pivots == out[4]
-            k = int(rng.integers(1, 4))
-            extra = np.round(rng.uniform(-1, 1, (m, k)), 2)
-            extra_c = np.round(rng.uniform(0.1, 2, k), 2)
-            res = master.add_columns(extra, extra_c)
-            wide_c, wide_A = np.append(c, extra_c), np.hstack([A, extra])
-            wide = cold(wide_A, b, wide_c, eq)
-            assert res.status == OPTIMAL and wide[0] == 0
-            assert_relative(res.value, wide[3])
-            assert_optimal_certificate(wide_c, wide_A, b, eq, res)
-            started += 1
-        assert started > 250
-        assert not installed  # cold solves offer no basis
-
-    def test_rejected_bases_solve_cold_bit_identically(self, monkeypatch):
-        """A singular basis or one with a negative level is refused, and
-        the kernel and the master then solve exactly as without a basis,
-        tableau included."""
-        installed = installed_bases(monkeypatch)
-        rng = np.random.default_rng(16)
-        singular = negative = 0
-        for _ in range(600):
-            c, A, b, eq = equality_lp(rng)
-            m, n = A.shape
-            columns = np.hstack([A, -np.eye(m)[:, eq:]])  # structural, surplus
-            basis = rng.choice(columns.shape[1], m, replace=bool(rng.random() < 0.3))
-            B = columns[:, basis]
-            if np.linalg.matrix_rank(B) < m:
-                singular += 1
-            elif np.linalg.solve(B, b).min() < -1e-9:
-                negative += 1
-            else:
-                continue
-            assert full_key(warm(A, b, c, basis, eq)) == full_key(cold(A, b, c, eq))
-            assert master_key(ColumnMaster(A, b, c, eq, basis)) == \
-                master_key(ColumnMaster(A, b, c, eq))
-            assert installed == [None, None]
-            installed.clear()
-        assert singular > 60 and negative > 200
-
-    def test_rejected_by_hand(self, monkeypatch):
-        installed = installed_bases(monkeypatch)
-        hilbert = 1.0 / (np.arange(8)[:, None] + np.arange(8) + 1.0)
-        cases = [
-            # B^-1 B misses the identity by more than the pivot tolerance.
-            (hilbert, hilbert @ np.ones(8), np.ones(8), list(range(8)), 8),
-            # The level 1e300 / 1e-300 overflows.
-            (np.array([[1e-300]]), np.array([1e300]), np.ones(1), [0], 1),
-            # An artificial column, a wrong length, a negative index.
-            (np.eye(2), np.ones(2), np.ones(2), [0, 3], 2),
-            (np.eye(2), np.ones(2), np.ones(2), [0], 2),
-            (np.eye(2), np.ones(2), np.ones(2), [0, -1], 2),
-        ]
-        for A, b, c, basis, eq in cases:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                assert full_key(warm(A, b, c, basis, eq)) == full_key(cold(A, b, c, eq))
-                assert master_key(ColumnMaster(A, b, c, eq, basis)) == \
-                    master_key(ColumnMaster(A, b, c, eq))
-            assert installed == [None, None]
-            installed.clear()
-
-    def test_one_kernel_call_per_master(self, monkeypatch):
-        """A master's first solve is one call of ``lp.simplex_kernel``,
-        with an accepted, a refused or no basis."""
-        calls = []
-        kernel = lp.simplex_kernel
-        monkeypatch.setattr(lp, "simplex_kernel",
-                            lambda *args: calls.append(args[7]) or kernel(*args))
-        installed = installed_bases(monkeypatch)
-        A, b, c = np.eye(2), np.ones(2), np.ones(2)
-        for basis in ([0, 1], [0, 0], None):
-            ColumnMaster(A, b, c, 2, basis)
-        assert calls == [[0, 1], [0, 0], None]
-        assert [None if v is None else v.tolist() for v in installed] == [[0, 1], None]
