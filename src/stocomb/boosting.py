@@ -4,10 +4,14 @@ Both policy families read sigma, the inflation factor, from the problem.
 The union-of-samples policy draws floor(sigma) scenarios, serves their
 union up front, and augments to each realized set; the independent variant
 boosts every client's marginal by sigma (clamped at one), serves the
-boosted draw, and augments per realized client.  Exact
-evaluation integrates over both the algorithm's own sampling randomness and
-the scenario realization; the exhaustive two-stage optimum provides the
-denominator for the approximation-ratio checks.
+boosted draw, and augments per realized client toward the draw plus that
+client.  A policy keeps each augmentation by its target set, so it augments
+once per distinct target: independent boosting augments the draw itself once,
+however many drawn clients ask for it.  It prices its first stage once, at
+its first pricing.  Exact evaluation integrates over both the algorithm's
+own sampling randomness and the scenario realization; the exhaustive
+two-stage optimum provides the denominator for the approximation-ratio
+checks.
 """
 
 from __future__ import annotations
@@ -44,6 +48,15 @@ class TwoStagePolicy:
 
     first_stage: frozenset
     recourse: Callable[[frozenset], frozenset]
+
+    def first_cost(self, problem: ProblemInstance) -> float:
+        """``problem.cost(first_stage)``, summed on the first call and kept
+        while the policy is priced on the same problem."""
+        kept = self.__dict__.get("_first_cost")
+        if kept is None or kept[0] is not problem:
+            kept = (problem, problem.cost(self.first_stage))
+            object.__setattr__(self, "_first_cost", kept)
+        return kept[1]
 
 
 @dataclass(frozen=True)
@@ -137,14 +150,14 @@ class IndBoostPolicyBuilder:
         first = self.alg.solve(self.problem, drawn).chosen
 
         @functools.cache
-        def patch(j) -> frozenset:
-            return self.alg.augment(self.problem, first, drawn | {j}).chosen
+        def patch(target: frozenset) -> frozenset:
+            return self.alg.augment(self.problem, first, target).chosen
 
         @functools.cache
         def build(realized: frozenset) -> frozenset:
             out: frozenset = frozenset()
             for j in realized:
-                out |= patch(j)
+                out |= patch(drawn | {j})
             return out
 
         return TwoStagePolicy(first, build)
@@ -170,12 +183,13 @@ def ind_boost(problem: ProblemInstance, alg: ApproxAlgorithm,
 
 def policy_cost(problem: ProblemInstance, policy: TwoStagePolicy,
                 realized: frozenset) -> float:
-    """First-stage cost plus inflated recourse cost for one realization."""
+    """First-stage cost plus inflated recourse cost for one realization; the
+    first stage is priced at the policy's first pricing and then kept."""
     patch = policy.recourse(realized)
     if not problem.feasibility(policy.first_stage | patch, realized):
         raise Infeasible(
             f"policy does not serve realization {sorted(map(str, realized))}")
-    return problem.cost(policy.first_stage) + problem.inflation * problem.cost(patch)
+    return policy.first_cost(problem) + problem.inflation * problem.cost(patch)
 
 
 def evaluate_policy(builder, dist: ScenarioDistribution, mode: str = "exact",

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -224,12 +226,77 @@ def load_gap_instance(payload: dict) -> GapInstance:
 
 
 def canonical_json(obj) -> str:
-    """Sorted-key JSON text; a value that is not finite (a sum that left the
-    float range) is a :class:`NumericalFailure`."""
-    try:
-        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise NumericalFailure(f"report value out of range: {exc}") from exc
+    """Sorted-key JSON text, the text of ``json.dumps(obj, indent=2,
+    sort_keys=True, allow_nan=False)`` plus a newline; a value that is not
+    finite (a sum that left the float range) is a :class:`NumericalFailure`.
+
+    One recursive function writes it, so a call leaves no reference cycle
+    behind (``json.dumps`` builds closures for an indented text)."""
+    out: list = []
+    _write_json(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise NumericalFailure(f"report value out of range: {x!r}")
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` turns it into a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or key is True or key is False:
+        return _JSON_CONSTANTS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    if isinstance(key, float):
+        return _json_float(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not "
+                    f"{type(key).__name__}")
+
+
+def _write_json(value, out: list, newline: str):
+    """Append the JSON text of ``value`` to ``out``; ``newline`` is a line
+    break plus the indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append(_JSON_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for k, item in enumerate(value):
+            out.append("," + inner if k else inner)
+            _write_json(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for k, (key, item) in enumerate(sorted(value.items())):
+            out.append("," + inner if k else inner)
+            out.append(encode_basestring_ascii(_json_key(key)))
+            out.append(": ")
+            _write_json(item, out, inner)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
 
 
 # A JSON escape of a UTF-16 surrogate: only text holding one can decode to

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -49,9 +49,14 @@ class ProblemInstance:
     an oracle that decomposes per client: uint64 element masks F in, uint64
     masks of the clients each F serves out, and F serves S exactly when it
     serves every client of S.  It must agree with ``feasibility``.  Custom
-    oracles and instances past ``MASK_BITS`` clients have none.  The served
-    and price tables over every element mask are built on first use and kept
-    on the instance; a :func:`dataclasses.replace` copy starts without them.
+    oracles and instances past ``MASK_BITS`` clients have none.
+
+    What does not depend on the prices, the served table over every element
+    mask, the element index and whatever a solver keeps through
+    :meth:`structure`, is built on first use and shared with every
+    :meth:`with_free_elements` copy.  The price table is built on first use
+    and kept on the instance alone.  A :func:`dataclasses.replace` copy
+    starts with neither.
     """
 
     clients: tuple
@@ -85,21 +90,44 @@ class ProblemInstance:
             raise NumericalFailure("element costs sum past the float range") from exc
 
     @functools.cached_property
+    def _structure(self) -> dict:
+        return {}
+
+    def structure(self, name: str, build: Callable[["ProblemInstance"], Any]):
+        """``build(self)``, built on the first call for ``name`` and then kept
+        for this instance and every :meth:`with_free_elements` copy: only for
+        what does not depend on the prices."""
+        kept = self._structure
+        if name not in kept:
+            kept[name] = build(self)
+        return kept[name]
+
+    @property
     def _served_table(self) -> np.ndarray:
-        return served_table(self)
+        return self.structure("served", served_table)
 
     @functools.cached_property
     def _prices(self) -> np.ndarray:
         return _price_table(self, self.elements)
 
     def element_index(self) -> dict:
-        return {e: i for i, e in enumerate(self.elements)}
+        """Each element's position in ``elements`` (shared: do not mutate)."""
+        return self.structure("element_index",
+                              lambda p: {e: i for i, e in enumerate(p.elements)})
 
     def with_free_elements(self, free: frozenset) -> "ProblemInstance":
-        """Copy of the instance with the given elements priced at zero."""
+        """Copy of the instance with the given elements priced at zero.
+
+        Every price of the copy is one this instance validated, or 0.0, so
+        the copy skips ``__post_init__``.  It shares this instance's
+        structure and starts without its price table."""
         costs = {e: (0.0 if e in free else self.first_stage_cost[e])
                  for e in self.elements}
-        return replace(self, first_stage_cost=costs)
+        copy = object.__new__(ProblemInstance)
+        copy.__dict__.update(self.__dict__, first_stage_cost=costs,
+                             _structure=self._structure)
+        copy.__dict__.pop("_prices", None)
+        return copy
 
 
 def membership(sets, universe: tuple) -> np.ndarray:

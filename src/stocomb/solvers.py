@@ -89,6 +89,19 @@ def _dijkstra(vertices, adjacency, costs, source, vindex):
     return dist, pred
 
 
+def _steiner_graph(problem: ProblemInstance) -> tuple:
+    """(vertex index, adjacency): each vertex's (edge, neighbour) pairs in
+    neighbour index order."""
+    vindex = {v: i for i, v in enumerate(problem.clients)}
+    adjacency = {v: [] for v in problem.clients}
+    for e, (u, v) in problem.payload["edges"].items():
+        adjacency[u].append((e, v))
+        adjacency[v].append((e, u))
+    for v in adjacency:
+        adjacency[v].sort(key=lambda item: vindex[item[1]])
+    return vindex, adjacency
+
+
 def steiner_solve(problem: ProblemInstance, clients: frozenset) -> Solution:
     """Metric-closure MST heuristic for the rooted Steiner tree (factor 2).
 
@@ -103,13 +116,7 @@ def steiner_solve(problem: ProblemInstance, clients: frozenset) -> Solution:
     if len(terminals) <= 1:
         return Solution(frozenset(), 0.0)
 
-    vindex = {v: i for i, v in enumerate(problem.clients)}
-    adjacency = {v: [] for v in problem.clients}
-    for e, (u, v) in edges.items():
-        adjacency[u].append((e, v))
-        adjacency[v].append((e, u))
-    for v in adjacency:
-        adjacency[v].sort(key=lambda item: vindex[item[1]])
+    vindex, adjacency = problem.structure("steiner_graph", _steiner_graph)
     costs = problem.first_stage_cost
 
     spaths = {t: _dijkstra(problem.clients, adjacency, costs, t, vindex)
@@ -149,7 +156,8 @@ def steiner_solve(problem: ProblemInstance, clients: frozenset) -> Solution:
     # non-terminal leaves.
     uf = _UnionFind(v for e in chosen for v in edges[e])
     tree = set()
-    for e in sorted(chosen, key=lambda e: (costs[e], problem.elements.index(e))):
+    eindex = problem.element_index()
+    for e in sorted(chosen, key=lambda e: (costs[e], eindex[e])):
         if uf.union(*edges[e]):
             tree.add(e)
 

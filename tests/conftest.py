@@ -17,6 +17,7 @@ from stocomb.boosting import (
     IndBoostPolicyBuilder,
     PolicyEvaluation,
     TwoStageOptimum,
+    union_law,
 )
 from stocomb.errors import DegenerateInstance, Infeasible, NotMonotone, NotSubmodular
 from stocomb.fixtures import cov3, edge1, tri3
@@ -521,16 +522,39 @@ def loop_monte_carlo(problem, builder, dist, sigma, rng, runs) -> PolicyEvaluati
         drawn = loop_sample_draw(builder, dist, sigma, rng)
         if drawn not in policies:
             policies[drawn] = builder.policy(drawn)
-        policy = policies[drawn]
         realized = loop_sample(dist, rng)
-        patch = policy.recourse(realized)  # boosting.policy_cost, sigma explicit
-        if not problem.feasibility(policy.first_stage | patch, realized):
-            raise Infeasible(
-                f"policy does not serve realization {sorted(map(str, realized))}")
-        costs[t] = problem.cost(policy.first_stage) + sigma * problem.cost(patch)
+        costs[t] = loop_policy_cost(problem, policies[drawn], realized, sigma)
     mean = float(costs.mean())
     half = 2.5758293035489004 * float(costs.std(ddof=1)) / math.sqrt(runs)
     return PolicyEvaluation(mean, "monte_carlo", half)
+
+
+# -- The per-pair policy pricing ----------------------------------------------
+# ``boosting.policy_cost`` prices a policy's first stage once and keeps it.
+# This prices it again for every (draw, realization) pair, as the evaluation
+# loop did, and ``loop_evaluate_policy`` is that loop in exact mode.
+
+def loop_policy_cost(problem, policy, realized, sigma) -> float:
+    patch = policy.recourse(realized)
+    if not problem.feasibility(policy.first_stage | patch, realized):
+        raise Infeasible(
+            f"policy does not serve realization {sorted(map(str, realized))}")
+    return problem.cost(policy.first_stage) + sigma * problem.cost(patch)
+
+
+def loop_evaluate_policy(builder, dist, mode="exact", rng=None,
+                         runs=10_000) -> PolicyEvaluation:
+    problem = builder.problem
+    if mode == "monte_carlo":
+        return loop_monte_carlo(problem, builder, dist, problem.inflation, rng, runs)
+    support = [(realized, p) for realized, p in dist.support() if p != 0.0]
+    total = 0.0
+    for drawn, p_draw in union_law(*builder.draw_law(dist)):
+        policy = builder.policy(drawn)
+        for realized, p_real in support:
+            total += p_draw * p_real * loop_policy_cost(problem, policy, realized,
+                                                        problem.inflation)
+    return PolicyEvaluation(total, "exact")
 
 
 # -- The comonotone chain ----------------------------------------------------

@@ -1,9 +1,15 @@
 """JSON schema round trips and error paths."""
 
+import gc
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stocomb.errors import SchemaError
+from stocomb.errors import NumericalFailure, SchemaError
 from stocomb.fixtures import cov3, edge1, tri3
 from stocomb.generate import random_problem, random_stochastic_lp
 from stocomb.io import (
@@ -132,3 +138,68 @@ def test_set_cover_member_that_is_not_a_client_is_accepted():
     assert (served_table(problem) == loop_served_table(problem)).all()
     assert exact_opt(problem, {"1", "2"}) == loop_exact_opt(problem, {"1", "2"})
     assert check_subadditive(problem).ok
+
+
+# -- The report writer ---------------------------------------------------------
+# ``canonical_json`` writes what ``json.dumps(indent=2, sort_keys=True,
+# allow_nan=False)`` writes, from one recursive function instead of the
+# encoder's closures.
+
+def json_dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+finite = (st.none() | st.booleans() | st.integers()
+          | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+keys = st.text() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+reports = st.recursive(
+    finite,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(reports)
+@settings(max_examples=150, deadline=None)
+def test_report_text_is_json_dumps(value):
+    assert canonical_json(value) == json_dumps(value)
+
+
+@given(st.dictionaries(keys, finite, max_size=4).filter(
+    lambda d: len({type(k) is str for k in d}) <= 1))
+@settings(max_examples=100, deadline=None)
+def test_report_keys_are_converted_as_json_dumps_does(value):
+    assert canonical_json(value) == json_dumps(value)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["value", "nested", "key"])
+def test_non_finite_report_value_is_a_numerical_failure(bad, where):
+    value = {"value": bad, "nested": {"a": [1.0, {"b": bad}]},
+             "key": {bad: 1}}[where]
+    with pytest.raises(ValueError):
+        json_dumps(value)
+    with pytest.raises(NumericalFailure, match="report value out of range"):
+        canonical_json(value)
+
+
+@pytest.mark.parametrize("value", [{"a": object()}, {(1,): 2}, {1: 2, "a": 3}])
+def test_unwritable_report_raises_as_json_dumps_does(value):
+    with pytest.raises(TypeError) as want:
+        json_dumps(value)
+    with pytest.raises(TypeError) as got:
+        canonical_json(value)
+    assert str(got.value) == str(want.value)
+
+
+def test_report_writer_leaves_no_cyclic_garbage():
+    report = {"seed": 1, "records": [{"scenario": ["a", "b"], "cost": 1.5}] * 3,
+              "first_stage": [], "ratio": 1.25, "mode": "exact", "ok": True}
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_json(report)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
