@@ -75,6 +75,35 @@ def test_check_suites_match_golden_files(inst, suite, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"check_{inst}_{suite}.json").read_bytes()
 
 
+# Monte-Carlo reports: two reference instances and a generated set cover
+# over 5 clients, whose draws and realizations give 10 key bits per run.
+MONTE_CARLO = [
+    (["run-boost", "--instance", str(INSTANCES / "tri3.json"), "--seed", "5"],
+     "run_boost_tri3_monte_carlo.json"),
+    (["run-indboost", "--instance", str(INSTANCES / "edge1_independent.json"),
+      "--seed", "7"],
+     "run_indboost_edge1_monte_carlo.json"),
+    (["run-boost", "--instance", None, "--seed", "3"],
+     "run_boost_gen_set_cover_monte_carlo.json"),
+]
+
+
+@pytest.mark.parametrize("argv,golden", MONTE_CARLO,
+                         ids=[g.rsplit(".", 1)[0] for _, g in MONTE_CARLO])
+def test_monte_carlo_reports_match_golden_files(argv, golden, tmp_path):
+    if None in argv:
+        generated = tmp_path / "gen_set_cover.json"
+        assert main(["gen", "--kind", "set_cover", "--clients", "5",
+                     "--elements", "6", "--seed", "9",
+                     "--output", str(generated)]) == 0
+        argv = [str(generated) if a is None else a for a in argv]
+    out = tmp_path / "report.json"
+    code = main(argv + ["--mode", "monte_carlo", "--runs", "2000",
+                        "--output", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 def test_edge1_report_values(tmp_path):
     out = tmp_path / "r.json"
     main(["run-boost", "--instance", str(INSTANCES / "edge1.json"),
