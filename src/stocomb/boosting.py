@@ -5,13 +5,13 @@ The union-of-samples policy draws floor(sigma) scenarios, serves their
 union up front, and augments to each realized set; the independent variant
 boosts every client's marginal by sigma (clamped at one), serves the
 boosted draw, and augments per realized client toward the draw plus that
-client.  A policy keeps each augmentation by its target set, so it augments
-once per distinct target: independent boosting augments the draw itself once,
-however many drawn clients ask for it.  It prices its first stage once, at
-its first pricing.  Exact evaluation integrates over both the algorithm's
-own sampling randomness and the scenario realization; the exhaustive
-two-stage optimum provides the denominator for the approximation-ratio
-checks.
+client.  A policy holds one augmentation memo keyed by target set, so it
+augments once per distinct target: independent boosting augments the draw
+itself once, however many drawn clients ask for it.  A policy prices a
+realization itself (``TwoStagePolicy.cost``), summing its first stage once.
+Exact evaluation integrates over both the algorithm's own sampling
+randomness and the scenario realization; the exhaustive two-stage optimum
+provides the denominator for the approximation-ratio checks.
 """
 
 from __future__ import annotations
@@ -44,19 +44,25 @@ from .solvers import ApproxAlgorithm
 
 @dataclass(frozen=True)
 class TwoStagePolicy:
-    """A first-stage purchase plus a recourse rule for realized clients."""
+    """A first-stage purchase on ``problem`` plus a recourse rule for realized
+    clients."""
 
+    problem: ProblemInstance
     first_stage: frozenset
     recourse: Callable[[frozenset], frozenset]
 
-    def first_cost(self, problem: ProblemInstance) -> float:
-        """``problem.cost(first_stage)``, summed on the first call and kept
-        while the policy is priced on the same problem."""
-        kept = self.__dict__.get("_first_cost")
-        if kept is None or kept[0] is not problem:
-            kept = (problem, problem.cost(self.first_stage))
-            object.__setattr__(self, "_first_cost", kept)
-        return kept[1]
+    @functools.cached_property
+    def first_cost(self) -> float:
+        """``problem.cost(first_stage)``, summed at the first pricing."""
+        return self.problem.cost(self.first_stage)
+
+    def cost(self, realized: frozenset) -> float:
+        """First-stage cost plus inflated recourse cost for one realization."""
+        patch = self.recourse(realized)
+        if not self.problem.feasibility(self.first_stage | patch, realized):
+            raise Infeasible(
+                f"policy does not serve realization {sorted(map(str, realized))}")
+        return self.first_cost + self.problem.inflation * self.problem.cost(patch)
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,18 @@ def union_law(law: ScenarioDistribution, rounds: int) -> list[tuple]:
     return [(union, w) for union, w in out.items() if w > 0.0]
 
 
+def _augmentations(problem: ProblemInstance, alg: ApproxAlgorithm,
+                   first: frozenset) -> Callable[[frozenset], frozenset]:
+    """A policy's one augmentation memo: the augmentation of ``first`` to
+    each target set, solved at the target's first request and then kept."""
+
+    @functools.cache
+    def augment(target: frozenset) -> frozenset:
+        return alg.augment(problem, first, target).chosen
+
+    return augment
+
+
 @dataclass(frozen=True)
 class BoostPolicyBuilder:
     """Union-of-samples policies: draw floor(sigma) scenarios, serve the union."""
@@ -120,12 +138,8 @@ class BoostPolicyBuilder:
 
     def policy(self, drawn: frozenset) -> TwoStagePolicy:
         first = self.alg.solve(self.problem, drawn).chosen
-
-        @functools.cache
-        def build(realized: frozenset) -> frozenset:
-            return self.alg.augment(self.problem, first, realized).chosen
-
-        return TwoStagePolicy(first, build)
+        return TwoStagePolicy(self.problem, first,
+                              _augmentations(self.problem, self.alg, first))
 
 
 @dataclass(frozen=True)
@@ -148,19 +162,9 @@ class IndBoostPolicyBuilder:
 
     def policy(self, drawn: frozenset) -> TwoStagePolicy:
         first = self.alg.solve(self.problem, drawn).chosen
-
-        @functools.cache
-        def patch(target: frozenset) -> frozenset:
-            return self.alg.augment(self.problem, first, target).chosen
-
-        @functools.cache
-        def build(realized: frozenset) -> frozenset:
-            out: frozenset = frozenset()
-            for j in realized:
-                out |= patch(drawn | {j})
-            return out
-
-        return TwoStagePolicy(first, build)
+        augment = _augmentations(self.problem, self.alg, first)
+        return TwoStagePolicy(self.problem, first, lambda realized: frozenset().union(
+            *(augment(drawn | {j}) for j in realized)))
 
 
 def boost_and_sample(problem: ProblemInstance, alg: ApproxAlgorithm,
@@ -181,17 +185,6 @@ def ind_boost(problem: ProblemInstance, alg: ApproxAlgorithm,
     return builder.policy(law.sample(rng, rounds))
 
 
-def policy_cost(problem: ProblemInstance, policy: TwoStagePolicy,
-                realized: frozenset) -> float:
-    """First-stage cost plus inflated recourse cost for one realization; the
-    first stage is priced at the policy's first pricing and then kept."""
-    patch = policy.recourse(realized)
-    if not problem.feasibility(policy.first_stage | patch, realized):
-        raise Infeasible(
-            f"policy does not serve realization {sorted(map(str, realized))}")
-    return policy.first_cost(problem) + problem.inflation * problem.cost(patch)
-
-
 def evaluate_policy(builder, dist: ScenarioDistribution, mode: str = "exact",
                     rng=None, runs: int = 10_000) -> PolicyEvaluation:
     """Expected two-stage cost of the builder's policy family on its problem.
@@ -205,7 +198,6 @@ def evaluate_policy(builder, dist: ScenarioDistribution, mode: str = "exact",
     realization, so every seeded stream gives the values of
     one-run-at-a-time sampling, bit for bit.
     """
-    problem = builder.problem
     if mode == "exact":
         draws = union_law(*builder.draw_law(dist))
         support = [(realized, p) for realized, p in dist.support() if p != 0.0]
@@ -213,7 +205,7 @@ def evaluate_policy(builder, dist: ScenarioDistribution, mode: str = "exact",
         for drawn, p_draw in draws:
             policy = builder.policy(drawn)
             for realized, p_real in support:
-                total += p_draw * p_real * policy_cost(problem, policy, realized)
+                total += p_draw * p_real * policy.cost(realized)
         return PolicyEvaluation(total, "exact")
     if mode != "monte_carlo":
         raise ValueError(f"unknown evaluation mode {mode!r}")
@@ -275,7 +267,7 @@ def _monte_carlo_costs(builder, law, rounds, dist, rng, runs) -> np.ndarray:
                 if d not in policies:
                     policies[d] = builder.policy(d)
                 r = frozenset(itertools.compress(dist.universe, realized[t]))
-                prices[key] = policy_cost(builder.problem, policies[d], r)
+                prices[key] = policies[d].cost(r)
             batch_prices[u] = prices[key]
         costs[start:start + k] = batch_prices[inverse]
     return costs

@@ -1,5 +1,7 @@
-"""Exception hierarchy shared by every stocomb module, and the check
-that a JSON value is a list of ids."""
+"""Exception hierarchy shared by every stocomb module, and the checks
+that a JSON value is a list of ids or numbers."""
+
+import sys
 
 
 class StocombError(Exception):
@@ -51,4 +53,20 @@ def list_of_ids(value, what: str) -> list:
     an object as its keys."""
     if not isinstance(value, list):
         raise SchemaError(f"{what} must be a list of ids, not {type(value).__name__}")
+    return value
+
+
+def number(value, what: str):
+    """``value`` if it is a JSON number, or a list (nested to any depth) of
+    them where an array belongs; ``float`` and numpy would read a string or
+    a boolean as a number, and fail on an integer beyond the float range.
+    The reader checks the shape."""
+    if isinstance(value, list):
+        if not set(map(type, value)) <= {float}:  # a list of floats in one pass
+            for item in value:
+                number(item, what)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{what} must be a number, not {type(value).__name__}")
+    elif isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise SchemaError(f"{what} must be a number in the float range")
     return value

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalFailure, SchemaError, list_of_ids
+from .errors import NumericalFailure, SchemaError, list_of_ids, number
 from .gap import GapInstance
 from .model import (
     Explicit,
@@ -69,10 +69,12 @@ def _schema_checked(what: str):
 def load_distribution(payload: dict) -> ScenarioDistribution:
     kind = payload["kind"]
     if kind == "explicit":
-        return Explicit(tuple((list_of_ids(o["subset"], "subset"), o["prob"])
+        return Explicit(tuple((list_of_ids(o["subset"], "subset"),
+                               number(o["prob"], "prob"))
                               for o in payload["outcomes"]))
     if kind == "independent":
-        return IndependentBernoulli(tuple(payload["marginals"].items()))
+        return IndependentBernoulli(tuple((j, number(p, f"marginal of {j!r}"))
+                                          for j, p in payload["marginals"].items()))
     if kind == "k_partition":
         return KPartition([list_of_ids(b, "block")
                            for b in list_of_ids(payload["blocks"], "blocks")])
@@ -96,11 +98,11 @@ def load_instance(payload: dict):
     """Parse a client-element instance; returns (problem, distribution|None)."""
     clients = list_of_ids(payload["clients"], "clients")
     order = tuple(e["id"] for e in payload["elements"])
-    costs = {e["id"]: float(e["cost"]) for e in payload["elements"]}
+    costs = {e["id"]: float(number(e["cost"], "cost")) for e in payload["elements"]}
     if len(costs) < len(order):
         repeated = sorted({str(e) for e in order if order.count(e) > 1})
         raise SchemaError(f"repeated element ids: {repeated}")
-    sigma = float(payload["sigma"])
+    sigma = float(number(payload["sigma"], "sigma"))
     problem = payload["problem"]
     kind = problem["kind"]
 
@@ -184,21 +186,22 @@ def dump_instance(problem: ProblemInstance,
 
 @_schema_checked("stochastic LP")
 def load_stochastic_lp(payload: dict) -> StochasticLPInstance:
-    w = np.asarray(payload["first_stage_cost"], dtype=float)
+    w = np.asarray(number(payload["first_stage_cost"], "first_stage_cost"),
+                   dtype=float)
     poly_payload = payload["polytope"]
     if "rows" in poly_payload or "row_rhs" in poly_payload:
         raise SchemaError("the polytope is a box: rows and row_rhs are not supported")
-    poly = Polytope(lower=poly_payload.get("lower", np.zeros(w.size)),
-                    upper=poly_payload.get("upper", np.ones(w.size)))
+    poly = Polytope(lower=number(poly_payload.get("lower", [0.0] * w.size), "lower"),
+                    upper=number(poly_payload.get("upper", [1.0] * w.size), "upper"))
     blocks = tuple(ScenarioBlock(
-        probability=float(blk["probability"]),
-        recourse_cost=blk["recourse_cost"],
+        probability=float(number(blk["probability"], "probability")),
+        recourse_cost=number(blk["recourse_cost"], "recourse_cost"),
         # Both or neither: each reads the other's key, so either one alone
         # is a missing field.
-        aux_cost=blk["aux_cost"] if "coupling" in blk else [],
-        coupling=blk["coupling"] if "aux_cost" in blk else [],
-        technology=blk["technology"],
-        requirement=blk["requirement"],
+        aux_cost=number(blk["aux_cost"], "aux_cost") if "coupling" in blk else [],
+        coupling=number(blk["coupling"], "coupling") if "aux_cost" in blk else [],
+        technology=number(blk["technology"], "technology"),
+        requirement=number(blk["requirement"], "requirement"),
     ) for blk in payload["scenarios"])
     if not blocks:
         raise SchemaError("no scenarios: their probabilities sum to 0, not 1")
@@ -220,7 +223,8 @@ def dump_stochastic_lp(instance: StochasticLPInstance) -> dict:
 @_schema_checked("gap instance")
 def load_gap_instance(payload: dict) -> GapInstance:
     ground = tuple(list_of_ids(payload["ground"], "ground"))
-    marginals = {i: float(payload["marginals"][str(i)]) for i in ground}
+    marginals = {i: float(number(payload["marginals"][str(i)], f"marginal of {i!r}"))
+                 for i in ground}
     f = setfun_from_json(payload["set_function"], ground)
     return GapInstance(ground, f, marginals)
 

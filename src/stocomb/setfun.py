@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from . import caps
-from .errors import CapExceeded, NotMonotone, NotSubmodular, SchemaError, list_of_ids
+from .errors import (CapExceeded, NotMonotone, NotSubmodular, SchemaError,
+                     list_of_ids, number)
 from .model import first_decrease, members, subset_table
 
 MONO_TOL = 1e-9
@@ -58,10 +59,10 @@ class TableFunction:
 def from_table(values, ground: tuple) -> TableFunction:
     """Set function backed by a dense mask-indexed table (copied, read-only)."""
     values = np.array(values, dtype=float)
-    if values.size != 1 << len(ground):
+    if values.shape != (1 << len(ground),):
         raise SchemaError(
-            f"table needs {1 << len(ground)} values for {len(ground)} elements, "
-            f"got {values.size}")
+            f"table needs a flat list of {1 << len(ground)} values for "
+            f"{len(ground)} elements, got shape {values.shape}")
     if not np.isfinite(values).all():
         raise SchemaError("table values must be finite")
     values.flags.writeable = False
@@ -151,7 +152,7 @@ def random_coverage(ground: tuple, rng) -> dict:
 
 
 def _finite(value, what: str) -> float:
-    value = float(value)
+    value = float(number(value, what))
     if not math.isfinite(value):
         raise SchemaError(f"{what} must be finite, got {value!r}")
     return value
@@ -176,7 +177,7 @@ def from_json(payload: dict, ground: tuple):
     if kind == "table":
         if len(ground) > TABLE_ITEMS:
             raise SchemaError(f"explicit tables support at most {TABLE_ITEMS} elements")
-        return from_table(payload.get("values", ()), ground)
+        return from_table(number(payload.get("values", []), "table value"), ground)
     raise SchemaError(f"unknown set-function kind {kind!r}")
 
 

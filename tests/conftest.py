@@ -530,7 +530,7 @@ def loop_monte_carlo(problem, builder, dist, sigma, rng, runs) -> PolicyEvaluati
 
 
 # -- The per-pair policy pricing ----------------------------------------------
-# ``boosting.policy_cost`` prices a policy's first stage once and keeps it.
+# ``TwoStagePolicy.cost`` prices a policy's first stage once and keeps it.
 # This prices it again for every (draw, realization) pair, as the evaluation
 # loop did, and ``loop_evaluate_policy`` is that loop in exact mode.
 

@@ -15,7 +15,6 @@ from stocomb.boosting import (
     evaluate_policy,
     exact_two_stage_opt,
     ind_boost,
-    policy_cost,
     union_law,
 )
 from stocomb.errors import CapExceeded, Infeasible
@@ -54,7 +53,7 @@ class TestBoostAndSample:
         dist = Explicit(((frozenset({"j"}), 1.0),))
         policy = boost_and_sample(problem, alg, dist, stream(1, "b"))
         assert policy.first_stage == frozenset({"e"})
-        assert policy_cost(problem, policy, frozenset({"j"})) == pytest.approx(1.0)
+        assert policy.cost(frozenset({"j"})) == pytest.approx(1.0)
 
     def test_edge1_exact_expected_cost(self):
         # Independent oracle: enumerate the four equally likely draw pairs
@@ -149,7 +148,7 @@ class TestBoostAndSample:
         ev = evaluate_policy(builder, dist, mode="exact")
         policy = boost_and_sample(problem, alg, dist, stream(2, "b"))
         assert ev.expected_cost == pytest.approx(
-            policy_cost(problem, policy, frozenset({"j"})))
+            policy.cost(frozenset({"j"})))
 
 
 class TestIndBoost:
@@ -212,10 +211,10 @@ class TestIndBoost:
 
 def test_infeasible_policy_is_reported():
     problem, _ = edge1()
-    broken = TwoStagePolicy(first_stage=frozenset(),
+    broken = TwoStagePolicy(problem=problem, first_stage=frozenset(),
                             recourse=lambda realized: frozenset())
     with pytest.raises(Infeasible):
-        policy_cost(problem, broken, frozenset({"j"}))
+        broken.cost(frozenset({"j"}))
 
 
 class TestPartitionDistribution:

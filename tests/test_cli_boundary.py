@@ -268,6 +268,77 @@ def test_repeated_gap_ground_item_exits_2(tmp_path, capsys):
     assert err == ["schema error: malformed gap instance: duplicate ground items"]
 
 
+GAP_TABLE = {"kind": "table", "values": [0, 1, 1, 1]}
+
+
+@pytest.mark.parametrize("values,shape", [
+    ([[0, 1], [1, 1]], (2, 2)),
+    ([[0, 1, 1, 1]], (1, 4)),
+    ([[[0, 1], [1, 1]]], (1, 2, 2)),
+], ids=["2x2", "1x4", "1x2x2"])
+def test_gap_table_that_is_not_a_flat_list_exits_2(values, shape, tmp_path, capsys):
+    """gap2's two items take a flat list of 4 values; a nested list holding
+    4 numbers must not be read as one."""
+    payload = json.loads((INSTANCES / "gap2.json").read_text())
+    payload["set_function"] = dict(GAP_TABLE)
+    assert run_payload(["gap"], payload, tmp_path, capsys)[0] == 0
+    payload["set_function"]["values"] = values
+    code, err = run_payload(["gap"], payload, tmp_path, capsys)
+    assert code == 2
+    assert err == [f"schema error: table needs a flat list of 4 values for 2 "
+                   f"elements, got shape {shape}"]
+
+
+# (instance, path, value, the error): a string or a boolean where the
+# README documents a number, which ``float`` would read as one, or an
+# integer that ``float`` cannot convert.
+NOT_NUMBERS = {
+    "sigma_string": ("edge1.json", ("sigma",), "2", "sigma must be a number, not str"),
+    "sigma_true": ("edge1.json", ("sigma",), True, "sigma must be a number, not bool"),
+    "cost_string": ("cov3.json", ("elements", 0, "cost"), "1",
+                    "cost must be a number, not str"),
+    "prob_string": ("edge1.json", ("distribution", "outcomes"),
+                    [{"subset": ["j"], "prob": "1"}], "prob must be a number, not str"),
+    "prob_true": ("edge1.json", ("distribution", "outcomes"),
+                  [{"subset": ["j"], "prob": True}], "prob must be a number, not bool"),
+    "independent_marginal_string": ("edge1_independent.json",
+                                    ("distribution", "marginals", "j"), "0.5",
+                                    "marginal of 'j' must be a number, not str"),
+    "gap_marginal_string": ("gap2.json", ("marginals", "a"), "0.5",
+                            "marginal of 'a' must be a number, not str"),
+    "gap_marginal_true": ("gap2.json", ("marginals", "a"), True,
+                          "marginal of 'a' must be a number, not bool"),
+    "cap_string": ("gap2.json", ("set_function", "cap"), "1",
+                   "cap must be a number, not str"),
+    "table_value_true": ("gap2.json", ("set_function",),
+                         dict(GAP_TABLE, values=[0, 1, 1, True]),
+                         "table value must be a number, not bool"),
+    "first_stage_cost_strings": ("saa_ufl.json", ("first_stage_cost",), ["1", "1.2"],
+                                 "first_stage_cost must be a number, not str"),
+    "first_stage_cost_booleans": ("saa_ufl.json", ("first_stage_cost",),
+                                  [True, False],
+                                  "first_stage_cost must be a number, not bool"),
+    "scenario_probability_string": ("saa_ufl.json", ("scenarios", 0, "probability"),
+                                    "0.4", "probability must be a number, not str"),
+    "sigma_beyond_float_range": ("edge1.json", ("sigma",), 10 ** 400,
+                                 "sigma must be a number in the float range"),
+    "first_stage_cost_beyond_float_range": (
+        "saa_ufl.json", ("first_stage_cost", 0), 10 ** 400,
+        "first_stage_cost must be a number in the float range"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_NUMBERS))
+def test_value_that_is_not_a_number_exits_2(case, tmp_path, capsys):
+    source, path, value, error = NOT_NUMBERS[case]
+    payload, command = json.loads((INSTANCES / source).read_text()), COMMANDS[source]
+    assert run_payload(command, payload, tmp_path, capsys)[0] == 0
+    code, err = run_payload(command, substituted(payload, path, value), tmp_path,
+                            capsys)
+    assert code == 2
+    assert err == [f"schema error: {error}"]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_escaped_surrogate_pair_loads_and_renders(fmt, tmp_path, capsys):
     inst = tmp_path / "inst.json"

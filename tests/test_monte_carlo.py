@@ -17,8 +17,8 @@ from stocomb import boosting, caps
 from stocomb.boosting import (
     BoostPolicyBuilder,
     IndBoostPolicyBuilder,
+    TwoStagePolicy,
     evaluate_policy,
-    policy_cost,
 )
 from stocomb.errors import CapExceeded
 from stocomb.generate import random_explicit_distribution, random_problem
@@ -184,11 +184,13 @@ def test_each_distinct_pair_is_priced_once(monkeypatch, law, builder):
     monkeypatch.setattr(boosting, "CHUNK", 50)
     priced = []
 
-    def counting(problem, policy, realized):
-        priced.append(realized)
-        return policy_cost(problem, policy, realized)
+    cost = TwoStagePolicy.cost
 
-    monkeypatch.setattr(boosting, "policy_cost", counting)
+    def counting(policy, realized):
+        priced.append(realized)
+        return cost(policy, realized)
+
+    monkeypatch.setattr(TwoStagePolicy, "cost", counting)
     problem = random_problem("set_cover", 5, 6, seed=2, sigma=2.0)
     dist = laws(problem.clients)[law]
     b = builder_for(builder, problem)
