@@ -62,9 +62,8 @@ def number(value, what: str):
     a boolean as a number, and fail on an integer beyond the float range.
     The reader checks the shape."""
     if isinstance(value, list):
-        if not set(map(type, value)) <= {float}:  # a list of floats in one pass
-            for item in value:
-                number(item, what)
+        for item in value:
+            number(item, what)
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{what} must be a number, not {type(value).__name__}")
     elif isinstance(value, int) and abs(value) > sys.float_info.max:
