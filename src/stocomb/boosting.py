@@ -5,13 +5,12 @@ The union-of-samples policy draws floor(sigma) scenarios, serves their
 union up front, and augments to each realized set; the independent variant
 boosts every client's marginal by sigma (clamped at one), serves the
 boosted draw, and augments per realized client toward the draw plus that
-client.  A policy holds one augmentation memo keyed by target set, so it
-augments once per distinct target: independent boosting augments the draw
-itself once, however many drawn clients ask for it.  A policy prices a
-realization itself (``TwoStagePolicy.cost``), summing its first stage once.
-Exact evaluation integrates over both the algorithm's own sampling
-randomness and the scenario realization; the exhaustive two-stage optimum
-provides the denominator for the approximation-ratio checks.
+client.  A builder owns a run's work: it solves each draw's first stage
+once and augments each (first stage, target) once, for its seeded run,
+evaluation and records alike.  A policy prices a realization itself
+(``TwoStagePolicy.cost``), summing its first stage once.  Exact evaluation
+integrates over the algorithm's sampling and the scenario realization; the
+exhaustive two-stage optimum is the approximation ratio's denominator.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -108,24 +107,36 @@ def union_law(law: ScenarioDistribution, rounds: int) -> list[tuple]:
     return [(union, w) for union, w in out.items() if w > 0.0]
 
 
-def _augmentations(problem: ProblemInstance, alg: ApproxAlgorithm,
-                   first: frozenset) -> Callable[[frozenset], frozenset]:
-    """A policy's one augmentation memo: the augmentation of ``first`` to
-    each target set, solved at the target's first request and then kept."""
-
-    @functools.cache
-    def augment(target: frozenset) -> frozenset:
-        return alg.augment(problem, first, target).chosen
-
-    return augment
-
-
 @dataclass(frozen=True)
-class BoostPolicyBuilder:
-    """Union-of-samples policies: draw floor(sigma) scenarios, serve the union."""
+class _PolicyBuilder:
+    """A policy family on ``problem`` and its memos, empty in a new or
+    ``dataclasses.replace``d builder: each draw's policy, and each (first
+    stage, target) augmentation.  A policy's recourse holds the augmentation
+    memo but not the builder, so no reference cycle forms."""
 
     problem: ProblemInstance
     alg: ApproxAlgorithm
+    _policies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _augments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def policy(self, drawn: frozenset) -> TwoStagePolicy:
+        if drawn not in self._policies:
+            problem, alg, memo = self.problem, self.alg, self._augments
+            first = alg.solve(problem, drawn).chosen
+
+            def augment(target: frozenset) -> frozenset:
+                if (first, target) not in memo:
+                    memo[first, target] = alg.augment(problem, first, target).chosen
+                return memo[first, target]
+
+            self._policies[drawn] = TwoStagePolicy(problem, first,
+                                                   self._recourse(drawn, augment))
+        return self._policies[drawn]
+
+
+@dataclass(frozen=True)
+class BoostPolicyBuilder(_PolicyBuilder):
+    """Union-of-samples policies: draw floor(sigma) scenarios, serve the union."""
 
     def draw_law(self, dist: ScenarioDistribution):
         """(law, rounds): a draw is the union of ``rounds`` samples of ``law``,
@@ -136,22 +147,19 @@ class BoostPolicyBuilder:
                               "sampling rounds")
         return dist, int(math.floor(sigma))
 
-    def policy(self, drawn: frozenset) -> TwoStagePolicy:
-        first = self.alg.solve(self.problem, drawn).chosen
-        return TwoStagePolicy(self.problem, first,
-                              _augmentations(self.problem, self.alg, first))
+    @staticmethod
+    def _recourse(drawn, augment):
+        return augment  # augment to the realized set itself
 
 
 @dataclass(frozen=True)
-class IndBoostPolicyBuilder:
+class IndBoostPolicyBuilder(_PolicyBuilder):
     """Independent boosting: include client j with probability min(1, sigma p_j).
 
     Recourse serves each realized client by augmenting toward the boosted
     draw plus that client, and takes the union of the per-client patches.
     """
 
-    problem: ProblemInstance
-    alg: ApproxAlgorithm
     marginals: tuple
 
     def draw_law(self, dist):
@@ -160,27 +168,19 @@ class IndBoostPolicyBuilder:
         return IndependentBernoulli(
             [(j, min(1.0, sigma * p)) for j, p in self.marginals]), 1
 
-    def policy(self, drawn: frozenset) -> TwoStagePolicy:
-        first = self.alg.solve(self.problem, drawn).chosen
-        augment = _augmentations(self.problem, self.alg, first)
-        return TwoStagePolicy(self.problem, first, lambda realized: frozenset().union(
-            *(augment(drawn | {j}) for j in realized)))
+    @staticmethod
+    def _recourse(drawn, augment):
+        return lambda realized: frozenset().union(*(augment(drawn | {j}) for j in realized))
 
 
-def boost_and_sample(problem: ProblemInstance, alg: ApproxAlgorithm,
-                     dist: ScenarioDistribution, rng) -> TwoStagePolicy:
-    """One seeded run of the union-of-samples policy."""
-    builder = BoostPolicyBuilder(problem, alg)
+def boost_and_sample(builder: BoostPolicyBuilder, dist, rng) -> TwoStagePolicy:
+    """One seeded run of the union-of-samples policy, from ``builder``'s memo."""
     law, rounds = builder.draw_law(dist)
     return builder.policy(law.sample(rng, rounds))
 
 
-def ind_boost(problem: ProblemInstance, alg: ApproxAlgorithm,
-              marginals, rng) -> TwoStagePolicy:
-    """One seeded run of the independent boosting policy."""
-    if isinstance(marginals, IndependentBernoulli):
-        marginals = marginals.marginals
-    builder = IndBoostPolicyBuilder(problem, alg, tuple(marginals))
+def ind_boost(builder: IndBoostPolicyBuilder, rng) -> TwoStagePolicy:
+    """One seeded run of the independent boosting policy, from ``builder``'s memo."""
     law, rounds = builder.draw_law(None)
     return builder.policy(law.sample(rng, rounds))
 
@@ -231,14 +231,13 @@ def _monte_carlo_costs(builder, law, rounds, dist, rng, runs) -> np.ndarray:
     words, as many as the bits need (at least one).  Each batch's distinct
     keys come from one stable ``np.lexsort``, so the first run of each group
     is its smallest index, and the groups are walked in the order of their
-    first runs, each pair priced and each draw's policy built there, so the
-    first exception raised is the run-by-run loop's.
+    first runs, each pair priced there by the builder's policy for its draw,
+    so the first exception raised is the run-by-run loop's.
     """
     width = rounds * law.width  # a run's first ``width`` variates make its draw
     batch = max(1, CHUNK // max(width + dist.width, 1))
     n_drawn, n_realized = len(law.universe), len(dist.universe)
     words = max(1, -(-(n_drawn + n_realized) // 64))
-    policies: dict = {}
     prices: dict = {}
     costs = np.empty(runs)
     for start in range(0, runs, batch):
@@ -264,10 +263,8 @@ def _monte_carlo_costs(builder, law, rounds, dist, rng, runs) -> np.ndarray:
             key = keys[t].tobytes()
             if key not in prices:
                 d = frozenset(itertools.compress(law.universe, drawn[t]))
-                if d not in policies:
-                    policies[d] = builder.policy(d)
                 r = frozenset(itertools.compress(dist.universe, realized[t]))
-                prices[key] = policies[d].cost(r)
+                prices[key] = builder.policy(d).cost(r)
             batch_prices[u] = prices[key]
         costs[start:start + k] = batch_prices[inverse]
     return costs

@@ -156,11 +156,18 @@ def cmd_gen(args) -> tuple:
 
 def cmd_solve_det(args) -> tuple:
     problem, _ = load_instance(read_json(args.instance))
-    clients = (frozenset(args.clients.split(","))
-               if args.clients else frozenset(problem.clients))
-    unknown = clients - set(problem.clients)
-    if unknown:
-        raise SchemaError(f"unknown clients requested: {sorted(unknown)}")
+    clients = frozenset(problem.clients)
+    if args.clients:  # a client is named by str(id), as gap marginals are
+        named: dict = {}
+        for j in problem.clients:
+            named.setdefault(str(j), []).append(j)
+        asked = set(args.clients.split(","))
+        unknown = sorted(asked - named.keys())
+        shared = sorted(name for name in asked - set(unknown) if len(named[name]) > 1)
+        if unknown or shared:
+            raise SchemaError(f"unknown clients requested: {unknown}" if unknown else
+                              f"clients requested by a name two clients share: {shared}")
+        clients = frozenset(named[name][0] for name in asked)
     alg = algorithm_for(problem)
     sol = alg.solve(problem, clients)
     report = {
@@ -178,7 +185,6 @@ def cmd_solve_det(args) -> tuple:
 
 
 def _boost_report(args, dist, builder, seeded_policy) -> dict:
-    problem = builder.problem
     evaluation = evaluate_policy(builder, dist, args.mode,
                                  stream(args.seed, f"{args.command}-eval"), args.runs)
     support = dist.support()
@@ -189,9 +195,9 @@ def _boost_report(args, dist, builder, seeded_policy) -> dict:
             "scenario": sorted(map(str, realized)),
             "probability": float(p),
             "recourse": sorted(map(str, patch)),
-            "recourse_cost": float(problem.cost(patch)),
+            "recourse_cost": float(builder.problem.cost(patch)),
         })
-    optimum = exact_two_stage_opt(problem, dist)
+    optimum = exact_two_stage_opt(builder.problem, dist)
     ratio = (evaluation.expected_cost / optimum.value
              if optimum.value > 1e-12 else 1.0)
     report = {
@@ -213,10 +219,8 @@ def cmd_run_boost(args) -> tuple:
     problem, dist = load_instance(read_json(args.instance))
     if dist is None:
         raise SchemaError("run-boost needs a distribution in the instance file")
-    alg = algorithm_for(problem)
-    policy = boost_and_sample(problem, alg, dist,
-                              stream(args.seed, "boost-draws"))
-    builder = BoostPolicyBuilder(problem, alg)
+    builder = BoostPolicyBuilder(problem, algorithm_for(problem))
+    policy = boost_and_sample(builder, dist, stream(args.seed, "boost-draws"))
     return _boost_report(args, dist, builder, policy), EXIT_OK
 
 
@@ -224,9 +228,8 @@ def cmd_run_indboost(args) -> tuple:
     problem, dist = load_instance(read_json(args.instance))
     if not isinstance(dist, IndependentBernoulli):
         raise SchemaError("run-indboost needs an independent distribution")
-    alg = algorithm_for(problem)
-    policy = ind_boost(problem, alg, dist, stream(args.seed, "indboost-draws"))
-    builder = IndBoostPolicyBuilder(problem, alg, dist.marginals)
+    builder = IndBoostPolicyBuilder(problem, algorithm_for(problem), dist.marginals)
+    policy = ind_boost(builder, stream(args.seed, "indboost-draws"))
     return _boost_report(args, dist, builder, policy), EXIT_OK
 
 

@@ -43,7 +43,7 @@ class TestBoostAndSample:
         problem, _ = edge1()
         alg = algorithm_for(problem)
         dist = Explicit(((frozenset(), 1.0),))
-        policy = boost_and_sample(problem, alg, dist, stream(0, "b"))
+        policy = boost_and_sample(BoostPolicyBuilder(problem, alg), dist, stream(0, "b"))
         assert policy.first_stage == frozenset()
         assert policy.recourse(frozenset()) == frozenset()
 
@@ -51,7 +51,7 @@ class TestBoostAndSample:
         problem, _ = edge1()
         alg = algorithm_for(problem)
         dist = Explicit(((frozenset({"j"}), 1.0),))
-        policy = boost_and_sample(problem, alg, dist, stream(1, "b"))
+        policy = boost_and_sample(BoostPolicyBuilder(problem, alg), dist, stream(1, "b"))
         assert policy.first_stage == frozenset({"e"})
         assert policy.cost(frozenset({"j"})) == pytest.approx(1.0)
 
@@ -146,7 +146,7 @@ class TestBoostAndSample:
         dist = Explicit(((frozenset({"j"}), 1.0),))
         builder = BoostPolicyBuilder(problem, alg)
         ev = evaluate_policy(builder, dist, mode="exact")
-        policy = boost_and_sample(problem, alg, dist, stream(2, "b"))
+        policy = boost_and_sample(builder, dist, stream(2, "b"))
         assert ev.expected_cost == pytest.approx(
             policy.cost(frozenset({"j"})))
 
@@ -155,7 +155,8 @@ class TestIndBoost:
     def test_zero_marginals(self):
         problem, _ = edge1()
         alg = algorithm_for(problem)
-        policy = ind_boost(problem, alg, (("j", 0.0),), stream(0, "i"))
+        policy = ind_boost(IndBoostPolicyBuilder(problem, alg, (("j", 0.0),)),
+                           stream(0, "i"))
         assert policy.first_stage == frozenset()
 
     def test_clamped_boost_always_serves(self):
@@ -202,7 +203,8 @@ class TestIndBoost:
                 problem = random_problem(kind, *sizes, seed=seed, sigma=2.0)
                 alg = algorithm_for(problem)
                 marginals = tuple((j, 0.3) for j in problem.clients)
-                policy = ind_boost(problem, alg, marginals, stream(seed, "feas"))
+                builder = IndBoostPolicyBuilder(problem, alg, marginals)
+                policy = ind_boost(builder, stream(seed, "feas"))
                 for realized, _p in IndependentBernoulli(marginals).support():
                     patch = policy.recourse(realized)
                     assert problem.feasibility(policy.first_stage | patch,

@@ -1,16 +1,19 @@
 """CLI harness: golden reports, reproducibility, generators, exit codes."""
 
 import csv
+import gc
 import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from stocomb import cli
 from stocomb.cli import main
 from stocomb.generate import random_gap_instance, random_marginals, random_problem
 from stocomb.io import (
@@ -88,20 +91,80 @@ MONTE_CARLO = [
 ]
 
 
-@pytest.mark.parametrize("argv,golden", MONTE_CARLO,
-                         ids=[g.rsplit(".", 1)[0] for _, g in MONTE_CARLO])
-def test_monte_carlo_reports_match_golden_files(argv, golden, tmp_path):
+def boosted_argv(argv, mode, tmp_path) -> list:
+    """``argv`` in ``mode`` (Monte Carlo at 2000 runs), a ``None`` instance
+    replaced by a generated set cover over 5 clients."""
     if None in argv:
         generated = tmp_path / "gen_set_cover.json"
         assert main(["gen", "--kind", "set_cover", "--clients", "5",
                      "--elements", "6", "--seed", "9",
                      "--output", str(generated)]) == 0
         argv = [str(generated) if a is None else a for a in argv]
+    return argv + (["--mode", "monte_carlo", "--runs", "2000"]
+                   if mode == "monte_carlo" else [])
+
+
+@pytest.mark.parametrize("argv,golden", MONTE_CARLO,
+                         ids=[g.rsplit(".", 1)[0] for _, g in MONTE_CARLO])
+def test_monte_carlo_reports_match_golden_files(argv, golden, tmp_path):
     out = tmp_path / "report.json"
-    code = main(argv + ["--mode", "monte_carlo", "--runs", "2000",
-                        "--output", str(out)])
+    code = main(boosted_argv(argv, "monte_carlo", tmp_path) + ["--output", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+# Exact run-boost and run-indboost on reference instances, and the
+# Monte-Carlo golden jobs.
+BOOSTED = [(["run-boost", "--instance", str(INSTANCES / "tri3.json"), "--seed", "5"],
+            "exact"),
+           (["run-indboost", "--instance", str(INSTANCES / "edge1_independent.json"),
+             "--seed", "7"], "exact")] + [(argv, "monte_carlo") for argv, _ in MONTE_CARLO]
+BOOSTED_IDS = ["run_boost_tri3", "run_indboost_edge1"] + [
+    g.rsplit(".", 1)[0] for _, g in MONTE_CARLO]
+
+
+@pytest.mark.parametrize("argv,mode", BOOSTED, ids=BOOSTED_IDS)
+def test_boosted_job_solves_each_draw_and_augments_each_pair_once(
+        argv, mode, tmp_path, monkeypatch):
+    # The seeded run, the evaluation and the report's records share one
+    # builder, so no first stage is solved twice and no (first stage,
+    # target) pair is augmented twice.
+    argv = boosted_argv(argv, mode, tmp_path)
+    solves, augments = [], []
+    shipped = cli.algorithm_for
+
+    def algorithm_for(problem):
+        alg = shipped(problem)
+
+        def solve(problem, clients):
+            solves.append(frozenset(clients))
+            return alg.solve(problem, clients)
+
+        def augment(problem, base, clients):
+            augments.append((frozenset(base), frozenset(clients)))
+            return alg.augment(problem, base, clients)
+
+        return replace(alg, solve=solve, augment=augment)
+
+    monkeypatch.setattr(cli, "algorithm_for", algorithm_for)
+    assert main(argv + ["--output", str(tmp_path / "report.json")]) == 0
+    assert solves and len(solves) == len(set(solves))
+    assert augments and len(augments) == len(set(augments))
+
+
+@pytest.mark.parametrize("argv,mode", BOOSTED, ids=BOOSTED_IDS)
+def test_boosted_job_leaves_no_cyclic_garbage(argv, mode, tmp_path):
+    # A policy that held its builder would make a cycle through the
+    # builder's memo, left for the collector after every job.
+    argv = boosted_argv(argv, mode, tmp_path) + ["--output", str(tmp_path / "r.json")]
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
 
 
 def test_edge1_report_values(tmp_path):

@@ -198,6 +198,35 @@ def test_repeated_element_id_exits_2(kind, tmp_path, capsys):
     assert err == [f"schema error: repeated element ids: [{first!r}]"]
 
 
+@pytest.mark.parametrize("clients,asked,code,err", [
+    ([1, 2, 3], "1,2", 0, None),
+    ([1, "2", 3], "2,3", 0, None),
+    ([1, 2, 3], "1,4", 2, "schema error: unknown clients requested: ['4']"),
+    ([1, "1", 2, 3], "1,2", 2,
+     "schema error: clients requested by a name two clients share: ['1']"),
+    ([1, "1", 2, 3], "2,3", 0, None),
+], ids=["numbers", "mixed", "unknown", "shared", "shared_not_asked"])
+def test_solve_det_names_clients_by_their_text(clients, asked, code, err, tmp_path,
+                                               capsys):
+    # A client whose id is a JSON number is named by its text, as gap
+    # marginals are looked up; a name that two clients share names neither.
+    payload = json.loads((INSTANCES / "cov3.json").read_text())
+    payload["clients"] = clients
+    payload["problem"]["sets"] = {"sA": clients[:-1], "sB": clients[-2:],
+                                  "sC": clients[-1:]}
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(payload))
+    out = tmp_path / "report.json"
+    assert main(["solve-det", "--instance", str(inst), "--clients", asked,
+                 "--exact", "--output", str(out)]) == code
+    if err is None:
+        report = json.loads(out.read_text())
+        assert report["served"] == sorted(asked.split(","))
+        assert report["feasible"] and report["ratio"] >= 1.0
+    else:
+        assert capsys.readouterr().err.splitlines() == [err]
+
+
 # One-client instances with one-character ids, so that a string of ids
 # would read as a list of them.
 VERTEX_COVER = {"clients": ["e"], "sigma": 1.0,

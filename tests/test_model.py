@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_min_cost, connected, powerset
-from stocomb.boosting import ind_boost
+from stocomb.boosting import IndBoostPolicyBuilder, ind_boost
 from stocomb.errors import CapExceeded, Infeasible
 from stocomb.fixtures import cov3, edge1, tri3
 from stocomb.model import (
@@ -67,8 +67,8 @@ class TestSampling:
             IndependentBernoulli((("a", 0.5), ("b", 0.2), ("a", 0.1)))
         problem = cov3()
         with pytest.raises(ValueError, match="duplicate client ids"):
-            ind_boost(problem, algorithm_for(problem),
-                      (("1", 0.5), ("1", 0.5)), stream(0, "dup"))
+            ind_boost(IndBoostPolicyBuilder(problem, algorithm_for(problem),
+                                            (("1", 0.5), ("1", 0.5))), stream(0, "dup"))
 
 
 class TestSupport:

@@ -2,8 +2,8 @@
 augmentation and a first stage priced once, against the loops they replaced.
 
 ``evaluate_policy`` must give ``loop_evaluate_policy``'s value bit for bit in
-both modes and raise its first exception; each policy must augment once per
-distinct target set; and a ``with_free_elements`` copy must answer every
+both modes and raise its first exception; a builder must augment once per
+distinct (first stage, target) pair; and a ``with_free_elements`` copy must answer every
 solver and ``exact_opt`` as a ``dataclasses.replace`` copy does.
 """
 
@@ -143,17 +143,18 @@ def test_first_failure_is_the_loops(case, mode):
                         else {Infeasible, NumericalFailure}}[case]
 
 
-# -- One augmentation per target set ------------------------------------------
+# -- One augmentation per (first stage, target) pair ----------------------------
 
 def counting(alg):
-    """``alg`` with its ``augment`` recording each target set, and the list."""
-    targets = []
+    """``alg`` with its ``augment`` recording each (base, target) pair, and
+    the list."""
+    pairs = []
 
     def augment(problem, base, clients):
-        targets.append(frozenset(clients))
+        pairs.append((frozenset(base), frozenset(clients)))
         return alg.augment(problem, base, clients)
 
-    return dataclasses.replace(alg, augment=augment), targets
+    return dataclasses.replace(alg, augment=augment), pairs
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -163,31 +164,63 @@ def test_each_policy_augments_once_per_target(kind, sigma):
     dist = laws(problem, 1)["independent"]
     support = [s for s, _ in dist.support()]
     assert all(p > 0.0 for _, p in dist.support())
-    alg, targets = counting(algorithm_for(problem))
+    alg, pairs = counting(algorithm_for(problem))
     for name, builder in builders(problem, alg).items():
-        asked = 0
+        pairs.clear()
+        want = set()
         for drawn, _ in union_law(*builder.draw_law(dist)):
             policy = builder.policy(drawn)
-            targets.clear()
             for realized in support + support:
                 policy.recourse(realized)
             if name == "boost":
-                want = set(support)
+                targets = set(support)
             else:  # the draw is asked for by each drawn client, augmented once
-                want = {drawn | {j} for j in problem.clients}
-            assert sorted(targets, key=sorted) == sorted(want, key=sorted)
-            asked += len(want)
-        targets.clear()  # exact evaluation asks each policy every realization
-        evaluate_policy(builder, dist, "exact")
-        assert len(targets) == asked > 0
+                targets = {drawn | {j} for j in problem.clients}
+            want |= {(policy.first_stage, target) for target in targets}
+        # Draws that share a first stage share its augmentations.
+        assert len(pairs) == len(want) > 0 and set(pairs) == want
+        # Exact evaluation asks every policy every realization: on a fresh
+        # builder that is each distinct pair once, and on the same builder
+        # again it is none.
+        fresh = builders(problem, alg)[name]
+        pairs.clear()
+        evaluate_policy(fresh, dist, "exact")
+        assert len(pairs) == len(want) and set(pairs) == want
+        pairs.clear()
+        evaluate_policy(fresh, dist, "exact")
+        assert pairs == []
+
+
+@pytest.mark.parametrize("name", ["boost", "ind_boost"])
+def test_replaced_builder_starts_with_empty_memos(name):
+    problem = instance("set_cover", 2, 2.0)
+    dist = laws(problem, 2)["independent"]
+    alg, pairs = counting(algorithm_for(problem))
+    builder = builders(problem, alg)[name]
+    assert [f.name for f in dataclasses.fields(builder) if not f.init] == [
+        "_policies", "_augments"]
+    evaluate_policy(builder, dist, "exact")
+    asked = list(pairs)
+    drawn = next(iter(builder._policies))
+    policy = builder.policy(drawn)
+    copy = (dataclasses.replace(builder) if name == "boost"
+            else dataclasses.replace(builder, marginals=builder.marginals))
+    assert copy == builder and not copy._policies and not copy._augments
+    pairs.clear()
+    evaluate_policy(copy, dist, "exact")
+    assert pairs == asked and asked
+    assert builder.policy(drawn) is policy
+    assert copy.policy(drawn) is not policy
+    assert copy.policy(drawn).first_stage == policy.first_stage
 
 
 def test_independent_draw_is_augmented_once_for_all_its_clients():
     problem = instance("set_cover", 2, 1.0)
-    alg, targets = counting(algorithm_for(problem))
+    alg, pairs = counting(algorithm_for(problem))
     builder = IndBoostPolicyBuilder(problem, alg, tuple((j, 0.5) for j in problem.clients))
     drawn = frozenset(problem.clients[:3])
     builder.policy(drawn).recourse(frozenset(problem.clients))
+    targets = [target for _, target in pairs]
     assert targets.count(drawn) == 1
     assert len(targets) == len(set(targets)) == len(problem.clients) - 2
 
