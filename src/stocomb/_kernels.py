@@ -1,8 +1,11 @@
 """Hot numeric kernels, written in vectorized numpy.
 
-The dense simplex kernel below carries the sample-average pipeline: every
-cutting-plane iteration solves one small recourse LP per scenario and one
-master LP.  ``_pivot`` also runs the correlation-gap LP's revised simplex
+The dense simplex kernel below carries the sample-average pipeline: it
+solves each scenario's small recourse LP at the first cutting-plane
+iteration and again only once the basis kept from its last solve stops
+being optimal (:class:`stocomb.lp.KeptBasis` reads that basis off the
+final tableau), solves the master LP once and resumes it after each round
+of cuts.  ``_pivot`` also runs the correlation-gap LP's revised simplex
 pivots, so every pivot of the library goes through it.
 ``bernoulli_weights`` is the library's one product-measure table:
 independent-Bernoulli supports, independent boosting draws and the

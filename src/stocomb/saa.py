@@ -27,6 +27,7 @@ from .lp import (
     MAX_CONSTRAINTS,
     MAX_VARIABLES,
     ColumnMaster,
+    KeptBasis,
     LinearProgram,
     UNBOUNDED,
     solve_lp,
@@ -126,10 +127,6 @@ class Polytope:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return not ((x < self.lower - tol).any() or (x > self.upper + tol).any())
-
 
 def unit_box(m: int) -> Polytope:
     return Polytope(np.zeros(m), np.ones(m))
@@ -177,33 +174,51 @@ class StochasticLPInstance:
 
 def recourse_value(instance: StochasticLPInstance, index: int, x):
     """Optimal recourse cost and dual vector for one scenario at x."""
+    return _recourse(instance, index, np.asarray(x, dtype=float), None)
+
+
+def _recourse(instance, index, x, bases):
+    """``recourse_value`` by a cold solve, or, with a dict ``bases``, from
+    the basis it keeps for ``index`` while that basis stays optimal at x;
+    a cold solve then leaves its own basis there (``None`` when that basis
+    prices nothing, see :meth:`KeptBasis.of`)."""
     block = instance.scenarios[index]
+    rhs = block.requirement - block.technology @ x
+    kept = bases.get(index) if bases else None
+    if kept is not None:
+        value = kept.value_at(rhs)
+        if value is not None:
+            return value, kept.duals
     A, c = block.recourse_lp
-    rhs = block.requirement - block.technology @ np.asarray(x, dtype=float)
-    status, _, duals, value = solve_prepared(A, rhs, c)
+    status, _, duals, value, tableau = solve_prepared(A, rhs, c)
     if status == 1:
         raise Infeasible(f"recourse LP infeasible in scenario {index}")
     if status == 2:
         raise Unbounded(f"recourse LP unbounded in scenario {index}")
+    if bases is not None:
+        bases[index] = KeptBasis.of(tableau, c, value, duals)
     return value, duals
 
 
-def _evaluate(instance, x, weights):
-    """h(x) and ``(index, recourse value, duals)`` per weighted scenario."""
+def _evaluate(instance, x, weights, bases):
+    """h(x) and ``(index, recourse value, duals)`` per weighted scenario,
+    each recourse LP priced by ``_recourse`` with ``bases``."""
     total = float(instance.first_stage_cost @ x)
     parts = []
     for i, w in enumerate(weights):
         if w == 0.0:
             continue
-        value, duals = recourse_value(instance, i, x)
+        value, duals = _recourse(instance, i, x, bases)
         total += w * value
         parts.append((i, value, duals))
     return total, parts
 
 
 def h_exact(instance: StochasticLPInstance, x) -> float:
-    """First-stage cost plus the probability-weighted exact recourse values."""
-    return _evaluate(instance, np.asarray(x, dtype=float), instance.probabilities())[0]
+    """First-stage cost plus the probability-weighted exact recourse values,
+    each from a cold solve."""
+    return _evaluate(instance, np.asarray(x, dtype=float),
+                     instance.probabilities(), None)[0]
 
 
 def subgradient_at(instance: StochasticLPInstance, x) -> np.ndarray:
@@ -213,7 +228,7 @@ def subgradient_at(instance: StochasticLPInstance, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     weights = instance.probabilities()
     d = instance.first_stage_cost.astype(float).copy()
-    for i, _, duals in _evaluate(instance, x, weights)[1]:
+    for i, _, duals in _evaluate(instance, x, weights, None)[1]:
         d -= weights[i] * (instance.scenarios[i].technology.T @ duals)
     return d
 
@@ -286,12 +301,22 @@ def minimize(instance: StochasticLPInstance, tolerance: float = 1e-6) -> Minimiz
 
     Cuts only add columns, so the first iteration solves it cold and later
     ones re-optimize from the last basis (:class:`ColumnMaster`); its row
-    duals are -theta and z.  The run is ``converged`` once the best value is
-    within ``tolerance`` of the bound, or once no cut is violated (the master
-    is exact at its own minimizer); else it stops after ``MAX_ITERATIONS``
-    with the best point evaluated, starting from the box midpoint.  The
-    trace has one row per iteration: (iteration, value at the iteration's
-    point, lower bound after the iteration's cuts).
+    duals are -theta and z.
+
+    Between iterations only a recourse LP's right-hand side
+    requirement_s - technology_s @ x moves.  So each scenario keeps the
+    optimal basis of its last solve (:class:`KeptBasis`) for the run, and
+    while that basis stays optimal at the new x the recourse value and
+    duals are read from it without a solve; a scenario is solved cold at
+    the first iteration and whenever its basis went infeasible.  h_exact,
+    subgradient_at and the deterministic equivalent solve every LP cold.
+
+    The run is ``converged`` once the best value is within ``tolerance``
+    of the bound, or once no cut is violated (the master is exact at its
+    own minimizer); else it stops after ``MAX_ITERATIONS`` with the best
+    point evaluated, starting from the box midpoint.  The trace has one row
+    per iteration: (iteration, value at the iteration's point, lower bound
+    after the iteration's cuts).
     """
     poly = instance.polytope
     weights = instance.probabilities()
@@ -308,8 +333,9 @@ def minimize(instance: StochasticLPInstance, tolerance: float = 1e-6) -> Minimiz
     x = 0.5 * (poly.lower + poly.upper)
     best_x, best_value = x, math.inf
     trace = []
+    bases = {}
     for t in range(1, MAX_ITERATIONS + 1):
-        value, parts = _evaluate(instance, x, weights)
+        value, parts = _evaluate(instance, x, weights, bases)
         if value < best_value:
             best_x, best_value = x, value
         cut_of, slopes, costs = [], [], []

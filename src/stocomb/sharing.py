@@ -71,15 +71,6 @@ def check_fairness(xi: CostShareFunction, problem: ProblemInstance) -> CheckRepo
     return CheckReport(True)
 
 
-def check_support(xi: CostShareFunction, problem: ProblemInstance) -> bool:
-    """Shares must vanish for clients outside the served set."""
-    for S in client_sets(problem, "cost-share"):
-        for j in problem.clients:
-            if j not in S and xi(S, j) > 0.0:
-                return False
-    return True
-
-
 def _strictness(xi, alg, problem, singletons_only):
     subsets = client_sets(problem, "cost-share")
     solved = {S: alg.solve(problem, S) for S in subsets}
@@ -130,10 +121,6 @@ def equal_split_shares(problem: ProblemInstance) -> CostShareFunction:
         return optimum(subset) / len(subset)
 
     return xi
-
-
-def zero_shares() -> CostShareFunction:
-    return lambda subset, j: 0.0
 
 
 def marginal_scheme(f, ground: tuple) -> OrderedCostShareScheme:

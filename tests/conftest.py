@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from stocomb import saa
 from stocomb.boosting import (
     IndBoostPolicyBuilder,
     PolicyEvaluation,
@@ -40,7 +41,7 @@ from stocomb.saa import (
     CUT_TOL,
     ScenarioBlock,
     StochasticLPInstance,
-    _evaluate,
+    recourse_value,
     unit_box,
 )
 from stocomb.solvers import algorithm_for
@@ -618,6 +619,34 @@ def cold_worst_case(inst):
     return -res.value, dist
 
 
+# -- The always-cold recourse evaluation -----------------------------------
+# ``saa.minimize`` keeps each scenario's last optimal recourse basis and
+# prices the next iterate from it while that basis stays optimal.  This is
+# the evaluation it replaced: one cold ``recourse_value`` per weighted
+# scenario at every iterate.
+
+def cold_evaluate(instance, x, weights):
+    """h(x) and ``(index, recourse value, duals)`` per weighted scenario."""
+    total = float(instance.first_stage_cost @ x)
+    parts = []
+    for i, w in enumerate(weights):
+        if w == 0.0:
+            continue
+        value, duals = recourse_value(instance, i, x)
+        total += w * value
+        parts.append((i, value, duals))
+    return total, parts
+
+
+def cold_recourse_minimize(instance, tolerance=1e-6):
+    """``saa.minimize`` with every recourse LP solved cold."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(saa, "_evaluate",
+                      lambda instance, x, weights, bases:
+                      cold_evaluate(instance, x, weights))
+        return saa.minimize(instance, tolerance)
+
+
 # -- The cold cutting-plane master ------------------------------------------
 # ``saa.minimize`` keeps its master as the LP dual on one ``lp.ColumnMaster``
 # and re-optimizes it from the last basis after each round of cuts.  This is
@@ -644,7 +673,7 @@ def cold_master_minimize(instance, tolerance=1e-6, max_iterations=10_000):
     converged = False
     t = 0
     for t in range(1, max_iterations + 1):
-        value, parts = _evaluate(instance, x, weights)
+        value, parts = cold_evaluate(instance, x, weights)
         if value < best_value:
             best_x, best_value = x, value
         added = False
@@ -952,6 +981,26 @@ def edge1_pair():
 def criterion_line(number: int, name: str, passed: bool):
     status = "PASS" if passed else "FAIL"
     print(f"[acceptance {number:2d}] {status}  {name}")
+
+
+def in_box(polytope, x, tol=1e-9) -> bool:
+    """Whether x lies in the box, within ``tol``."""
+    x = np.asarray(x, dtype=float)
+    return not ((x < polytope.lower - tol).any() or (x > polytope.upper + tol).any())
+
+
+def zero_shares():
+    """The cost-share function that charges nobody."""
+    return lambda subset, j: 0.0
+
+
+def check_support(xi, problem) -> bool:
+    """Whether the shares vanish for every client outside the served set."""
+    for S in client_sets(problem, "cost-share"):
+        for j in problem.clients:
+            if j not in S and xi(S, j) > 0.0:
+                return False
+    return True
 
 
 def zero_rhs_lp(rng):

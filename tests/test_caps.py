@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import check_support, zero_shares
 from stocomb import caps, gap, model, setfun
 from stocomb.boosting import (
     BoostPolicyBuilder,
@@ -31,10 +32,8 @@ from stocomb.model import (
 from stocomb.sharing import (
     check_fairness,
     check_scheme,
-    check_support,
     marginal_scheme,
     measure_strictness,
-    zero_shares,
 )
 from stocomb.solvers import empirical_alpha
 

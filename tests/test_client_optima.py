@@ -37,7 +37,7 @@ from stocomb.problems import (
     ufl_problem,
     vertex_cover_problem,
 )
-from stocomb.sharing import check_fairness, equal_split_shares, zero_shares
+from stocomb.sharing import check_fairness, equal_split_shares
 from stocomb.solvers import ApproxAlgorithm, empirical_alpha
 
 from conftest import (
@@ -49,6 +49,7 @@ from conftest import (
     loop_feasibility,
     loop_served_table,
     loop_set_cover_feasible,
+    zero_shares,
 )
 
 KINDS = ("steiner", "set_cover", "vertex_cover", "ufl")

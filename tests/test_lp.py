@@ -1,4 +1,7 @@
-"""LP solver: spec examples, duality properties, and the vertex oracle."""
+"""LP solver: spec examples, duality properties, the vertex oracle, and a
+kept basis priced at a new right-hand side against a cold solve."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,13 +10,18 @@ from hypothesis import strategies as st
 
 from conftest import equality_pair_lp, vertex_oracle_lp, zero_rhs_lp
 from stocomb import lp as lp_module
+from stocomb._kernels import simplex_kernel
 from stocomb.errors import NumericalFailure
 from stocomb.lp import (
+    FEAS_TOL,
     INFEASIBLE,
+    PIVOT_TOL,
     ColumnMaster,
+    KeptBasis,
     LinearProgram,
     OPTIMAL,
     UNBOUNDED,
+    max_pivots,
     solve_lp,
 )
 
@@ -210,3 +218,65 @@ def test_only_an_optimal_master_takes_columns():
     assert master.result.status == INFEASIBLE
     with pytest.raises(ValueError):
         master.add_columns(np.array([[1.0], [0.0]]), np.array([1.0]))
+
+
+# -- A kept basis priced at a new right-hand side -------------------------------
+
+@st.composite
+def kept_basis_cases(draw):
+    """``(c, A, b, eq, b_new)``: ``eq`` copies of one equality row over up to
+    three >= rows, small integers with zero and degenerate right-hand
+    sides.  Every copy past the first keeps its artificial basic, and
+    ``b_new`` may give the copies different right-hand sides, which makes
+    the LP infeasible while that artificial still prices it."""
+    n = draw(st.integers(1, 4))
+    eq = draw(st.integers(0, 3))
+    ge = draw(st.integers(0, 3))
+
+    def numbers(size, low, high):
+        return draw(st.lists(st.integers(low, high).map(float),
+                             min_size=size, max_size=size))
+
+    row = draw(st.lists(st.integers(0, 2).map(float), min_size=n,
+                        max_size=n).filter(any))
+    A = np.array([row] * eq + [numbers(n, -2, 2) for _ in range(ge)]).reshape(eq + ge, n)
+    c = np.array(numbers(n, 0, 3))
+
+    def rhs():
+        equal = [draw(st.integers(0, 2).map(float))] * eq
+        if eq > 1 and draw(st.booleans()):
+            equal[-1] += 1.0
+        return np.array(equal + numbers(ge, -2, 2))
+
+    return c, A, rhs(), eq, rhs()
+
+
+@given(kept_basis_cases())
+@settings(max_examples=300, deadline=None)
+def test_kept_basis_prices_a_new_rhs_like_a_cold_solve(case):
+    """A value priced from a kept basis is the cold optimum at the new
+    right-hand side, certified by the kept duals; an LP the cold solve
+    finds infeasible is never priced."""
+    c, A, b, eq, b_new = case
+    limit = max_pivots(*A.shape)
+    status, _, duals, value, _, tableau = simplex_kernel(A, b, c, PIVOT_TOL,
+                                                         FEAS_TOL, limit, eq)
+    if status != 0:
+        return
+    kept = KeptBasis.of(tableau, c, value, duals)
+    assert kept.artificial.size == max(eq - 1, 0)
+    for rhs in (b, b_new):
+        got = kept.value_at(rhs)
+        cold = simplex_kernel(A, rhs, c, PIVOT_TOL, FEAS_TOL, limit, eq)
+        if cold[0] == 1:
+            assert got is None
+        if got is None:
+            continue
+        assert cold[0] == 0
+        assert got == pytest.approx(cold[3], rel=1e-12, abs=1e-12)
+        # The kernel stops once no reduced cost is below -PIVOT_TOL, and a
+        # >= row's dual is its surplus column's reduced cost.
+        y = kept.duals
+        assert (y[eq:] >= -PIVOT_TOL).all()
+        assert (A.T @ y <= c + PIVOT_TOL).all()
+        assert math.fsum(y * rhs) == pytest.approx(got, rel=1e-12, abs=1e-12)

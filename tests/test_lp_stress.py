@@ -9,7 +9,7 @@ from stocomb.lp import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp, solve_prepa
 
 def test_no_constraint_rows():
     # Empty-scenario recourse blocks produce zero-row LPs.
-    status, x, duals, value = solve_prepared(
+    status, x, duals, value, _tableau = solve_prepared(
         np.zeros((0, 3)), np.zeros(0), np.array([1.0, 2.0, 3.0]))
     assert status == 0
     assert value == 0.0

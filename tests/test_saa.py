@@ -8,13 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cold_master_minimize, loop_encode_ufl
-from stocomb import saa
+from conftest import (
+    cold_evaluate,
+    cold_master_minimize,
+    cold_recourse_minimize,
+    in_box,
+    loop_encode_ufl,
+)
+from stocomb import lp, saa
 from stocomb.cli import main
 from stocomb.errors import Infeasible, SchemaError
 from stocomb.generate import random_stochastic_lp
-from stocomb.io import load_stochastic_lp
-from stocomb.lp import ColumnMaster
+from stocomb.io import dump_stochastic_lp, load_stochastic_lp
+from stocomb.lp import PIVOT_TOL, ColumnMaster
 from stocomb.model import exact_opt
 from stocomb.problems import ufl_problem
 from stocomb.rng import stream
@@ -36,6 +42,8 @@ from stocomb.saa import (
 )
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+# Criterion 05's random stochastic LPs: (m, scenarios, aux) for seeds 100..103.
+CRITERION_05_SHAPES = ((1, 2, False), (2, 3, True), (3, 4, True), (3, 3, False))
 
 
 def one_dim_instance(price=1.0, requirement=1.0, probability=1.0):
@@ -275,7 +283,7 @@ class TestMinimize:
             opt, _ = solve_deterministic_equivalent(inst)
             assert res.converged
             assert abs(res.value - opt) <= 1e-7
-            assert inst.polytope.contains(res.x)
+            assert in_box(inst.polytope, res.x)
         # The recourse value is negative here: -x at the optimum x = 1.
         res = minimize(negative)
         assert res.value == pytest.approx(-0.5, abs=1e-7)
@@ -291,7 +299,7 @@ class TestMinimize:
         for inst in (inst, shifted):
             opt, x = solve_deterministic_equivalent(inst)
             res = minimize(inst, tolerance=0.0)
-            assert inst.polytope.contains(x)
+            assert in_box(inst.polytope, x)
             assert opt == pytest.approx(res.value, abs=1e-7)
             assert opt == pytest.approx(h_exact(inst, x), abs=1e-7)
 
@@ -331,8 +339,8 @@ class TestMinimize:
                 assert res.value == pytest.approx(value, rel=1e-9, abs=1e-12)
                 assert res.trace[-1][2] == pytest.approx(lower, rel=1e-9,
                                                          abs=1e-12)
-                assert inst.polytope.contains(res.x, tol=0.0)
-                assert inst.polytope.contains(x, tol=0.0)
+                assert in_box(inst.polytope, res.x, tol=0.0)
+                assert in_box(inst.polytope, x, tol=0.0)
 
     def test_master_is_warm_started(self, monkeypatch):
         """One cold master solve per call, one resume per later iteration
@@ -386,8 +394,155 @@ class TestMinimize:
         assert not res.converged
         assert res.iterations == 1
         assert np.isfinite(res.value)
-        assert inst.polytope.contains(res.x)
+        assert in_box(inst.polytope, res.x)
         assert res.value == h_exact(inst, res.x)
+
+
+def saa_ufl():
+    return load_stochastic_lp(json.loads((INSTANCES / "saa_ufl.json").read_text()))
+
+
+def criterion_05_instances():
+    """saa_ufl.json and criterion 05's four random LPs."""
+    return [saa_ufl()] + [random_stochastic_lp(m, ns, seed=100 + k, with_aux=aux)
+                          for k, (m, ns, aux) in enumerate(CRITERION_05_SHAPES)]
+
+
+def differential_instances():
+    """criterion 05's instances with six sample averages each, 196 small
+    random LPs, and 5 x 150 and 8 x 150 at seeds 1 and 2."""
+    for idx, inst in enumerate(criterion_05_instances()):
+        yield inst
+        for trial in range(6):
+            yield build_sample_average(inst, 2000, stream(trial, f"saa-acc-{idx}"))
+    for seed in range(196):
+        yield random_stochastic_lp(1 + seed % 5, 1 + seed % 7, 5000 + seed,
+                                   with_aux=seed % 2 == 0)
+    for m in (5, 8):
+        for seed in (1, 2):
+            yield random_stochastic_lp(m, 150, seed, with_aux=True)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A list that gains one entry per ``lp.simplex_kernel`` call."""
+    calls = []
+    kernel = lp.simplex_kernel
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(lp, "simplex_kernel", counting)
+    return calls
+
+
+class TestKeptRecourseBases:
+    """``minimize`` prices a recourse LP from its last optimal basis while
+    that basis stays optimal, against the always-cold evaluation in
+    ``conftest.cold_evaluate``."""
+
+    def test_matches_the_always_cold_evaluation(self):
+        runs = 0
+        for inst in differential_instances():
+            warm, cold = minimize(inst), cold_recourse_minimize(inst)
+            assert warm.iterations == cold.iterations
+            assert warm.converged == cold.converged
+            assert warm.x.tobytes() == cold.x.tobytes()
+            assert [row[0::2] for row in warm.trace] == [row[0::2] for row in cold.trace]
+            for got, want in zip([warm.value] + [row[1] for row in warm.trace],
+                                 [cold.value] + [row[1] for row in cold.trace]):
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            runs += 1
+        assert runs == 235
+
+    def test_every_warm_answer_is_certified(self, monkeypatch):
+        """A recourse value priced without a solve comes with duals that are
+        nonnegative, dual feasible and give the value at the new right-hand
+        side."""
+        solves, warm = [], []
+        solve_prepared, recourse = saa.solve_prepared, saa._recourse
+
+        def counting(*args):
+            solves.append(args)
+            return solve_prepared(*args)
+
+        def certified(instance, index, x, bases):
+            before = len(solves)
+            value, duals = recourse(instance, index, x, bases)
+            if len(solves) == before:
+                block = instance.scenarios[index]
+                A, c = block.recourse_lp
+                rhs = block.requirement - block.technology @ x
+                assert (duals >= 0.0).all()
+                assert (A.T @ duals <= c + PIVOT_TOL).all()
+                assert math.fsum(duals * rhs) == pytest.approx(value, rel=1e-12, abs=0.0)
+                warm.append(index)
+            return value, duals
+
+        monkeypatch.setattr(saa, "solve_prepared", counting)
+        monkeypatch.setattr(saa, "_recourse", certified)
+        for idx, inst in enumerate(criterion_05_instances()):
+            for trial in range(4):
+                minimize(build_sample_average(inst, 2000, stream(trial, f"saa-acc-{idx}")))
+        for seed in range(60):
+            minimize(random_stochastic_lp(1 + seed % 5, 1 + seed % 7, 5000 + seed,
+                                          with_aux=seed % 2 == 0))
+        minimize(random_stochastic_lp(8, 150, 1, with_aux=True))
+        assert len(warm) > 500
+
+    def test_kernel_calls_of_the_benchmark_round(self, kernel_calls, monkeypatch,
+                                                 tmp_path, capsys):
+        """The saa benchmark round, run-saa --samples 2000 --seed 11 on
+        criterion 05's instances, makes 49 kernel calls with kept bases and
+        69 with every recourse LP solved cold, for the same reports."""
+        paths = []
+        for k, inst in enumerate(criterion_05_instances()):
+            paths.append(tmp_path / f"slp{k}.json")
+            paths[-1].write_text(json.dumps(dump_stochastic_lp(inst)))
+
+        def round_():
+            kernel_calls.clear()
+            reports = []
+            for path in paths:
+                assert main(["run-saa", "--instance", str(path), "--samples", "2000",
+                             "--seed", "11"]) == 0
+                reports.append(json.loads(capsys.readouterr().out))
+            return len(kernel_calls), reports
+
+        warm, warm_reports = round_()
+        monkeypatch.setattr(saa, "_evaluate",
+                            lambda instance, x, weights, bases:
+                            cold_evaluate(instance, x, weights))
+        cold, cold_reports = round_()
+        assert (warm, cold) == (49, 69)
+        for got, want in zip(warm_reports, cold_reports):
+            assert got["sample_average_value"] == pytest.approx(
+                want.pop("sample_average_value"), rel=1e-12, abs=0.0)
+            assert {k: v for k, v in got.items() if k != "sample_average_value"} == want
+
+    @pytest.mark.parametrize("seed, warm_calls, cold_calls",
+                             [(1, 549, 901), (2, 524, 1051)])
+    def test_kernel_calls_at_8_by_150(self, seed, warm_calls, cold_calls,
+                                      kernel_calls):
+        inst = random_stochastic_lp(8, 150, seed, with_aux=True)
+        iterations = minimize(inst).iterations
+        assert len(kernel_calls) == warm_calls
+        kernel_calls.clear()
+        assert cold_recourse_minimize(inst).iterations == iterations
+        assert len(kernel_calls) == cold_calls
+        assert warm_calls <= 0.65 * cold_calls
+
+    def test_oracles_stay_cold(self, kernel_calls):
+        """h_exact and subgradient_at solve every weighted scenario cold on
+        every call, so they do not depend on what ran before."""
+        inst = saa_ufl()
+        x = np.full(inst.polytope.dim, 0.5)
+        weighted = int((inst.probabilities() != 0.0).sum())
+        for _ in range(2):
+            h_exact(inst, x)
+            subgradient_at(inst, x)
+        assert len(kernel_calls) == 4 * weighted
 
 
 class TestOmegaSubgradient:
@@ -397,7 +552,7 @@ class TestOmegaSubgradient:
         slack, witness = check_omega_subgradient(inst, x, subgradient_at(inst, x),
                                                  0.0)
         assert slack >= -saa.OMEGA_TOL
-        assert inst.polytope.contains(witness)
+        assert in_box(inst.polytope, witness)
 
     def test_downward_perturbation_stays_valid(self):
         # Shrinking the subgradient by at most omega * first-stage prices
@@ -416,7 +571,7 @@ class TestOmegaSubgradient:
         bad = subgradient_at(inst, x) + 1.5
         slack, y = check_omega_subgradient(inst, x, bad, 0.0)
         assert slack < -saa.OMEGA_TOL
-        assert inst.polytope.contains(y)
+        assert in_box(inst.polytope, y)
         hx = h_exact(inst, x)
         assert h_exact(inst, y) - hx < bad @ (y - x) - saa.OMEGA_TOL
         # The slack is the witness's own gap in the inequality.

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from conftest import powerset
+from conftest import check_support, powerset, zero_shares
 from stocomb import caps
 from stocomb.errors import NotMonotone, NotSubmodular
 from stocomb.fixtures import cov3, edge1, tri3
@@ -15,12 +15,10 @@ from stocomb.sharing import (
     OrderedCostShareScheme,
     check_fairness,
     check_scheme,
-    check_support,
     equal_split_shares,
     marginal_scheme,
     measure_strictness,
     measure_unistrictness,
-    zero_shares,
 )
 from stocomb.solvers import algorithm_for
 from stocomb.rng import stream
